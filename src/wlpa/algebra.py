@@ -22,6 +22,11 @@ where strand indices beyond an edge's weight are dropped.  Each step
 strictly decreases (word length, number of index-1 star letters, number of
 special factors) lexicographically, so rewriting terminates; confluence is
 exercised by the two-strategy tests rather than assumed silently.
+
+Rules are stored per vertex: only pairs meeting at a shared vertex have an
+entry, and a pair (a, b) with r(a) != s(b) is 0 by an endpoint test.  The
+table has at most sum_v (in(v) + 1)(out(v) + 1) entries for in(v)/out(v)
+non-vertex letters ending/starting at v, not one per pair of letters.
 """
 
 from __future__ import annotations
@@ -152,8 +157,10 @@ _NORMAL = object()  # word is already normal
 class Algebra:
     """The weighted Leavitt path algebra of a graph over an exact field.
 
-    The engine state (letter tables and oriented rewrite rules) is built
-    once and never mutated, so instances may be shared across threads.
+    The letter tables, the vertex-local rewrite rules and the nod-word
+    automaton are built once and never change.  The normal-form memos
+    (``_memo_left``, ``_memo_right``) grow on every miss, so an instance
+    must not be shared between threads without a lock.
     """
 
     def __init__(self, graph: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None,
@@ -183,6 +190,8 @@ class Algebra:
         self._id_of = {g: i for i, g in enumerate(gens)}
         self._nv = len(graph.vertices)
         self._vertex_id = {v: i for i, v in enumerate(graph.vertices)}
+        self._src_id = tuple(self._vertex_id[v] for v in src)
+        self._rng_id = tuple(self._vertex_id[v] for v in rng)
         self._nonvertex_ids = tuple(range(self._nv, len(gens)))
 
         self._edge_strand_id = {}
@@ -214,11 +223,12 @@ class Algebra:
         }
         self._build_pair_table()
 
-        # Nod-word automaton: allowed successors per non-vertex letter.
+        # Nod-word automaton: allowed successors per non-vertex letter, in id order.
+        starting: list[list[int]] = [[] for _ in range(self._nv)]
+        for b in self._nonvertex_ids:
+            starting[self._src_id[b]].append(b)
         self._succ = {
-            a: tuple(
-                b for b in self._nonvertex_ids if (a, b) not in self._pair
-            )
+            a: tuple(b for b in starting[self._rng_id[a]] if (a, b) not in self._rules)
             for a in self._nonvertex_ids
         }
         self._memo_left: dict[tuple[int, ...], dict] = {}
@@ -227,67 +237,52 @@ class Algebra:
     # -- rule table ----------------------------------------------------
 
     def _build_pair_table(self):
+        """Store the oriented rules of the pairs that meet at a vertex.
+
+        Only pairs (a, b) with r(a) = s(b) get an entry; :meth:`_rule`
+        decides every other pair as 0 by comparing endpoint ids.  The
+        entries are the absorption rules of each vertex letter, the
+        ``e_1^* f_1`` rules of each pair of edges emitted by a vertex and
+        the ``e_i e_j^*`` rules of each special edge.  Every key meets at
+        one vertex v, so there are at most (in(v) + 1)(out(v) + 1) keys per
+        v, where in(v) and out(v) count the non-vertex letters ending and
+        starting at v.
+        """
         g = self.graph
-        pair: dict[tuple[int, int], object] = {}
-        nletters = len(self._gens)
-        wv = {v: vertex_weight(g, v) for v in g.vertices}
-
-        def vert(v: str) -> int:
-            return self._vertex_id[v]
-
-        for a in range(nletters):
-            ga = self._gens[a]
-            for b in range(nletters):
-                gb = self._gens[b]
-                if ga.kind == "vertex" and gb.kind == "vertex":
-                    pair[(a, b)] = [(1, (a,))] if a == b else _ZERO
-                elif ga.kind == "vertex":
-                    pair[(a, b)] = [(1, (b,))] if self._src[b] == ga.name else _ZERO
-                elif gb.kind == "vertex":
-                    pair[(a, b)] = [(1, (a,))] if self._rng[a] == gb.name else _ZERO
-                elif self._rng[a] != self._src[b]:
-                    pair[(a, b)] = _ZERO
-                elif ga.kind == "star" and ga.index == 1 and gb.kind == "edge" and gb.index == 1:
+        vert = self._vertex_id
+        edge, star = self._edge_strand_id, self._star_strand_id
+        rules: dict[tuple[int, int], list] = {(x, x): [(1, (x,))] for x in range(self._nv)}
+        for a in self._nonvertex_ids:
+            keep = [(1, (a,))]
+            rules[(self._src_id[a], a)] = keep
+            rules[(a, self._rng_id[a])] = keep
+        for v in g.vertices:
+            out = g.out_edges(v)
+            for e in out:
+                for f in out:
                     # e_1^* f_1 with s(e) = s(f) = v
-                    v = self._rng[a]
-                    we = g.edge(ga.name).weight
-                    wf = g.edge(gb.name).weight
-                    terms: list[tuple[int, tuple[int, ...]]] = []
-                    if ga.name == gb.name:
-                        terms.append((1, (vert(g.edge(ga.name).range),)))
-                    for i in range(2, wv[v] + 1):
-                        if i <= we and i <= wf:
-                            terms.append(
-                                (-1, (
-                                    self._star_strand_id[(ga.name, i)],
-                                    self._edge_strand_id[(gb.name, i)],
-                                ))
-                            )
-                    pair[(a, b)] = terms
-                elif (
-                    ga.kind == "edge"
-                    and gb.kind == "star"
-                    and ga.name == gb.name
-                    and self._special_of_vertex.get(self._src[a]) == ga.name
-                ):
+                    terms = [(1, (vert[e.range],))] if e.id == f.id else []
+                    for i in range(2, min(e.weight, f.weight) + 1):
+                        terms.append((-1, (star[(e.id, i)], edge[(f.id, i)])))
+                    rules[(star[(e.id, 1)], edge[(f.id, 1)])] = terms
+            if v not in self._special_of_vertex:
+                continue
+            s = g.edge(self._special_of_vertex[v])
+            for i in range(1, s.weight + 1):
+                for j in range(1, s.weight + 1):
                     # e^v_i (e^v_j)^* at v = s(e^v)
-                    v = self._src[a]
-                    i, j = ga.index, gb.index
-                    terms = []
-                    if i == j:
-                        terms.append((1, (vert(v),)))
-                    for other in g.out_edges(v):
-                        if other.id == ga.name or other.weight < max(i, j):
-                            continue
-                        terms.append(
-                            (-1, (
-                                self._edge_strand_id[(other.id, i)],
-                                self._star_strand_id[(other.id, j)],
-                            ))
-                        )
-                    pair[(a, b)] = terms
-                # otherwise the pair is normal: no table entry
-        self._pair = pair
+                    terms = [(1, (vert[v],))] if i == j else []
+                    for other in out:
+                        if other.id != s.id and other.weight >= max(i, j):
+                            terms.append((-1, (edge[(other.id, i)], star[(other.id, j)])))
+                    rules[(edge[(s.id, i)], star[(s.id, j)])] = terms
+        self._rules = rules
+
+    def _rule(self, a: int, b: int):
+        """The rewrite of the pair (a, b): ``_ZERO``, a term list, or None if normal."""
+        if self._rng_id[a] != self._src_id[b]:
+            return _ZERO
+        return self._rules.get((a, b))
 
     # -- word plumbing ---------------------------------------------------
 
@@ -318,13 +313,17 @@ class Algebra:
     # -- normalization ---------------------------------------------------
 
     def _find_redex(self, w: tuple[int, ...], right: bool):
-        pair = self._pair
+        # _rule inlined: this is the hot loop of normalization.
+        rules, src_id, rng_id = self._rules, self._src_id, self._rng_id
         if right:
             positions = range(len(w) - 2, -1, -1)
         else:
             positions = range(len(w) - 1)
         for i in positions:
-            act = pair.get((w[i], w[i + 1]))
+            a, b = w[i], w[i + 1]
+            if rng_id[a] != src_id[b]:
+                return i, _ZERO
+            act = rules.get((a, b))
             if act is not None:
                 return i, act
         return None
@@ -446,13 +445,7 @@ class Algebra:
     def is_nodword(self, word: Iterable[Generator]) -> bool:
         """True iff the word is a d-path with no forbidden length-2 factor."""
         ids = self._intern_word(word)
-        if len(ids) == 1:
-            return True
-        pair = self._pair
-        for a, b in zip(ids, ids[1:]):
-            if (a, b) in pair:
-                return False
-        return True
+        return all(self._rule(a, b) is None for a, b in zip(ids, ids[1:]))
 
     def nonvertex_generators(self) -> tuple[Generator, ...]:
         return tuple(self._gens[i] for i in self._nonvertex_ids)
@@ -462,7 +455,16 @@ class Algebra:
         return self._src[i], self._rng[i]
 
     def pair_is_normal(self, a: Generator, b: Generator) -> bool:
-        return (self._intern_letter(a), self._intern_letter(b)) not in self._pair
+        return self._rule(self._intern_letter(a), self._intern_letter(b)) is None
+
+    def successors(self, gen: Generator) -> tuple[Generator, ...]:
+        """The non-vertex letters that may follow the non-vertex ``gen`` in a nod-word."""
+        return tuple(self._gens[b] for b in self._succ[self._intern_letter(gen)])
+
+    @property
+    def rule_count(self) -> int:
+        """Number of stored rewrite rules; non-composable pairs are not stored."""
+        return len(self._rules)
 
     def word_degree(self, word: Iterable[Generator]):
         ids = self._intern_word(word)
@@ -582,9 +584,7 @@ class Algebra:
         return total
 
     def __repr__(self):
-        return (
-            f"Algebra({self.graph!r}, field={self.field.name})"
-        )
+        return f"Algebra({self.graph!r}, field={self.field.name})"
 
 
 class AlgebraElement:

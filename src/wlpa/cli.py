@@ -200,6 +200,21 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
                 return EXIT_INPUT
             return EXIT_OK
 
+        if args.command == "witness":
+            try:
+                word = witness_nodpath(graph, choice)
+            except LpaSatisfiedError:
+                payload = {"command": "witness", "satisfied": True, "word": None}
+                _emit(args, stdout, payload, "satisfied: no witness exists")
+                return EXIT_NEGATIVE
+            payload = {
+                "command": "witness",
+                "satisfied": False,
+                "word": [g.token() for g in word],
+            }
+            _emit(args, stdout, payload, " ".join(payload["word"]))
+            return EXIT_OK
+
         algebra = Algebra(graph, choice, field)
 
         if args.command == "eval":
@@ -244,21 +259,6 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             payload = {"command": "zero-dim", "table": [[n, c] for n, c in table]}
             _emit(args, stdout, payload,
                   "\n".join(f"{n}\t{c}" for n, c in table))
-            return EXIT_OK
-
-        if args.command == "witness":
-            try:
-                word = witness_nodpath(graph, choice)
-            except LpaSatisfiedError:
-                payload = {"command": "witness", "satisfied": True, "word": None}
-                _emit(args, stdout, payload, "satisfied: no witness exists")
-                return EXIT_NEGATIVE
-            payload = {
-                "command": "witness",
-                "satisfied": False,
-                "word": [g.token() for g in word],
-            }
-            _emit(args, stdout, payload, algebra.render_word(word))
             return EXIT_OK
 
         raise _UsageError(f"unknown command {args.command!r}")

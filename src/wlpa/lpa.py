@@ -295,16 +295,18 @@ def search_shape_word(g: WeightedGraph, choice: Optional[SpecialEdgeChoice] = No
     path lifts back to a valid nod-word.  Returns the first witness found,
     scanning weighted edges in graph order, or None.
     """
-    heavy = weighted_edges(g)
-    if not heavy:
+    if not weighted_edges(g):
         return None
-    algebra = Algebra(g, choice)
+    return _search_shape_word(Algebra(g, choice), bound)
+
+
+def _search_shape_word(algebra: Algebra, bound: Optional[int] = None) -> Optional[Word]:
+    g = algebra.graph
     if bound is None:
         max_weight = max(e.weight for e in g.edges)
         bound = 2 * len(g.vertices) * max_weight + 2
-    letters = algebra.nonvertex_generators()
 
-    for e in heavy:
+    for e in weighted_edges(g):
         start = Generator.edge(e.id, 2)
         last = Generator.star(e.id, 2)
         if algebra.pair_is_normal(start, last):
@@ -318,8 +320,8 @@ def search_shape_word(g: WeightedGraph, choice: Optional[SpecialEdgeChoice] = No
             cur = queue.popleft()
             if depth[cur] + 1 >= bound:
                 continue
-            for nxt in letters:
-                if nxt in parent or not algebra.pair_is_normal(cur, nxt):
+            for nxt in algebra.successors(cur):
+                if nxt in parent:
                     continue
                 parent[nxt] = cur
                 depth[nxt] = depth[cur] + 1
@@ -357,7 +359,7 @@ def witness_nodpath(g: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None
             word = _keylemma_word_from_cycle(g, violation)
             break
     if word is None:
-        word = search_shape_word(g, choice)
+        word = _search_shape_word(algebra)
         if word is None:
             raise WitnessSearchError(
                 "no witness found within the search bound; this contradicts "

@@ -201,11 +201,7 @@ def to_unweighted(g: WeightedGraph) -> tuple[Graph, TransformTrace]:
     Returns the unweighted graph together with the trace (stage graphs, Z
     and the g^v map of the stage-1 output).
     """
-    report = check_lpa(g)
-    if not report.satisfied:
-        raise LpaViolatedError(report)
-    _reject_reserved_ids(g)
-    stage1 = make_ranges_sinks(g)
+    stage1 = make_ranges_sinks(g)  # decides (LPA) and rejects reserved ids
     stage2 = unweight_sunk(stage1)
     zone = tree(g, [e.range for e in weighted_edges(g)])
     gv_pairs = tuple((e.range, e.id) for e in weighted_edges(stage1))

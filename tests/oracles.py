@@ -91,6 +91,51 @@ def classical_unweighted_count(g: WeightedGraph, choice, max_len: int) -> int:
     return count
 
 
+# -- length-2 factors -----------------------------------------------------------
+
+
+class AllLetters:
+    """Every letter of the presentation, vertex letters first, built from the
+    graph alone in the package's canonical letter order.
+
+    ``reducible(a, b)`` is the dense "pair is forbidden or non-composable"
+    predicate: a pair with a vertex letter always rewrites (absorption or
+    0), a pair with r(a) != s(b) is 0, and the forbidden factors are
+    ``e_1^* f_1`` and ``s_i s_j^*`` for a special edge s.
+    """
+
+    def __init__(self, g: WeightedGraph, special: dict[str, str]):
+        self.letters: list[tuple[str, str, int]] = []  # (kind, name, index)
+        self.src: list[str] = []
+        self.rng: list[str] = []
+        for v in g.vertices:
+            self._add(("vertex", v, 0), v, v)
+        for e in g.edges:
+            for i in range(1, e.weight + 1):
+                self._add(("edge", e.id, i), e.source, e.range)
+            for i in range(1, e.weight + 1):
+                self._add(("star", e.id, i), e.range, e.source)
+        self.special_edges = set(special.values())
+
+    def _add(self, letter, src, rng):
+        self.letters.append(letter)
+        self.src.append(src)
+        self.rng.append(rng)
+
+    def composable(self, a: int, b: int) -> bool:
+        return self.rng[a] == self.src[b]
+
+    def reducible(self, a: int, b: int) -> bool:
+        kind_a, name_a, i = self.letters[a]
+        kind_b, name_b, j = self.letters[b]
+        if "vertex" in (kind_a, kind_b) or not self.composable(a, b):
+            return True
+        if (kind_a, kind_b) == ("star", "edge"):
+            return i == 1 and j == 1
+        return (kind_a, kind_b) == ("edge", "star") and name_a == name_b \
+            and name_a in self.special_edges
+
+
 # -- GF(2) linear algebra ------------------------------------------------------
 
 

@@ -9,11 +9,13 @@ from wlpa import (
     ZERO_ELEMENT,
     Algebra,
     AlgebraError,
+    EdgeRecord,
     Generator,
     MixedContextError,
     PrimeField,
     SpecialEdgeChoice,
     UnknownGeneratorError,
+    WeightedGraph,
     default_special_edges,
     evaluate_relation,
     identity_map,
@@ -22,8 +24,9 @@ from wlpa import (
     validate_choice,
 )
 
-from graphgen import random_lpa_satisfying_graph, random_weighted_graph
+from graphgen import random_lpa_satisfying_graph, random_weighted_graph, small_graphs
 from oracles import (
+    AllLetters,
     classical_unweighted_count,
     engine_span_dimension_gf2,
     truncated_quotient_dimension,
@@ -456,3 +459,60 @@ def test_dimension_oracle_small_graphs():
         for max_len in range(1, 4):
             assert truncated_quotient_dimension(g, max_len) == \
                 engine_span_dimension_gf2(g, max_len)
+
+
+# -- vertex-local rewrite table ---------------------------------------------
+
+
+def _pair_oracle_graphs():
+    yield from small_graphs(3, 3, 2)
+    rng = Random(70217)
+    for _ in range(12):
+        yield random_weighted_graph(rng, max_vertices=5, max_edges=7, max_weight=3)
+
+
+def test_pair_table_matches_dense_oracle():
+    for g in _pair_oracle_graphs():
+        algebra = Algebra(g)
+        oracle = AllLetters(g, algebra.choice.mapping)
+        letters = [Generator(*letter) for letter in oracle.letters]
+        assert letters == [V(v) for v in g.vertices] + list(algebra.nonvertex_generators())
+        normal_pairs = set()
+        for a, ga in enumerate(letters):
+            for b, gb in enumerate(letters):
+                normal = not oracle.reducible(a, b)
+                assert algebra.pair_is_normal(ga, gb) == normal, (g, ga, gb)
+                if normal:
+                    normal_pairs.add((ga, gb))
+                left = algebra.normalize([(1, (ga, gb))], "left")
+                assert left == algebra.normalize([(1, (ga, gb))], "right"), (g, ga, gb)
+                if not oracle.composable(a, b):
+                    assert left.is_zero(), (g, ga, gb)
+        # the automaton yields exactly the normal pairs, in length-then-lex order
+        words = algebra.enumerate_nodwords(2)
+        assert {w for w in words if len(w) == 2} == normal_pairs
+        index = {gen: k for k, gen in enumerate(letters)}
+        keys = [(0 if w[0].kind == "vertex" else len(w), [index[x] for x in w]) for w in words]
+        assert keys == sorted(keys)
+
+
+def test_pair_table_is_vertex_local_at_scale():
+    n = 2000
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [
+        EdgeRecord(f"e{i}", vertices[i], vertices[(i + 1) % n], 3 if i % 700 == 0 else 1)
+        for i in range(n)
+    ]
+    g = WeightedGraph(vertices, edges)
+    algebra = Algebra(g)
+    # non-vertex letters ending at v, and starting at v: both are the total
+    # weight of the edges incident to v (e_i and e_i^* run opposite ways)
+    incident = dict.fromkeys(vertices, 0)
+    for e in edges:
+        incident[e.source] += e.weight
+        incident[e.range] += e.weight
+    bound = sum((k + 1) * (k + 1) for k in incident.values())
+    letters = n + 2 * sum(e.weight for e in edges)
+    assert algebra.rule_count <= bound < letters * letters // 1000
+    for max_len in range(3):
+        assert len(algebra.enumerate_nodwords(max_len)) == algebra.growth(max_len)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .fields import RATIONALS, ModInt, PrimeField, Rationals
-from .graphs import UnknownVertexError, WeightedGraph, vertex_weight, weighted_edges
+from .graphs import WeightedGraph, vertex_weight, weighted_edges
 
 
 class AlgebraError(ValueError):
@@ -110,12 +110,6 @@ class SpecialEdgeChoice:
     @property
     def mapping(self) -> dict[str, str]:
         return dict(self.pairs)
-
-    def edge_for(self, v: str) -> str:
-        for vertex, edge in self.pairs:
-            if vertex == v:
-                return edge
-        raise UnknownVertexError(f"no special edge fixed for {v!r}")
 
 
 def default_special_edges(g: WeightedGraph) -> SpecialEdgeChoice:
@@ -825,25 +819,16 @@ def apply_generator_map(element: AlgebraElement,
     """
     if element.algebra.field != target.field:
         raise MixedContextError("source and target algebras use different fields")
-    out = target.zero()
-    for coeff, word in element.terms():
-        img: Optional[AlgebraElement] = None
-        for gen in word:
-            try:
-                factor = mapping[gen]
-            except KeyError:
-                raise UnknownGeneratorError(
-                    f"no image fixed for generator {gen.token()!r}"
-                ) from None
-            img = factor if img is None else img * factor
-        assert img is not None
-        out = out + img.scaled(coeff)
-    return out
+    return evaluate_relation(element.terms(), mapping, target)
 
 
 def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
                       target: Algebra) -> AlgebraElement:
-    """Value of a relation instance under a generator assignment."""
+    """Value of ``terms`` under a generator assignment.
+
+    ``terms`` are the (coefficient, word) pairs of a relation instance or
+    of an element, as in :func:`apply_generator_map`.
+    """
     acc = target.zero()
     for coeff, gens in terms:
         img: Optional[AlgebraElement] = None

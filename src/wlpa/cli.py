@@ -14,7 +14,14 @@ import json
 import sys
 from typing import Optional
 
-from .algebra import Algebra, AlgebraError, BudgetExceededError, SpecialEdgeChoice, validate_choice
+from .algebra import (
+    Algebra,
+    AlgebraError,
+    BudgetExceededError,
+    SpecialEdgeChoice,
+    default_special_edges,
+    validate_choice,
+)
 from .exprs import ExpressionError, parse_element
 from .fields import FieldError, field_from_name
 from .graphs import (
@@ -24,7 +31,6 @@ from .graphs import (
     parse_weighted_graph,
     serialize_graph,
     serialize_weighted_graph,
-    vertex_weight,
 )
 from .lpa import LpaSatisfiedError, check_lpa, witness_nodpath
 from .unweighting import (
@@ -57,33 +63,33 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--input", required=True, help="graph file, or - for stdin")
         p.add_argument("--format", choices=("text", "machine"), default="text")
         p.add_argument("--field", default="rational", help="rational or mod:<prime>")
-        p.add_argument(
+        return p
+
+    def with_special(p):
+        # only the subcommands whose output depends on the special edges
+        common(p).add_argument(
             "--special",
             default=None,
             help="comma-separated vertex=edge overrides for the special edges",
         )
+        return p
 
     common(sub.add_parser("validate", help="parse and validate a graph file"))
     common(sub.add_parser("check-lpa", help="decide Condition (LPA)"))
-    p = sub.add_parser("transform", help="compile to an unweighted graph")
-    common(p)
+    p = common(sub.add_parser("transform", help="compile to an unweighted graph"))
     p.add_argument("--verify", action="store_true", help="verify the generator families")
-    p = sub.add_parser("eval", help="normalize an element expression")
-    common(p)
+    p = with_special(sub.add_parser("eval", help="normalize an element expression"))
     p.add_argument("expression")
-    p = sub.add_parser("basis", help="enumerate nod-words up to a length")
-    common(p)
+    p = with_special(sub.add_parser("basis", help="enumerate nod-words up to a length"))
     p.add_argument("max_len", type=int)
     p.add_argument("--source", default=None)
     p.add_argument("--range", dest="range_", default=None)
     p.add_argument("--budget", type=int, default=10**7)
-    p = sub.add_parser("growth", help="table of nod-word counts by length")
-    common(p)
+    p = with_special(sub.add_parser("growth", help="table of nod-word counts by length"))
     p.add_argument("max_len", type=int)
-    p = sub.add_parser("zero-dim", help="table of degree-zero nod-word counts")
-    common(p)
+    p = with_special(sub.add_parser("zero-dim", help="table of degree-zero nod-word counts"))
     p.add_argument("max_len", type=int)
-    common(sub.add_parser("witness", help="nod-word witnessing an (LPA) failure"))
+    with_special(sub.add_parser("witness", help="nod-word witnessing an (LPA) failure"))
     return parser
 
 
@@ -100,6 +106,7 @@ def _read_graph(path: str, stdin) -> WeightedGraph:
 
 
 def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdgeChoice]:
+    """The default special edges with the ``vertex=edge`` overrides laid over them."""
     if spec is None:
         return None
     overrides = {}
@@ -111,27 +118,13 @@ def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdg
         if not sep:
             raise _UsageError(f"bad --special entry {part!r}; expected vertex=edge")
         overrides[vertex] = edge
-    pairs = []
-    for v in g.vertices:
-        if g.is_sink(v):
-            if v in overrides:
-                raise _UsageError(f"--special names sink vertex {v!r}")
-            continue
-        if v in overrides:
-            eid = overrides.pop(v)
-            record = g.edge(eid)
-            if record.source != v or record.weight != vertex_weight(g, v):
-                raise _UsageError(
-                    f"--special {v}={eid} does not pick a maximal-weight edge at {v}"
-                )
-            pairs.append((v, eid))
-        else:
-            wv = vertex_weight(g, v)
-            pairs.append((v, next(e.id for e in g.out_edges(v) if e.weight == wv)))
+    pairs = [(v, overrides.pop(v, e)) for v, e in default_special_edges(g).pairs]
     if overrides:
-        unknown = ", ".join(sorted(overrides))
-        raise _UsageError(f"--special names unknown vertices: {unknown}")
-    return SpecialEdgeChoice(tuple(pairs))
+        names = ", ".join(sorted(overrides))
+        raise _UsageError(f"--special names sinks or unknown vertices: {names}")
+    choice = SpecialEdgeChoice(tuple(pairs))
+    validate_choice(g, choice)
+    return choice
 
 
 def _emit(args, stdout, payload: dict, text: str) -> None:
@@ -151,7 +144,6 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
         field = field_from_name(args.field)
         graph = _read_graph(args.input, stdin)
-        choice = _parse_special(graph, args.special)
 
         if args.command == "validate":
             payload = {"command": "validate", "ok": True, "graph": graph_to_records(graph)}
@@ -199,6 +191,8 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
                 print("family verification failed", file=stderr)
                 return EXIT_INPUT
             return EXIT_OK
+
+        choice = _parse_special(graph, args.special)
 
         if args.command == "witness":
             try:

@@ -105,10 +105,6 @@ class WeightedGraph:
     def has_vertex(self, v: str) -> bool:
         return v in self._vertex_index
 
-    def vertex_position(self, v: str) -> int:
-        self._require_vertex(v)
-        return self._vertex_index[v]
-
     def edge(self, edge_id: str) -> EdgeRecord:
         try:
             return self._edge_by_id[edge_id]
@@ -158,9 +154,6 @@ class Graph(WeightedGraph):
         for e in self.edges:
             if e.weight != 1:
                 raise BadWeightError(f"edge {e.id!r}: weight must be 1")
-
-    def to_weighted(self) -> WeightedGraph:
-        return WeightedGraph(self.vertices, self.edges)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,16 @@ already carries a superscript.
 
 Both stages come with explicit generator correspondences between the two
 algebras (:func:`family_maps`), and :func:`verify_families` checks the
-defining relations and the round trips mechanically.
+defining relations and the round trips mechanically.  The trace of a
+compilation carries the graph it was built from, so the maps reuse its
+(LPA) decision and stage-1 graph instead of recomputing them, and one case
+table (:func:`_stage2_cases`) both builds the stage-2 graph and tells the
+maps which case produced each stage-2 vertex and edge.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import (
@@ -74,8 +79,9 @@ def _reject_reserved_ids(g: WeightedGraph) -> None:
 
 @dataclass(frozen=True)
 class TransformTrace:
-    """Intermediate data of the two-stage compilation."""
+    """Intermediate data of the two-stage compilation of ``source``."""
 
+    source: WeightedGraph
     stage1_graph: WeightedGraph
     stage2_graph: Graph
     Z: tuple[str, ...]
@@ -157,6 +163,46 @@ def _sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
     return gv
 
 
+def _stage2_cases(g: WeightedGraph, gv: dict[str, str]):
+    """The stage-2 pieces of each vertex and edge of ``g``, in graph order.
+
+    Returns ``(vertices, edges)``: ``vertices`` holds ``(name, case, v, i)``
+    with case M (``v`` kept) or N (strand copy ``i`` of ``v`` in r(E1w)),
+    ``edges`` holds ``(record, case, e, i)`` with case A (unchanged copy of
+    ``e``), B (fan strand ``i`` into a split range), C (first strand of a
+    weighted edge) or D (reversed higher strand ``i``).
+    """
+    vertices: list[tuple[str, str, str, int]] = []
+    for v in g.vertices:
+        if v in gv:
+            w = g.edge(gv[v]).weight
+            vertices.extend((strand_name(v, i), "N", v, i) for i in range(1, w + 1))
+        else:
+            vertices.append((v, "M", v, 0))
+    edges: list[tuple[EdgeRecord, str, str, int]] = []
+    for e in g.edges:
+        if e.weight > 1:
+            edges.append((
+                EdgeRecord(strand_name(e.id, 1), e.source, strand_name(e.range, 1)),
+                "C", e.id, 1,
+            ))
+            for i in range(2, e.weight + 1):
+                edges.append((
+                    EdgeRecord(strand_name(e.id, i), strand_name(e.range, i), e.source),
+                    "D", e.id, i,
+                ))
+        elif e.range in gv:
+            w = g.edge(gv[e.range]).weight
+            for i in range(1, w + 1):
+                edges.append((
+                    EdgeRecord(strand_name(e.id, i), e.source, strand_name(e.range, i)),
+                    "B", e.id, i,
+                ))
+        else:
+            edges.append((EdgeRecord(e.id, e.source, e.range), "A", e.id, 1))
+    return vertices, edges
+
+
 def unweight_sunk(g: WeightedGraph) -> Graph:
     """Stage 2: split weighted-edge ranges into strand copies and rewire.
 
@@ -166,33 +212,8 @@ def unweight_sunk(g: WeightedGraph) -> Graph:
     produces its fan (B), first strand (C), reversed higher strands (D) or
     an unchanged copy (A).
     """
-    gv = _sunk_preconditions(g)
-    vertices_out: list[str] = []
-    for v in g.vertices:
-        if v in gv:
-            w = g.edge(gv[v]).weight
-            vertices_out.extend(strand_name(v, i) for i in range(1, w + 1))
-        else:
-            vertices_out.append(v)
-    edges_out: list[EdgeRecord] = []
-    for e in g.edges:
-        if e.weight > 1:
-            edges_out.append(
-                EdgeRecord(strand_name(e.id, 1), e.source, strand_name(e.range, 1))
-            )
-            for i in range(2, e.weight + 1):
-                edges_out.append(
-                    EdgeRecord(strand_name(e.id, i), strand_name(e.range, i), e.source)
-                )
-        elif e.range in gv:
-            w = g.edge(gv[e.range]).weight
-            for i in range(1, w + 1):
-                edges_out.append(
-                    EdgeRecord(strand_name(e.id, i), e.source, strand_name(e.range, i))
-                )
-        else:
-            edges_out.append(EdgeRecord(e.id, e.source, e.range))
-    return Graph(vertices_out, edges_out)
+    vertices, edges = _stage2_cases(g, _sunk_preconditions(g))
+    return Graph([name for name, *_ in vertices], [record for record, *_ in edges])
 
 
 def to_unweighted(g: WeightedGraph) -> tuple[Graph, TransformTrace]:
@@ -205,7 +226,7 @@ def to_unweighted(g: WeightedGraph) -> tuple[Graph, TransformTrace]:
     stage2 = unweight_sunk(stage1)
     zone = tree(g, [e.range for e in weighted_edges(g)])
     gv_pairs = tuple((e.range, e.id) for e in weighted_edges(stage1))
-    trace = TransformTrace(stage1, stage2, zone, gv_pairs)
+    trace = TransformTrace(g, stage1, stage2, zone, gv_pairs)
     return stage2, trace
 
 
@@ -224,49 +245,40 @@ def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
     The forward map sends the generators of the algebra of ``g`` to
     elements of the algebra of ``g_tilde``; the backward map goes the
     other way.  Both are composed from the stage-1 letter relabeling and
-    the stage-2 case tables, with every image in normal form.
+    the stage-2 case table that built ``g_tilde``, with every image in
+    normal form.  The trace must come from :func:`to_unweighted` of ``g``;
+    its stage-1 graph and g^v map are used as they are, without deciding
+    (LPA) or running stage 1 again.  :func:`verify_families` checks the
+    maps whatever trace they were built from.
     """
+    if trace.source != g:
+        raise TraceMismatchError("trace was not built from the given weighted graph")
     if trace.stage2_graph != g_tilde:
         raise TraceMismatchError("trace does not describe the given unweighted graph")
-    if make_ranges_sinks(g) != trace.stage1_graph:
-        raise TraceMismatchError("trace stage-1 graph does not match the input graph")
     h = trace.stage1_graph
-    gv = {e.range: e.id for e in weighted_edges(h)}
-    if gv != trace.gv:
-        raise TraceMismatchError("trace g^v map does not match the stage-1 graph")
+    gv = trace.gv
 
     src_algebra = Algebra(g, field=field)
-    tgt_algebra = Algebra(g_tilde.to_weighted(), field=field)
+    tgt_algebra = Algebra(g_tilde, field=field)
     zone = set(trace.Z)
 
     V, E, S = Generator.vertex, Generator.edge, Generator.star
 
-    def alpha(v: str) -> AlgebraElement:
-        if v in gv:
-            w = h.edge(gv[v]).weight
-            return tgt_algebra.element(
-                [(1, (V(strand_name(v, i)),)) for i in range(1, w + 1)]
-            )
-        return tgt_algebra.vertex(v)
+    vertex_cases, edge_cases = _stage2_cases(h, gv)
 
-    def beta(e: EdgeRecord, i: int) -> AlgebraElement:
-        if e.weight > 1:
-            if i == 1:
-                return tgt_algebra.edge(strand_name(e.id, 1), 1)
-            return tgt_algebra.star(strand_name(e.id, i), 1)
-        if e.range in gv:
-            w = h.edge(gv[e.range]).weight
-            return tgt_algebra.element(
-                [(1, (E(strand_name(e.id, j), 1),)) for j in range(1, w + 1)]
-            )
-        return tgt_algebra.edge(e.id, 1)
+    # each stage-1 vertex or edge letter maps to the sum of its stage-2
+    # pieces; all strands of a fan (B) belong to the one letter of its edge
+    pieces: dict[Generator, list] = defaultdict(list)
+    for vt, cls, v, i in vertex_cases:
+        pieces[V(v)].append((1, (V(vt),)))
+    for et, cls, eid, i in edge_cases:
+        letter = S(et.id, 1) if cls == "D" else E(et.id, 1)
+        pieces[E(eid, 1 if cls == "B" else i)].append((1, (letter,)))
 
     def image_of_stage1_letter(gen: Generator) -> AlgebraElement:
-        if gen.kind == "vertex":
-            return alpha(gen.name)
-        record = h.edge(gen.name)
-        value = beta(record, gen.index)
-        return value if gen.kind == "edge" else value.involute()
+        if gen.kind == "star":
+            return tgt_algebra.element(pieces[E(gen.name, gen.index)]).involute()
+        return tgt_algebra.element(pieces[gen])
 
     def psi(gen: Generator) -> Generator:
         # stage-1 relabeling on single letters
@@ -279,62 +291,26 @@ def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
 
     forward: dict[Generator, AlgebraElement] = {}
     for v in g.vertices:
-        forward[V(v)] = alpha(v)
+        forward[V(v)] = image_of_stage1_letter(V(v))
     for e in g.edges:
         for i in range(1, e.weight + 1):
             forward[E(e.id, i)] = image_of_stage1_letter(psi(E(e.id, i)))
             forward[S(e.id, i)] = image_of_stage1_letter(psi(S(e.id, i)))
 
     # stage-1 relabeling, inverted, on the letters of the stage-1 algebra
-    psi_inv: dict[Generator, Generator] = {}
-    for v in h.vertices:
-        psi_inv[V(v)] = V(v)
-    for e in g.edges:
-        if e.source in zone:
-            for i in range(1, e.weight + 1):
-                nm = strand_name(e.id, i)
-                psi_inv[E(nm, 1)] = S(e.id, i)
-                psi_inv[S(nm, 1)] = E(e.id, i)
-        else:
-            for i in range(1, e.weight + 1):
-                psi_inv[E(e.id, i)] = E(e.id, i)
-                psi_inv[S(e.id, i)] = S(e.id, i)
+    psi_inv = {psi(x): x for x in forward}
 
     def pull_back(word: tuple[Generator, ...]) -> AlgebraElement:
         return src_algebra.normalize([(1, tuple(psi_inv[x] for x in word))])
 
-    # stage-2 classes of the unweighted graph's vertices and edges
-    vertex_class: dict[str, tuple[str, str, int]] = {}
-    for v in h.vertices:
-        if v in gv:
-            w = h.edge(gv[v]).weight
-            for i in range(1, w + 1):
-                vertex_class[strand_name(v, i)] = ("N", v, i)
-        else:
-            vertex_class[v] = ("M", v, 0)
-    edge_class: dict[str, tuple[str, str, int]] = {}
-    for e in h.edges:
-        if e.weight > 1:
-            edge_class[strand_name(e.id, 1)] = ("C", e.id, 1)
-            for i in range(2, e.weight + 1):
-                edge_class[strand_name(e.id, i)] = ("D", e.id, i)
-        elif e.range in gv:
-            w = h.edge(gv[e.range]).weight
-            for i in range(1, w + 1):
-                edge_class[strand_name(e.id, i)] = ("B", e.id, i)
-        else:
-            edge_class[e.id] = ("A", e.id, 1)
-
     backward: dict[Generator, AlgebraElement] = {}
-    for vt in g_tilde.vertices:
-        cls, v, i = vertex_class[vt]
+    for vt, cls, v, i in vertex_cases:
         if cls == "M":
             word: tuple[Generator, ...] = (V(v),)
         else:
             word = (S(gv[v], i), E(gv[v], i))
         backward[V(vt)] = pull_back(word)
-    for et in g_tilde.edges:
-        cls, eid, i = edge_class[et.id]
+    for et, cls, eid, i in edge_cases:
         if cls in ("A", "C"):
             word = (E(eid, 1),)
         elif cls == "B":
@@ -378,7 +354,7 @@ def verify_families(g: WeightedGraph, g_tilde: Graph, fwd: FamilyMap,
     """
     fwd_values = list(fwd.assignments.values())
     bwd_values = list(bwd.assignments.values())
-    tgt_algebra = fwd_values[0].algebra if fwd_values else Algebra(g_tilde.to_weighted())
+    tgt_algebra = fwd_values[0].algebra if fwd_values else Algebra(g_tilde)
     src_algebra = bwd_values[0].algebra if bwd_values else Algebra(g)
 
     failures: list[str] = []
@@ -393,7 +369,7 @@ def verify_families(g: WeightedGraph, g_tilde: Graph, fwd: FamilyMap,
         counts["forward_relations"] += 1
         if not evaluate_relation(terms, fwd.assignments, tgt_algebra).is_zero():
             failures.append(f"forward {label}")
-    for label, terms in relation_instances(g_tilde.to_weighted()):
+    for label, terms in relation_instances(g_tilde):
         counts["backward_relations"] += 1
         if not evaluate_relation(terms, bwd.assignments, src_algebra).is_zero():
             failures.append(f"backward {label}")

@@ -16,8 +16,10 @@ from wlpa import (
     SpecialEdgeChoice,
     UnknownGeneratorError,
     WeightedGraph,
+    apply_generator_map,
     default_special_edges,
     evaluate_relation,
+    field_from_name,
     identity_map,
     parse_weighted_graph,
     relation_instances,
@@ -422,6 +424,20 @@ def test_prime_field_normalization():
     )
     assert got == expected
     assert not algebra.vertex("v").scaled(2)
+
+
+def test_apply_generator_map_rejections():
+    g = fixture_graph("l23.wg")
+    source = Algebra(g)
+    element = source.edge("e1", 1) * source.star("e2", 1)
+    mapping = identity_map(source)
+    assert apply_generator_map(element, mapping, source) == element
+    target = Algebra(g, field=field_from_name("mod:7"))
+    with pytest.raises(MixedContextError):
+        apply_generator_map(element, identity_map(target), target)
+    del mapping[S("e2", 1)]
+    with pytest.raises(UnknownGeneratorError):
+        apply_generator_map(element, mapping, source)
 
 
 def test_unknown_generators_rejected():

@@ -173,6 +173,15 @@ def test_cli_special_override():
         "basis", "--input", fx("e2loops.wg"), "1", "--special", "w=a"
     )
     assert code == 1
+    # witness of a satisfying graph builds no algebra, yet the choice is checked
+    code, _, err = invoke("witness", "--input", fx("fork.wg"), "--special", "u=a")
+    assert code == 1 and "maximal" in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["check-lpa"], ["transform", "--verify"]])
+def test_cli_special_rejected_where_unused(command):
+    code, out, err = invoke(*command, "--input", fx("fork.wg"), "--special", "u=b")
+    assert code == 1 and out == "" and "--special" in err
 
 
 def test_cli_special_changes_normal_form():

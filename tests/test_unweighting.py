@@ -1,3 +1,4 @@
+import io
 from pathlib import Path
 from random import Random
 
@@ -220,6 +221,30 @@ def test_family_maps_trace_mismatch():
         family_maps(g, other_out, other_trace)
     with pytest.raises(TraceMismatchError):
         family_maps(other, out, trace)
+
+
+def test_transform_verify_decides_lpa_once(monkeypatch):
+    from wlpa import cli, unweighting
+
+    calls = {"check_lpa": 0, "make_ranges_sinks": 0}
+
+    def counted(name):
+        original = getattr(unweighting, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(unweighting, name, wrapper)
+
+    counted("check_lpa")
+    counted("make_ranges_sinks")
+    code = cli.run(
+        ["transform", "--verify", "--input", str(FIXTURES / "g6.wg")],
+        stdout=io.StringIO(), stderr=io.StringIO(),
+    )
+    assert code == 0
+    assert calls == {"check_lpa": 1, "make_ranges_sinks": 1}
 
 
 def test_verify_families_fixture_pairs():

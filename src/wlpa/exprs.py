@@ -22,7 +22,9 @@ from typing import Optional
 from .algebra import Algebra, AlgebraElement, Generator
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\(\d+\))*")
-_SCALAR_RE = re.compile(r"\d+(/\d+)?")
+_SUPERSCRIPT_RE = re.compile(r"\^\(\d+\)")
+_STRAND_RE = re.compile(r"\.(\d+)(\*)?")  # strand suffix .<digits>, optional star
+_DENOMINATOR_RE = re.compile(r"/(\d+)")
 
 
 class ExpressionError(ValueError):
@@ -50,12 +52,12 @@ def _scan_identifier(text: str, pos: int) -> Optional[int]:
         inner = _scan_identifier(text, pos + 1)
         if inner is None or inner != i:
             return None
-        m = re.compile(r"\^\(\d+\)").match(text, i + 1)
+        m = _SUPERSCRIPT_RE.match(text, i + 1)
         if not m:
             return None
         end = m.end()
         while True:
-            m = re.compile(r"\^\(\d+\)").match(text, end)
+            m = _SUPERSCRIPT_RE.match(text, end)
             if not m:
                 return end
             end = m.end()
@@ -85,15 +87,14 @@ class _Tokenizer:
             if ident_end is not None:
                 name = text[self.pos:ident_end]
                 self.pos = ident_end
-                # optional strand suffix .<digits> and star
-                m = re.compile(r"\.(\d+)(\*)?").match(text, self.pos)
+                m = _STRAND_RE.match(text, self.pos)
                 if m:
                     self.pos = m.end()
                     kind = "star" if m.group(2) else "edge"
                     self.tokens.append((kind, f"{name}.{m.group(1)}"))
                 elif name.isdigit():
                     # a bare number is a scalar; allow a/b
-                    m2 = re.compile(r"/(\d+)").match(text, self.pos)
+                    m2 = _DENOMINATOR_RE.match(text, self.pos)
                     if m2:
                         self.pos = m2.end()
                         self.tokens.append(("scalar", f"{name}/{m2.group(1)}"))

@@ -3,7 +3,8 @@
 Data model and graph primitives shared by the whole package: the line-based
 text format with its parser and serializer, machine-readable records,
 reachability, trees, the in-line relation on edges, and enumeration of
-cycles through a vertex.
+cycles through a vertex.  Reachability, trees and shortest paths all read
+one breadth-first search, :func:`breadth_first`.
 
 All types are immutable after construction and safe to share; every
 operation here is a pure function.  Vertices and edges keep the order of
@@ -325,48 +326,54 @@ def weighted_edges(g: WeightedGraph) -> tuple[EdgeRecord, ...]:
     return tuple(e for e in g.edges if e.weight > 1)
 
 
+def breadth_first(g: WeightedGraph, roots: Iterable[str]) -> dict[str, Optional[EdgeRecord]]:
+    """Breadth-first search from ``roots``: the one graph walk of the package.
+
+    Maps each reached vertex, in discovery order, to the edge that first
+    reached it, and each root to None.  Out-edges are explored in graph
+    order, so :func:`path_to` reads back a shortest path, the first one
+    found.
+    """
+    parents: dict[str, Optional[EdgeRecord]] = {}
+    for v in roots:
+        g._require_vertex(v)
+        parents.setdefault(v, None)
+    queue = list(parents)
+    for w in queue:  # the loop also visits what it appends
+        for e in g._out[w]:
+            if e.range not in parents:
+                parents[e.range] = e
+                queue.append(e.range)
+    return parents
+
+
+def path_to(parents: dict[str, Optional[EdgeRecord]], v: str) -> GraphPath:
+    """The path of a :func:`breadth_first` search from its root to ``v``."""
+    edges = []
+    e = parents[v]
+    while e is not None:
+        edges.append(e.id)
+        e = parents[e.source]
+    return GraphPath.of(edges[::-1]) if edges else GraphPath.at(v)
+
+
 def reaches(g: WeightedGraph, u: str, v: str) -> bool:
-    """True iff a path (possibly of length 0) leads from ``u`` to ``v``."""
+    """True iff a path (possibly of length 0) leads from ``u`` to ``v``.
+
+    A membership test on the :func:`breadth_first` search from ``u``.
+    """
     g._require_vertex(u)
     g._require_vertex(v)
-    if u == v:
-        return True
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for e in g.out_edges(w):
-                if e.range == v:
-                    return True
-                if e.range not in seen:
-                    seen.add(e.range)
-                    nxt.append(e.range)
-        frontier = nxt
-    return False
+    return v in breadth_first(g, [u])
 
 
 def tree(g: WeightedGraph, roots: Iterable[str]) -> tuple[str, ...]:
     """All vertices reachable from ``roots`` (including the roots).
 
-    The result is emitted in graph order.
+    The vertices of the :func:`breadth_first` search, in graph order.
     """
-    seen: set[str] = set()
-    frontier = []
-    for v in roots:
-        g._require_vertex(v)
-        if v not in seen:
-            seen.add(v)
-            frontier.append(v)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for e in g.out_edges(w):
-                if e.range not in seen:
-                    seen.add(e.range)
-                    nxt.append(e.range)
-        frontier = nxt
-    return tuple(v for v in g.vertices if v in seen)
+    reached = breadth_first(g, roots)
+    return tuple(v for v in g.vertices if v in reached)
 
 
 def in_line(g: WeightedGraph, e: EdgeLike, f: EdgeLike) -> bool:

@@ -23,12 +23,12 @@ from .algebra import Algebra, Generator, SpecialEdgeChoice, Word
 from .graphs import (
     GraphPath,
     WeightedGraph,
+    breadth_first,
     cycles_through,
     in_line,
+    path_to,
     reaches,
-    tree,
     validate_path,
-    vertex_weight,
     weighted_edges,
 )
 
@@ -118,32 +118,19 @@ class LpaReport:
         return "\n".join(v.describe() for v in self.violations)
 
 
-def _shortest_path(g: WeightedGraph, start: str, goal: str) -> Optional[GraphPath]:
-    """Breadth-first edge-id path from start to goal; None if unreachable."""
-    if start == goal:
-        return GraphPath.at(start)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        v, acc = queue.popleft()
-        for e in g.out_edges(v):
-            if e.range == goal:
-                return GraphPath.of(acc + (e.id,))
-            if e.range not in seen:
-                seen.add(e.range)
-                queue.append((e.range, acc + (e.id,)))
-    return None
-
-
 def check_lpa(g: WeightedGraph) -> LpaReport:
     """Evaluate the four conditions and report every violation found.
 
-    Violations are emitted per condition in graph scan order; one witness
-    is reported for each offending site.  All witnesses replay against the
-    raw graph primitives (see :func:`violation_holds`).
+    One breadth-first search per weighted edge e gives its range tree
+    T(r(e)) and the witness paths from r(e); the zone is the union of
+    these trees.  Violations are emitted per condition in graph scan order;
+    one witness is reported for each offending site.  All witnesses replay
+    against the raw graph primitives (see :func:`violation_holds`).
     """
     violations: list[LpaViolation] = []
     heavy = weighted_edges(g)
+    searches = [breadth_first(g, [e.range]) for e in heavy]
+    trees = [[v for v in g.vertices if v in reached] for reached in searches]
 
     for v in g.vertices:
         emitted = [e.id for e in g.out_edges(v) if e.weight > 1]
@@ -152,47 +139,44 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
                 LpaViolation(kind="LPA1", vertex=v, edges=(emitted[0], emitted[1]))
             )
 
-    zone = tree(g, [e.range for e in heavy])
-    for v in zone:
+    for v in g.vertices:
         out = g.out_edges(v)
-        if len(out) > 1:
-            witness_edge = next(
-                e for e in heavy if v in tree(g, [e.range])
-            )
-            path = _shortest_path(g, witness_edge.range, v)
-            violations.append(
-                LpaViolation(
-                    kind="LPA2",
-                    weighted_edge=witness_edge.id,
-                    path=path,
-                    vertex=v,
-                    edges=(out[0].id, out[1].id),
-                )
-            )
-
-    for i, e in enumerate(heavy):
-        for f in heavy[i + 1:]:
-            if in_line(g, e, f):
-                continue
-            common = [
-                v for v in tree(g, [e.range]) if v in set(tree(g, [f.range]))
-            ]
-            if common:
+        if len(out) < 2:
+            continue
+        # v is in the zone iff some search reached it; the first one is the witness
+        for e, reached in zip(heavy, searches):
+            if v in reached:
                 violations.append(
                     LpaViolation(
-                        kind="LPA3", edges=(e.id, f.id), vertex=common[0]
+                        kind="LPA2",
+                        weighted_edge=e.id,
+                        path=path_to(reached, v),
+                        vertex=v,
+                        edges=(out[0].id, out[1].id),
                     )
                 )
+                break
 
-    for e in heavy:
-        for v in tree(g, [e.range]):
+    for i, e in enumerate(heavy):
+        for j in range(i + 1, len(heavy)):
+            f = heavy[j]
+            if f.source in searches[i] or e.source in searches[j]:
+                continue  # e and f are in line
+            common = next((v for v in trees[i] if v in searches[j]), None)
+            if common is not None:
+                violations.append(
+                    LpaViolation(kind="LPA3", edges=(e.id, f.id), vertex=common)
+                )
+
+    for e, reached, vertices in zip(heavy, searches, trees):
+        for v in vertices:
             for cycle in cycles_through(g, v):
                 if e.id not in cycle.edges:
                     violations.append(
                         LpaViolation(
                             kind="LPA4",
                             weighted_edge=e.id,
-                            path=_shortest_path(g, e.range, v),
+                            path=path_to(reached, v),
                             cycle=cycle,
                         )
                     )

@@ -119,21 +119,10 @@ def make_ranges_sinks(g: WeightedGraph) -> WeightedGraph:
         else:
             out_edges.append(e)
     result = WeightedGraph(g.vertices, out_edges)
-
-    for e in weighted_edges(result):
-        if not result.is_sink(e.range):
-            raise RuntimeError(
-                f"stage-1 postcondition failed: r({e.id}) is not a sink"
-            )
-    for v in result.vertices:
-        if sum(1 for e in result.out_edges(v) if e.weight > 1) > 1:
-            raise RuntimeError(
-                f"stage-1 postcondition failed: {v} emits two weighted edges"
-            )
-        if sum(1 for e in result.in_edges(v) if e.weight > 1) > 1:
-            raise RuntimeError(
-                f"stage-1 postcondition failed: {v} receives two weighted edges"
-            )
+    try:
+        _sunk_preconditions(result)
+    except PreconditionViolatedError as exc:
+        raise RuntimeError(f"stage-1 postcondition failed: {exc.clause}") from exc
     return result
 
 

@@ -213,6 +213,8 @@ def test_cli_usage_errors():
          ["eval", "--input", fx("loop1.wg"), "--format", "machine", "a.1* a.1"], 0),
         ("witness_e2loops.json",
          ["witness", "--input", fx("e2loops.wg"), "--format", "machine"], 0),
+        ("checklpa_lpa_all.json",
+         ["check-lpa", "--input", fx("lpa_all.wg"), "--format", "machine"], 3),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):

@@ -78,6 +78,35 @@ def test_lpa3_violation():
     assert all(violation_holds(g, v) for v in report.violations)
 
 
+def test_check_lpa_searches_once_per_weighted_edge(monkeypatch):
+    # an LPA3 fan: k weighted edges s_i -> r_i whose ranges feed one trunk
+    from wlpa import graphs, lpa
+
+    k = 6
+    lines = ["vertex t0", "vertex t1", "edge u t0 t1 1"]
+    for i in range(k):
+        lines += [f"vertex s{i}", f"vertex r{i}",
+                  f"edge h{i} s{i} r{i} 2", f"edge c{i} r{i} t{i % 2} 1"]
+    g = parse_weighted_graph("\n".join(lines))
+
+    calls = {"breadth_first": 0, "tree": 0, "reaches": 0, "in_line": 0}
+    for module in (graphs, lpa):
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+    report = check_lpa(g)
+    assert [v.kind for v in report.violations] == ["LPA3"] * (k * (k - 1) // 2)
+    assert calls == {"breadth_first": k, "tree": 0, "reaches": 0, "in_line": 0}
+
+
 def test_verdict_invariant_under_relabeling():
     rng = Random(71001)
     for _ in range(40):

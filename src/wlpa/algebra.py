@@ -687,6 +687,12 @@ class AlgebraElement:
     def is_idempotent(self) -> bool:
         return (self * self) == self
 
+    def endpoints(self) -> tuple[set[str], set[str]]:
+        """The source vertices and the range vertices of the support words."""
+        alg = self._algebra
+        return ({alg._src[w[0]] for w in self._support},
+                {alg._rng[w[-1]] for w in self._support})
+
     def min_support_length(self):
         if not self._support:
             return ZERO_ELEMENT
@@ -750,18 +756,30 @@ def relation_instances(g: WeightedGraph):
     ``(integer coefficient, [Generator, ...])``; the instance holds in the
     algebra iff the sum of the terms is zero.  Strand indices beyond an
     edge's weight are dropped, matching the convention that those strands
-    are zero.
+    are zero.  Relation (i) comes first, one instance per ordered pair of
+    vertices (u-major, both in graph order), then (ii)-(iv);
+    :func:`relation_failures` checks the same instances without building
+    the |V|^2 instances of (i) that hold trivially.
     """
+    for u in g.vertices:
+        for v in g.vertices:
+            yield _vertex_relation(u, v)
+    yield from _edge_relations(g)
+
+
+def _vertex_relation(u: str, v: str):
+    """Relation (i) for the ordered pair (u, v): ``u v = d_uv u``."""
+    terms = [(1, [Generator.vertex(u), Generator.vertex(v)])]
+    if u == v:
+        terms.append((-1, [Generator.vertex(u)]))
+    return f"(i) {u} {v}", terms
+
+
+def _edge_relations(g: WeightedGraph):
+    """The instances of relations (ii)-(iv), as in :func:`relation_instances`."""
     V = Generator.vertex
     E = Generator.edge
     S = Generator.star
-
-    for u in g.vertices:
-        for v in g.vertices:
-            terms = [(1, [V(u), V(v)])]
-            if u == v:
-                terms.append((-1, [V(u)]))
-            yield (f"(i) {u} {v}", terms)
 
     for e in g.edges:
         for i in range(1, e.weight + 1):
@@ -809,6 +827,43 @@ def relation_instances(g: WeightedGraph):
                 yield (f"(iv) {v} {i} {j}", terms)
 
 
+def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement],
+                      target: Algebra) -> tuple[int, list[str]]:
+    """Check every instance of :func:`relation_instances` under ``mapping``.
+
+    Returns the number of instances and the labels of those whose value in
+    ``target`` is not zero, in :func:`relation_instances` order.  Relation
+    (i) is decided without a product per ordered pair of vertices.  The
+    image of ``u v`` is a sum of products ``a b`` of support words of the
+    images of u and v, and ``a b = 0`` when r(a) != s(b).  So ``u v`` is
+    evaluated only for v = u and for the v whose image has a word starting
+    where a word of u's image ends (found by bucketing the images by
+    source vertex); every other pair gives 0 = 0 and is counted as holding
+    without being built.
+    """
+    vertices = g.vertices
+    ends = [_image(mapping, Generator.vertex(v)).endpoints() for v in vertices]
+    starting_at: dict[str, list[int]] = {}
+    for j, (sources, _) in enumerate(ends):
+        for s in sources:
+            starting_at.setdefault(s, []).append(j)
+    failures = []
+    for i, u in enumerate(vertices):
+        meeting = {i}
+        for r in ends[i][1]:
+            meeting.update(starting_at.get(r, ()))
+        for j in sorted(meeting):
+            label, terms = _vertex_relation(u, vertices[j])
+            if not evaluate_relation(terms, mapping, target).is_zero():
+                failures.append(label)
+    count = len(vertices) ** 2
+    for label, terms in _edge_relations(g):
+        count += 1
+        if not evaluate_relation(terms, mapping, target).is_zero():
+            failures.append(label)
+    return count, failures
+
+
 def apply_generator_map(element: AlgebraElement,
                         mapping: dict[Generator, AlgebraElement],
                         target: Algebra) -> AlgebraElement:
@@ -822,27 +877,67 @@ def apply_generator_map(element: AlgebraElement,
     return evaluate_relation(element.terms(), mapping, target)
 
 
+def _image(mapping: dict[Generator, AlgebraElement], gen: Generator) -> AlgebraElement:
+    try:
+        return mapping[gen]
+    except KeyError:
+        raise UnknownGeneratorError(f"no image fixed for generator {gen.token()!r}") from None
+
+
+def _add_term(acc: dict, word: tuple[int, ...], coeff) -> None:
+    total = acc.get(word, 0) + coeff
+    if total:
+        acc[word] = total
+    elif word in acc:
+        del acc[word]
+
+
 def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
                       target: Algebra) -> AlgebraElement:
     """Value of ``terms`` under a generator assignment.
 
     ``terms`` are the (coefficient, word) pairs of a relation instance or
-    of an element, as in :func:`apply_generator_map`.
+    of an element, as in :func:`apply_generator_map`.  The coefficients of
+    the terms and of each letter's image are lowered once per call to plain
+    numbers by the field's ``lower``; the support words are multiplied
+    through the integer word normal forms, and each surviving coefficient
+    is mapped back into the field once at the end.  This is exact: ints
+    and Fractions mix exactly, and Z -> F_p is a ring map.
     """
-    acc = target.zero()
+    lower = target.field.lower
+    nf_word = target._nf_word
+    lowered: dict[Generator, dict] = {}
+    acc: dict[tuple[int, ...], object] = {}
     for coeff, gens in terms:
-        img: Optional[AlgebraElement] = None
+        product: Optional[dict] = None
         for gen in gens:
-            try:
-                factor = mapping[gen]
-            except KeyError:
-                raise UnknownGeneratorError(
-                    f"no image fixed for generator {gen.token()!r}"
-                ) from None
-            img = factor if img is None else img * factor
-        assert img is not None
-        acc = acc + img.scaled(coeff)
-    return acc
+            factor = lowered.get(gen)
+            if factor is None:
+                image = _image(mapping, gen)
+                if image.algebra is not target:
+                    raise MixedContextError("elements belong to different algebras")
+                factor = lowered[gen] = {w: lower(c) for w, c in image._support.items()}
+            if product is None:
+                product = factor
+                continue
+            step: dict[tuple[int, ...], object] = {}
+            for wa, ca in product.items():
+                for wb, cb in factor.items():
+                    c = ca * cb
+                    for w2, k in nf_word(wa + wb).items():
+                        _add_term(step, w2, c * k)
+            product = step
+        assert product is not None
+        c = lower(target._scalar(coeff))
+        for w, k in product.items():
+            _add_term(acc, w, c * k)
+    from_int = target.field.from_int
+    out = {}
+    for w, k in acc.items():
+        value = from_int(k)
+        if value:
+            out[w] = value
+    return AlgebraElement(target, out)
 
 
 def identity_map(algebra: Algebra) -> dict[Generator, AlgebraElement]:

@@ -2,7 +2,10 @@
 
 Coefficients are always exact; floating point is never used.  Scalars of a
 field support ``+``, ``-``, ``*`` and truthiness (nonzero test) directly, so
-the algebra engine can stay agnostic about which field is active.
+the algebra engine can stay agnostic about which field is active.  Each
+field's ``lower`` turns a scalar into a plain Python number (``int`` or
+``Fraction``) for loops that multiply many coefficients, and ``from_int``
+maps such a number back; both are ring maps, so the result is exact.
 """
 
 from __future__ import annotations
@@ -22,8 +25,12 @@ class Rationals:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
+    def from_int(self, n: int | Fraction) -> Fraction:
         return Fraction(n)
+
+    def lower(self, x: Fraction):
+        """``x`` as a plain number: an ``int`` when integral, else the ``Fraction``."""
+        return x.numerator if x.denominator == 1 else x
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -121,6 +128,10 @@ class PrimeField:
 
     def from_int(self, n: int) -> ModInt:
         return ModInt(n, self.p)
+
+    def lower(self, x: ModInt) -> int:
+        """``x`` as a plain number: its residue in ``0 .. p-1``."""
+        return x.value
 
     def parse(self, text: str) -> ModInt:
         # Accept "a" or "a/b" with b invertible mod p.

@@ -2,13 +2,15 @@
 
 Data model and graph primitives shared by the whole package: the line-based
 text format with its parser and serializer, machine-readable records,
-reachability, trees, the in-line relation on edges, and enumeration of
-cycles through a vertex.  Reachability, trees and shortest paths all read
-one breadth-first search, :func:`breadth_first`.
+reachability, trees, the in-line relation on edges, the vertices on
+cycles and enumeration of cycles through a vertex.  Reachability, trees
+and shortest paths all read one breadth-first search,
+:func:`breadth_first`.
 
 All types are immutable after construction and safe to share; every
 operation here is a pure function.  Vertices and edges keep the order of
-the input file, and every set-valued result is emitted in that order.
+the input file, and every result listing them is emitted in that order;
+:func:`on_cycles` returns a set for membership tests.
 """
 
 from __future__ import annotations
@@ -383,6 +385,63 @@ def in_line(g: WeightedGraph, e: EdgeLike, f: EdgeLike) -> bool:
     if er.id == fr.id:
         return True
     return reaches(g, er.range, fr.source) or reaches(g, fr.range, er.source)
+
+
+def on_cycles(g: WeightedGraph, within: Iterable[str], avoid: Optional[str] = None) -> set[str]:
+    """The vertices of ``within`` on a cycle inside ``within`` that avoids ``avoid``.
+
+    ``avoid`` is an edge id whose edge is treated as deleted.  A vertex is
+    on such a cycle iff it has a self-loop or its strongly connected
+    component has two or more vertices; the components come from one
+    iterative pass of Tarjan's algorithm, so deep graphs need no recursion.
+    """
+    inside = dict.fromkeys(within)
+    for v in inside:
+        g._require_vertex(v)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    out: set[str] = set()
+    for root in inside:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(g._out[root]))]
+        while work:
+            v, edges = work[-1]
+            for e in edges:
+                w = e.range
+                if e.id == avoid or w not in inside:
+                    continue
+                if w == v:
+                    out.add(v)
+                elif w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(g._out[w])))
+                    break
+                elif w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    if len(component) > 1:
+                        out.update(component)
+    return out
 
 
 def cycles_through(g: WeightedGraph, v: str) -> list[GraphPath]:

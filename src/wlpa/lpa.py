@@ -26,6 +26,7 @@ from .graphs import (
     breadth_first,
     cycles_through,
     in_line,
+    on_cycles,
     path_to,
     reaches,
     validate_path,
@@ -123,9 +124,12 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
 
     One breadth-first search per weighted edge e gives its range tree
     T(r(e)) and the witness paths from r(e); the zone is the union of
-    these trees.  Violations are emitted per condition in graph scan order;
-    one witness is reported for each offending site.  All witnesses replay
-    against the raw graph primitives (see :func:`violation_holds`).
+    these trees.  LPA4 enumerates the cycles through a vertex of T(r(e))
+    only if the vertex lies on a cycle of T(r(e)) without e, found by one
+    strongly-connected-components pass per e.  Violations are emitted per
+    condition in graph scan order; one witness is reported for each
+    offending site.  All witnesses replay against the raw graph primitives
+    (see :func:`violation_holds`).
     """
     violations: list[LpaViolation] = []
     heavy = weighted_edges(g)
@@ -169,7 +173,11 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
                 )
 
     for e, reached, vertices in zip(heavy, searches, trees):
+        # a cycle avoiding e lies in T(r(e)) - e; skip vertices on none
+        cyclic = on_cycles(g, reached, avoid=e.id)
         for v in vertices:
+            if v not in cyclic:
+                continue
             for cycle in cycles_through(g, v):
                 if e.id not in cycle.edges:
                     violations.append(

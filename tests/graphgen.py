@@ -96,6 +96,18 @@ def random_lpa_failing_graph(rng: Random, max_vertices=5, max_edges=6,
             return g
 
 
+def weighted_ring(n: int, weights: dict[int, int]) -> WeightedGraph:
+    """The directed n-cycle v0 -> v1 -> ... -> v0; edge i gets ``weights.get(i, 1)``.
+
+    It satisfies Condition (LPA): every vertex emits one edge, and the only
+    cycle contains every weighted edge.
+    """
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [EdgeRecord(f"e{i}", f"v{i}", f"v{(i + 1) % n}", weights.get(i, 1))
+             for i in range(n)]
+    return WeightedGraph(vertices, edges)
+
+
 def small_graphs(max_vertices: int, max_edges: int, max_weight: int):
     """All graphs up to the given size, deduplicated up to isomorphism.
 

@@ -344,3 +344,46 @@ def engine_span_dimension_gf2(g: WeightedGraph, max_len: int) -> int:
             if mask:
                 echelon.add(mask)
     return echelon.rank
+
+
+# -- family verification ------------------------------------------------------
+
+
+def dense_family_verification(g: WeightedGraph, g_tilde: WeightedGraph, fwd, bwd):
+    """``(ok, counts, failures)`` as ``verify_families`` must report them.
+
+    Evaluates every item of ``relation_instances`` of both graphs, one
+    product per ordered pair of vertices included, and every round trip,
+    with plain element ``*``, ``+`` and ``scaled``; neither
+    ``evaluate_relation`` nor ``apply_generator_map`` is used.
+    """
+    from wlpa import relation_instances
+
+    tgt = next(iter(fwd.assignments.values())).algebra
+    src = next(iter(bwd.assignments.values())).algebra
+
+    def value(terms, mapping, target):
+        total = target.zero()
+        for coeff, word in terms:
+            image = mapping[word[0]]
+            for gen in word[1:]:
+                image = image * mapping[gen]
+            total = total + image.scaled(coeff)
+        return total
+
+    failures = []
+    counts = {}
+    for direction, graph, fmap, target in (("forward", g, fwd, tgt),
+                                           ("backward", g_tilde, bwd, src)):
+        counts[f"{direction}_relations"] = 0
+        for label, terms in relation_instances(graph):
+            counts[f"{direction}_relations"] += 1
+            if value(terms, fmap.assignments, target):
+                failures.append(f"{direction} {label}")
+    for side, there, back, home in (("source", fwd, bwd, src), ("target", bwd, fwd, tgt)):
+        counts[f"roundtrip_{side}"] = 0
+        for gen, image in there.assignments.items():
+            counts[f"roundtrip_{side}"] += 1
+            if value(image.terms(), back.assignments, home) != home.word((gen,)):
+                failures.append(f"roundtrip {side} {gen.token()}")
+    return not failures, counts, tuple(failures)

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from wlpa import Algebra, Generator, parse_weighted_graph
+from wlpa import Algebra, Generator, parse_weighted_graph, serialize_weighted_graph
 from wlpa.cli import run
 from wlpa.exprs import ExpressionError, parse_element
+
+from graphgen import weighted_ring
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -158,6 +160,24 @@ def test_cli_transform_violated():
 def test_cli_transform_verify_exit():
     code, out, _ = invoke("transform", "--input", fx("fork.wg"), "--verify")
     assert code == 0 and "# verify: ok" in out
+
+
+@pytest.mark.parametrize("name", ["g6.wg", "fork.wg"])
+def test_cli_transform_verify_mod_field(name):
+    verified = {}
+    for field in ("rational", "mod:7"):
+        code, out, _ = invoke("transform", "--verify", "--field", field,
+                              "--input", fx(name), "--format", "machine")
+        assert code == 0
+        verified[field] = json.loads(out)["verify"]
+        assert verified[field]["ok"] and verified[field]["failures"] == []
+    assert verified["mod:7"]["counts"] == verified["rational"]["counts"]
+
+
+def test_cli_check_lpa_long_satisfying_ring():
+    text = serialize_weighted_graph(weighted_ring(1200, {5: 2, 400: 3, 801: 2}))
+    code, out, err = invoke("check-lpa", "--input", "-", stdin_text=text)
+    assert (code, out, err) == (0, "satisfied\n", "")
 
 
 def test_cli_special_override():

@@ -15,6 +15,7 @@ from wlpa import (
     cycles_through,
     graph_to_records,
     in_line,
+    on_cycles,
     parse_weighted_graph,
     reaches,
     serialize_weighted_graph,
@@ -210,6 +211,32 @@ def test_cycles_match_brute_force():
             assert {c.edges for c in found} == brute_force_cycles(g, v)
             for c in found:
                 assert c.source(g) == v and c.range(g) == v and len(c) > 0
+
+
+def test_on_cycles_matches_brute_force():
+    rng = Random(94005)
+    for _ in range(40):
+        g = random_weighted_graph(rng, max_vertices=4, max_edges=6)
+        for avoid in [None] + [e.id for e in g.edges]:
+            expected = {
+                v for v in g.vertices
+                if any(avoid not in cycle for cycle in brute_force_cycles(g, v))
+            }
+            assert on_cycles(g, g.vertices, avoid) == expected
+        # restricted to a vertex set, cycles must stay inside it
+        within = g.vertices[1:]
+        sub = WeightedGraph(within, [e for e in g.edges
+                                     if e.source in within and e.range in within])
+        expected = {v for v in within if brute_force_cycles(sub, v)}
+        assert on_cycles(g, within) == expected
+
+
+def test_on_cycles_deep_ring_needs_no_recursion():
+    n = 5000
+    g = WeightedGraph([f"v{i}" for i in range(n)],
+                      [EdgeRecord(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+    assert on_cycles(g, g.vertices) == set(g.vertices)
+    assert on_cycles(g, g.vertices, avoid="e7") == set()
 
 
 def test_path_endpoints():

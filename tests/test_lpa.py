@@ -21,6 +21,7 @@ from graphgen import (
     random_weighted_graph,
     relabeled,
     small_graphs,
+    weighted_ring,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -105,6 +106,26 @@ def test_check_lpa_searches_once_per_weighted_edge(monkeypatch):
     report = check_lpa(g)
     assert [v.kind for v in report.violations] == ["LPA3"] * (k * (k - 1) // 2)
     assert calls == {"breadth_first": k, "tree": 0, "reaches": 0, "in_line": 0}
+
+
+def test_check_lpa_enumerates_no_cycles_on_a_satisfying_ring(monkeypatch):
+    # every cycle through a ring vertex contains every weighted edge
+    from wlpa import lpa
+
+    calls = 0
+    original = lpa.cycles_through
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lpa, "cycles_through", counted)
+    assert check_lpa(weighted_ring(60, {3: 2, 20: 3, 41: 2})).satisfied
+    assert calls == 0
+    # a cycle avoiding the weighted edge is still enumerated and reported
+    report = check_lpa(fixture_graph("e2loops.wg"))
+    assert calls == 1 and "LPA4" in [v.kind for v in report.violations]
 
 
 def test_verdict_invariant_under_relabeling():

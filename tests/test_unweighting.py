@@ -5,12 +5,15 @@ from random import Random
 import pytest
 
 from wlpa import (
+    Algebra,
+    FamilyMap,
     Generator,
     LpaViolatedError,
     PreconditionViolatedError,
     ReservedIdError,
     TraceMismatchError,
     family_maps,
+    field_from_name,
     make_ranges_sinks,
     parse_weighted_graph,
     serialize_graph,
@@ -23,7 +26,8 @@ from wlpa import (
     weighted_edges,
 )
 
-from graphgen import random_lpa_satisfying_graph
+from graphgen import random_lpa_satisfying_graph, weighted_ring
+from oracles import dense_family_verification
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -279,3 +283,83 @@ def test_zone_matches_tree_of_ranges():
         g = random_lpa_satisfying_graph(rng)
         _, trace = to_unweighted(g)
         assert trace.Z == tree(g, [e.range for e in weighted_edges(g)])
+
+
+# -- verification against the dense oracle -----------------------------------
+
+
+def _verification_graph(name):
+    if name != "random":
+        return fixture_graph(name)
+    rng = Random(30305)
+    while True:
+        g = random_lpa_satisfying_graph(rng)
+        if len(g.vertices) >= 3 and weighted_edges(g):
+            return g
+
+
+def _corruptions(fmap, graph):
+    """Corrupted copies of ``fmap``, a family map defined on ``graph``'s letters.
+
+    Two vertices a and b of ``graph`` and the first strand of its first
+    non-loop edge are tampered with: swapped vertex images, a doubled
+    vertex image, a vertex image replaced by a sum of two vertices of the
+    image algebra of which one starts a word of b's image, a zero edge
+    image and a vertex image replaced by an edge image.
+    """
+    images = fmap.assignments
+    algebra = next(iter(images.values())).algebra
+    a, b = V(graph.vertices[0]), V(graph.vertices[-1])
+    strand = E(next(e for e in graph.edges if e.source != e.range).id, 1)
+
+    def first_vertex(gen):
+        return algebra.generator_endpoints(images[gen].support_words()[0][0])[0]
+
+    overlap = algebra.vertex(first_vertex(b)) + algebra.vertex(first_vertex(a))
+    changes = {
+        "swap": {a: images[b], b: images[a]},
+        "double": {a: images[a] + images[a]},
+        "overlap": {a: overlap},
+        "zero-edge": {strand: algebra.zero()},
+        "edge-for-vertex": {a: images[strand]},
+    }
+    return {name: FamilyMap(fmap.direction, {**images, **change})
+            for name, change in changes.items()}
+
+
+@pytest.mark.parametrize("field", ["rational", "mod:7"])
+@pytest.mark.parametrize("name", ["g6.wg", "fork.wg", "random"])
+def test_verify_families_matches_dense_oracle_on_corrupted_maps(name, field):
+    g = _verification_graph(name)
+    out, trace = to_unweighted(g)
+    fwd, bwd = family_maps(g, out, trace, field=field_from_name(field))
+    cases = [("intact", fwd, bwd)]
+    cases += [(f"forward {k}", m, bwd) for k, m in _corruptions(fwd, g).items()]
+    cases += [(f"backward {k}", fwd, m) for k, m in _corruptions(bwd, out).items()]
+    for label, f, b in cases:
+        result = verify_families(g, out, f, b)
+        expected = dense_family_verification(g, out, f, b)
+        assert (result.ok, result.counts, result.failures) == expected, label
+        assert result.ok == (label == "intact"), label
+
+
+def test_verify_families_work_is_linear_in_vertices(monkeypatch):
+    # one word normalized per ordered vertex pair would be 2 * 300^2 calls
+    n = 300
+    g = weighted_ring(n, {0: 2, 100: 3, 200: 2})
+    out, trace = to_unweighted(g)
+    fwd, bwd = family_maps(g, out, trace)
+
+    calls = 0
+    original = Algebra._nf_word
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "_nf_word", counted)
+    result = verify_families(g, out, fwd, bwd)
+    assert result.ok
+    assert result.counts["forward_relations"] >= n * n
+    assert calls <= 30 * n

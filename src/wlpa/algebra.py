@@ -481,10 +481,14 @@ class Algebra:
         Single vertex letters count as length 0.  The optional filters keep
         only words with the given source vertex, range vertex and degree.
         ``budget`` caps the number of words explored and raises
-        :class:`BudgetExceededError` when exceeded.
+        :class:`BudgetExceededError` when exceeded.  An unknown ``source``
+        or ``range_`` vertex raises :class:`UnknownVertexError`.
         """
         if max_len < 0:
             raise AlgebraError("max_len must be >= 0")
+        for v in (source, range_):
+            if v is not None:
+                self.graph._require_vertex(v)
         explored = 0
 
         def spend(n: int):

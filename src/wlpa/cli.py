@@ -209,6 +209,8 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             _emit(args, stdout, payload, " ".join(payload["word"]))
             return EXIT_OK
 
+        if args.command in ("growth", "zero-dim") and args.max_len < 0:
+            raise _UsageError("max_len must be >= 0")
         algebra = Algebra(graph, choice, field)
 
         if args.command == "eval":

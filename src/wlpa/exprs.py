@@ -27,8 +27,24 @@ _STRAND_RE = re.compile(r"\.(\d+)(\*)?")  # strand suffix .<digits>, optional st
 _DENOMINATOR_RE = re.compile(r"/(\d+)")
 
 
+# Deepest parenthesis nesting accepted.  The parser and the identifier
+# scanner recurse once per level, so deeper input is rejected up front.
+MAX_NESTING = 100
+
+
 class ExpressionError(ValueError):
     pass
+
+
+def _check_nesting(text: str) -> None:
+    depth = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ExpressionError(f"parentheses nest deeper than {MAX_NESTING}")
+        elif ch == ")":
+            depth = max(depth - 1, 0)
 
 
 def _scan_identifier(text: str, pos: int) -> Optional[int]:
@@ -200,4 +216,5 @@ def parse_element(algebra: Algebra, text: str) -> AlgebraElement:
     """Evaluate an element expression in the given algebra."""
     if not text.strip():
         raise ExpressionError("empty expression")
+    _check_nesting(text)
     return _Parser(algebra, text).parse()

@@ -2,15 +2,15 @@
 
 Data model and graph primitives shared by the whole package: the line-based
 text format with its parser and serializer, machine-readable records,
-reachability, trees, the in-line relation on edges, the vertices on
-cycles and enumeration of cycles through a vertex.  Reachability, trees
-and shortest paths all read one breadth-first search,
-:func:`breadth_first`.
+reachability, trees, the in-line relation on edges, the cyclic strongly
+connected components, shortest cycles and enumeration of all cycles
+through a vertex.  Reachability, trees and shortest paths all read one
+breadth-first search, :func:`breadth_first`; :func:`shortest_cycle` runs
+its own, kept inside one component.  No walk here recurses.
 
 All types are immutable after construction and safe to share; every
 operation here is a pure function.  Vertices and edges keep the order of
-the input file, and every result listing them is emitted in that order;
-:func:`on_cycles` returns a set for membership tests.
+the input file, and every result listing them is emitted in that order.
 """
 
 from __future__ import annotations
@@ -387,13 +387,16 @@ def in_line(g: WeightedGraph, e: EdgeLike, f: EdgeLike) -> bool:
     return reaches(g, er.range, fr.source) or reaches(g, fr.range, er.source)
 
 
-def on_cycles(g: WeightedGraph, within: Iterable[str], avoid: Optional[str] = None) -> set[str]:
-    """The vertices of ``within`` on a cycle inside ``within`` that avoids ``avoid``.
+def cyclic_components(g: WeightedGraph, within: Iterable[str],
+                      avoid: Optional[str] = None) -> list[tuple[str, ...]]:
+    """The strongly connected components of ``within`` that carry a cycle.
 
-    ``avoid`` is an edge id whose edge is treated as deleted.  A vertex is
-    on such a cycle iff it has a self-loop or its strongly connected
-    component has two or more vertices; the components come from one
-    iterative pass of Tarjan's algorithm, so deep graphs need no recursion.
+    ``avoid`` is an edge id whose edge is treated as deleted, and cycles
+    must stay inside ``within``.  A component carries a cycle iff it has two
+    or more vertices or a self-loop; the components come from one iterative
+    pass of Tarjan's algorithm, so deep graphs need no recursion.  Each
+    component lists its vertices in graph order, and the components are
+    ordered by their first vertex.
     """
     inside = dict.fromkeys(within)
     for v in inside:
@@ -402,7 +405,8 @@ def on_cycles(g: WeightedGraph, within: Iterable[str], avoid: Optional[str] = No
     low: dict[str, int] = {}
     stack: list[str] = []
     on_stack: set[str] = set()
-    out: set[str] = set()
+    looped: set[str] = set()
+    out: list[tuple[str, ...]] = []
     for root in inside:
         if root in index:
             continue
@@ -417,7 +421,7 @@ def on_cycles(g: WeightedGraph, within: Iterable[str], avoid: Optional[str] = No
                 if e.id == avoid or w not in inside:
                     continue
                 if w == v:
-                    out.add(v)
+                    looped.add(v)
                 elif w not in index:
                     index[w] = low[w] = len(index)
                     stack.append(w)
@@ -439,9 +443,36 @@ def on_cycles(g: WeightedGraph, within: Iterable[str], avoid: Optional[str] = No
                         component.append(w)
                         if w == v:
                             break
-                    if len(component) > 1:
-                        out.update(component)
+                    if len(component) > 1 or v in looped:
+                        out.append(tuple(sorted(component, key=g._vertex_index.__getitem__)))
+    out.sort(key=lambda component: g._vertex_index[component[0]])
     return out
+
+
+def shortest_cycle(g: WeightedGraph, base: str, within: Iterable[str],
+                   avoid: Optional[str] = None) -> Optional[GraphPath]:
+    """A shortest cycle based at ``base`` inside ``within`` that avoids ``avoid``.
+
+    A breadth-first search from ``base`` over the edges between vertices of
+    ``within``, out-edges in graph order; the first edge found that closes
+    at ``base`` ends it, so a self-loop at ``base`` wins.  Searching one
+    strongly connected component costs O(V+E) of that component.  Returns
+    None when no such cycle exists.
+    """
+    inside = set(within)
+    g._require_vertex(base)
+    parents: dict[str, Optional[EdgeRecord]] = {base: None}
+    queue = [base]
+    for w in queue:  # the loop also visits what it appends
+        for e in g._out[w]:
+            if e.id == avoid or e.range not in inside:
+                continue
+            if e.range == base:
+                return GraphPath.of(path_to(parents, w).edges + (e.id,))
+            if e.range not in parents:
+                parents[e.range] = e
+                queue.append(e.range)
+    return None
 
 
 def cycles_through(g: WeightedGraph, v: str) -> list[GraphPath]:
@@ -450,22 +481,30 @@ def cycles_through(g: WeightedGraph, v: str) -> list[GraphPath]:
     Cycles are returned in depth-first order with edges explored in graph
     order, so the output is deterministic.  A cycle equal to another up to
     rotation but based elsewhere is a different object and is not returned
-    here.
+    here.  The walk keeps an explicit stack, so long cycles need no
+    recursion, but the output can be exponential in the graph size: the
+    package itself decides (LPA) with :func:`cyclic_components` and
+    :func:`shortest_cycle` instead, and keeps this enumeration public for
+    callers that want every cycle.
     """
     g._require_vertex(v)
     out: list[GraphPath] = []
-    stack: list[str] = []
-
-    def walk(current: str, seen: set[str]):
-        for e in g.out_edges(current):
+    path: list[str] = []
+    seen = {v}
+    walk = [(v, iter(g._out[v]))]
+    while walk:
+        current, edges = walk[-1]
+        for e in edges:
             if e.range == v:
-                out.append(GraphPath.of(stack + [e.id]))
+                out.append(GraphPath.of(path + [e.id]))
             elif e.range not in seen:
-                stack.append(e.id)
+                path.append(e.id)
                 seen.add(e.range)
-                walk(e.range, seen)
-                seen.discard(e.range)
-                stack.pop()
-
-    walk(v, {v})
+                walk.append((e.range, iter(g._out[e.range])))
+                break
+        else:
+            walk.pop()
+            if walk:
+                path.pop()
+                seen.discard(current)
     return out

@@ -24,11 +24,11 @@ from .graphs import (
     GraphPath,
     WeightedGraph,
     breadth_first,
-    cycles_through,
+    cyclic_components,
     in_line,
-    on_cycles,
     path_to,
     reaches,
+    shortest_cycle,
     validate_path,
     weighted_edges,
 )
@@ -54,7 +54,11 @@ class LpaViolation:
     * LPA3: the two weighted ``edges`` are not in line but ``vertex`` lies
       in both range trees.
     * LPA4: ``cycle`` is based at the end of ``path`` from
-      r(``weighted_edge``) and does not contain the weighted edge.
+      r(``weighted_edge``) and does not contain the weighted edge.  One
+      such violation stands for a whole strongly connected component of
+      T(r(e)) - e that carries a cycle: it is based at the component's first
+      vertex in graph order, and its cycle is a shortest one through that
+      vertex.
     """
 
     kind: str
@@ -124,12 +128,17 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
 
     One breadth-first search per weighted edge e gives its range tree
     T(r(e)) and the witness paths from r(e); the zone is the union of
-    these trees.  LPA4 enumerates the cycles through a vertex of T(r(e))
-    only if the vertex lies on a cycle of T(r(e)) without e, found by one
-    strongly-connected-components pass per e.  Violations are emitted per
-    condition in graph scan order; one witness is reported for each
-    offending site.  All witnesses replay against the raw graph primitives
-    (see :func:`violation_holds`).
+    these trees.  A cycle based in T(r(e)) stays inside it, so LPA4 fails
+    for e exactly when T(r(e)) - e has a strongly connected component that
+    carries a cycle.  One strongly-connected-components pass per e finds
+    these components, and each gives one LPA4 violation: its first vertex
+    in graph order is the base, and a breadth-first search inside the
+    component gives a shortest cycle through it.  No cycles are
+    enumerated, so LPA4 costs O(V+E) per weighted edge.
+
+    Violations are emitted per condition in graph scan order; one witness
+    is reported for each offending site.  All witnesses replay against the
+    raw graph primitives (see :func:`violation_holds`).
     """
     violations: list[LpaViolation] = []
     heavy = weighted_edges(g)
@@ -172,22 +181,18 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
                     LpaViolation(kind="LPA3", edges=(e.id, f.id), vertex=common)
                 )
 
-    for e, reached, vertices in zip(heavy, searches, trees):
-        # a cycle avoiding e lies in T(r(e)) - e; skip vertices on none
-        cyclic = on_cycles(g, reached, avoid=e.id)
-        for v in vertices:
-            if v not in cyclic:
-                continue
-            for cycle in cycles_through(g, v):
-                if e.id not in cycle.edges:
-                    violations.append(
-                        LpaViolation(
-                            kind="LPA4",
-                            weighted_edge=e.id,
-                            path=path_to(reached, v),
-                            cycle=cycle,
-                        )
-                    )
+    for e, reached in zip(heavy, searches):
+        # a cycle avoiding e lies in T(r(e)) - e; one site per component
+        for component in cyclic_components(g, reached, avoid=e.id):
+            base = component[0]
+            violations.append(
+                LpaViolation(
+                    kind="LPA4",
+                    weighted_edge=e.id,
+                    path=path_to(reached, base),
+                    cycle=shortest_cycle(g, base, component, avoid=e.id),
+                )
+            )
 
     return LpaReport(satisfied=not violations, violations=tuple(violations))
 

@@ -108,6 +108,21 @@ def weighted_ring(n: int, weights: dict[int, int]) -> WeightedGraph:
     return WeightedGraph(vertices, edges)
 
 
+def chord_ladder(n: int) -> WeightedGraph:
+    """A ring c0 -> c1 -> ... -> c0 of n vertices with a chord c_i -> c_(i+2)
+    at every even i, entered from an outside vertex u by the weight-2 edge
+    h into c0.
+
+    It fails LPA2 at every chord vertex and LPA4 once: exponentially many
+    ring cycles avoid h, all in one strongly connected component.
+    """
+    vertices = [f"c{i}" for i in range(n)] + ["u"]
+    edges = [EdgeRecord(f"r{i}", f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+    edges += [EdgeRecord(f"k{i}", f"c{i}", f"c{(i + 2) % n}") for i in range(0, n, 2)]
+    edges.append(EdgeRecord("h", "u", "c0", 2))
+    return WeightedGraph(vertices, edges)
+
+
 def small_graphs(max_vertices: int, max_edges: int, max_weight: int):
     """All graphs up to the given size, deduplicated up to isomorphism.
 

@@ -49,6 +49,39 @@ def brute_force_cycles(g: WeightedGraph, v: str) -> set[tuple[str, ...]]:
     return out
 
 
+def brute_force_lpa4_sites(g: WeightedGraph) -> list[tuple[str, str, int]]:
+    """``(e, base, length)`` for each LPA4 site, as ``check_lpa`` must list them.
+
+    For a weighted edge e, a vertex of T(r(e)) is cyclic when one of its
+    out-edges other than e leads back to it without e; two cyclic vertices
+    share a site when each reaches the other without e.  Reachability is
+    the transitive closure, with and without e.  The base of a site is its
+    first vertex in graph order, and ``length`` is the length of the
+    shortest brute-force cycle through the base that avoids e.  Sites are
+    listed per weighted edge in graph order, then by base.
+    """
+    closure = transitive_closure(g)
+    sites = []
+    for e in g.edges:
+        if e.weight == 1:
+            continue
+        without = transitive_closure(
+            WeightedGraph(g.vertices, [f for f in g.edges if f.id != e.id])
+        )
+        cyclic = [
+            v for v in g.vertices
+            if (e.range, v) in closure
+            and any(f.id != e.id and f.source == v and (f.range, v) in without
+                    for f in g.edges)
+        ]
+        for i, v in enumerate(cyclic):
+            if any((u, v) in without and (v, u) in without for u in cyclic[:i]):
+                continue
+            length = min(len(c) for c in brute_force_cycles(g, v) if e.id not in c)
+            sites.append((e.id, v, length))
+    return sites
+
+
 # -- classical unweighted normal form -----------------------------------------
 
 

@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from wlpa import Algebra, Generator, parse_weighted_graph, serialize_weighted_graph
+from wlpa import (
+    Algebra,
+    EdgeRecord,
+    Generator,
+    WeightedGraph,
+    parse_weighted_graph,
+    serialize_weighted_graph,
+)
 from wlpa.cli import run
 from wlpa.exprs import ExpressionError, parse_element
 
@@ -178,6 +185,44 @@ def test_cli_check_lpa_long_satisfying_ring():
     text = serialize_weighted_graph(weighted_ring(1200, {5: 2, 400: 3, 801: 2}))
     code, out, err = invoke("check-lpa", "--input", "-", stdin_text=text)
     assert (code, out, err) == (0, "satisfied\n", "")
+
+
+def test_cli_entered_ring_reports_one_lpa4_site():
+    # one cycle of 10^4 vertices, entered from outside by a weight-2 edge
+    ring = weighted_ring(10_000, {})
+    g = WeightedGraph(ring.vertices + ("u",),
+                      ring.edges + (EdgeRecord("h", "u", "v0", 2),))
+    text = serialize_weighted_graph(g)
+    for command in ("check-lpa", "transform"):
+        code, out, err = invoke(command, "--input", "-", "--format", "machine",
+                                stdin_text=text)
+        assert (code, err) == (3, "")
+        violations = json.loads(out)["violations"]
+        assert [(v["kind"], v["weighted_edge"], v["path"], len(v["cycle"]))
+                for v in violations] == [("LPA4", "h", [], 10_000)]
+    code, out, err = invoke("witness", "--input", "-", stdin_text=text)
+    assert (code, err) == (0, "")
+    assert out.split() == ["h.2"] + [f"e{i}.1" for i in range(10_000)] + ["h.2*"]
+
+
+@pytest.mark.parametrize("command", ["growth", "zero-dim", "basis"])
+def test_cli_negative_table_length_rejected(command):
+    code, out, err = invoke(command, "--input", fx("loop1.wg"), "-5")
+    assert (code, out, err) == (1, "", "error: max_len must be >= 0\n")
+
+
+@pytest.mark.parametrize("option", ["--source", "--range"])
+def test_cli_basis_unknown_vertex_rejected(option):
+    code, out, err = invoke("basis", "--input", fx("loop1.wg"), "2", option, "nosuch")
+    assert (code, out) == (1, "") and "nosuch" in err
+
+
+def test_cli_eval_nesting_bounded():
+    code, out, err = invoke("eval", "--input", fx("loop1.wg"), "(" * 3000 + "v" + ")" * 3000)
+    assert (code, out) == (1, "") and "nest" in err and "Traceback" not in err
+    flat = invoke("eval", "--input", fx("loop1.wg"), "a.1 a.1 + 2*v")
+    nested = invoke("eval", "--input", fx("loop1.wg"), "(" * 50 + "a.1 a.1 + 2*v" + ")" * 50)
+    assert nested == flat and flat[0] == 0
 
 
 def test_cli_special_override():

@@ -13,12 +13,13 @@ from wlpa import (
     UnknownVertexError,
     WeightedGraph,
     cycles_through,
+    cyclic_components,
     graph_to_records,
     in_line,
-    on_cycles,
     parse_weighted_graph,
     reaches,
     serialize_weighted_graph,
+    shortest_cycle,
     tree,
     vertex_weight,
     weighted_edges,
@@ -213,7 +214,29 @@ def test_cycles_match_brute_force():
                 assert c.source(g) == v and c.range(g) == v and len(c) > 0
 
 
-def test_on_cycles_matches_brute_force():
+def test_cycles_through_deep_ring_needs_no_recursion():
+    n = 5000
+    g = WeightedGraph([f"v{i}" for i in range(n)],
+                      [EdgeRecord(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+    assert cycles_through(g, "v3") == [
+        GraphPath.of([f"e{(3 + i) % n}" for i in range(n)])
+    ]
+
+
+def _components_are_maximal_sccs(g, within, avoid, components):
+    sub = WeightedGraph(within, [e for e in g.edges if e.id != avoid
+                                 and e.source in within and e.range in within])
+    closure = transitive_closure(sub)
+    for component in components:
+        first = component[0]
+        # strongly connected
+        assert all((first, v) in closure and (v, first) in closure for v in component)
+        # maximal
+        assert not [v for v in within if v not in component
+                    and (first, v) in closure and (v, first) in closure]
+
+
+def test_cyclic_components_match_brute_force():
     rng = Random(94005)
     for _ in range(40):
         g = random_weighted_graph(rng, max_vertices=4, max_edges=6)
@@ -222,21 +245,55 @@ def test_on_cycles_matches_brute_force():
                 v for v in g.vertices
                 if any(avoid not in cycle for cycle in brute_force_cycles(g, v))
             }
-            assert on_cycles(g, g.vertices, avoid) == expected
+            components = cyclic_components(g, g.vertices, avoid)
+            assert {v for c in components for v in c} == expected
+            _components_are_maximal_sccs(g, g.vertices, avoid, components)
+            order = [g.vertices.index(c[0]) for c in components]
+            assert order == sorted(order)
+            for c in components:
+                assert list(c) == [v for v in g.vertices if v in c]
         # restricted to a vertex set, cycles must stay inside it
         within = g.vertices[1:]
         sub = WeightedGraph(within, [e for e in g.edges
                                      if e.source in within and e.range in within])
         expected = {v for v in within if brute_force_cycles(sub, v)}
-        assert on_cycles(g, within) == expected
+        components = cyclic_components(g, within)
+        assert {v for c in components for v in c} == expected
+        _components_are_maximal_sccs(g, within, None, components)
 
 
-def test_on_cycles_deep_ring_needs_no_recursion():
+def test_cyclic_components_deep_ring_needs_no_recursion():
     n = 5000
     g = WeightedGraph([f"v{i}" for i in range(n)],
                       [EdgeRecord(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
-    assert on_cycles(g, g.vertices) == set(g.vertices)
-    assert on_cycles(g, g.vertices, avoid="e7") == set()
+    assert cyclic_components(g, g.vertices) == [g.vertices]
+    assert cyclic_components(g, g.vertices, avoid="e7") == []
+
+
+def test_shortest_cycle_matches_brute_force():
+    rng = Random(94006)
+    for _ in range(40):
+        g = random_weighted_graph(rng, max_vertices=4, max_edges=6)
+        for avoid in [None] + [e.id for e in g.edges]:
+            for v in g.vertices:
+                lengths = [len(c) for c in brute_force_cycles(g, v) if avoid not in c]
+                cycle = shortest_cycle(g, v, g.vertices, avoid)
+                if not lengths:
+                    assert cycle is None
+                    continue
+                assert cycle.source(g) == v and cycle.range(g) == v
+                assert len(cycle) == min(lengths) and avoid not in cycle.edges
+                assert cycle.edges in brute_force_cycles(g, v)
+
+
+def test_shortest_cycle_prefers_a_self_loop():
+    g = fixture_graph("e2loops.wg")
+    assert shortest_cycle(g, "v", g.vertices) == GraphPath.of(["a"])
+    assert shortest_cycle(g, "v", g.vertices, avoid="a") == GraphPath.of(["b"])
+    # a cycle must stay inside the given vertex set
+    ring = WeightedGraph(["u", "v"], [EdgeRecord("a", "u", "v"), EdgeRecord("b", "v", "u")])
+    assert shortest_cycle(ring, "u", ["u"]) is None
+    assert shortest_cycle(ring, "u", ["u", "v"]) == GraphPath.of(["a", "b"])
 
 
 def test_path_endpoints():

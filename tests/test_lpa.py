@@ -16,6 +16,7 @@ from wlpa import (
 )
 
 from graphgen import (
+    chord_ladder,
     random_lpa_failing_graph,
     random_lpa_satisfying_graph,
     random_weighted_graph,
@@ -23,6 +24,7 @@ from graphgen import (
     small_graphs,
     weighted_ring,
 )
+from oracles import brute_force_lpa4_sites
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -110,22 +112,48 @@ def test_check_lpa_searches_once_per_weighted_edge(monkeypatch):
 
 def test_check_lpa_enumerates_no_cycles_on_a_satisfying_ring(monkeypatch):
     # every cycle through a ring vertex contains every weighted edge
-    from wlpa import lpa
+    from wlpa import graphs, lpa
 
     calls = 0
-    original = lpa.cycles_through
+    original = graphs.cycles_through
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lpa, "cycles_through", counted)
+    monkeypatch.setattr(graphs, "cycles_through", counted)
+    assert not hasattr(lpa, "cycles_through")
     assert check_lpa(weighted_ring(60, {3: 2, 20: 3, 41: 2})).satisfied
+    # cycles avoiding the weighted edge are still found and reported
+    for g in (fixture_graph("e2loops.wg"), chord_ladder(14)):
+        report = check_lpa(g)
+        assert "LPA4" in [v.kind for v in report.violations]
     assert calls == 0
-    # a cycle avoiding the weighted edge is still enumerated and reported
-    report = check_lpa(fixture_graph("e2loops.wg"))
-    assert calls == 1 and "LPA4" in [v.kind for v in report.violations]
+
+
+def test_lpa4_one_site_per_cyclic_component():
+    rng = Random(71006)
+    graphs = list(small_graphs(max_vertices=3, max_edges=3, max_weight=2))
+    graphs += [random_lpa_failing_graph(rng) for _ in range(300)]
+    sites = 0
+    for g in graphs:
+        report = check_lpa(g)
+        lpa4 = [v for v in report.violations if v.kind == "LPA4"]
+        got = [(v.weighted_edge, v.path.range(g), len(v.cycle)) for v in lpa4]
+        assert got == brute_force_lpa4_sites(g), g
+        assert all(violation_holds(g, v) for v in report.violations)
+        sites += len(lpa4)
+    assert sites > 100
+
+
+def test_lpa4_chord_ladder_reports_one_shortest_cycle():
+    # every ring cycle avoids h, and the chords alone close the shortest one
+    g = chord_ladder(14)
+    lpa4 = [v for v in check_lpa(g).violations if v.kind == "LPA4"]
+    assert len(lpa4) == 1
+    assert lpa4[0].weighted_edge == "h" and lpa4[0].path.edges == ()
+    assert lpa4[0].cycle.edges == tuple(f"k{i}" for i in range(0, 14, 2))
 
 
 def test_verdict_invariant_under_relabeling():

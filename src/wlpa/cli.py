@@ -265,6 +265,12 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             ReservedIdError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT
+    except (RecursionError, MemoryError) as exc:
+        # Last resort: inputs known to run this deep or this large are
+        # rejected earlier with their own messages.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: resource limit reached ({type(exc).__name__}{detail})", file=stderr)
+        return EXIT_INPUT
 
 
 def main() -> None:

@@ -10,8 +10,20 @@ Grammar, with juxtaposition binding tighter than ``+``/``-``::
 Generator tokens are ``v`` for a vertex, ``e.1`` for an edge strand and
 ``e.1*`` for its star.  Identifiers may themselves contain superscripts
 (``a^(1)``, ``(h^(1))^(2)``), so an opening parenthesis is treated as part
-of an identifier exactly when a balanced group followed by ``^(digits)``
-matches; otherwise it opens a grouping.
+of an identifier exactly when its balanced group holds one identifier and
+is followed by ``^(digits)``; otherwise it opens a grouping.  The tokenizer
+matches every parenthesis in one pass and decides each opening one once.
+
+Evaluation is formal.  A term without groups is one ``(scalar, word)``
+pair, its generators juxtaposed into a single word; normal forms are
+unique, so the normal form of that word is the product of its letters.
+Each expression, the whole text and every group, hands the pairs of its
+group-free terms to ``Algebra.normalize`` in one call.  A term with a
+parenthesised group multiplies elements instead (the pending word's normal
+form times the group's value), and its value is added to that sum, so
+nested groups never expand into exponentially many formal words.  Each
+generator is checked when it is read, so the first bad generator in the
+text is the error reported.
 """
 
 from __future__ import annotations
@@ -19,16 +31,17 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .algebra import Algebra, AlgebraElement, Generator
+from .algebra import Algebra, AlgebraElement, Generator, UnknownGeneratorError
+from .fields import FieldError
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\(\d+\))*")
-_SUPERSCRIPT_RE = re.compile(r"\^\(\d+\)")
+_SUPERSCRIPTS_RE = re.compile(r"(\^\(\d+\))+")
 _STRAND_RE = re.compile(r"\.(\d+)(\*)?")  # strand suffix .<digits>, optional star
 _DENOMINATOR_RE = re.compile(r"/(\d+)")
 
 
-# Deepest parenthesis nesting accepted.  The parser and the identifier
-# scanner recurse once per level, so deeper input is rejected up front.
+# Deepest parenthesis nesting accepted.  The parser recurses once per
+# group, so deeper input is rejected up front.
 MAX_NESTING = 100
 
 
@@ -36,49 +49,46 @@ class ExpressionError(ValueError):
     pass
 
 
-def _check_nesting(text: str) -> None:
-    depth = 0
-    for ch in text:
+def _matching_parentheses(text: str) -> dict[int, int]:
+    """Position of the matching ``)`` of every balanced ``(``.
+
+    Raises :class:`ExpressionError` when parentheses nest deeper than
+    ``MAX_NESTING``.
+    """
+    closes, stack = {}, []
+    for i, ch in enumerate(text):
         if ch == "(":
-            depth += 1
-            if depth > MAX_NESTING:
+            stack.append(i)
+            if len(stack) > MAX_NESTING:
                 raise ExpressionError(f"parentheses nest deeper than {MAX_NESTING}")
-        elif ch == ")":
-            depth = max(depth - 1, 0)
+        elif ch == ")" and stack:
+            closes[stack.pop()] = i
+    return closes
 
 
-def _scan_identifier(text: str, pos: int) -> Optional[int]:
-    """End position of an identifier starting at ``pos``, or None."""
-    if pos >= len(text):
-        return None
-    if text[pos] == "(":
-        # Balanced group followed by ^(digits), possibly chained.
-        depth = 0
-        i = pos
-        while i < len(text):
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        if depth != 0:
-            return None
-        inner = _scan_identifier(text, pos + 1)
-        if inner is None or inner != i:
-            return None
-        m = _SUPERSCRIPT_RE.match(text, i + 1)
-        if not m:
-            return None
-        end = m.end()
-        while True:
-            m = _SUPERSCRIPT_RE.match(text, end)
-            if not m:
-                return end
-            end = m.end()
+def _scan_identifier(text: str, pos: int, closes: dict[int, int],
+                     decided: dict[int, Optional[int]]) -> Optional[int]:
+    """End position of an identifier starting at ``pos``, or None.
+
+    ``(x)^(d)`` is an identifier when ``x`` is one that ends at the matching
+    ``)``.  The run of opening parentheses at ``pos`` is decided innermost
+    first, and each verdict is stored in ``decided``, so a tokenizer that
+    steps over those parentheses one by one reads them only once.
+    """
+    if pos in decided:
+        return decided[pos]
+    opens = []
+    while pos < len(text) and text[pos] == "(":
+        opens.append(pos)
+        pos += 1
     m = _ATOM_RE.match(text, pos)
-    return m.end() if m else None
+    end = m.end() if m else None
+    for p in reversed(opens):
+        if end is not None:
+            m = _SUPERSCRIPTS_RE.match(text, end + 1) if closes.get(p) == end else None
+            end = m.end() if m else None
+        decided[p] = end
+    return end
 
 
 class _Tokenizer:
@@ -90,6 +100,8 @@ class _Tokenizer:
 
     def _run(self):
         text = self.text
+        closes = _matching_parentheses(text)
+        decided: dict[int, Optional[int]] = {}
         while self.pos < len(text):
             ch = text[self.pos]
             if ch.isspace():
@@ -99,7 +111,7 @@ class _Tokenizer:
                 self.tokens.append((ch, ch))
                 self.pos += 1
                 continue
-            ident_end = _scan_identifier(text, self.pos)
+            ident_end = _scan_identifier(text, self.pos, closes, decided)
             if ident_end is not None:
                 name = text[self.pos:ident_end]
                 self.pos = ident_end
@@ -153,43 +165,64 @@ class _Parser:
         return value
 
     def expr(self) -> AlgebraElement:
-        negate = False
+        """A sum of terms: the formal pairs normalized once, plus the group terms."""
+        pairs, value = [], None
+        sign = 1
         tok = self.peek()
         if tok is not None and tok[0] == "-":
             self.take()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
+            sign = -1
         while True:
+            term = self.term(sign)
+            if isinstance(term, AlgebraElement):
+                value = term if value is None else value + term
+            else:
+                pairs.append(term)
             tok = self.peek()
             if tok is None or tok[0] not in "+-":
-                return value
-            op = self.take()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+                break
+            sign = 1 if self.take()[0] == "+" else -1
+        total = self.algebra.normalize(pairs)
+        return total if value is None else total + value
 
-    def term(self) -> AlgebraElement:
-        scalar = None
+    def term(self, sign: int):
+        """A ``(scalar, word)`` pair, or the value of a term with a group."""
+        scalar = sign
         tok = self.peek()
         if tok is not None and tok[0] == "scalar":
             self.take()
-            scalar = self.algebra.field.parse(tok[1])
+            try:
+                scalar = self.algebra.field.parse(tok[1])
+            except FieldError as exc:
+                raise ExpressionError(str(exc)) from None
+            if sign < 0:
+                scalar = -scalar
             nxt = self.peek()
             if nxt is None or nxt[0] != "*":
                 raise ExpressionError("scalar prefix must be followed by '*'")
             self.take()
-        value = self.factor()
+        word: list[Generator] = []
+        value = None  # product of the factors before ``word``, once a group is read
         while True:
+            factor = self.factor()
+            if isinstance(factor, Generator):
+                word.append(factor)
+            else:
+                if word:
+                    factor = self.algebra.word(word) * factor
+                    word = []
+                value = factor if value is None else value * factor
             tok = self.peek()
             if tok is None or tok[0] not in ("name", "edge", "star", "("):
                 break
-            value = value * self.factor()
-        if scalar is not None:
-            value = value.scaled(scalar)
-        return value
+        if value is None:
+            return scalar, tuple(word)
+        if word:
+            value = value * self.algebra.word(word)
+        return value.scaled(scalar)
 
-    def factor(self) -> AlgebraElement:
+    def factor(self):
+        """A generator of the algebra, or the value of a parenthesised group."""
         kind, text = self.take()
         if kind == "(":
             value = self.expr()
@@ -200,15 +233,17 @@ class _Parser:
         if kind == "name":
             if not self.algebra.graph.has_vertex(text):
                 raise ExpressionError(f"unknown vertex {text!r}")
-            return self.algebra.vertex(text)
+            return Generator.vertex(text)
         if kind in ("edge", "star"):
             name, _, rest = text.rpartition(".")
-            index = int(rest)
-            gen = Generator(kind, name, index)
             try:
-                return self.algebra.word((gen,))
-            except ValueError as exc:
+                gen = Generator(kind, name, int(rest))
+                self.algebra.generator_endpoints(gen)  # rejects letters outside the algebra
+            except UnknownGeneratorError as exc:
                 raise ExpressionError(str(exc)) from None
+            except ValueError:  # an index too long for int()
+                raise ExpressionError(f"unknown generator {text!r}") from None
+            return gen
         raise ExpressionError(f"unexpected token {text!r}")
 
 
@@ -216,5 +251,4 @@ def parse_element(algebra: Algebra, text: str) -> AlgebraElement:
     """Evaluate an element expression in the given algebra."""
     if not text.strip():
         raise ExpressionError("empty expression")
-    _check_nesting(text)
     return _Parser(algebra, text).parse()

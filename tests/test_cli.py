@@ -76,6 +76,22 @@ def test_expr_errors():
     for bad in ("", "a.1 +", "3 v", "a.2", "b.1", "unknown", "(a.1", "3/2"):
         with pytest.raises(ExpressionError):
             parse_element(algebra, bad)
+    # the first bad generator in the text is the one reported, wherever it sits
+    exact = {
+        "v (a.1 a.2*) a.1": "unknown generator 'a.2*'",
+        "(v + a.1) a.2": "unknown generator 'a.2'",
+        "a.1 w a.1*": "unknown vertex 'w'",
+        "a.2 +": "unknown generator 'a.2'",
+        "a.1 b.1 (": "unknown generator 'b.1'",
+        "3/2": "scalar prefix must be followed by '*'",
+        "1/0 * v": "bad rational literal '1/0'",
+        "(v ^(1))": "unexpected character '^' at position 3",
+    }
+    for bad, message in exact.items():
+        with pytest.raises(ExpressionError) as info:
+            parse_element(algebra, bad)
+        assert str(info.value) == message
+        assert invoke("eval", "--input", fx("loop1.wg"), bad) == (1, "", f"error: {message}\n")
 
 
 # -- CLI exit codes and text output -----------------------------------------
@@ -223,6 +239,31 @@ def test_cli_eval_nesting_bounded():
     flat = invoke("eval", "--input", fx("loop1.wg"), "a.1 a.1 + 2*v")
     nested = invoke("eval", "--input", fx("loop1.wg"), "(" * 50 + "a.1 a.1 + 2*v" + ")" * 50)
     assert nested == flat and flat[0] == 0
+
+
+@pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"),
+                                   MemoryError()])
+def test_cli_last_resort_guard(monkeypatch, error):
+    def exhausted(graph):
+        raise error
+
+    monkeypatch.setattr("wlpa.cli.check_lpa", exhausted)
+    code, out, err = invoke("check-lpa", "--input", fx("g6.wg"))
+    detail = f": {error}" if str(error) else ""
+    assert (code, out) == (1, "")
+    assert err == f"error: resource limit reached ({type(error).__name__}{detail})\n"
+
+
+def test_cli_fixed_inputs_do_not_reach_the_guard():
+    deep = "(" * 3000 + "v" + ")" * 3000
+    assert invoke("eval", "--input", fx("loop1.wg"), deep) == (
+        1, "", "error: parentheses nest deeper than 100\n")
+    ring = weighted_ring(10_000, {})
+    g = WeightedGraph(ring.vertices + ("u",),
+                      ring.edges + (EdgeRecord("h", "u", "v0", 2),))
+    code, out, err = invoke("check-lpa", "--input", "-",
+                            stdin_text=serialize_weighted_graph(g))
+    assert (code, err) == (3, "") and out.startswith("LPA4: cycle e0 e1 ")
 
 
 def test_cli_special_override():

@@ -1,0 +1,176 @@
+"""Expression evaluation against a direct element-arithmetic oracle, and
+the tokenizer's and parser's robustness."""
+
+from pathlib import Path
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wlpa import Algebra, WeightedGraph, field_from_name, parse_weighted_graph
+from wlpa import exprs
+from wlpa.exprs import ExpressionError, parse_element
+
+from graphgen import random_weighted_graph, small_graphs
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+_SCALARS = ["0", "1", "2", "5", "1/2", "3/2", "2/3"]
+
+
+# -- random expression trees ----------------------------------------------
+#
+# expr   = [(sign, term), ...] with sign in "", "-" first and "+", "-" after
+# term   = (scalar text or None, [factor, ...])
+# factor = ("gen", token) | ("group", expr)
+
+
+def _letters(g):
+    out = [("vertex", v) for v in g.vertices]
+    for e in g.edges:
+        for i in range(1, e.weight + 1):
+            out += [("edge", e.id, i), ("star", e.id, i)]
+    return out
+
+
+def _random_expr(rng, letters, depth):
+    signs = [rng.choice(["", "-"])] + [rng.choice("+-") for _ in range(rng.randint(0, 2))]
+    return [(sign, _random_term(rng, letters, depth)) for sign in signs]
+
+
+def _random_term(rng, letters, depth):
+    scalar = rng.choice(_SCALARS) if rng.random() < 0.4 else None
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        if depth < 4 and rng.random() < 0.2:
+            factors.append(("group", _random_expr(rng, letters, depth + 1)))
+        else:
+            factors.append(("gen", rng.choice(letters)))
+    return scalar, factors
+
+
+def _render(expr):
+    pieces = []
+    for k, (sign, (scalar, factors)) in enumerate(expr):
+        body = " ".join(
+            _token(f[1]) if f[0] == "gen" else "(" + _render(f[1]) + ")" for f in factors
+        )
+        if scalar is not None:
+            body = f"{scalar} * {body}"
+        pieces.append(sign + body if k == 0 else f"{sign} {body}")
+    return " ".join(pieces)
+
+
+def _token(letter):
+    if letter[0] == "vertex":
+        return letter[1]
+    return f"{letter[1]}.{letter[2]}" + ("*" if letter[0] == "star" else "")
+
+
+def _evaluate(alg, expr):
+    """The value by element arithmetic: ``+``, ``-``, ``*`` and ``scaled``."""
+    total = alg.zero()
+    for sign, (scalar, factors) in expr:
+        value = None
+        for f in factors:
+            if f[0] == "group":
+                x = _evaluate(alg, f[1])
+            elif f[1][0] == "vertex":
+                x = alg.vertex(f[1][1])
+            else:
+                kind, e, i = f[1]
+                x = alg.edge(e, i) if kind == "edge" else alg.star(e, i)
+            value = x if value is None else value * x
+        if scalar is not None:
+            value = value.scaled(scalar)
+        total = total - value if sign == "-" else total + value
+    return total
+
+
+def _oracle_graphs():
+    for path in sorted(FIXTURES.glob("*.wg")):
+        yield 12, parse_weighted_graph(path.read_text())
+    for g in small_graphs(3, 3, 2):
+        yield 2, g
+    rng = Random(70101)
+    for _ in range(20):
+        yield 12, random_weighted_graph(rng, max_vertices=4, max_edges=5, max_weight=3)
+
+
+def test_parse_element_matches_element_arithmetic():
+    rng = Random(70100)
+    checked = 0
+    for count, g in _oracle_graphs():
+        letters = _letters(g)
+        for field in ("rational", "mod:7"):
+            alg = Algebra(g, field=field_from_name(field))
+            for _ in range(count):
+                expr = _random_expr(rng, letters, 0)
+                text = _render(expr)
+                assert parse_element(alg, text) == _evaluate(alg, expr), (field, text)
+                checked += 1
+    assert checked == 2 * (9 * 12 + 336 * 2 + 20 * 12)
+
+
+# -- tokenizer ----------------------------------------------------------------
+
+
+class _CountingText(str):
+    """A string that counts the characters and slices read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingText.reads += 1
+        return super().__getitem__(key)
+
+
+def test_identifier_scan_is_linear_in_nesting():
+    n = 100
+    _CountingText.reads = 0
+    tokens = exprs._Tokenizer(_CountingText("(" * n + "v" + ")" * n)).tokens
+    assert tokens == [("(", "(")] * n + [("name", "v")] + [(")", ")")] * n
+    assert _CountingText.reads <= 5 * n
+
+
+def test_deeply_superscripted_identifier_is_one_name():
+    name = "a^(1)"
+    for _ in range(60):
+        name = f"({name})^(1)"
+    assert exprs._Tokenizer(name).tokens == [("name", name)]
+    assert exprs._Tokenizer(f"{name}.2*").tokens == [("star", f"{name}.2")]
+    assert exprs._Tokenizer(f"({name})").tokens == [("(", "("), ("name", name), (")", ")")]
+    alg = Algebra(WeightedGraph([name], []))
+    assert parse_element(alg, f"2 * ({name} {name})") == alg.vertex(name).scaled(2)
+
+
+# -- totality -----------------------------------------------------------------
+
+# single characters plus chunks that reach deeper into the grammar
+_ALPHABET = ["v", "a", "b", "x", ".", "0", "1", "2", "*", "/", "^", "(", ")", "+", "-", " ",
+             "v^(1)", "a.1", "b.2*", "b.3", "12", "1/0", "2/7", " * "]
+_TOTALITY_ALGEBRAS = [
+    Algebra(parse_weighted_graph((FIXTURES / "e2loops.wg").read_text()), field=field)
+    for field in (field_from_name("rational"), field_from_name("mod:7"))
+]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=30).map("".join),
+       st.sampled_from(_TOTALITY_ALGEBRAS))
+def test_parse_element_returns_a_value_or_an_expression_error(text, alg):
+    try:
+        value = parse_element(alg, text)
+    except ExpressionError:
+        return
+    assert value.algebra is alg
+
+
+def test_overlong_numbers_are_expression_errors():
+    alg = _TOTALITY_ALGEBRAS[0]
+    index = "a." + "9" * 5000  # beyond int()'s default digit limit
+    for text, message in ((index, f"unknown generator {index!r}"),
+                          ("9" * 5000 + " * v", f"bad rational literal {'9' * 5000!r}")):
+        with pytest.raises(ExpressionError) as info:
+            parse_element(alg, text)
+        assert str(info.value) == message

@@ -32,6 +32,7 @@ non-vertex letters ending/starting at v, not one per pair of letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .fields import RATIONALS, ModInt, PrimeField, Rationals
@@ -152,9 +153,11 @@ class Algebra:
     """The weighted Leavitt path algebra of a graph over an exact field.
 
     The letter tables, the vertex-local rewrite rules and the nod-word
-    automaton are built once and never change.  The normal-form memos
-    (``_memo_left``, ``_memo_right``) grow on every miss, so an instance
-    must not be shared between threads without a lock.
+    automaton are built once and never change.  Only :meth:`nodword_counts`
+    (the counts behind :meth:`growth`, :meth:`zero_component_count` and the
+    basis budget) and :meth:`enumerate_nodwords` walk the automaton.  The
+    normal-form memos (``_memo_left``, ``_memo_right``) grow on every miss,
+    so an instance must not be shared between threads without a lock.
     """
 
     def __init__(self, graph: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None,
@@ -472,6 +475,50 @@ class Algebra:
                 deg[d[0]] += d[1]
         return tuple(deg)
 
+    def nodword_counts(self, max_len: int, zero_degree: bool = False):
+        """Yield the number of nod-words of each length 0, 1, ..., max_len.
+
+        One pass over the nod-word automaton: the words of a length are
+        counted by their last letter, so exponentially growing graphs need
+        no exponential frontier.  With ``zero_degree`` only the words of
+        degree zero are counted; the counts are then grouped by the degree
+        of the word so far, and a degree too far from zero to return by
+        ``max_len`` is dropped.  Vertex letters have length 0 and degree
+        zero.  A negative ``max_len`` raises :class:`AlgebraError` on the
+        first ``next``.
+        """
+        if max_len < 0:
+            raise AlgebraError("max_len must be >= 0")
+        yield self._nv
+        zero = (0,) * self.grading_length
+        # {degree so far: {last letter: number of words}}; one group, keyed
+        # ``zero``, unless the degrees are tracked
+        layer = {zero: dict.fromkeys(self._nonvertex_ids, 1)}
+        for length in range(1, max_len + 1):
+            if zero_degree:
+                remaining = max_len - length
+                grouped: dict[tuple[int, ...], dict[int, int]] = {}
+                for deg, counts in layer.items():
+                    for b, c in counts.items():
+                        pos, sign = self._letter_degree[b]
+                        deg2 = list(deg)
+                        deg2[pos] += sign
+                        if sum(map(abs, deg2)) > remaining:
+                            continue
+                        group = grouped.setdefault(tuple(deg2), {})
+                        group[b] = group.get(b, 0) + c
+                layer = grouped
+            yield sum(layer.get(zero, {}).values())
+            if length < max_len:
+                nxt: dict[tuple[int, ...], dict[int, int]] = {}
+                for deg, counts in layer.items():
+                    step: dict[int, int] = {}
+                    for a, c in counts.items():
+                        for b in self._succ[a]:
+                            step[b] = step.get(b, 0) + c
+                    nxt[deg] = step
+                layer = nxt
+
     def enumerate_nodwords(self, max_len: int, source: Optional[str] = None,
                            range_: Optional[str] = None,
                            degree: Optional[tuple[int, ...]] = None,
@@ -480,24 +527,22 @@ class Algebra:
 
         Single vertex letters count as length 0.  The optional filters keep
         only words with the given source vertex, range vertex and degree.
-        ``budget`` caps the number of words explored and raises
-        :class:`BudgetExceededError` when exceeded.  An unknown ``source``
-        or ``range_`` vertex raises :class:`UnknownVertexError`.
+        ``budget`` caps the number of words explored, which is
+        ``growth(max_len)`` whatever the filters keep: the running total of
+        :meth:`nodword_counts` raises :class:`BudgetExceededError` once it
+        passes the budget, before any word is built.  An unknown ``source``
+        or ``range_`` vertex raises :class:`UnknownVertexError`.  The words
+        are grown from a frontier of their own, since the counter holds
+        only numbers.
         """
         if max_len < 0:
             raise AlgebraError("max_len must be >= 0")
         for v in (source, range_):
             if v is not None:
                 self.graph._require_vertex(v)
-        explored = 0
-
-        def spend(n: int):
-            nonlocal explored
-            explored += n
-            if budget is not None and explored > budget:
-                raise BudgetExceededError(budget)
-
-        out: list[Word] = []
+        totals = accumulate(self.nodword_counts(max_len))  # words of length <= 0, 1, ...
+        if budget is not None and any(total > budget for total in totals):
+            raise BudgetExceededError(budget)
 
         def keep(ids: tuple[int, ...]) -> bool:
             if source is not None and self._src[ids[0]] != source:
@@ -508,78 +553,26 @@ class Algebra:
                 return False
             return True
 
-        for v in range(self._nv):
-            spend(1)
-            if keep((v,)):
-                out.append(self._genword((v,)))
+        out = [self._genword((v,)) for v in range(self._nv) if keep((v,))]
         layer = [(i,) for i in self._nonvertex_ids]
-        spend(len(layer))
-        length = 1
-        while length <= max_len and layer:
-            for ids in layer:
-                if keep(ids):
-                    out.append(self._genword(ids))
-            if length == max_len:
-                break
-            nxt = []
-            for ids in layer:
-                for b in self._succ[ids[-1]]:
-                    nxt.append(ids + (b,))
-            spend(len(nxt))
-            layer = nxt
-            length += 1
+        for length in range(1, max_len + 1):
+            out.extend(self._genword(ids) for ids in layer if keep(ids))
+            if length < max_len:
+                layer = [ids + (b,) for ids in layer for b in self._succ[ids[-1]]]
         return out
 
     def growth(self, n: int) -> int:
-        """Number of nod-words of length <= n.
+        """Number of nod-words of length <= n: the sum of :meth:`nodword_counts`.
 
-        This is the dimension of the span of products of at most ``n``
-        generators.  Counted by dynamic programming on the last letter, so
-        exponentially growing graphs are handled without materializing an
-        exponential frontier.
+        Nod-words form a basis, so this is the dimension of the span of
+        products of at most ``n`` generators, and its rate of growth in
+        ``n`` is the Gelfand-Kirillov dimension.
         """
-        if n < 0:
-            raise AlgebraError("n must be >= 0")
-        total = self._nv
-        counts = {i: 1 for i in self._nonvertex_ids}
-        for _ in range(1, n + 1):
-            total += sum(counts.values())
-            nxt: dict[int, int] = {}
-            for a, c in counts.items():
-                for b in self._succ[a]:
-                    nxt[b] = nxt.get(b, 0) + c
-            counts = nxt
-        return total
+        return sum(self.nodword_counts(n))
 
     def zero_component_count(self, max_len: int) -> int:
-        """Number of nod-words of length <= max_len with degree zero."""
-        if max_len < 0:
-            raise AlgebraError("max_len must be >= 0")
-        zero = (0,) * self.grading_length
-        total = self._nv  # vertices have degree zero and length zero
-        states: dict[tuple[int, tuple[int, ...]], int] = {}
-        for i in self._nonvertex_ids:
-            pos, sign = self._letter_degree[i]
-            deg = list(zero)
-            deg[pos] += sign
-            states[(i, tuple(deg))] = states.get((i, tuple(deg)), 0) + 1
-        for length in range(1, max_len + 1):
-            total += sum(c for (i, deg), c in states.items() if deg == zero)
-            if length == max_len:
-                break
-            remaining = max_len - length
-            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-            for (a, deg), c in states.items():
-                for b in self._succ[a]:
-                    pos, sign = self._letter_degree[b]
-                    deg2 = list(deg)
-                    deg2[pos] += sign
-                    if sum(abs(d) for d in deg2) > remaining:
-                        continue
-                    key = (b, tuple(deg2))
-                    nxt[key] = nxt.get(key, 0) + c
-            states = nxt
-        return total
+        """Number of degree-zero nod-words of length <= max_len, from :meth:`nodword_counts`."""
+        return sum(self.nodword_counts(max_len, zero_degree=True))
 
     def __repr__(self):
         return f"Algebra({self.graph!r}, field={self.field.name})"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 from typing import Optional
 
 from .algebra import (
@@ -209,8 +210,6 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             _emit(args, stdout, payload, " ".join(payload["word"]))
             return EXIT_OK
 
-        if args.command in ("growth", "zero-dim") and args.max_len < 0:
-            raise _UsageError("max_len must be >= 0")
         algebra = Algebra(graph, choice, field)
 
         if args.command == "eval":
@@ -243,16 +242,11 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
                   "\n".join(algebra.render_word(w) for w in words) or "(none)")
             return EXIT_OK
 
-        if args.command == "growth":
-            table = [(n, algebra.growth(n)) for n in range(args.max_len + 1)]
-            payload = {"command": "growth", "table": [[n, c] for n, c in table]}
-            _emit(args, stdout, payload,
-                  "\n".join(f"{n}\t{c}" for n, c in table))
-            return EXIT_OK
-
-        if args.command == "zero-dim":
-            table = [(n, algebra.zero_component_count(n)) for n in range(args.max_len + 1)]
-            payload = {"command": "zero-dim", "table": [[n, c] for n, c in table]}
+        if args.command in ("growth", "zero-dim"):
+            counts = algebra.nodword_counts(args.max_len,
+                                            zero_degree=args.command == "zero-dim")
+            table = list(enumerate(accumulate(counts)))
+            payload = {"command": args.command, "table": [[n, c] for n, c in table]}
             _emit(args, stdout, payload,
                   "\n".join(f"{n}\t{c}" for n, c in table))
             return EXIT_OK

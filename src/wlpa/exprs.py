@@ -34,10 +34,11 @@ from typing import Optional
 from .algebra import Algebra, AlgebraElement, Generator, UnknownGeneratorError
 from .fields import FieldError
 
-_ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\(\d+\))*")
-_SUPERSCRIPTS_RE = re.compile(r"(\^\(\d+\))+")
-_STRAND_RE = re.compile(r"\.(\d+)(\*)?")  # strand suffix .<digits>, optional star
-_DENOMINATOR_RE = re.compile(r"/(\d+)")
+# re.ASCII: ``\d`` is 0-9 only, so digits of other scripts are rejected
+_ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\(\d+\))*", re.ASCII)
+_SUPERSCRIPTS_RE = re.compile(r"(\^\(\d+\))+", re.ASCII)
+_STRAND_RE = re.compile(r"\.(\d+)(\*)?", re.ASCII)  # strand suffix .<digits>, optional star
+_DENOMINATOR_RE = re.compile(r"/(\d+)", re.ASCII)
 
 
 # Deepest parenthesis nesting accepted.  The parser recurses once per

@@ -10,6 +10,7 @@ maps such a number back; both are ring maps, so the result is exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -167,10 +168,10 @@ def field_from_name(text: str):
     """Resolve a field flag: ``rational`` or ``mod:<prime>``."""
     if text == "rational":
         return RATIONALS
-    if text.startswith("mod:"):
+    if re.fullmatch(r"mod:[0-9]+", text):  # ASCII digits only
         try:
             p = int(text[4:])
-        except ValueError as exc:
+        except ValueError as exc:  # beyond int()'s digit limit
             raise FieldError(f"bad field spec {text!r}") from exc
         return PrimeField(p)
     raise FieldError(f"bad field spec {text!r}")

@@ -20,6 +20,7 @@ import re
 from typing import Iterable, Optional, Sequence, Union
 
 _ID_RE = re.compile(r"[A-Za-z0-9_^()]+\Z")
+_WEIGHT_RE = re.compile(r"[0-9]+\Z")  # ASCII digits only: no sign, "_" or other scripts
 
 
 class GraphError(ValueError):
@@ -245,7 +246,9 @@ def _parse_lines(text: str, expect_weight_one: bool):
                     raise GraphSyntaxError(lineno, column(token), f"bad id {token!r}")
             if len(parts) == 5:
                 try:
-                    weight = int(parts[4])
+                    if not _WEIGHT_RE.match(parts[4]):
+                        raise ValueError(parts[4])
+                    weight = int(parts[4])  # ValueError beyond int()'s digit limit
                 except ValueError:
                     raise GraphSyntaxError(
                         lineno, column(parts[4]), f"bad weight {parts[4]!r}"

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wlpa import (
     Algebra,
@@ -175,6 +176,72 @@ def test_cli_basis_budget():
     assert code == 1 and "budget" in err
 
 
+def test_cli_basis_budget_counts_words_explored():
+    # `basis 0` explores the vertex words only, not the letters of length 1
+    for budget in ("1", "2"):
+        assert invoke("basis", "--input", fx("loop1.wg"), "0", "--budget", budget) == (
+            0, "v\n", "")
+    assert invoke("basis", "--input", fx("loop1.wg"), "1", "--budget", "2") == (
+        1, "", "enumeration exceeded the budget of 2 words\n")
+
+
+@pytest.mark.parametrize("command", ["growth", "zero-dim"])
+def test_cli_table_walks_once(monkeypatch, command):
+    calls = dict.fromkeys(["nodword_counts", "growth", "zero_component_count"], 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(Algebra, name), **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(Algebra, name, counted)
+    code, out, _ = invoke(command, "--input", fx("e2loops.wg"), "12")
+    assert code == 0 and len(out.splitlines()) == 13
+    assert calls == {"nodword_counts": 1, "growth": 0, "zero_component_count": 0}
+
+
+@st.composite
+def _small_graph_texts(draw):
+    nv = draw(st.integers(0, 4))
+    lines = [f"vertex v{i}" for i in range(nv)]
+    if nv:
+        ends = st.integers(0, nv - 1)
+        edges = draw(st.lists(st.tuples(ends, ends, st.integers(1, 3)), max_size=5))
+        lines += [f"edge e{k} v{s} v{r} {w}" for k, (s, r, w) in enumerate(edges)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_small_graph_texts(), st.sampled_from(["growth", "zero-dim", "basis"]),
+       st.integers(-2, 5), st.none() | st.integers(0, 200))
+def test_cli_tables_are_total_and_count_built_words(text, command, max_len, budget):
+    alg = Algebra(parse_weighted_graph(text))
+    # bounds the words built below without reading any nod-word counter
+    small = len(alg.nonvertex_generators()) ** max(max_len, 0) <= 20_000
+    argv = [command, str(max_len), "--input", "-"]
+    if command == "basis":
+        if budget is None:
+            assume(small)  # under the default budget every word would be built
+        else:
+            argv += ["--budget", str(budget)]
+    code, out, err = invoke(*argv, stdin_text=text)
+    assert code in (0, 1) and "Traceback" not in err
+    if max_len < 0:
+        assert (code, out, err) == (1, "", "error: max_len must be >= 0\n")
+        return
+    if not small:
+        return
+    words = alg.enumerate_nodwords(max_len)
+    if command == "basis":
+        assert (code == 1) == (len(words) > (10**7 if budget is None else budget))
+        return
+    zero = (0,) * alg.grading_length
+    lengths = [0 if w[0].kind == "vertex" else len(w) for w in words
+               if command == "growth" or alg.word_degree(w) == zero]
+    assert code == 0
+    assert out.splitlines() == [f"{n}\t{sum(k <= n for k in lengths)}"
+                                for n in range(max_len + 1)]
+
+
 def test_cli_transform_violated():
     code, out, _ = invoke("transform", "--input", fx("e2loops.wg"))
     assert code == 3 and "LPA2" in out
@@ -296,6 +363,13 @@ def test_cli_special_changes_normal_form():
         "eval", "--input", fx("l23.wg"), "--special", "v=e2", "e1.1 e1.2*"
     )
     assert default_out != other_out
+
+
+@pytest.mark.parametrize("spec", ["mod:\u0667", "mod:1_1", "mod:+7", "mod: 7", "mod:\uff17"])
+def test_cli_field_modulus_is_ascii_digits(spec):
+    # int() would read these as 7, 11, 7, 7 and 7
+    code, out, err = invoke("eval", "--input", fx("loop1.wg"), "--field", spec, "v")
+    assert (code, out, err) == (1, "", f"error: bad field spec {spec!r}\n")
 
 
 def test_cli_usage_errors():

@@ -166,6 +166,14 @@ def test_parse_element_returns_a_value_or_an_expression_error(text, alg):
     assert value.algebra is alg
 
 
+@pytest.mark.parametrize("text", ["a.\u0661", "b.\u0662*", "1/\u0662 * v",
+                                  "\u0662 * v", "v^(\u0661)", "a.\uff11"])
+def test_non_ascii_digits_are_expression_errors(text):
+    # a Unicode-aware \d read "a.\u0661" as a.1 and "1/\u0662 * v" as 1/2 v
+    with pytest.raises(ExpressionError):
+        parse_element(_TOTALITY_ALGEBRAS[0], text)
+
+
 def test_overlong_numbers_are_expression_errors():
     alg = _TOTALITY_ALGEBRAS[0]
     index = "a." + "9" * 5000  # beyond int()'s default digit limit

@@ -74,6 +74,14 @@ def test_parse_bad_weight():
         parse_weighted_graph("vertex v\nedge a v v 0")
 
 
+@pytest.mark.parametrize("weight", ["\u0662", "1_0", "\uff12", "\u00b2", "+2", "-1"])
+def test_parse_weight_is_ascii_digits(weight):
+    # int() reads all but "\u00b2" as 2, 10, 2, 2 and -1
+    with pytest.raises(GraphSyntaxError) as err:
+        parse_weighted_graph(f"vertex v\nedge a v v {weight}")
+    assert err.value.line == 2 and f"bad weight {weight!r}" in str(err.value)
+
+
 def test_parse_syntax_error_reports_position():
     with pytest.raises(GraphSyntaxError) as err:
         parse_weighted_graph("vertex v\nedgy a v v 1")

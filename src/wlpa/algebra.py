@@ -32,6 +32,7 @@ non-vertex letters ending/starting at v, not one per pair of letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional
 
@@ -380,11 +381,8 @@ class Algebra:
             return self.field.from_int(x)
         if isinstance(x, str):
             return self.field.parse(x)
-        if isinstance(self.field, Rationals):
-            from fractions import Fraction
-
-            if isinstance(x, Fraction):
-                return x
+        if isinstance(self.field, Rationals) and isinstance(x, Fraction):
+            return x
         if isinstance(self.field, PrimeField) and isinstance(x, ModInt):
             if x.modulus != self.field.p:
                 raise MixedContextError("scalar from a different prime field")
@@ -484,16 +482,18 @@ class Algebra:
         degree zero are counted; the counts are then grouped by the degree
         of the word so far, and a degree too far from zero to return by
         ``max_len`` is dropped.  Vertex letters have length 0 and degree
-        zero.  A negative ``max_len`` raises :class:`AlgebraError` on the
-        first ``next``.
+        zero.  The walk stops at the first length with no word: nod-words
+        are closed under prefixes, so the counts not yielded are zero.  A
+        negative ``max_len`` raises :class:`AlgebraError` on the first ``next``.
         """
         if max_len < 0:
             raise AlgebraError("max_len must be >= 0")
         yield self._nv
         zero = (0,) * self.grading_length
-        # {degree so far: {last letter: number of words}}; one group, keyed
-        # ``zero``, unless the degrees are tracked
-        layer = {zero: dict.fromkeys(self._nonvertex_ids, 1)}
+        # {degree so far: {last letter: number of words}}, no group empty;
+        # one group, keyed ``zero``, unless the degrees are tracked
+        letters = dict.fromkeys(self._nonvertex_ids, 1)
+        layer = {zero: letters} if letters else {}
         for length in range(1, max_len + 1):
             if zero_degree:
                 remaining = max_len - length
@@ -508,6 +508,8 @@ class Algebra:
                         group = grouped.setdefault(tuple(deg2), {})
                         group[b] = group.get(b, 0) + c
                 layer = grouped
+            if not layer:
+                return  # no word of this length, so none longer
             yield sum(layer.get(zero, {}).values())
             if length < max_len:
                 nxt: dict[tuple[int, ...], dict[int, int]] = {}
@@ -516,7 +518,8 @@ class Algebra:
                     for a, c in counts.items():
                         for b in self._succ[a]:
                             step[b] = step.get(b, 0) + c
-                    nxt[deg] = step
+                    if step:
+                        nxt[deg] = step
                 layer = nxt
 
     def enumerate_nodwords(self, max_len: int, source: Optional[str] = None,
@@ -545,17 +548,15 @@ class Algebra:
             raise BudgetExceededError(budget)
 
         def keep(ids: tuple[int, ...]) -> bool:
-            if source is not None and self._src[ids[0]] != source:
-                return False
-            if range_ is not None and self._rng[ids[-1]] != range_:
-                return False
-            if degree is not None and self._ids_degree(ids) != tuple(degree):
-                return False
-            return True
+            return ((source is None or self._src[ids[0]] == source)
+                    and (range_ is None or self._rng[ids[-1]] == range_)
+                    and (degree is None or self._ids_degree(ids) == tuple(degree)))
 
         out = [self._genword((v,)) for v in range(self._nv) if keep((v,))]
         layer = [(i,) for i in self._nonvertex_ids]
         for length in range(1, max_len + 1):
+            if not layer:
+                break  # no nod-word of this length, so none longer
             out.extend(self._genword(ids) for ids in layer if keep(ids))
             if length < max_len:
                 layer = [ids + (b,) for ids in layer for b in self._succ[ids[-1]]]
@@ -571,7 +572,7 @@ class Algebra:
         return sum(self.nodword_counts(n))
 
     def zero_component_count(self, max_len: int) -> int:
-        """Number of degree-zero nod-words of length <= max_len, from :meth:`nodword_counts`."""
+        """Number of degree-zero nod-words of length <= max_len: see :meth:`nodword_counts`."""
         return sum(self.nodword_counts(max_len, zero_degree=True))
 
     def __repr__(self):

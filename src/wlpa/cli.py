@@ -245,17 +245,17 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         if args.command in ("growth", "zero-dim"):
             counts = algebra.nodword_counts(args.max_len,
                                             zero_degree=args.command == "zero-dim")
-            table = list(enumerate(accumulate(counts)))
+            totals = list(accumulate(counts))
+            # the walk stops at the first length with no nod-word; later rows repeat the total
+            totals += totals[-1:] * (args.max_len + 1 - len(totals))
+            table = list(enumerate(totals))
             payload = {"command": args.command, "table": [[n, c] for n, c in table]}
             _emit(args, stdout, payload,
                   "\n".join(f"{n}\t{c}" for n, c in table))
             return EXIT_OK
 
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_INPUT
-    except (GraphError, AlgebraError, ExpressionError, FieldError,
+    except (_UsageError, GraphError, AlgebraError, ExpressionError, FieldError,
             ReservedIdError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT

@@ -32,13 +32,12 @@ import re
 from typing import Optional
 
 from .algebra import Algebra, AlgebraElement, Generator, UnknownGeneratorError
-from .fields import FieldError
+from .fields import FieldError, parse_natural
 
-# re.ASCII: ``\d`` is 0-9 only, so digits of other scripts are rejected
-_ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\(\d+\))*", re.ASCII)
-_SUPERSCRIPTS_RE = re.compile(r"(\^\(\d+\))+", re.ASCII)
-_STRAND_RE = re.compile(r"\.(\d+)(\*)?", re.ASCII)  # strand suffix .<digits>, optional star
-_DENOMINATOR_RE = re.compile(r"/(\d+)", re.ASCII)
+_ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\([0-9]+\))*")
+_SUPERSCRIPTS_RE = re.compile(r"(\^\([0-9]+\))+")
+_STRAND_RE = re.compile(r"\.([0-9]+)(\*)?")  # strand suffix .<digits>, optional star
+_DENOMINATOR_RE = re.compile(r"/([0-9]+)")
 
 
 # Deepest parenthesis nesting accepted.  The parser recurses once per
@@ -238,7 +237,7 @@ class _Parser:
         if kind in ("edge", "star"):
             name, _, rest = text.rpartition(".")
             try:
-                gen = Generator(kind, name, int(rest))
+                gen = Generator(kind, name, parse_natural(rest))
                 self.algebra.generator_endpoints(gen)  # rejects letters outside the algebra
             except UnknownGeneratorError as exc:
                 raise ExpressionError(str(exc)) from None

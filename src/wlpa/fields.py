@@ -10,12 +10,18 @@ maps such a number back; both are ring maps, so the result is exact.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 
 class FieldError(ValueError):
     pass
+
+
+def parse_natural(text: str) -> int:
+    """A number read from outside: ASCII digits within ``int()``'s limit, else ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    return int(text)
 
 
 class Rationals:
@@ -168,10 +174,10 @@ def field_from_name(text: str):
     """Resolve a field flag: ``rational`` or ``mod:<prime>``."""
     if text == "rational":
         return RATIONALS
-    if re.fullmatch(r"mod:[0-9]+", text):  # ASCII digits only
+    if text.startswith("mod:"):
         try:
-            p = int(text[4:])
-        except ValueError as exc:  # beyond int()'s digit limit
-            raise FieldError(f"bad field spec {text!r}") from exc
+            p = parse_natural(text[4:])
+        except ValueError:
+            raise FieldError(f"bad field spec {text!r}") from None
         return PrimeField(p)
     raise FieldError(f"bad field spec {text!r}")

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import re
 from typing import Iterable, Optional, Sequence, Union
 
+from .fields import parse_natural
+
 _ID_RE = re.compile(r"[A-Za-z0-9_^()]+\Z")
-_WEIGHT_RE = re.compile(r"[0-9]+\Z")  # ASCII digits only: no sign, "_" or other scripts
 
 
 class GraphError(ValueError):
@@ -246,13 +247,10 @@ def _parse_lines(text: str, expect_weight_one: bool):
                     raise GraphSyntaxError(lineno, column(token), f"bad id {token!r}")
             if len(parts) == 5:
                 try:
-                    if not _WEIGHT_RE.match(parts[4]):
-                        raise ValueError(parts[4])
-                    weight = int(parts[4])  # ValueError beyond int()'s digit limit
+                    weight = parse_natural(parts[4])
                 except ValueError:
-                    raise GraphSyntaxError(
-                        lineno, column(parts[4]), f"bad weight {parts[4]!r}"
-                    ) from None
+                    raise GraphSyntaxError(lineno, column(parts[4]),
+                                           f"bad weight {parts[4]!r}") from None
             else:
                 weight = 1
             if expect_weight_one and weight != 1:
@@ -308,13 +306,15 @@ def graph_to_records(g: WeightedGraph) -> dict:
 
 
 def weighted_graph_from_records(records: dict) -> WeightedGraph:
-    return WeightedGraph(
-        records["vertices"],
-        [
-            EdgeRecord(e["id"], e["source"], e["range"], int(e.get("weight", 1)))
-            for e in records["edges"]
-        ],
-    )
+    """Inverse of :func:`graph_to_records`; a weight is read as the text parser reads it."""
+    edges = []
+    for e in records["edges"]:
+        try:
+            edges.append(EdgeRecord(e["id"], e["source"], e["range"],
+                                    parse_natural(str(e.get("weight", 1)))))
+        except ValueError:
+            raise BadWeightError(f"edge {e['id']!r}: bad weight {e['weight']!r}") from None
+    return WeightedGraph(records["vertices"], edges)
 
 
 # -- graph-theoretic primitives ----------------------------------------------

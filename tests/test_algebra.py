@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from random import Random
 
@@ -340,6 +341,19 @@ def test_zero_component_count():
 
     lonely = Algebra(parse_weighted_graph("vertex v"))
     assert lonely.zero_component_count(9) == 1
+
+
+@pytest.mark.parametrize("text", ["vertex v", "vertex u\nvertex v\nedge e u v 1",
+                                  "vertex u\nvertex v\nedge e u v 2"])
+def test_counting_stops_at_the_last_nod_word(text):
+    # finitely many nod-words: a huge max_len walks only to the longest one
+    algebra = Algebra(parse_weighted_graph(text))
+    huge = 10**9
+    counts = list(islice(algebra.nodword_counts(huge), 4))
+    assert 1 <= len(counts) <= 3 and counts[-1] > 0
+    assert algebra.growth(huge) == algebra.growth(5) == sum(counts)
+    assert algebra.zero_component_count(huge) == algebra.zero_component_count(5)
+    assert algebra.enumerate_nodwords(huge, budget=100) == algebra.enumerate_nodwords(5)
 
 
 def test_zero_component_matches_enumeration():

@@ -185,6 +185,20 @@ def test_cli_basis_budget_counts_words_explored():
         1, "", "enumeration exceeded the budget of 2 words\n")
 
 
+def test_cli_huge_length_on_finitely_many_nod_words():
+    # the default budget is charged only for lengths that hold a nod-word
+    assert invoke("basis", "1000000000", "--input", "-", stdin_text="vertex v\n") == (
+        0, "v\n", "")
+    # a table walks to the longest nod-word and repeats the last total after it
+    text = "vertex u\nvertex v\nedge e u v 2\n"
+    algebra = Algebra(parse_weighted_graph(text))
+    for command, count in (("growth", algebra.growth),
+                           ("zero-dim", algebra.zero_component_count)):
+        code, out, _ = invoke(command, "6", "--input", "-", stdin_text=text)
+        assert code == 0
+        assert out == "".join(f"{n}\t{count(n)}\n" for n in range(7))
+
+
 @pytest.mark.parametrize("command", ["growth", "zero-dim"])
 def test_cli_table_walks_once(monkeypatch, command):
     calls = dict.fromkeys(["nodword_counts", "growth", "zero_component_count"], 0)

@@ -82,6 +82,15 @@ def test_parse_weight_is_ascii_digits(weight):
     assert err.value.line == 2 and f"bad weight {weight!r}" in str(err.value)
 
 
+@pytest.mark.parametrize("weight", [2.7, "\u0662", "1_0", True, -1, "2 "])
+def test_records_weight_is_read_as_in_text(weight):
+    # int() reads these as 2, 2, 10, 1, -1 and 2
+    records = {"vertices": ["v"], "edges": [
+        {"id": "a", "source": "v", "range": "v", "weight": weight}]}
+    with pytest.raises(BadWeightError, match="bad weight"):
+        weighted_graph_from_records(records)
+
+
 def test_parse_syntax_error_reports_position():
     with pytest.raises(GraphSyntaxError) as err:
         parse_weighted_graph("vertex v\nedgy a v v 1")

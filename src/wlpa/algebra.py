@@ -150,6 +150,15 @@ _ZERO = object()  # pair annihilates
 _NORMAL = object()  # word is already normal
 
 
+def _add_term(acc: dict, word: tuple[int, ...], coeff) -> None:
+    prev = acc.get(word)  # not 0 + coeff: that builds a second Fraction
+    total = coeff if prev is None else prev + coeff
+    if total:
+        acc[word] = total
+    elif prev is not None:
+        del acc[word]
+
+
 class Algebra:
     """The weighted Leavitt path algebra of a graph over an exact field.
 
@@ -330,8 +339,9 @@ class Algebra:
         """Normal form of a single word as {word: integer coefficient}.
 
         Rule coefficients are integers, so word normal forms live over the
-        integers and are scaled into the active field at the element
-        boundary.  Computed iteratively with full memoization.
+        integers whatever the field; :meth:`_combine` scales them by plain
+        numbers and :meth:`_lift` reduces the sums into the field.  Computed
+        iteratively with full memoization.
         """
         memo = self._memo_right if right else self._memo_left
         hit = memo.get(w0)
@@ -375,19 +385,32 @@ class Algebra:
         return memo[w0]
 
     def _scalar(self, x):
+        """``x`` as the plain number that stands for it in an element's support."""
         if isinstance(x, bool):
             raise AlgebraError("boolean is not a scalar")
-        if isinstance(x, int):
-            return self.field.from_int(x)
         if isinstance(x, str):
-            return self.field.parse(x)
-        if isinstance(self.field, Rationals) and isinstance(x, Fraction):
-            return x
+            return self._scalar(self.field.parse(x))
+        if isinstance(x, int) or (isinstance(self.field, Rationals) and isinstance(x, Fraction)):
+            return self.field.reduce(x)
         if isinstance(self.field, PrimeField) and isinstance(x, ModInt):
             if x.modulus != self.field.p:
                 raise MixedContextError("scalar from a different prime field")
-            return x
+            return x.value
         raise AlgebraError(f"cannot coerce {x!r} into {self.field.name}")
+
+    def _combine(self, pairs, right: bool = False) -> dict:
+        """Sum ``k * nf(w)`` over ``(plain number k, word ids w)`` pairs, not yet reduced."""
+        acc: dict[tuple[int, ...], object] = {}
+        nf_word = self._nf_word
+        for k, ids in pairs:
+            for w, c in nf_word(ids, right).items():
+                _add_term(acc, w, k * c)
+        return acc
+
+    def _lift(self, acc: dict) -> "AlgebraElement":
+        """The element with the coefficients of ``acc`` reduced by the field, zeros dropped."""
+        reduce = self.field.reduce
+        return AlgebraElement(self, {w: r for w, c in acc.items() if (r := reduce(c))})
 
     def normalize(self, terms, strategy: str = "left") -> "AlgebraElement":
         """Normal form of a formal scalar combination of words.
@@ -398,22 +421,12 @@ class Algebra:
         """
         if strategy not in ("left", "right"):
             raise AlgebraError(f"unknown strategy {strategy!r}")
-        right = strategy == "right"
-        out: dict[tuple[int, ...], object] = {}
+        pairs = []
         for scalar, word in terms:
             c = self._scalar(scalar)
-            if not c:
-                continue
-            ids = self._intern_word(word)
-            for w2, k in self._nf_word(ids, right).items():
-                coeff = c * self.field.from_int(k)
-                prev = out.get(w2)
-                total = coeff if prev is None else prev + coeff
-                if total:
-                    out[w2] = total
-                elif w2 in out:
-                    del out[w2]
-        return AlgebraElement(self, out)
+            if c:
+                pairs.append((c, self._intern_word(word)))
+        return self._lift(self._combine(pairs, strategy == "right"))
 
     # -- element constructors -------------------------------------------
 
@@ -580,7 +593,12 @@ class Algebra:
 
 
 class AlgebraElement:
-    """A finitely supported combination of nod-words over a fixed algebra."""
+    """A finitely supported combination of nod-words over a fixed algebra.
+
+    ``_support`` maps word ids to nonzero plain numbers in the canonical
+    form of the field's ``reduce``; field scalars are built only on the way
+    out, by :meth:`terms`.
+    """
 
     __slots__ = ("_algebra", "_support")
 
@@ -611,46 +629,26 @@ class AlgebraElement:
         self._check_context(other)
         out = dict(self._support)
         for w, c in other._support.items():
-            prev = out.get(w)
-            total = c if prev is None else prev + c
-            if total:
-                out[w] = total
-            elif w in out:
-                del out[w]
-        return AlgebraElement(self._algebra, out)
+            _add_term(out, w, c)
+        return self._algebra._lift(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self._algebra, {w: -c for w, c in self._support.items()})
+        return self._algebra._lift({w: -c for w, c in self._support.items()})
 
     def scaled(self, scalar) -> "AlgebraElement":
         c = self._algebra._scalar(scalar)
-        if not c:
-            return self._algebra.zero()
-        return AlgebraElement(
-            self._algebra, {w: c * k for w, k in self._support.items()}
-        )
+        return self._algebra._lift({w: c * k for w, k in self._support.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_context(other)
             alg = self._algebra
-            out: dict[tuple[int, ...], object] = {}
-            from_int = alg.field.from_int
-            for wa, ca in self._support.items():
-                for wb, cb in other._support.items():
-                    c = ca * cb
-                    for w2, k in alg._nf_word(wa + wb).items():
-                        coeff = c * from_int(k)
-                        prev = out.get(w2)
-                        total = coeff if prev is None else prev + coeff
-                        if total:
-                            out[w2] = total
-                        elif w2 in out:
-                            del out[w2]
-            return AlgebraElement(alg, out)
+            return alg._lift(alg._combine((ca * cb, wa + wb)
+                                          for wa, ca in self._support.items()
+                                          for wb, cb in other._support.items()))
         return self.scaled(other)
 
     def __rmul__(self, other):
@@ -698,16 +696,11 @@ class AlgebraElement:
 
     # -- inspection -------------------------------------------------------
 
-    def _ordered_items(self):
-        alg = self._algebra
-        return sorted(
-            self._support.items(), key=lambda kv: (alg._word_length(kv[0]), kv[0])
-        )
-
     def terms(self) -> list[tuple[object, Word]]:
-        """(coefficient, word) pairs in length-then-lex order."""
+        """(field scalar, word) pairs in length-then-lex order."""
         alg = self._algebra
-        return [(c, alg._genword(w)) for w, c in self._ordered_items()]
+        items = sorted(self._support.items(), key=lambda kv: (alg._word_length(kv[0]), kv[0]))
+        return [(alg.field.from_int(c), alg._genword(w)) for w, c in items]
 
     def support_words(self) -> list[Word]:
         return [w for _, w in self.terms()]
@@ -717,11 +710,11 @@ class AlgebraElement:
             return "0"
         alg = self._algebra
         pieces = []
-        for w, c in self._ordered_items():
+        for c, word in self.terms():
             text = alg.field.render(c)
             negative = text.startswith("-")
             magnitude = text[1:] if negative else text
-            word_text = alg.render_word(alg._genword(w))
+            word_text = alg.render_word(word)
             term = word_text if magnitude == "1" else f"{magnitude} {word_text}"
             pieces.append((negative, term))
         first_neg, first_term = pieces[0]
@@ -731,14 +724,9 @@ class AlgebraElement:
         return " ".join(parts)
 
     def to_records(self) -> list[dict]:
-        alg = self._algebra
-        return [
-            {
-                "coeff": alg.field.render(c),
-                "word": [g.token() for g in alg._genword(w)],
-            }
-            for w, c in self._ordered_items()
-        ]
+        render = self._algebra.field.render
+        return [{"coeff": render(c), "word": [g.token() for g in word]}
+                for c, word in self.terms()]
 
     def __repr__(self):
         return f"<{self.render()}>"
@@ -837,7 +825,8 @@ def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement]
     evaluated only for v = u and for the v whose image has a word starting
     where a word of u's image ends (found by bucketing the images by
     source vertex); every other pair gives 0 = 0 and is counted as holding
-    without being built.
+    without being built.  Each instance is one :func:`evaluate_relation`
+    call over the images' plain-number coefficients.
     """
     vertices = g.vertices
     ends = [_image(mapping, Generator.vertex(v)).endpoints() for v in vertices]
@@ -882,60 +871,32 @@ def _image(mapping: dict[Generator, AlgebraElement], gen: Generator) -> AlgebraE
         raise UnknownGeneratorError(f"no image fixed for generator {gen.token()!r}") from None
 
 
-def _add_term(acc: dict, word: tuple[int, ...], coeff) -> None:
-    total = acc.get(word, 0) + coeff
-    if total:
-        acc[word] = total
-    elif word in acc:
-        del acc[word]
-
-
 def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
                       target: Algebra) -> AlgebraElement:
     """Value of ``terms`` under a generator assignment.
 
     ``terms`` are the (coefficient, word) pairs of a relation instance or
-    of an element, as in :func:`apply_generator_map`.  The coefficients of
-    the terms and of each letter's image are lowered once per call to plain
-    numbers by the field's ``lower``; the support words are multiplied
-    through the integer word normal forms, and each surviving coefficient
-    is mapped back into the field once at the end.  This is exact: ints
-    and Fractions mix exactly, and Z -> F_p is a ring map.
+    of an element, as in :func:`apply_generator_map`.  The images' plain
+    numbers are multiplied as they are stored, through the integer word
+    normal forms, and the sum is reduced into the field once at the end.
+    This is exact: ints and Fractions mix exactly, and Z -> F_p is a ring
+    map.
     """
-    lower = target.field.lower
-    nf_word = target._nf_word
-    lowered: dict[Generator, dict] = {}
     acc: dict[tuple[int, ...], object] = {}
     for coeff, gens in terms:
         product: Optional[dict] = None
         for gen in gens:
-            factor = lowered.get(gen)
-            if factor is None:
-                image = _image(mapping, gen)
-                if image.algebra is not target:
-                    raise MixedContextError("elements belong to different algebras")
-                factor = lowered[gen] = {w: lower(c) for w, c in image._support.items()}
-            if product is None:
-                product = factor
-                continue
-            step: dict[tuple[int, ...], object] = {}
-            for wa, ca in product.items():
-                for wb, cb in factor.items():
-                    c = ca * cb
-                    for w2, k in nf_word(wa + wb).items():
-                        _add_term(step, w2, c * k)
-            product = step
+            image = _image(mapping, gen)
+            if image.algebra is not target:
+                raise MixedContextError("elements belong to different algebras")
+            factor = image._support
+            product = factor if product is None else target._combine(
+                (ca * cb, wa + wb) for wa, ca in product.items() for wb, cb in factor.items())
         assert product is not None
-        c = lower(target._scalar(coeff))
+        c = target._scalar(coeff)
         for w, k in product.items():
             _add_term(acc, w, c * k)
-    from_int = target.field.from_int
-    out = {}
-    for w, k in acc.items():
-        value = from_int(k)
-        if value:
-            out[w] = value
-    return AlgebraElement(target, out)
+    return target._lift(acc)
 
 
 def identity_map(algebra: Algebra) -> dict[Generator, AlgebraElement]:

@@ -1,11 +1,13 @@
 """Scalar fields for algebra coefficients: exact rationals and prime fields.
 
-Coefficients are always exact; floating point is never used.  Scalars of a
-field support ``+``, ``-``, ``*`` and truthiness (nonzero test) directly, so
-the algebra engine can stay agnostic about which field is active.  Each
-field's ``lower`` turns a scalar into a plain Python number (``int`` or
-``Fraction``) for loops that multiply many coefficients, and ``from_int``
-maps such a number back; both are ring maps, so the result is exact.
+Coefficients are always exact; floating point is never used.  Inside an
+element they are plain Python numbers, so one arithmetic path serves every
+field: over Q an ``int`` when integral, else a ``Fraction``; over F_p the
+residue in ``0 .. p-1``.  A field only says how scalars enter and leave:
+``parse`` reads a literal, ``reduce`` brings a plain number to its canonical
+form (Z -> F_p is a ring map, so sums and products may be reduced once, at
+the end), and ``from_int`` turns a plain number into the field's scalar type
+(``Fraction`` or :class:`ModInt`) for output.
 """
 
 from __future__ import annotations
@@ -29,14 +31,11 @@ class Rationals:
 
     name = "rational"
 
-    zero = Fraction(0)
-    one = Fraction(1)
-
     def from_int(self, n: int | Fraction) -> Fraction:
         return Fraction(n)
 
-    def lower(self, x: Fraction):
-        """``x`` as a plain number: an ``int`` when integral, else the ``Fraction``."""
+    def reduce(self, x: int | Fraction) -> int | Fraction:
+        """``x`` in canonical form: an ``int`` when integral, else the ``Fraction``."""
         return x.numerator if x.denominator == 1 else x
 
     def parse(self, text: str) -> Fraction:
@@ -109,16 +108,32 @@ class ModInt:
         return f"ModInt({self.value}, {self.modulus})"
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PRIMALITY_BOUND (Sorenson and Webster 2015); the bound is composite.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether ``n`` is prime; exact for ``n < PRIMALITY_BOUND``."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -126,19 +141,19 @@ class PrimeField:
     """The prime field Z/pZ."""
 
     def __init__(self, p: int):
+        if p >= PRIMALITY_BOUND:
+            raise FieldError(f"modulus too large: it must be below {PRIMALITY_BOUND}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.name = f"mod:{p}"
-        self.zero = ModInt(0, p)
-        self.one = ModInt(1, p)
 
     def from_int(self, n: int) -> ModInt:
         return ModInt(n, self.p)
 
-    def lower(self, x: ModInt) -> int:
-        """``x`` as a plain number: its residue in ``0 .. p-1``."""
-        return x.value
+    def reduce(self, n: int) -> int:
+        """``n`` in canonical form: its residue in ``0 .. p-1``."""
+        return n % self.p
 
     def parse(self, text: str) -> ModInt:
         # Accept "a" or "a/b" with b invertible mod p.

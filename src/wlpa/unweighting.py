@@ -355,9 +355,10 @@ def verify_families(g: WeightedGraph, g_tilde: Graph, fwd: FamilyMap,
     The relations are checked by :func:`relation_failures`, which builds
     relation (i) ``u v = d_uv u`` only for u = v and for the pairs whose
     images meet (a range of u's image is a source of v's) and counts the
-    other pairs as holding; each evaluation multiplies over plain numbers
-    and maps the result into the field once.  Counts and failure labels
-    are those of evaluating every item of :func:`relation_instances`.
+    other pairs as holding; each evaluation multiplies the plain numbers
+    the images store and reduces the sum into the field once.  Counts and
+    failure labels are those of evaluating every item of
+    :func:`relation_instances`.
     """
     fwd_values = list(fwd.assignments.values())
     bwd_values = list(bwd.assignments.values())

@@ -26,6 +26,7 @@ from wlpa import (
     relation_instances,
     validate_choice,
 )
+from wlpa.fields import ModInt
 
 from graphgen import random_lpa_satisfying_graph, random_weighted_graph, small_graphs
 from oracles import (
@@ -172,14 +173,19 @@ def test_relation_soundness_random_graphs():
             assert value.is_zero(), (label, value)
 
 
-def test_ring_axioms_on_random_basis_words():
+# 2^61 - 1: a product of two residues needs more than 64 bits
+FIELDS = ["rational", "mod:7", "mod:2305843009213693951"]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ring_axioms_on_random_basis_words(field):
     rng = Random(52003)
     checked = 0
     while checked < 120:
         g = random_weighted_graph(rng, max_vertices=4, max_edges=5, max_weight=3)
         if not g.vertices or not g.edges:
             continue
-        algebra = Algebra(g)
+        algebra = Algebra(g, field=field_from_name(field))
         words = algebra.enumerate_nodwords(3)
         if len(words) < 3:
             continue
@@ -191,14 +197,26 @@ def test_ring_axioms_on_random_basis_words():
             checked += 1
 
 
-def test_scalar_arithmetic():
-    algebra = Algebra(loop1())
+@pytest.mark.parametrize("field", FIELDS)
+def test_scalar_arithmetic(field):
+    algebra = Algebra(loop1(), field=field_from_name(field))
     a = algebra.edge("a", 1)
     v = algebra.vertex("v")
-    combo = a.scaled(Fraction(3, 2)) - v
-    assert combo == algebra.element([(Fraction(3, 2), (E("a", 1),)), (-1, (V("v"),))])
+    combo = a.scaled("3/2") - v
+    assert combo == algebra.element([("3/2", (E("a", 1),)), (-1, (V("v"),))])
     assert (combo - combo).is_zero()
     assert 2 * a == a + a
+    # coefficients leave as field scalars, never as the plain numbers kept inside
+    scalar_type = Fraction if field == "rational" else ModInt
+    assert [type(c) for c, _ in combo.terms()] == [scalar_type, scalar_type]
+    if field == "rational":
+        assert combo.terms() == [(Fraction(-1), (V("v"),)), (Fraction(3, 2), (E("a", 1),))]
+        return
+    p = algebra.field.p
+    assert ((p - 1) * v + v).is_zero()
+    assert v.scaled(p).is_zero()
+    assert (-v).render() == f"{p - 1} v"
+    assert combo.render() == f"{p - 1} v + {(3 * pow(2, -1, p)) % p} a.1"
 
 
 def test_mixed_context_rejected():

@@ -256,6 +256,26 @@ def test_cli_tables_are_total_and_count_built_words(text, command, max_len, budg
                                 for n in range(max_len + 1)]
 
 
+_TOTALITY_FIELDS = ["rational", "mod:2", "mod:7", "mod:2305843009213693951"]
+_EXPR_TOKENS = ["v0", "v1", "e0.1", "e0.2*", "e1.1*", "e2.1", "+", "-", "1/2 *", "3 *",
+                "(", ")"]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_small_graph_texts(), st.sampled_from(_TOTALITY_FIELDS),
+       st.lists(st.sampled_from(_EXPR_TOKENS), min_size=1, max_size=8).map(" ".join))
+def test_cli_other_commands_are_total(text, field, expression):
+    results = {}
+    for argv in (["validate"], ["check-lpa"], ["witness"], ["eval", expression],
+                 ["transform", "--verify"]):
+        code, out, err = invoke(*argv, "--input", "-", "--field", field, stdin_text=text)
+        assert code in (0, 1, 3) and "Traceback" not in err, (argv, code, err)
+        results[argv[0]] = code, out
+    if results["check-lpa"][0] == 0:
+        code, out = results["transform"]
+        assert code == 0 and "# verify: ok" in out
+
+
 def test_cli_transform_violated():
     code, out, _ = invoke("transform", "--input", fx("e2loops.wg"))
     assert code == 3 and "LPA2" in out
@@ -393,7 +413,7 @@ def test_cli_usage_errors():
     assert code == 1
 
 
-# -- machine format golden files ---------------------------------------------
+# -- golden files: machine format, text format for .txt --------------------
 
 
 @pytest.mark.parametrize(
@@ -409,13 +429,21 @@ def test_cli_usage_errors():
          ["witness", "--input", fx("e2loops.wg"), "--format", "machine"], 0),
         ("checklpa_lpa_all.json",
          ["check-lpa", "--input", fx("lpa_all.wg"), "--format", "machine"], 3),
+        # mod 7 the v terms cancel (-1 + 1/2 - 3 = -7/2) and -1/2 wraps to 3
+        ("eval_e2loops_mod7.json",
+         ["eval", "--input", fx("e2loops.wg"), "--field", "mod:7", "--format", "machine",
+          "-b.2 b.2* + 1/2 * b.1* b.1 - 3 * v"], 0),
+        ("eval_e2loops_mod7.txt",
+         ["eval", "--input", fx("e2loops.wg"), "--field", "mod:7",
+          "-b.2 b.2* + 1/2 * b.1* b.1 - 3 * v"], 0),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):
     code, out, _ = invoke(*argv)
     assert code == expected_code
     assert out == (FIXTURES / golden).read_text()
-    json.loads(out)  # well-formed
+    if golden.endswith(".json"):
+        json.loads(out)  # well-formed
 
 
 def test_cli_transform_machine_payload():

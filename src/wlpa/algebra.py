@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Optional
 
 from .fields import RATIONALS, ModInt, PrimeField, Rationals
@@ -159,6 +159,25 @@ def _add_term(acc: dict, word: tuple[int, ...], coeff) -> None:
         del acc[word]
 
 
+def _letters(graph: WeightedGraph):
+    """The letters of ``graph`` in canonical order, with the ids of the strands.
+
+    Canonical order: vertices in graph order, then per edge in graph order
+    the strands e_1..e_w followed by e_1^*..e_w^*.  Returns ``(gens,
+    edge_id, star_id)``, where ``edge_id[(e, i)]`` and ``star_id[(e, i)]``
+    are the ids of e_i and e_i^*.
+    """
+    gens = [Generator.vertex(v) for v in graph.vertices]
+    edge_id: dict[tuple[str, int], int] = {}
+    star_id: dict[tuple[str, int], int] = {}
+    for e in graph.edges:
+        for ids, make in ((edge_id, Generator.edge), (star_id, Generator.star)):
+            for i in range(1, e.weight + 1):
+                ids[(e.id, i)] = len(gens)
+                gens.append(make(e.id, i))
+    return gens, edge_id, star_id
+
+
 class Algebra:
     """The weighted Leavitt path algebra of a graph over an exact field.
 
@@ -177,20 +196,11 @@ class Algebra:
         validate_choice(graph, self.choice)
         self.field = field
 
-        # Letter tables.  Canonical order: vertices in graph order, then per
-        # edge in graph order the strands e_1..e_w followed by e_1^*..e_w^*.
-        gens: list[Generator] = [Generator.vertex(v) for v in graph.vertices]
-        src: list[str] = list(graph.vertices)
-        rng: list[str] = list(graph.vertices)
+        gens, self._edge_strand_id, self._star_strand_id = _letters(graph)
+        src, rng = list(graph.vertices), list(graph.vertices)
         for e in graph.edges:
-            for i in range(1, e.weight + 1):
-                gens.append(Generator.edge(e.id, i))
-                src.append(e.source)
-                rng.append(e.range)
-            for i in range(1, e.weight + 1):
-                gens.append(Generator.star(e.id, i))
-                src.append(e.range)
-                rng.append(e.source)
+            src += [e.source] * e.weight + [e.range] * e.weight
+            rng += [e.range] * e.weight + [e.source] * e.weight
         self._gens = tuple(gens)
         self._src = tuple(src)
         self._rng = tuple(rng)
@@ -201,19 +211,9 @@ class Algebra:
         self._rng_id = tuple(self._vertex_id[v] for v in rng)
         self._nonvertex_ids = tuple(range(self._nv, len(gens)))
 
-        self._edge_strand_id = {}
-        self._star_strand_id = {}
-        for i in range(self._nv, len(gens)):
-            g = gens[i]
-            key = (g.name, g.index)
-            if g.kind == "edge":
-                self._edge_strand_id[key] = i
-            else:
-                self._star_strand_id[key] = i
-
         self._star_of = list(range(len(gens)))
-        for (name, idx), i in self._edge_strand_id.items():
-            j = self._star_strand_id[(name, idx)]
+        for key, i in self._edge_strand_id.items():
+            j = self._star_strand_id[key]
             self._star_of[i] = j
             self._star_of[j] = i
 
@@ -683,12 +683,6 @@ class AlgebraElement:
     def is_idempotent(self) -> bool:
         return (self * self) == self
 
-    def endpoints(self) -> tuple[set[str], set[str]]:
-        """The source vertices and the range vertices of the support words."""
-        alg = self._algebra
-        return ({alg._src[w[0]] for w in self._support},
-                {alg._rng[w[-1]] for w in self._support})
-
     def min_support_length(self):
         if not self._support:
             return ZERO_ELEMENT
@@ -743,48 +737,40 @@ def relation_instances(g: WeightedGraph):
     algebra iff the sum of the terms is zero.  Strand indices beyond an
     edge's weight are dropped, matching the convention that those strands
     are zero.  Relation (i) comes first, one instance per ordered pair of
-    vertices (u-major, both in graph order), then (ii)-(iv);
-    :func:`relation_failures` checks the same instances without building
-    the |V|^2 instances of (i) that hold trivially.
+    vertices (u-major, both in graph order), then (ii)-(iv).  The instances
+    are enumerated over letter ids, as :func:`relation_failures` checks
+    them, and only named here, by the letters of :func:`_letters`.
     """
-    for u in g.vertices:
-        for v in g.vertices:
-            yield _vertex_relation(u, v)
-    yield from _edge_relations(g)
+    gens, edge_id, star_id = _letters(g)
+    n = len(g.vertices)
+    pairs = (_vertex_relation(g, i, j) for i in range(n) for j in range(n))
+    for label, terms in chain(pairs, _edge_relations(g, edge_id, star_id)):
+        yield label, [(k, [gens[t] for t in word]) for k, word in terms]
 
 
-def _vertex_relation(u: str, v: str):
-    """Relation (i) for the ordered pair (u, v): ``u v = d_uv u``."""
-    terms = [(1, [Generator.vertex(u), Generator.vertex(v)])]
-    if u == v:
-        terms.append((-1, [Generator.vertex(u)]))
-    return f"(i) {u} {v}", terms
+def _vertex_relation(g: WeightedGraph, i: int, j: int):
+    """Relation (i) for the ordered pair of vertex ids (i, j): ``u v = d_uv u``."""
+    terms = [(1, (i, j))]
+    if i == j:
+        terms.append((-1, (i,)))
+    return f"(i) {g.vertices[i]} {g.vertices[j]}", terms
 
 
-def _edge_relations(g: WeightedGraph):
-    """The instances of relations (ii)-(iv), as in :func:`relation_instances`."""
-    V = Generator.vertex
-    E = Generator.edge
-    S = Generator.star
+def _edge_relations(g: WeightedGraph, edge: dict, star: dict):
+    """The instances of relations (ii)-(iv) over letter ids, in :func:`relation_instances` order.
 
+    Vertex ids are graph positions; ``edge`` and ``star`` are the strand
+    ids of :func:`_letters`.
+    """
+    vert = {v: i for i, v in enumerate(g.vertices)}
     for e in g.edges:
+        s, r = vert[e.source], vert[e.range]
         for i in range(1, e.weight + 1):
-            yield (
-                f"(ii) source {e.id}.{i}",
-                [(1, [V(e.source), E(e.id, i)]), (-1, [E(e.id, i)])],
-            )
-            yield (
-                f"(ii) range {e.id}.{i}",
-                [(1, [E(e.id, i), V(e.range)]), (-1, [E(e.id, i)])],
-            )
-            yield (
-                f"(ii) star-range {e.id}.{i}",
-                [(1, [V(e.range), S(e.id, i)]), (-1, [S(e.id, i)])],
-            )
-            yield (
-                f"(ii) star-source {e.id}.{i}",
-                [(1, [S(e.id, i), V(e.source)]), (-1, [S(e.id, i)])],
-            )
+            a, b = edge[(e.id, i)], star[(e.id, i)]
+            yield f"(ii) source {e.id}.{i}", [(1, (s, a)), (-1, (a,))]
+            yield f"(ii) range {e.id}.{i}", [(1, (a, r)), (-1, (a,))]
+            yield f"(ii) star-range {e.id}.{i}", [(1, (r, b)), (-1, (b,))]
+            yield f"(ii) star-source {e.id}.{i}", [(1, (b, s)), (-1, (b,))]
 
     for v in g.vertices:
         out = g.out_edges(v)
@@ -793,24 +779,18 @@ def _edge_relations(g: WeightedGraph):
         wv = vertex_weight(g, v)
         for e in out:
             for f in out:
-                terms = [
-                    (1, [S(e.id, i), E(f.id, i)])
-                    for i in range(1, wv + 1)
-                    if i <= e.weight and i <= f.weight
-                ]
+                terms = [(1, (star[(e.id, i)], edge[(f.id, i)]))
+                         for i in range(1, min(e.weight, f.weight) + 1)]
                 if e.id == f.id:
-                    terms.append((-1, [V(e.range)]))
-                yield (f"(iii) {v} {e.id} {f.id}", terms)
+                    terms.append((-1, (vert[e.range],)))
+                yield f"(iii) {v} {e.id} {f.id}", terms
         for i in range(1, wv + 1):
             for j in range(1, wv + 1):
-                terms = [
-                    (1, [E(e.id, i), S(e.id, j)])
-                    for e in out
-                    if e.weight >= max(i, j)
-                ]
+                terms = [(1, (edge[(e.id, i)], star[(e.id, j)]))
+                         for e in out if e.weight >= max(i, j)]
                 if i == j:
-                    terms.append((-1, [V(v)]))
-                yield (f"(iv) {v} {i} {j}", terms)
+                    terms.append((-1, (vert[v],)))
+                yield f"(iv) {v} {i} {j}", terms
 
 
 def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement],
@@ -818,37 +798,84 @@ def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement]
     """Check every instance of :func:`relation_instances` under ``mapping``.
 
     Returns the number of instances and the labels of those whose value in
-    ``target`` is not zero, in :func:`relation_instances` order.  Relation
-    (i) is decided without a product per ordered pair of vertices.  The
-    image of ``u v`` is a sum of products ``a b`` of support words of the
-    images of u and v, and ``a b = 0`` when r(a) != s(b).  So ``u v`` is
-    evaluated only for v = u and for the v whose image has a word starting
-    where a word of u's image ends (found by bucketing the images by
-    source vertex); every other pair gives 0 = 0 and is counted as holding
-    without being built.  Each instance is one :func:`evaluate_relation`
-    call over the images' plain-number coefficients.
+    ``target`` is not zero, in :func:`relation_instances` order.  The map
+    is lowered once (:func:`_lower`) and each instance is one
+    :func:`_compose` of its letter-id words; see :func:`_relation_failures`.
     """
-    vertices = g.vertices
-    ends = [_image(mapping, Generator.vertex(v)).endpoints() for v in vertices]
-    starting_at: dict[str, list[int]] = {}
-    for j, (sources, _) in enumerate(ends):
-        for s in sources:
+    gens, edge_id, star_id = _letters(g)
+    return _relation_failures(g, edge_id, star_id, _lower(mapping, gens, target), target)
+
+
+def _relation_failures(g: WeightedGraph, edge: dict, star: dict, images: list,
+                       target: Algebra) -> tuple[int, list[str]]:
+    """:func:`relation_failures` for a map lowered over the letters of ``g``.
+
+    Relation (i) is decided without a product per ordered pair of
+    vertices.  The image of ``u v`` is a sum of products ``a b`` of support
+    words of the images of u and v, and ``a b = 0`` when r(a) != s(b).  So
+    ``u v`` is evaluated only for v = u and for the v whose image has a
+    word starting where a word of u's image ends (found by bucketing the
+    images by source vertex); every other pair gives 0 = 0 and is counted
+    as holding without being built.  An instance holds when every
+    coefficient of its composed value reduces to zero in the field.
+    """
+    n = len(g.vertices)
+    ends = [{target._rng_id[w[-1]] for w in images[i]} for i in range(n)]
+    starting_at: dict[int, list[int]] = {}
+    for j in range(n):
+        for s in {target._src_id[w[0]] for w in images[j]}:
             starting_at.setdefault(s, []).append(j)
+    meeting = [sorted({i}.union(*(starting_at.get(r, ()) for r in ends[i]))) for i in range(n)]
+    instances = chain((_vertex_relation(g, i, j) for i in range(n) for j in meeting[i]),
+                      _edge_relations(g, edge, star))
+    reduce = target.field.reduce
+    count = n * n - sum(map(len, meeting))  # the pairs of (i) that are not built
     failures = []
-    for i, u in enumerate(vertices):
-        meeting = {i}
-        for r in ends[i][1]:
-            meeting.update(starting_at.get(r, ()))
-        for j in sorted(meeting):
-            label, terms = _vertex_relation(u, vertices[j])
-            if not evaluate_relation(terms, mapping, target).is_zero():
-                failures.append(label)
-    count = len(vertices) ** 2
-    for label, terms in _edge_relations(g):
+    for label, terms in instances:
         count += 1
-        if not evaluate_relation(terms, mapping, target).is_zero():
+        if any(map(reduce, _compose(terms, images, target).values())):
             failures.append(label)
     return count, failures
+
+
+def _lower(mapping: dict[Generator, AlgebraElement], letters: Iterable[Generator],
+           target: Algebra) -> list[dict]:
+    """The support of the image of each of ``letters`` under ``mapping``, in order.
+
+    This is a map lowered to letter ids: :func:`_compose` reads the image
+    of letter ``t`` as entry ``t``.  Raises :class:`UnknownGeneratorError`
+    for a letter with no image and :class:`MixedContextError` for an image
+    that is not an element of ``target``.
+    """
+    images = []
+    for gen in letters:
+        try:
+            image = mapping[gen]
+        except KeyError:
+            raise UnknownGeneratorError(f"no image fixed for generator {gen.token()!r}") from None
+        if image.algebra is not target:
+            raise MixedContextError("elements belong to different algebras")
+        images.append(image._support)
+    return images
+
+
+def _compose(pairs, images: list, target: Algebra) -> dict:
+    """Sum ``k * images[t_1] ... images[t_n]`` over ``(plain number k, letter-id word)`` pairs.
+
+    ``images`` is a map lowered by :func:`_lower`.  Each product of two
+    images is normalized by ``target._combine``, through the integer word
+    normal forms; the sum is not yet reduced into the field.  This is
+    exact: ints and Fractions mix exactly, and Z -> F_p is a ring map.
+    """
+    acc: dict[tuple[int, ...], object] = {}
+    for k, word in pairs:
+        product = images[word[0]]
+        for t in word[1:]:
+            product = target._combine((ca * cb, wa + wb) for wa, ca in product.items()
+                                      for wb, cb in images[t].items())
+        for w, c in product.items():
+            _add_term(acc, w, k * c)
+    return acc
 
 
 def apply_generator_map(element: AlgebraElement,
@@ -857,18 +884,14 @@ def apply_generator_map(element: AlgebraElement,
     """Image of ``element`` under a map fixed on generators.
 
     Each letter of each support word is replaced by its image in ``target``
-    and the images are multiplied in order.
+    and the images are multiplied in order: one :func:`evaluate_relation`
+    of the element's terms.
     """
     if element.algebra.field != target.field:
         raise MixedContextError("source and target algebras use different fields")
-    return evaluate_relation(element.terms(), mapping, target)
-
-
-def _image(mapping: dict[Generator, AlgebraElement], gen: Generator) -> AlgebraElement:
-    try:
-        return mapping[gen]
-    except KeyError:
-        raise UnknownGeneratorError(f"no image fixed for generator {gen.token()!r}") from None
+    gens = element.algebra._gens
+    return evaluate_relation([(c, [gens[t] for t in w]) for w, c in element._support.items()],
+                             mapping, target)
 
 
 def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
@@ -876,27 +899,16 @@ def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
     """Value of ``terms`` under a generator assignment.
 
     ``terms`` are the (coefficient, word) pairs of a relation instance or
-    of an element, as in :func:`apply_generator_map`.  The images' plain
-    numbers are multiplied as they are stored, through the integer word
-    normal forms, and the sum is reduced into the field once at the end.
-    This is exact: ints and Fractions mix exactly, and Z -> F_p is a ring
-    map.
+    of an element, as in :func:`apply_generator_map`.  Only the letters the
+    words touch are lowered, numbered by first appearance; the value is one
+    :func:`_compose`, reduced into the field at the end.
     """
-    acc: dict[tuple[int, ...], object] = {}
-    for coeff, gens in terms:
-        product: Optional[dict] = None
-        for gen in gens:
-            image = _image(mapping, gen)
-            if image.algebra is not target:
-                raise MixedContextError("elements belong to different algebras")
-            factor = image._support
-            product = factor if product is None else target._combine(
-                (ca * cb, wa + wb) for wa, ca in product.items() for wb, cb in factor.items())
-        assert product is not None
-        c = target._scalar(coeff)
-        for w, k in product.items():
-            _add_term(acc, w, c * k)
-    return target._lift(acc)
+    local: dict[Generator, int] = {}
+    pairs = [(target._scalar(coeff), tuple(local.setdefault(gen, len(local)) for gen in gens))
+             for coeff, gens in terms]
+    if not all(word for _, word in pairs):
+        raise AlgebraError("words must be nonempty")
+    return target._lift(_compose(pairs, _lower(mapping, local, target), target))
 
 
 def identity_map(algebra: Algebra) -> dict[Generator, AlgebraElement]:

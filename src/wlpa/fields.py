@@ -26,6 +26,24 @@ def parse_natural(text: str) -> int:
     return int(text)
 
 
+def _parse_ratio(text: str, decimal: bool = False) -> tuple[int, int]:
+    """``[-]a`` or ``[-]a/b``, with ``decimal`` also ``[-]a.d``, as (numerator, denominator).
+
+    Every digit run is read by :func:`parse_natural`, so whitespace, ``_``,
+    ``+``, non-ASCII digits and a signed denominator raise ValueError.
+    """
+    negative = text.startswith("-")
+    body = text[1:] if negative else text
+    whole, dot, frac = body.partition(".") if decimal else (body, "", "")
+    if dot:
+        d = 10 ** len(frac)
+        n = parse_natural(whole) * d + parse_natural(frac)
+    else:
+        num, slash, den = body.partition("/")
+        n, d = parse_natural(num), parse_natural(den) if slash else 1
+    return (-n if negative else n), d
+
+
 class Rationals:
     """The field of rational numbers, backed by ``fractions.Fraction``."""
 
@@ -40,7 +58,7 @@ class Rationals:
 
     def parse(self, text: str) -> Fraction:
         try:
-            return Fraction(text)
+            return Fraction(*_parse_ratio(text, decimal=True))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
 
@@ -156,18 +174,12 @@ class PrimeField:
         return n % self.p
 
     def parse(self, text: str) -> ModInt:
-        # Accept "a" or "a/b" with b invertible mod p.
-        num, _, den = text.partition("/")
+        # Accept "[-]a" or "[-]a/b" with b invertible mod p.
         try:
-            value = ModInt(int(num), self.p)
+            n, d = _parse_ratio(text)
         except ValueError as exc:
             raise FieldError(f"bad scalar literal {text!r}") from exc
-        if den:
-            try:
-                value = value * ModInt(int(den), self.p).inverse()
-            except ValueError as exc:
-                raise FieldError(f"bad scalar literal {text!r}") from exc
-        return value
+        return ModInt(n, self.p) * ModInt(d, self.p).inverse()
 
     def render(self, x: ModInt) -> str:
         return str(x.value)

@@ -28,8 +28,10 @@ from .algebra import (
     Algebra,
     AlgebraElement,
     Generator,
-    apply_generator_map,
-    relation_failures,
+    MixedContextError,
+    _compose,
+    _lower,
+    _relation_failures,
 )
 from .fields import RATIONALS
 from .graphs import EdgeRecord, Graph, WeightedGraph, tree, weighted_edges
@@ -352,40 +354,47 @@ def verify_families(g: WeightedGraph, g_tilde: Graph, fwd: FamilyMap,
     ``g``, and that both round trips fix every generator.  Checking the
     round trips on generators suffices because the generators generate.
 
-    The relations are checked by :func:`relation_failures`, which builds
-    relation (i) ``u v = d_uv u`` only for u = v and for the pairs whose
-    images meet (a range of u's image is a source of v's) and counts the
-    other pairs as holding; each evaluation multiplies the plain numbers
-    the images store and reduces the sum into the field once.  Counts and
-    failure labels are those of evaluating every item of
+    Each map is lowered once (:func:`~wlpa.algebra._lower`) to a table of
+    image supports indexed by the letter ids of its domain, so no
+    generator is looked up per relation instance.  The relations are then
+    checked as :func:`relation_failures` checks them, which builds relation
+    (i) ``u v = d_uv u`` only for u = v and for the pairs whose images meet
+    and counts the other pairs as holding.  Each relation value and each
+    round trip is one :func:`~wlpa.algebra._compose` over a lowered table,
+    and a round trip is compared with the normal form of its letter.
+    Counts and failure labels are those of evaluating every item of
     :func:`relation_instances`.
     """
     fwd_values = list(fwd.assignments.values())
     bwd_values = list(bwd.assignments.values())
     tgt_algebra = fwd_values[0].algebra if fwd_values else Algebra(g_tilde)
     src_algebra = bwd_values[0].algebra if bwd_values else Algebra(g)
+    for graph, algebra in ((g, src_algebra), (g_tilde, tgt_algebra)):
+        if (algebra.graph.vertices, algebra.graph.edges) != (graph.vertices, graph.edges):
+            raise MixedContextError("family map images are not over the given graphs")
+    fwd_images = _lower(fwd.assignments, src_algebra._gens, tgt_algebra)
+    bwd_images = _lower(bwd.assignments, tgt_algebra._gens, src_algebra)
 
-    checked_fwd, failed_fwd = relation_failures(g, fwd.assignments, tgt_algebra)
-    checked_bwd, failed_bwd = relation_failures(g_tilde, bwd.assignments, src_algebra)
+    checked_fwd, failed_fwd = _relation_failures(
+        g, src_algebra._edge_strand_id, src_algebra._star_strand_id, fwd_images, tgt_algebra)
+    checked_bwd, failed_bwd = _relation_failures(
+        g_tilde, tgt_algebra._edge_strand_id, tgt_algebra._star_strand_id, bwd_images, src_algebra)
     failures = [f"forward {label}" for label in failed_fwd]
     failures += [f"backward {label}" for label in failed_bwd]
     counts = {
         "forward_relations": checked_fwd,
         "backward_relations": checked_bwd,
-        "roundtrip_source": 0,
-        "roundtrip_target": 0,
+        "roundtrip_source": len(fwd.assignments),
+        "roundtrip_target": len(bwd.assignments),
     }
 
-    for gen, image in fwd.assignments.items():
-        counts["roundtrip_source"] += 1
-        back = apply_generator_map(image, bwd.assignments, src_algebra)
-        if back != src_algebra.word((gen,)):
-            failures.append(f"roundtrip source {gen.token()}")
-    for gen, image in bwd.assignments.items():
-        counts["roundtrip_target"] += 1
-        forth = apply_generator_map(image, fwd.assignments, tgt_algebra)
-        if forth != tgt_algebra.word((gen,)):
-            failures.append(f"roundtrip target {gen.token()}")
+    for side, there, back, home in (("source", fwd, bwd_images, src_algebra),
+                                    ("target", bwd, fwd_images, tgt_algebra)):
+        for gen, image in there.assignments.items():
+            expected = home.word((gen,))  # first: a key that is no letter was not lowered
+            value = _compose([(c, w) for w, c in image._support.items()], back, home)
+            if home._lift(value) != expected:
+                failures.append(f"roundtrip {side} {gen.token()}")
 
     return FamilyVerification(
         ok=not failures, counts=counts, failures=tuple(failures)

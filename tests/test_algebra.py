@@ -23,6 +23,7 @@ from wlpa import (
     field_from_name,
     identity_map,
     parse_weighted_graph,
+    relation_failures,
     relation_instances,
     validate_choice,
 )
@@ -171,6 +172,23 @@ def test_relation_soundness_random_graphs():
         for label, terms in relation_instances(g):
             value = evaluate_relation(terms, mapping, algebra)
             assert value.is_zero(), (label, value)
+
+
+def test_relation_failures_agrees_with_each_instance():
+    rng = Random(52003)
+    for _ in range(20):
+        g = random_weighted_graph(rng, max_vertices=4, max_edges=5, max_weight=3)
+        if not g.vertices:
+            continue
+        algebra = Algebra(g)
+        mapping = identity_map(algebra)
+        vertex = V(g.vertices[0])
+        mapping[vertex] = mapping[vertex].scaled(2)
+        instances = list(relation_instances(g))
+        expected = [label for label, terms in instances
+                    if not evaluate_relation(terms, mapping, algebra).is_zero()]
+        assert expected
+        assert relation_failures(g, mapping, algebra) == (len(instances), expected)
 
 
 # 2^61 - 1: a product of two residues needs more than 64 bits
@@ -470,6 +488,8 @@ def test_apply_generator_map_rejections():
     del mapping[S("e2", 1)]
     with pytest.raises(UnknownGeneratorError):
         apply_generator_map(element, mapping, source)
+    with pytest.raises(AlgebraError, match="nonempty"):
+        evaluate_relation([(1, [])], mapping, source)
 
 
 def test_unknown_generators_rejected():

@@ -1,9 +1,10 @@
 import time
+from fractions import Fraction
 
 import pytest
 
 from wlpa import FieldError, field_from_name
-from wlpa.fields import PRIMALITY_BOUND, _is_prime
+from wlpa.fields import PRIMALITY_BOUND, ModInt, _is_prime
 
 
 def _trial_division(n):
@@ -32,3 +33,32 @@ def test_modulus_at_the_primality_bound_rejected():
     # the bound passes all 13 bases, so it is refused before the test
     with pytest.raises(FieldError, match="too large"):
         field_from_name(f"mod:{PRIMALITY_BOUND}")
+
+
+@pytest.mark.parametrize("field", ["rational", "mod:7"])
+@pytest.mark.parametrize("text", [" 1_0 ", "1_0", " 1", "1 ", "٢", "-3/-2", "3/-2", "+3",
+                                  "--3", "-", "", "3/", "/2", "1/2/3", "0x10", "1e3"])
+def test_scalar_literal_outside_the_grammar_rejected(field, text):
+    with pytest.raises(FieldError):
+        field_from_name(field).parse(text)
+
+
+@pytest.mark.parametrize("field", ["rational", "mod:7"])
+@pytest.mark.parametrize("text, value", [("3", 3), ("-3", -3), ("007", 7), ("6/4", Fraction(3, 2)),
+                                         ("-6/4", Fraction(-3, 2)), ("0/5", 0)])
+def test_scalar_literal_read_alike_in_both_fields(field, text, value):
+    value = Fraction(value)
+    if field == "rational":
+        expected = value
+    else:
+        expected = ModInt(value.numerator * pow(value.denominator, -1, 7), 7)
+    assert field_from_name(field).parse(text) == expected
+
+
+def test_rational_literal_keeps_its_decimal_form():
+    assert field_from_name("rational").parse("-1.25") == Fraction(-5, 4)
+    for text in ("1.", ".5", "1.2.3", "1.5/2", "1/2.5"):
+        with pytest.raises(FieldError):
+            field_from_name("rational").parse(text)
+    with pytest.raises(FieldError):
+        field_from_name("mod:7").parse("1.25")

@@ -9,9 +9,11 @@ from wlpa import (
     FamilyMap,
     Generator,
     LpaViolatedError,
+    MixedContextError,
     PreconditionViolatedError,
     ReservedIdError,
     TraceMismatchError,
+    UnknownGeneratorError,
     family_maps,
     field_from_name,
     make_ranges_sinks,
@@ -267,6 +269,18 @@ def test_verify_families_identity_pair():
     assert verify_families(g, out, fwd, bwd).ok
 
 
+def test_verify_families_rejects_maps_over_other_graphs():
+    g, h = fixture_graph("g6.wg"), fixture_graph("fork.wg")
+    g_out, g_trace = to_unweighted(g)
+    h_out, _ = to_unweighted(h)
+    fwd, bwd = family_maps(g, g_out, g_trace)
+    with pytest.raises(MixedContextError):
+        verify_families(h, h_out, fwd, bwd)
+    del fwd.assignments[V(g.vertices[0])]
+    with pytest.raises(UnknownGeneratorError):
+        verify_families(g, g_out, fwd, bwd)
+
+
 def test_verify_families_random_sample():
     rng = Random(30303)
     for _ in range(25):
@@ -327,7 +341,8 @@ def _corruptions(fmap, graph):
             for name, change in changes.items()}
 
 
-@pytest.mark.parametrize("field", ["rational", "mod:7"])
+# over F_2 a sign is lost (-1 = 1) and a doubled image is zero
+@pytest.mark.parametrize("field", ["rational", "mod:7", "mod:2", "mod:2305843009213693951"])
 @pytest.mark.parametrize("name", ["g6.wg", "fork.wg", "random"])
 def test_verify_families_matches_dense_oracle_on_corrupted_maps(name, field):
     g = _verification_graph(name)
@@ -363,3 +378,25 @@ def test_verify_families_work_is_linear_in_vertices(monkeypatch):
     assert result.ok
     assert result.counts["forward_relations"] >= n * n
     assert calls <= 30 * n
+
+
+def test_verify_families_builds_no_generator_per_relation_instance(monkeypatch):
+    # each map is read through one table over the letter ids of its domain
+    g = weighted_ring(300, {0: 2, 100: 3, 200: 2})
+    out, trace = to_unweighted(g)
+    fwd, bwd = family_maps(g, out, trace)
+    letters = len(fwd.assignments) + len(bwd.assignments)  # one image per letter
+
+    calls = 0
+    original = Generator.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Generator, "__init__", counted)
+    result = verify_families(g, out, fwd, bwd)
+    assert result.ok
+    assert result.counts["forward_relations"] >= 300 * 300
+    assert calls <= 2 * letters

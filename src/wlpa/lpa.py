@@ -262,13 +262,12 @@ def _keylemma_word_from_cycle(g: WeightedGraph, violation: LpaViolation) -> Word
     e = g.edge(violation.weighted_edge)
     cycle_records = [g.edge(x) for x in violation.cycle.edges]
     cycle_sources = [rec.source for rec in cycle_records]
+    on_cycle = set(cycle_sources)
 
     path_vertices = [e.range]
     for eid in violation.path.edges:
         path_vertices.append(g.edge(eid).range)
-    cut = next(
-        i for i, v in enumerate(path_vertices) if v in set(cycle_sources)
-    )
+    cut = next(i for i, v in enumerate(path_vertices) if v in on_cycle)
     trimmed = violation.path.edges[:cut]
     base = path_vertices[cut]
     rot = cycle_sources.index(base)

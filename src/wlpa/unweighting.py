@@ -15,13 +15,13 @@ algebras (:func:`family_maps`), and :func:`verify_families` checks the
 defining relations and the round trips mechanically.  The trace of a
 compilation carries the graph it was built from, so the maps reuse its
 (LPA) decision and stage-1 graph instead of recomputing them, and one case
-table (:func:`_stage2_cases`) both builds the stage-2 graph and tells the
-maps which case produced each stage-2 vertex and edge.
+table (:func:`_stage2_cases`) both builds the stage-2 graph and, read once
+at letter ids, gives both maps: each stage-2 vertex or edge fixes its own
+backward image and adds one letter to a forward image.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import (
@@ -246,12 +246,15 @@ def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
 
     The forward map sends the generators of the algebra of ``g`` to
     elements of the algebra of ``g_tilde``; the backward map goes the
-    other way.  Both are composed from the stage-1 letter relabeling and
-    the stage-2 case table that built ``g_tilde``, with every image in
-    normal form.  The trace must come from :func:`to_unweighted` of ``g``;
-    its stage-1 graph and g^v map are used as they are, without deciding
-    (LPA) or running stage 1 again.  :func:`verify_families` checks the
-    maps whatever trace they were built from.
+    other way.  Both come from one pass over the stage-2 case table that
+    built ``g_tilde``, at the letter ids of the two algebras, with the
+    stage-1 relabeling as one table of those ids.  A forward image is a
+    sum of single target letters; a backward image is the normal form of
+    a word of at most three source letters; a star image is the involute
+    of its edge's.  The trace must come from :func:`to_unweighted` of
+    ``g``; its stage-1 graph and g^v map are used as they are, without
+    deciding (LPA) or running stage 1 again.  :func:`verify_families`
+    checks the maps whatever trace they were built from.
     """
     if trace.source != g:
         raise TraceMismatchError("trace was not built from the given weighted graph")
@@ -260,71 +263,52 @@ def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
     h = trace.stage1_graph
     gv = trace.gv
 
-    src_algebra = Algebra(g, field=field)
-    tgt_algebra = Algebra(g_tilde, field=field)
+    src, tgt = Algebra(g, field=field), Algebra(g_tilde, field=field)
     zone = set(trace.Z)
 
-    V, E, S = Generator.vertex, Generator.edge, Generator.star
-
-    vertex_cases, edge_cases = _stage2_cases(h, gv)
-
-    # each stage-1 vertex or edge letter maps to the sum of its stage-2
-    # pieces; all strands of a fan (B) belong to the one letter of its edge
-    pieces: dict[Generator, list] = defaultdict(list)
-    for vt, cls, v, i in vertex_cases:
-        pieces[V(v)].append((1, (V(vt),)))
-    for et, cls, eid, i in edge_cases:
-        letter = S(et.id, 1) if cls == "D" else E(et.id, 1)
-        pieces[E(eid, 1 if cls == "B" else i)].append((1, (letter,)))
-
-    def image_of_stage1_letter(gen: Generator) -> AlgebraElement:
-        if gen.kind == "star":
-            return tgt_algebra.element(pieces[E(gen.name, gen.index)]).involute()
-        return tgt_algebra.element(pieces[gen])
-
-    def psi(gen: Generator) -> Generator:
-        # stage-1 relabeling on single letters
-        if gen.kind == "vertex":
-            return gen
-        if g.edge(gen.name).source in zone:
-            nm = strand_name(gen.name, gen.index)
-            return S(nm, 1) if gen.kind == "edge" else E(nm, 1)
-        return gen
-
-    forward: dict[Generator, AlgebraElement] = {}
-    for v in g.vertices:
-        forward[V(v)] = image_of_stage1_letter(V(v))
+    # stage-1 relabeling: the ids in ``src`` of the edge and star letters of
+    # each strand of h; a renamed strand e^(i) reverses e_i, so it swaps them
+    relabel: dict[tuple[str, int], tuple[int, int]] = {}
     for e in g.edges:
         for i in range(1, e.weight + 1):
-            forward[E(e.id, i)] = image_of_stage1_letter(psi(E(e.id, i)))
-            forward[S(e.id, i)] = image_of_stage1_letter(psi(S(e.id, i)))
+            pair = (src._edge_strand_id[e.id, i], src._star_strand_id[e.id, i])
+            if e.source in zone:
+                relabel[strand_name(e.id, i), 1] = pair[::-1]
+            else:
+                relabel[e.id, i] = pair
 
-    # stage-1 relabeling, inverted, on the letters of the stage-1 algebra
-    psi_inv = {psi(x): x for x in forward}
-
-    def pull_back(word: tuple[Generator, ...]) -> AlgebraElement:
-        return src_algebra.normalize([(1, tuple(psi_inv[x] for x in word))])
-
-    backward: dict[Generator, AlgebraElement] = {}
-    for vt, cls, v, i in vertex_cases:
-        if cls == "M":
-            word: tuple[Generator, ...] = (V(v),)
+    # supports indexed by letter id: each stage-2 piece adds its target
+    # letter to the forward image of its source letter and fixes its own
+    # backward image, the normal form of at most three source letters
+    forward: list[dict] = [{} for _ in src._gens]
+    backward: list[dict] = [{} for _ in tgt._gens]
+    vertex_cases, edge_cases = _stage2_cases(h, gv)
+    for name, case, v, i in vertex_cases:
+        t = tgt._vertex_id[name]
+        forward[src._vertex_id[v]][t,] = 1
+        word = (src._vertex_id[v],) if case == "M" else relabel[gv[v], i][::-1]  # (g^v_i)* g^v_i
+        backward[t] = src._nf_word(word)
+    for record, case, eid, i in edge_cases:
+        t = tgt._edge_strand_id[record.id, 1]
+        edge, star = relabel[eid, 1 if case == "B" else i]
+        forward[edge][tgt._star_of[t] if case == "D" else t,] = 1
+        if case == "B":
+            word = (edge,) + relabel[gv[h.edge(eid).range], i][::-1]  # e_1 (g_i)* g_i
+        elif case == "D":
+            word = (star,)
         else:
-            word = (S(gv[v], i), E(gv[v], i))
-        backward[V(vt)] = pull_back(word)
-    for et, cls, eid, i in edge_cases:
-        if cls in ("A", "C"):
-            word = (E(eid, 1),)
-        elif cls == "B":
-            gedge = gv[h.edge(eid).range]
-            word = (E(eid, 1), S(gedge, i), E(gedge, i))
-        else:  # D
-            word = (S(eid, i),)
-        image = pull_back(word)
-        backward[E(et.id, 1)] = image
-        backward[S(et.id, 1)] = image.involute()
+            word = (edge,)
+        backward[t] = src._nf_word(word)
 
-    return FamilyMap("forward", forward), FamilyMap("backward", backward)
+    # the maps are *-homomorphisms: each star image is the involute of its edge's
+    fwd = [tgt._lift(image) for image in forward]
+    for edge, star in relabel.values():
+        fwd[star] = fwd[edge].involute()
+    bwd = [src._lift(image) for image in backward]
+    for t in tgt._edge_strand_id.values():
+        bwd[tgt._star_of[t]] = bwd[t].involute()
+    return (FamilyMap("forward", dict(zip(src._gens, fwd))),
+            FamilyMap("backward", dict(zip(tgt._gens, bwd))))
 
 
 @dataclass(frozen=True)

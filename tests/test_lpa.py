@@ -5,8 +5,10 @@ import pytest
 
 from wlpa import (
     Algebra,
+    EdgeRecord,
     Generator,
     LpaSatisfiedError,
+    WeightedGraph,
     check_lpa,
     parse_weighted_graph,
     search_shape_word,
@@ -209,6 +211,21 @@ def test_witness_weighted_edge_into_loop():
         Generator.edge("f", 1),
         Generator.star("e", 2),
     )
+
+
+def test_witness_from_long_path_into_long_cycle():
+    # h enters a k-vertex path that runs into a k-cycle: the LPA4 word
+    # crosses the path, goes once round the cycle and comes back
+    k = 2000
+    vertices = ["u"] + [f"p{i}" for i in range(k)] + [f"c{i}" for i in range(k)]
+    edges = [EdgeRecord("h", "u", "p0", 2)]
+    edges += [EdgeRecord(f"q{i}", f"p{i}", f"p{i + 1}" if i + 1 < k else "c0")
+              for i in range(k)]
+    edges += [EdgeRecord(f"r{i}", f"c{i}", f"c{(i + 1) % k}") for i in range(k)]
+    g = WeightedGraph(vertices, edges)
+    word = witness_nodpath(g)
+    assert shape_ok(Algebra(g), word)
+    assert len(word) == 2 * k + k + 2
 
 
 def test_witness_on_satisfied_graph_raises():

@@ -216,6 +216,12 @@ def test_family_map_images_follow_case_table():
     ]
     # backward: a D-edge pulls back to a star strand
     assert bwd.assignments[E("f^(2)", 1)].support_words() == [(S("f", 2),)]
+    # a split-vertex copy and a fan strand (B) pull back to words that rewrite
+    src = bwd.assignments[V("t")].algebra
+    assert bwd.assignments[V("x^(1)")] == src.word((S("f", 1), E("f", 1)))
+    assert bwd.assignments[V("x^(1)")].render() == "x - f.2* f.2"
+    assert bwd.assignments[E("g^(1)", 1)] == src.word((E("g", 1), S("f", 1), E("f", 1)))
+    assert bwd.assignments[E("g^(1)", 1)].render() == "g.1 - g.1 f.2* f.2"
 
 
 def test_family_maps_trace_mismatch():
@@ -400,3 +406,29 @@ def test_verify_families_builds_no_generator_per_relation_instance(monkeypatch):
     assert result.ok
     assert result.counts["forward_relations"] >= 300 * 300
     assert calls <= 2 * letters
+
+
+def test_family_maps_builds_no_generator_per_image(monkeypatch):
+    # each image is built over letter ids from the case table, no normalize call
+    g = weighted_ring(300, {0: 2, 100: 3, 200: 2})
+    out, trace = to_unweighted(g)
+
+    calls = {"Generator": 0, "normalize": 0}
+    original_init, original_normalize = Generator.__init__, Algebra.normalize
+
+    def counted_init(self, *args, **kwargs):
+        calls["Generator"] += 1
+        original_init(self, *args, **kwargs)
+
+    def counted_normalize(self, *args, **kwargs):
+        calls["normalize"] += 1
+        return original_normalize(self, *args, **kwargs)
+
+    monkeypatch.setattr(Generator, "__init__", counted_init)
+    monkeypatch.setattr(Algebra, "normalize", counted_normalize)
+    fwd, bwd = family_maps(g, out, trace)
+    monkeypatch.undo()
+    letters = len(fwd.assignments) + len(bwd.assignments)  # one image per letter
+    assert calls["Generator"] <= 2 * letters
+    assert calls["normalize"] == 0
+    assert verify_families(g, out, fwd, bwd).ok

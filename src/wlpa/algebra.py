@@ -185,8 +185,12 @@ class Algebra:
     automaton are built once and never change.  Only :meth:`nodword_counts`
     (the counts behind :meth:`growth`, :meth:`zero_component_count` and the
     basis budget) and :meth:`enumerate_nodwords` walk the automaton.  The
-    normal-form memos (``_memo_left``, ``_memo_right``) grow on every miss,
-    so an instance must not be shared between threads without a lock.
+    normal-form memos (``_memo_left``, ``_memo_right``) of :meth:`_nf_word`
+    grow on every miss, so an instance must not be shared between threads
+    without a lock.  Only words from outside reach them: :meth:`normalize`
+    (so every ``parse_element`` term) and the backward images of
+    ``family_maps``.  Products of elements rewrite at the junction of two
+    nod-words (:meth:`_product`) and leave the memos as they are.
     """
 
     def __init__(self, graph: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None,
@@ -399,12 +403,66 @@ class Algebra:
         raise AlgebraError(f"cannot coerce {x!r} into {self.field.name}")
 
     def _combine(self, pairs, right: bool = False) -> dict:
-        """Sum ``k * nf(w)`` over ``(plain number k, word ids w)`` pairs, not yet reduced."""
+        """Sum ``k * nf(w)`` over ``(plain number k, word ids w)`` pairs, not yet reduced.
+
+        Only words from outside come this way (:meth:`normalize`); the
+        products of elements go through :meth:`_product`.
+        """
         acc: dict[tuple[int, ...], object] = {}
         nf_word = self._nf_word
         for k, ids in pairs:
             for w, c in nf_word(ids, right).items():
                 _add_term(acc, w, k * c)
+        return acc
+
+    def _product(self, left: dict, right: dict) -> dict:
+        """Sum ``ca * cb * nf(wa + wb)`` over two supports of nod-words, not yet reduced.
+
+        Rules have length-2 left sides and ``wa``, ``wb`` are nod-words, so
+        ``head + tail`` (first ``wa + wb``) can hold a redex only at their
+        junction ``(a, b)``.  It is 0 if a and b do not compose and a
+        nod-word if the pair has no rule.  Otherwise each rule term ``r``
+        gives ``head[:-1] + r + tail[1:]``:
+
+        * a two-letter ``r = x y`` (``e_i^* f_i`` with i >= 2, or ``g_i
+          g_j^*`` with g not special) is a normal pair, and a rule ``(p, x)``
+          comes with a rule ``(p, a)``, a rule ``(y, q)`` with ``(b, q)``
+          (e.g. ``(e_k, e_i^*)`` is a rule only for e special, and so is
+          ``(e_k, e_1^*)``), so the result is a nod-word;
+        * a one-letter non-vertex ``r`` absorbs the vertex word ``wa`` or
+          ``wb``, and the result is the other word;
+        * a vertex ``r`` between letters is absorbed.  Rules keep endpoints,
+          so ``head[:-1]`` and ``tail[1:]`` meet at that vertex and their
+          junction is rewritten next.  A rule has at most one vertex term,
+          so each pair follows one junction at a time.
+
+        No word goes to :meth:`_nf_word`, so no memo grows.
+        """
+        rules, src_id, rng_id, nv = self._rules, self._src_id, self._rng_id, self._nv
+        acc: dict[tuple[int, ...], object] = {}
+        for wa, ca in left.items():
+            end = rng_id[wa[-1]]
+            for wb, cb in right.items():
+                if end != src_id[wb[0]]:
+                    continue
+                # head and tail meet; k is the coefficient of head + tail
+                k, head, tail = ca * cb, wa, wb
+                while head and tail:
+                    act = rules.get((head[-1], tail[0]))
+                    if act is None:
+                        break
+                    head, tail = head[:-1], tail[1:]
+                    vertex = 0  # the coefficient of an absorbed vertex term
+                    for c, repl in act:
+                        if repl[0] < nv and (head or tail):
+                            vertex = c
+                        else:
+                            _add_term(acc, head + repl + tail, k * c)
+                    k *= vertex
+                    if not k:
+                        break
+                if k:
+                    _add_term(acc, head + tail, k)
         return acc
 
     def _lift(self, acc: dict) -> "AlgebraElement":
@@ -597,7 +655,10 @@ class AlgebraElement:
 
     ``_support`` maps word ids to nonzero plain numbers in the canonical
     form of the field's ``reduce``; field scalars are built only on the way
-    out, by :meth:`terms`.
+    out, by :meth:`terms`.  Every support word is a nod-word: normal forms,
+    sums, scalings, products and involutes keep it so (the forbidden pairs
+    are closed under the involution), and :meth:`Algebra._product` relies
+    on it to rewrite a product only where its two words meet.
     """
 
     __slots__ = ("_algebra", "_support")
@@ -643,12 +704,11 @@ class AlgebraElement:
         return self._algebra._lift({w: c * k for w, k in self._support.items()})
 
     def __mul__(self, other):
+        """Product with an element (one :meth:`Algebra._product` of the supports) or a scalar."""
         if isinstance(other, AlgebraElement):
             self._check_context(other)
             alg = self._algebra
-            return alg._lift(alg._combine((ca * cb, wa + wb)
-                                          for wa, ca in self._support.items()
-                                          for wb, cb in other._support.items()))
+            return alg._lift(alg._product(self._support, other._support))
         return self.scaled(other)
 
     def __rmul__(self, other):
@@ -862,17 +922,18 @@ def _lower(mapping: dict[Generator, AlgebraElement], letters: Iterable[Generator
 def _compose(pairs, images: list, target: Algebra) -> dict:
     """Sum ``k * images[t_1] ... images[t_n]`` over ``(plain number k, letter-id word)`` pairs.
 
-    ``images`` is a map lowered by :func:`_lower`.  Each product of two
-    images is normalized by ``target._combine``, through the integer word
-    normal forms; the sum is not yet reduced into the field.  This is
-    exact: ints and Fractions mix exactly, and Z -> F_p is a ring map.
+    ``images`` is a map lowered by :func:`_lower`: element supports, so
+    nod-words.  Each product of a partial product and the next image is
+    one ``target._product``, which rewrites only at the junctions, over the
+    integer rule coefficients; the sum is not yet reduced into the field.
+    This is exact: ints and Fractions mix exactly, and Z -> F_p is a ring
+    map.
     """
     acc: dict[tuple[int, ...], object] = {}
     for k, word in pairs:
         product = images[word[0]]
         for t in word[1:]:
-            product = target._combine((ca * cb, wa + wb) for wa, ca in product.items()
-                                      for wb, cb in images[t].items())
+            product = target._product(product, images[t])
         for w, c in product.items():
             _add_term(acc, w, k * c)
     return acc

@@ -215,6 +215,89 @@ def test_ring_axioms_on_random_basis_words(field):
             checked += 1
 
 
+SCALARS = ["1", "-1", "2", "3/2", "-5/3"]
+
+
+def _random_support(rng, algebra, words):
+    """A support of 1-4 random nod-word ids with nonzero plain coefficients."""
+    chosen = rng.sample(words, min(len(words), rng.randint(1, 4)))
+    return {w: algebra._scalar(rng.choice(SCALARS)) for w in chosen}
+
+
+def _junction_path(algebra, wa, wb):
+    """Which way ``_product`` takes for the pair: apart, normal, one step or absorbed."""
+    if algebra._rng_id[wa[-1]] != algebra._src_id[wb[0]]:
+        return "apart"
+    act = algebra._rules.get((wa[-1], wb[0]))
+    if act is None:
+        return "normal"
+    # a vertex term between letters is absorbed and the next junction rewritten
+    if len(wa) + len(wb) > 2 and any(repl[0] < algebra._nv for _, repl in act):
+        return "absorbed"
+    return "one step"
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_product_equals_normal_form_of_concatenated_words(field):
+    # _product rewrites only at the junction; _combine rewrites whole words
+    rng = Random(52010)
+    paths = dict.fromkeys(["apart", "normal", "one step", "absorbed"], 0)
+    checked = 0
+    while checked < 200:
+        g = random_weighted_graph(rng, max_vertices=4, max_edges=5, max_weight=3)
+        if not g.vertices:
+            continue
+        algebra = Algebra(g, field=field_from_name(field))
+        words = [algebra._intern_word(w) for w in algebra.enumerate_nodwords(3)]
+        for _ in range(5):
+            x, y = _random_support(rng, algebra, words), _random_support(rng, algebra, words)
+            pairs = [(cx * cy, wx + wy) for wx, cx in x.items() for wy, cy in y.items()]
+            product = algebra._product(x, y)
+            assert product == algebra._combine(pairs) == algebra._combine(pairs, right=True)
+            for wx in x:
+                for wy in y:
+                    paths[_junction_path(algebra, wx, wy)] += 1
+            checked += 1
+    assert min(paths.values()) >= 20, paths
+
+
+def test_supports_hold_only_nodwords():
+    rng = Random(52011)
+    words_checked = 0
+    for _ in range(30):
+        g = random_weighted_graph(rng, max_vertices=4, max_edges=5, max_weight=3)
+        if not g.vertices:
+            continue
+        algebra = Algebra(g)
+        a, b, c, d = (algebra.normalize([(rng.choice(SCALARS), w)
+                                         for w in random_words(rng, algebra, 3, 5)])
+                      for _ in range(4))
+        values = [a, b, a * b, a + b, (a * b) * c - d, a.scaled("3/2"), b.involute(),
+                  (a * c).involute() * d, (a + b.involute()) * (c + d), d * d * d]
+        for value in values:
+            for word in value.support_words():
+                assert algebra.is_nodword(word), (g, value)
+                words_checked += 1
+    assert words_checked >= 300
+
+
+def test_product_leaves_the_memos_alone():
+    algebra = Algebra(fixture_graph("e2loops.wg"))  # b is special at v
+    x = algebra.word((S("a", 1), S("a", 1)))
+    y = algebra.word((E("a", 1), E("b", 2)))
+    z = algebra.word((E("b", 1),))
+    w = algebra.word((S("b", 1), S("a", 1)))
+    sizes = (len(algebra._memo_left), len(algebra._memo_right))
+    products = [x.involute() * x, x * y, z * w]
+    assert (len(algebra._memo_left), len(algebra._memo_right)) == sizes
+    assert products == [
+        algebra.word((E("a", 1), E("a", 1), S("a", 1), S("a", 1))),  # no rule at the junction
+        algebra.word((S("a", 1), E("b", 2))),  # a_1^* a_1 -> v, absorbed
+        # b_1 b_1^* -> v - a_1 a_1^*, and v is absorbed by the a_1^* after it
+        algebra.word((S("a", 1),)) - algebra.word((E("a", 1), S("a", 1), S("a", 1))),
+    ]
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_scalar_arithmetic(field):
     algebra = Algebra(loop1(), field=field_from_name(field))

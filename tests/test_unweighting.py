@@ -365,11 +365,14 @@ def test_verify_families_matches_dense_oracle_on_corrupted_maps(name, field):
 
 
 def test_verify_families_work_is_linear_in_vertices(monkeypatch):
-    # one word normalized per ordered vertex pair would be 2 * 300^2 calls
+    # products of images rewrite only at the junction and a round trip is
+    # compared with its letter, so no word is normalized and no memo grows
     n = 300
     g = weighted_ring(n, {0: 2, 100: 3, 200: 2})
     out, trace = to_unweighted(g)
     fwd, bwd = family_maps(g, out, trace)
+    algebras = [next(iter(fmap.assignments.values())).algebra for fmap in (fwd, bwd)]
+    memo_sizes = [(len(a._memo_left), len(a._memo_right)) for a in algebras]
 
     calls = 0
     original = Algebra._nf_word
@@ -383,7 +386,8 @@ def test_verify_families_work_is_linear_in_vertices(monkeypatch):
     result = verify_families(g, out, fwd, bwd)
     assert result.ok
     assert result.counts["forward_relations"] >= n * n
-    assert calls <= 30 * n
+    assert calls == 0
+    assert [(len(a._memo_left), len(a._memo_right)) for a in algebras] == memo_sizes
 
 
 def test_verify_families_builds_no_generator_per_relation_instance(monkeypatch):

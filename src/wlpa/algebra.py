@@ -20,8 +20,9 @@ are eliminated:
 
 where strand indices beyond an edge's weight are dropped.  Each step
 strictly decreases (word length, number of index-1 star letters, number of
-special factors) lexicographically, so rewriting terminates; confluence is
-exercised by the two-strategy tests rather than assumed silently.
+special factors) lexicographically, so rewriting terminates.  Only
+:meth:`Algebra._product` applies rules; normal forms fold it over a word's
+letters from either side, and comparing the two folds exercises confluence.
 
 Rules are stored per vertex: only pairs meeting at a shared vertex have an
 entry, and a pair (a, b) with r(a) != s(b) is 0 by an endpoint test.  The
@@ -146,10 +147,6 @@ def validate_choice(g: WeightedGraph, choice: SpecialEdgeChoice) -> None:
             )
 
 
-_ZERO = object()  # pair annihilates
-_NORMAL = object()  # word is already normal
-
-
 def _add_term(acc: dict, word: tuple[int, ...], coeff) -> None:
     prev = acc.get(word)  # not 0 + coeff: that builds a second Fraction
     total = coeff if prev is None else prev + coeff
@@ -186,11 +183,11 @@ class Algebra:
     (the counts behind :meth:`growth`, :meth:`zero_component_count` and the
     basis budget) and :meth:`enumerate_nodwords` walk the automaton.  The
     normal-form memos (``_memo_left``, ``_memo_right``) of :meth:`_nf_word`
-    grow on every miss, so an instance must not be shared between threads
-    without a lock.  Only words from outside reach them: :meth:`normalize`
-    (so every ``parse_element`` term) and the backward images of
-    ``family_maps``.  Products of elements rewrite at the junction of two
-    nod-words (:meth:`_product`) and leave the memos as they are.
+    gain one entry per whole word missed, so an instance must not be shared
+    between threads without a lock.  Only words from outside reach them:
+    :meth:`normalize` (so every ``parse_element`` term) and the backward
+    images of ``family_maps``; products of elements (:meth:`_product`)
+    leave them as they are.
     """
 
     def __init__(self, graph: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None,
@@ -290,9 +287,9 @@ class Algebra:
         self._rules = rules
 
     def _rule(self, a: int, b: int):
-        """The rewrite of the pair (a, b): ``_ZERO``, a term list, or None if normal."""
+        """The rewrite of the pair (a, b): a term list (empty for 0), or None if normal."""
         if self._rng_id[a] != self._src_id[b]:
-            return _ZERO
+            return ()
         return self._rules.get((a, b))
 
     # -- word plumbing ---------------------------------------------------
@@ -323,70 +320,24 @@ class Algebra:
 
     # -- normalization ---------------------------------------------------
 
-    def _find_redex(self, w: tuple[int, ...], right: bool):
-        # _rule inlined: this is the hot loop of normalization.
-        rules, src_id, rng_id = self._rules, self._src_id, self._rng_id
-        if right:
-            positions = range(len(w) - 2, -1, -1)
-        else:
-            positions = range(len(w) - 1)
-        for i in positions:
-            a, b = w[i], w[i + 1]
-            if rng_id[a] != src_id[b]:
-                return i, _ZERO
-            act = rules.get((a, b))
-            if act is not None:
-                return i, act
-        return None
+    def _nf_word(self, w: tuple[int, ...], right: bool = False) -> dict:
+        """Normal form of a single word as {word: integer coefficient}, memoized per word.
 
-    def _nf_word(self, w0: tuple[int, ...], right: bool = False) -> dict:
-        """Normal form of a single word as {word: integer coefficient}.
-
-        Rule coefficients are integers, so word normal forms live over the
+        A fold of :meth:`_product` over the letters of ``w`` (nod-words):
+        ``((l1 l2) l3) ...``, or ``l1 (l2 (l3 ...))`` with ``right``.  Rule
+        coefficients are integers, so word normal forms live over the
         integers whatever the field; :meth:`_combine` scales them by plain
-        numbers and :meth:`_lift` reduces the sums into the field.  Computed
-        iteratively with full memoization.
+        numbers and :meth:`_lift` reduces the sums into the field.
         """
         memo = self._memo_right if right else self._memo_left
-        hit = memo.get(w0)
-        if hit is not None:
-            return hit
-
-        def new_frame(word):
-            found = self._find_redex(word, right)
-            if found is None:
-                return [word, _NORMAL, None, 0]
-            i, act = found
-            if act is _ZERO:
-                return [word, [], {}, 0]
-            exps = [(coeff, word[:i] + repl + word[i + 2:]) for coeff, repl in act]
-            return [word, exps, {}, 0]
-
-        stack = [new_frame(w0)]
-        while stack:
-            frame = stack[-1]
-            word, exps, acc, idx = frame
-            if exps is _NORMAL:
-                memo[word] = {word: 1}
-                stack.pop()
-                continue
-            if idx < len(exps):
-                coeff, child = exps[idx]
-                sub = memo.get(child)
-                if sub is None:
-                    stack.append(new_frame(child))
-                    continue
-                for w2, c in sub.items():
-                    nc = acc.get(w2, 0) + coeff * c
-                    if nc:
-                        acc[w2] = nc
-                    elif w2 in acc:
-                        del acc[w2]
-                frame[3] = idx + 1
-                continue
-            memo[word] = acc
-            stack.pop()
-        return memo[w0]
+        acc = memo.get(w)
+        if acc is None:
+            letters = [{(t,): 1} for t in (w[::-1] if right else w)]
+            acc = letters[0]
+            for letter in letters[1:]:
+                acc = self._product(letter, acc) if right else self._product(acc, letter)
+            memo[w] = acc
+        return acc
 
     def _scalar(self, x):
         """``x`` as the plain number that stands for it in an element's support."""
@@ -405,8 +356,9 @@ class Algebra:
     def _combine(self, pairs, right: bool = False) -> dict:
         """Sum ``k * nf(w)`` over ``(plain number k, word ids w)`` pairs, not yet reduced.
 
-        Only words from outside come this way (:meth:`normalize`); the
-        products of elements go through :meth:`_product`.
+        ``nf`` is :meth:`_nf_word`, folded from the right with ``right``.
+        Only words from outside come this way (:meth:`normalize`); products
+        of elements call :meth:`_product` directly.
         """
         acc: dict[tuple[int, ...], object] = {}
         nf_word = self._nf_word
@@ -436,7 +388,8 @@ class Algebra:
           junction is rewritten next.  A rule has at most one vertex term,
           so each pair follows one junction at a time.
 
-        No word goes to :meth:`_nf_word`, so no memo grows.
+        This is the one routine that applies a rule: :meth:`_nf_word` folds
+        it over single letters.  It grows no memo.
         """
         rules, src_id, rng_id, nv = self._rules, self._src_id, self._rng_id, self._nv
         acc: dict[tuple[int, ...], object] = {}
@@ -474,8 +427,9 @@ class Algebra:
         """Normal form of a formal scalar combination of words.
 
         ``terms`` is an iterable of ``(scalar, word)`` pairs where a word is
-        a nonempty tuple of :class:`Generator`.  ``strategy`` selects the
-        redex scanned first ("left" or "right"); the results must agree.
+        a nonempty tuple of :class:`Generator`.  ``strategy`` picks the
+        direction in which :meth:`_nf_word` folds each word's letters
+        ("left" or "right"); the results must agree.
         """
         if strategy not in ("left", "right"):
             raise AlgebraError(f"unknown strategy {strategy!r}")

@@ -24,7 +24,7 @@ from .algebra import (
     validate_choice,
 )
 from .exprs import ExpressionError, parse_element
-from .fields import FieldError, field_from_name
+from .fields import FieldError, field_from_name, parse_natural
 from .graphs import (
     GraphError,
     WeightedGraph,
@@ -56,6 +56,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _natural(text: str) -> int:
+    """A length or budget: :func:`parse_natural`, after a ``-`` that the command rejects."""
+    try:
+        return -parse_natural(text[1:]) if text.startswith("-") else parse_natural(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number in ASCII digits: {text!r}") from None
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="wlpa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,14 +90,14 @@ def _build_parser() -> _ArgumentParser:
     p = with_special(sub.add_parser("eval", help="normalize an element expression"))
     p.add_argument("expression")
     p = with_special(sub.add_parser("basis", help="enumerate nod-words up to a length"))
-    p.add_argument("max_len", type=int)
+    p.add_argument("max_len", type=_natural)
     p.add_argument("--source", default=None)
     p.add_argument("--range", dest="range_", default=None)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=_natural, default=10**7)
     p = with_special(sub.add_parser("growth", help="table of nod-word counts by length"))
-    p.add_argument("max_len", type=int)
+    p.add_argument("max_len", type=_natural)
     p = with_special(sub.add_parser("zero-dim", help="table of degree-zero nod-word counts"))
-    p.add_argument("max_len", type=int)
+    p.add_argument("max_len", type=_natural)
     with_special(sub.add_parser("witness", help="nod-word witnessing an (LPA) failure"))
     return parser
 

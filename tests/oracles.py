@@ -169,6 +169,33 @@ class AllLetters:
             and name_a in self.special_edges
 
 
+# -- reference rewriting -------------------------------------------------------
+
+
+def reference_normal_form(algebra, pairs) -> dict:
+    """Sum ``k * nf(w)`` over ``(number k, letter-id word w)`` pairs, as {word: number}.
+
+    Each word is rewritten at its leftmost redex until none is left, with
+    only the package's rule table (``algebra._rule``): no memo and no
+    ``_product``, so it checks the junction rewriter and both of its folds
+    from outside.  A worklist of ``(coefficient, word)`` replaces recursion;
+    the sum is not reduced into the field.
+    """
+    out: dict[tuple[int, ...], object] = {}
+    work = [(k, tuple(w)) for k, w in pairs]
+    while work:
+        k, w = work.pop()
+        for i in range(len(w) - 1):
+            act = algebra._rule(w[i], w[i + 1])
+            if act is not None:
+                break
+        else:
+            out[w] = out.get(w, 0) + k
+            continue
+        work += [(k * c, w[:i] + repl + w[i + 2:]) for c, repl in act]  # [] for 0
+    return {w: c for w, c in out.items() if c}
+
+
 # -- GF(2) linear algebra ------------------------------------------------------
 
 

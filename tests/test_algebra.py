@@ -27,6 +27,7 @@ from wlpa import (
     relation_instances,
     validate_choice,
 )
+from wlpa.exprs import parse_element
 from wlpa.fields import ModInt
 
 from graphgen import random_lpa_satisfying_graph, random_weighted_graph, small_graphs
@@ -34,6 +35,7 @@ from oracles import (
     AllLetters,
     classical_unweighted_count,
     engine_span_dimension_gf2,
+    reference_normal_form,
     truncated_quotient_dimension,
 )
 
@@ -152,7 +154,8 @@ def test_normalize_is_idempotent_and_strategy_free():
         for word in random_words(rng, algebra, 25, 6):
             left = algebra.normalize([(1, word)])
             right = algebra.normalize([(1, word)], strategy="right")
-            assert left == right
+            reference = reference_normal_form(algebra, [(1, algebra._intern_word(word))])
+            assert left == right == algebra._lift(reference)
             renorm = algebra.normalize(
                 [(c, w) for c, w in left.terms()]
             )
@@ -239,7 +242,8 @@ def _junction_path(algebra, wa, wb):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_product_equals_normal_form_of_concatenated_words(field):
-    # _product rewrites only at the junction; _combine rewrites whole words
+    # _product rewrites only at the junction and _combine folds it over the
+    # letters both ways; the reference rewrites whole words with no memo
     rng = Random(52010)
     paths = dict.fromkeys(["apart", "normal", "one step", "absorbed"], 0)
     checked = 0
@@ -252,8 +256,9 @@ def test_product_equals_normal_form_of_concatenated_words(field):
         for _ in range(5):
             x, y = _random_support(rng, algebra, words), _random_support(rng, algebra, words)
             pairs = [(cx * cy, wx + wy) for wx, cx in x.items() for wy, cy in y.items()]
-            product = algebra._product(x, y)
-            assert product == algebra._combine(pairs) == algebra._combine(pairs, right=True)
+            reference = reference_normal_form(algebra, pairs)
+            assert algebra._product(x, y) == reference
+            assert algebra._combine(pairs) == algebra._combine(pairs, right=True) == reference
             for wx in x:
                 for wy in y:
                     paths[_junction_path(algebra, wx, wy)] += 1
@@ -296,6 +301,29 @@ def test_product_leaves_the_memos_alone():
         # b_1 b_1^* -> v - a_1 a_1^*, and v is absorbed by the a_1^* after it
         algebra.word((S("a", 1),)) - algebra.word((E("a", 1), S("a", 1), S("a", 1))),
     ]
+
+
+def test_long_term_leaves_one_memo_entry(monkeypatch):
+    # the memos hold whole words only, so a 1,600-letter term adds one entry,
+    # not one per intermediate word
+    algebra = Algebra(fixture_graph("e2loops.wg"))
+    text = "b.1* b.1 " * 800
+    element = parse_element(algebra, text)
+    assert (len(algebra._memo_left), len(algebra._memo_right)) == (1, 0)
+
+    # the whole-word entry is why the memo is kept: a second normalize is a hit
+    calls = 0
+    original = Algebra._product
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(Algebra, "_product", counted)
+    assert parse_element(algebra, text) == element
+    assert calls == 0
+    assert element == algebra.vertex("v") - algebra.word((S("b", 2), E("b", 2)))
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -328,6 +328,18 @@ def test_cli_negative_table_length_rejected(command):
     assert (code, out, err) == (1, "", "error: max_len must be >= 0\n")
 
 
+def test_cli_counts_read_as_ascii_digits():
+    # lengths and budgets are read by fields.parse_natural, as every number from the input
+    for text in ("1_0", "+3", "\u0663", " 2", "2 ", "--1", "-", ""):
+        error = f"error: argument {{}}: not a number in ASCII digits: {text!r}\n"
+        for command in ("growth", "zero-dim", "basis"):
+            assert invoke(command, "--input", fx("loop1.wg"), "--", text) == (
+                1, "", error.format("max_len"))
+        assert invoke("basis", "--input", fx("loop1.wg"), f"--budget={text}", "2") == (
+            1, "", error.format("--budget"))
+    assert invoke("growth", "--input", fx("loop1.wg"), "002") == (0, "0\t1\n1\t3\n2\t5\n", "")
+
+
 @pytest.mark.parametrize("option", ["--source", "--range"])
 def test_cli_basis_unknown_vertex_rejected(option):
     code, out, err = invoke("basis", "--input", fx("loop1.wg"), "2", option, "nosuch")

@@ -187,7 +187,10 @@ class Algebra:
     between threads without a lock.  Only words from outside reach them:
     :meth:`normalize` (so every ``parse_element`` term) and the backward
     images of ``family_maps``; products of elements (:meth:`_product`)
-    leave them as they are.
+    leave them as they are.  Letters are interned in one table, ``_id_of``,
+    keyed by plain ``(kind, name, index)`` tuples (index 0 for a vertex):
+    :meth:`_intern_letter` reads a :class:`Generator`'s three fields into
+    it, and ``parse_element`` looks up the tuples it reads from the text.
     """
 
     def __init__(self, graph: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None,
@@ -205,7 +208,7 @@ class Algebra:
         self._gens = tuple(gens)
         self._src = tuple(src)
         self._rng = tuple(rng)
-        self._id_of = {g: i for i, g in enumerate(gens)}
+        self._id_of = {(g.kind, g.name, g.index): i for i, g in enumerate(gens)}
         self._nv = len(graph.vertices)
         self._vertex_id = {v: i for i, v in enumerate(graph.vertices)}
         self._src_id = tuple(self._vertex_id[v] for v in src)
@@ -296,7 +299,7 @@ class Algebra:
 
     def _intern_letter(self, gen: Generator) -> int:
         try:
-            return self._id_of[gen]
+            return self._id_of[gen.kind, gen.name, gen.index]
         except KeyError:
             raise UnknownGeneratorError(f"unknown generator {gen.token()!r}") from None
 
@@ -427,18 +430,19 @@ class Algebra:
         """Normal form of a formal scalar combination of words.
 
         ``terms`` is an iterable of ``(scalar, word)`` pairs where a word is
-        a nonempty tuple of :class:`Generator`.  ``strategy`` picks the
-        direction in which :meth:`_nf_word` folds each word's letters
-        ("left" or "right"); the results must agree.
+        a nonempty tuple of :class:`Generator`, checked even under a zero
+        scalar.  ``strategy`` picks the direction in which :meth:`_nf_word`
+        folds each word's letters ("left" or "right"); the results must agree.
         """
         if strategy not in ("left", "right"):
             raise AlgebraError(f"unknown strategy {strategy!r}")
-        pairs = []
-        for scalar, word in terms:
-            c = self._scalar(scalar)
-            if c:
-                pairs.append((c, self._intern_word(word)))
-        return self._lift(self._combine(pairs, strategy == "right"))
+        pairs = [(scalar, self._intern_word(word)) for scalar, word in terms]
+        return self._normal_form(pairs, strategy == "right")
+
+    def _normal_form(self, pairs, right: bool = False) -> "AlgebraElement":
+        """:meth:`normalize` after interning: :meth:`_scalar`, :meth:`_combine`, :meth:`_lift`."""
+        scaled = [(c, ids) for k, ids in pairs if (c := self._scalar(k))]
+        return self._lift(self._combine(scaled, right))
 
     # -- element constructors -------------------------------------------
 

@@ -51,9 +51,17 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """``-h``/``--help`` was given; the help text is the message."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        # the help action then exits; raising first lets run() print it to its stdout
+        raise _HelpRequested(self.format_help())
 
 
 def _natural(text: str) -> int:
@@ -263,6 +271,9 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             return EXIT_OK
 
         raise _UsageError(f"unknown command {args.command!r}")
+    except _HelpRequested as exc:
+        stdout.write(str(exc))
+        return EXIT_OK
     except (_UsageError, GraphError, AlgebraError, ExpressionError, FieldError,
             ReservedIdError) as exc:
         print(f"error: {exc}", file=stderr)

@@ -8,22 +8,27 @@ Grammar, with juxtaposition binding tighter than ``+``/``-``::
     scalar := integer ['/' integer]
 
 Generator tokens are ``v`` for a vertex, ``e.1`` for an edge strand and
-``e.1*`` for its star.  Identifiers may themselves contain superscripts
-(``a^(1)``, ``(h^(1))^(2)``), so an opening parenthesis is treated as part
-of an identifier exactly when its balanced group holds one identifier and
-is followed by ``^(digits)``; otherwise it opens a grouping.  The tokenizer
+``e.1*`` for its star; a bare digit run that no ``*`` follows names the
+vertex of that name, if the graph has one, and is a scalar otherwise.
+Identifiers may themselves contain superscripts (``a^(1)``,
+``(h^(1))^(2)``), so an opening parenthesis is treated as part of an
+identifier exactly when its balanced group holds one identifier and is
+followed by ``^(digits)``; otherwise it opens a grouping.  The tokenizer
 matches every parenthesis in one pass and decides each opening one once.
 
-Evaluation is formal.  A term without groups is one ``(scalar, word)``
-pair, its generators juxtaposed into a single word; normal forms are
+Evaluation is formal.  Each generator is read straight to its letter id,
+a strand through the plain ``(kind, name, index)`` key of the algebra's
+letter table, and checked when it is read, so the first bad generator in
+the text is the error reported; a :class:`Generator` is built only to
+name an unknown one.  A term without groups is one ``(scalar, word)``
+pair, its letter ids juxtaposed into a single word; normal forms are
 unique, so the normal form of that word is the product of its letters.
 Each expression, the whole text and every group, hands the pairs of its
-group-free terms to ``Algebra.normalize`` in one call.  A term with a
-parenthesised group multiplies elements instead (the pending word's normal
-form times the group's value), and its value is added to that sum, so
-nested groups never expand into exponentially many formal words.  Each
-generator is checked when it is read, so the first bad generator in the
-text is the error reported.
+group-free terms in one call to the routine ``Algebra.normalize`` runs
+after interning.  A term with a parenthesised group multiplies elements
+instead (the pending word's normal form times the group's value), and its
+value is added to that sum, so nested groups never expand into
+exponentially many formal words.
 """
 
 from __future__ import annotations
@@ -31,13 +36,14 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .algebra import Algebra, AlgebraElement, Generator, UnknownGeneratorError
+from .algebra import Algebra, AlgebraElement, Generator
 from .fields import FieldError, parse_natural
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\([0-9]+\))*")
 _SUPERSCRIPTS_RE = re.compile(r"(\^\([0-9]+\))+")
 _STRAND_RE = re.compile(r"\.([0-9]+)(\*)?")  # strand suffix .<digits>, optional star
 _DENOMINATOR_RE = re.compile(r"/([0-9]+)")
+_SPACE_RE = re.compile(r"\s*")
 
 
 # Deepest parenthesis nesting accepted.  The parser recurses once per
@@ -94,59 +100,62 @@ def _scan_identifier(text: str, pos: int, closes: dict[int, int],
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str]] = []
         self._run()
 
     def _run(self):
-        text = self.text
+        text, tokens = self.text, self.tokens
         closes = _matching_parentheses(text)
         decided: dict[int, Optional[int]] = {}
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-                continue
+        skip_space, atom = _SPACE_RE.match, _ATOM_RE.match
+        pos = skip_space(text).end()
+        while pos < len(text):
+            ch = text[pos]
             if ch in "+-*":
-                self.tokens.append((ch, ch))
-                self.pos += 1
-                continue
-            ident_end = _scan_identifier(text, self.pos, closes, decided)
-            if ident_end is not None:
-                name = text[self.pos:ident_end]
-                self.pos = ident_end
-                m = _STRAND_RE.match(text, self.pos)
-                if m:
-                    self.pos = m.end()
-                    kind = "star" if m.group(2) else "edge"
-                    self.tokens.append((kind, f"{name}.{m.group(1)}"))
-                elif name.isdigit():
-                    # a bare number is a scalar; allow a/b
-                    m2 = _DENOMINATOR_RE.match(text, self.pos)
-                    if m2:
-                        self.pos = m2.end()
-                        self.tokens.append(("scalar", f"{name}/{m2.group(1)}"))
-                    else:
-                        self.tokens.append(("scalar", name))
+                tokens.append((ch, ch))
+                pos += 1
+            else:
+                if ch == "(":
+                    ident_end = _scan_identifier(text, pos, closes, decided)
                 else:
-                    self.tokens.append(("name", name))
-                continue
-            if ch == "(":
-                self.tokens.append(("(", ch))
-                self.pos += 1
-                continue
-            if ch == ")":
-                self.tokens.append((")", ch))
-                self.pos += 1
-                continue
-            raise ExpressionError(f"unexpected character {ch!r} at position {self.pos}")
+                    m = atom(text, pos)
+                    ident_end = m.end() if m else None
+                if ident_end is not None:
+                    name = text[pos:ident_end]
+                    pos = ident_end
+                    m = _STRAND_RE.match(text, pos)
+                    if m:
+                        pos = m.end()
+                        kind = "star" if m.group(2) else "edge"
+                        tokens.append((kind, f"{name}.{m.group(1)}"))
+                    elif name.isdigit():
+                        # a bare number is a scalar; allow a/b
+                        m2 = _DENOMINATOR_RE.match(text, pos)
+                        if m2:
+                            pos = m2.end()
+                            tokens.append(("scalar", f"{name}/{m2.group(1)}"))
+                        else:
+                            tokens.append(("scalar", name))
+                    else:
+                        tokens.append(("name", name))
+                elif ch in "()":
+                    tokens.append((ch, ch))
+                    pos += 1
+                else:
+                    raise ExpressionError(f"unexpected character {ch!r} at position {pos}")
+            pos = skip_space(text, pos).end()
 
 
 class _Parser:
     def __init__(self, algebra: Algebra, text: str):
         self.algebra = algebra
-        self.tokens = _Tokenizer(text).tokens
+        self.tokens = tokens = _Tokenizer(text).tokens
         self.i = 0
+        vertices = algebra._vertex_id
+        for k, (kind, name) in enumerate(tokens):
+            # a digit run that no '*' follows names the vertex of that name, if any
+            if kind == "scalar" and name in vertices and tokens[k + 1:k + 2] != [("*", "*")]:
+                tokens[k] = ("name", name)
 
     def peek(self) -> Optional[tuple[str, str]]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -182,11 +191,11 @@ class _Parser:
             if tok is None or tok[0] not in "+-":
                 break
             sign = 1 if self.take()[0] == "+" else -1
-        total = self.algebra.normalize(pairs)
+        total = self.algebra._normal_form(pairs)
         return total if value is None else total + value
 
     def term(self, sign: int):
-        """A ``(scalar, word)`` pair, or the value of a term with a group."""
+        """A ``(scalar, letter ids)`` pair, or the value of a term with a group."""
         scalar = sign
         tok = self.peek()
         if tok is not None and tok[0] == "scalar":
@@ -201,15 +210,16 @@ class _Parser:
             if nxt is None or nxt[0] != "*":
                 raise ExpressionError("scalar prefix must be followed by '*'")
             self.take()
-        word: list[Generator] = []
+        alg = self.algebra
+        word: list[int] = []
         value = None  # product of the factors before ``word``, once a group is read
         while True:
             factor = self.factor()
-            if isinstance(factor, Generator):
+            if isinstance(factor, int):
                 word.append(factor)
             else:
                 if word:
-                    factor = self.algebra.word(word) * factor
+                    factor = alg._lift(alg._nf_word(tuple(word))) * factor
                     word = []
                 value = factor if value is None else value * factor
             tok = self.peek()
@@ -218,11 +228,11 @@ class _Parser:
         if value is None:
             return scalar, tuple(word)
         if word:
-            value = value * self.algebra.word(word)
+            value = value * alg._lift(alg._nf_word(tuple(word)))
         return value.scaled(scalar)
 
     def factor(self):
-        """A generator of the algebra, or the value of a parenthesised group."""
+        """The letter id of a generator, or the value of a parenthesised group."""
         kind, text = self.take()
         if kind == "(":
             value = self.expr()
@@ -231,19 +241,21 @@ class _Parser:
                 raise ExpressionError("expected ')'")
             return value
         if kind == "name":
-            if not self.algebra.graph.has_vertex(text):
+            vertex = self.algebra._vertex_id.get(text)
+            if vertex is None:
                 raise ExpressionError(f"unknown vertex {text!r}")
-            return Generator.vertex(text)
+            return vertex
         if kind in ("edge", "star"):
-            name, _, rest = text.rpartition(".")
+            name, _, digits = text.rpartition(".")
             try:
-                gen = Generator(kind, name, parse_natural(rest))
-                self.algebra.generator_endpoints(gen)  # rejects letters outside the algebra
-            except UnknownGeneratorError as exc:
-                raise ExpressionError(str(exc)) from None
+                index = parse_natural(digits)
             except ValueError:  # an index too long for int()
                 raise ExpressionError(f"unknown generator {text!r}") from None
-            return gen
+            letter = self.algebra._id_of.get((kind, name, index))
+            if letter is None:
+                gen = Generator(kind, name, index)  # built only to name the letter
+                raise ExpressionError(f"unknown generator {gen.token()!r}")
+            return letter
         raise ExpressionError(f"unexpected token {text!r}")
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from wlpa import (
     parse_weighted_graph,
     serialize_weighted_graph,
 )
-from wlpa.cli import run
+from wlpa.cli import main, run
 from wlpa.exprs import ExpressionError, parse_element
 
 from graphgen import weighted_ring
@@ -93,6 +94,19 @@ def test_expr_errors():
             parse_element(algebra, bad)
         assert str(info.value) == message
         assert invoke("eval", "--input", fx("loop1.wg"), bad) == (1, "", f"error: {message}\n")
+
+
+def test_expr_digit_vertices_read_back():
+    graph = "vertex 2\nvertex x\nedge 7 2 x\n"
+    code, out, _ = invoke("basis", "--input", "-", "2", stdin_text=graph)
+    assert code == 0 and "2" in out.split()
+    for word in out.splitlines():
+        assert invoke("eval", "--input", "-", word, stdin_text=graph) == (0, word + "\n", "")
+    # a digit run followed by '*' stays a scalar prefix
+    for text, value in (("1 * 2", "2"), ("2 * 2", "2 2"), ("2 2", "2"), ("-2 7.1", "-7.1")):
+        assert invoke("eval", "--input", "-", text, stdin_text=graph) == (0, value + "\n", "")
+    assert invoke("eval", "--input", "-", "2 * 2 * x", stdin_text=graph) == (
+        1, "", "error: unexpected token '2'\n")
 
 
 # -- CLI exit codes and text output -----------------------------------------
@@ -423,6 +437,27 @@ def test_cli_usage_errors():
     assert code == 1
     code, _, err = invoke("check-lpa")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: wlpa [-h]"),
+    (["eval", "--help"], "usage: wlpa eval [-h]"),
+    (["transform", "-h", "--input", "x"], "usage: wlpa transform [-h]"),
+])
+def test_cli_help_goes_to_the_given_stdout(argv, usage, capsys):
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage) and out.endswith("\n")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_main_prints_help_and_exits_zero(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["wlpa", "eval", "--help"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: wlpa eval [-h]") and err == ""
 
 
 # -- golden files: machine format, text format for .txt --------------------

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlpa import Algebra, WeightedGraph, field_from_name, parse_weighted_graph
+from wlpa import Algebra, Generator, WeightedGraph, field_from_name, parse_weighted_graph
 from wlpa import exprs
 from wlpa.exprs import ExpressionError, parse_element
 
@@ -182,3 +182,52 @@ def test_overlong_numbers_are_expression_errors():
         with pytest.raises(ExpressionError) as info:
             parse_element(alg, text)
         assert str(info.value) == message
+
+
+# -- letters read straight to ids -----------------------------------------
+
+_INDEX = "b." + "9" * 5000  # beyond int()'s default digit limit
+
+
+@pytest.mark.parametrize("text, same_as", [
+    ("b.01 b.02*", "b.1 b.2*"),
+    ("2 * b.002 a.1*", "2 * b.2 a.1*"),
+    ("\tv\n-  a.1 ", "v - a.1"),
+    ("-(b.1 + b.02) b.2*", "-b.1 b.2* - b.2 b.2*"),
+])
+def test_parser_accepts(text, same_as):
+    alg = _TOTALITY_ALGEBRAS[0]
+    assert parse_element(alg, text) == parse_element(alg, same_as)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("e.01", "unknown generator 'e.1'"),
+    ("v b.03*", "unknown generator 'b.3*'"),
+    ("a.1 w", "unknown vertex 'w'"),
+    (_INDEX, f"unknown generator {_INDEX!r}"),
+    ("v % a.1", "unexpected character '%' at position 2"),
+    ("2", "scalar prefix must be followed by '*'"),
+    ("2 v", "scalar prefix must be followed by '*'"),
+    ("v 2", "trailing input near '2'"),
+    ("1 * 2", "unexpected token '2'"),
+])
+def test_parser_rejects(text, message):
+    with pytest.raises(ExpressionError) as info:
+        parse_element(_TOTALITY_ALGEBRAS[0], text)
+    assert str(info.value) == message
+
+
+def test_warm_reparse_builds_no_generator(monkeypatch):
+    alg = Algebra(parse_weighted_graph((FIXTURES / "e2loops.wg").read_text()))
+    text = "2 * b.2 a.1 b.2* - (v + b.1*) b.1 + 1/2 * a.1* - b.02"
+    first = parse_element(alg, text)
+    built = []
+    init = Generator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Generator, "__init__", counting_init)
+    assert parse_element(alg, text) == first
+    assert built == []

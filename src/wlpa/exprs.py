@@ -3,18 +3,30 @@
 Grammar, with juxtaposition binding tighter than ``+``/``-``::
 
     expr   := ['-'] term (('+' | '-') term)*
-    term   := [scalar '*'] factor factor*
+    term   := [scalar ['*']] factor factor*
     factor := generator | '(' expr ')'
     scalar := integer ['/' integer]
 
 Generator tokens are ``v`` for a vertex, ``e.1`` for an edge strand and
 ``e.1*`` for its star; a bare digit run that no ``*`` follows names the
 vertex of that name, if the graph has one, and is a scalar otherwise.
-Identifiers may themselves contain superscripts (``a^(1)``,
-``(h^(1))^(2)``), so an opening parenthesis is treated as part of an
-identifier exactly when its balanced group holds one identifier and is
-followed by ``^(digits)``; otherwise it opens a grouping.  The tokenizer
-matches every parenthesis in one pass and decides each opening one once.
+That rule comes first, so on a graph with a vertex ``2`` the text ``2 v``
+is a product of two vertices: ``AlgebraElement.render`` reads back as the
+same element only on graphs with no digit-run vertex name.
+
+One ``findall`` of ``_TOKEN_RE`` scans the whole text into tuples
+``(fraction, name, index, star, punctuation, stray)``.  The stray group
+holds the first character no other branch takes, and the rest of the
+text, so it can only be the last tuple.  Such a text is read a second
+time by :func:`_scan_strays`, a loop over the same pattern that keeps
+positions: a stray character is an error, unless it is the ``^`` of an
+identifier that begins with a parenthesis (``(h^(1))^(2)``).  There an
+opening parenthesis is part of an identifier exactly when its balanced
+group holds one identifier and is followed by ``^(digits)``; otherwise it
+opens a grouping.  That reader matches every parenthesis in one pass and
+decides each opening one once.  A text without strays has its
+parentheses matched only when it holds more than ``MAX_NESTING`` of
+``(``, since fewer cannot nest deeper.
 
 Evaluation is formal.  Each generator is read straight to its letter id,
 a strand through the plain ``(kind, name, index)`` key of the algebra's
@@ -37,13 +49,17 @@ import re
 from typing import Optional
 
 from .algebra import Algebra, AlgebraElement, Generator
-from .fields import FieldError, parse_natural
+from .fields import FieldError
 
-_ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\([0-9]+\))*")
+_ATOM = r"[A-Za-z0-9_]+(?:\^\([0-9]+\))*"
+_STRAND = r"(?:\.([0-9]+)(\*)?)?"  # optional strand suffix .<digits>, optional star
+_TOKEN_RE = re.compile(
+    r"(?:([0-9]+/[0-9]+)|(" + _ATOM + ")" + _STRAND + r"|([-+*()])|(\S[\s\S]*))\s*")
+_STRAND_RE = re.compile(_STRAND + r"\s*")
+_ATOM_RE = re.compile(_ATOM)
 _SUPERSCRIPTS_RE = re.compile(r"(\^\([0-9]+\))+")
-_STRAND_RE = re.compile(r"\.([0-9]+)(\*)?")  # strand suffix .<digits>, optional star
-_DENOMINATOR_RE = re.compile(r"/([0-9]+)")
 _SPACE_RE = re.compile(r"\s*")
+_END = ("",) * 6  # closes every token list the parser reads
 
 
 # Deepest parenthesis nesting accepted.  The parser recurses once per
@@ -78,7 +94,7 @@ def _scan_identifier(text: str, pos: int, closes: dict[int, int],
 
     ``(x)^(d)`` is an identifier when ``x`` is one that ends at the matching
     ``)``.  The run of opening parentheses at ``pos`` is decided innermost
-    first, and each verdict is stored in ``decided``, so a tokenizer that
+    first, and each verdict is stored in ``decided``, so a reader that
     steps over those parentheses one by one reads them only once.
     """
     if pos in decided:
@@ -97,170 +113,142 @@ def _scan_identifier(text: str, pos: int, closes: dict[int, int],
     return end
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str]] = []
-        self._run()
+def _scan_strays(text: str) -> list[tuple[str, ...]]:
+    """The tokens of a text whose scan holds a stray character, read with positions."""
+    closes = _matching_parentheses(text)
+    decided: dict[int, Optional[int]] = {}
+    tokens = []
+    pos = _SPACE_RE.match(text).end()
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m.group(6):
+            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
+        end = _scan_identifier(text, pos, closes, decided) if m.group(5) == "(" else None
+        if end is None:
+            tokens.append(m.groups(""))
+        else:
+            m = _STRAND_RE.match(text, end)
+            tokens.append(("", text[pos:end]) + m.groups("") + ("", ""))
+        pos = m.end()
+    return tokens
 
-    def _run(self):
-        text, tokens = self.text, self.tokens
-        closes = _matching_parentheses(text)
-        decided: dict[int, Optional[int]] = {}
-        skip_space, atom = _SPACE_RE.match, _ATOM_RE.match
-        pos = skip_space(text).end()
-        while pos < len(text):
-            ch = text[pos]
-            if ch in "+-*":
-                tokens.append((ch, ch))
-                pos += 1
-            else:
-                if ch == "(":
-                    ident_end = _scan_identifier(text, pos, closes, decided)
-                else:
-                    m = atom(text, pos)
-                    ident_end = m.end() if m else None
-                if ident_end is not None:
-                    name = text[pos:ident_end]
-                    pos = ident_end
-                    m = _STRAND_RE.match(text, pos)
-                    if m:
-                        pos = m.end()
-                        kind = "star" if m.group(2) else "edge"
-                        tokens.append((kind, f"{name}.{m.group(1)}"))
-                    elif name.isdigit():
-                        # a bare number is a scalar; allow a/b
-                        m2 = _DENOMINATOR_RE.match(text, pos)
-                        if m2:
-                            pos = m2.end()
-                            tokens.append(("scalar", f"{name}/{m2.group(1)}"))
-                        else:
-                            tokens.append(("scalar", name))
-                    else:
-                        tokens.append(("name", name))
-                elif ch in "()":
-                    tokens.append((ch, ch))
-                    pos += 1
-                else:
-                    raise ExpressionError(f"unexpected character {ch!r} at position {pos}")
-            pos = skip_space(text, pos).end()
+
+def _tokens(text: str) -> list[tuple[str, ...]]:
+    """``(fraction, name, index, star, punctuation, "")`` for each token of ``text``."""
+    tokens = _TOKEN_RE.findall(text)
+    if tokens and tokens[-1][5]:
+        return _scan_strays(text)
+    if text.count("(") > MAX_NESTING:
+        _matching_parentheses(text)
+    return tokens
+
+
+def _quote(token: tuple[str, ...]) -> str:
+    """A token that is not a generator, as error messages quote it."""
+    return repr(token[0] or token[1] or token[4])
 
 
 class _Parser:
-    def __init__(self, algebra: Algebra, text: str):
-        self.algebra = algebra
-        self.tokens = tokens = _Tokenizer(text).tokens
-        self.i = 0
-        vertices = algebra._vertex_id
-        for k, (kind, name) in enumerate(tokens):
-            # a digit run that no '*' follows names the vertex of that name, if any
-            if kind == "scalar" and name in vertices and tokens[k + 1:k + 2] != [("*", "*")]:
-                tokens[k] = ("name", name)
+    """Recursive descent over the token tuples of one text, closed by ``_END``."""
 
-    def peek(self) -> Optional[tuple[str, str]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def __init__(self, algebra: Algebra, tokens: list[tuple[str, ...]]):
+        self.algebra, self.tokens = algebra, tokens
 
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        self.i += 1
-        return tok
+    def expr(self, i: int) -> tuple[AlgebraElement, int]:
+        """The sum that starts at token ``i``, and the index after it.
 
-    def parse(self) -> AlgebraElement:
-        value = self.expr()
-        if self.peek() is not None:
-            raise ExpressionError(f"trailing input near {self.peek()[1]!r}")
-        return value
-
-    def expr(self) -> AlgebraElement:
-        """A sum of terms: the formal pairs normalized once, plus the group terms."""
-        pairs, value = [], None
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok[0] == "-":
-            self.take()
-            sign = -1
+        The formal pairs are normalized once, then the group terms added.
+        """
+        tokens = self.tokens
+        pairs, value, sign = [], None, 1
+        if tokens[i][4] == "-":
+            sign, i = -1, i + 1
         while True:
-            term = self.term(sign)
+            term, i = self.term(i, sign)
             if isinstance(term, AlgebraElement):
                 value = term if value is None else value + term
             else:
                 pairs.append(term)
-            tok = self.peek()
-            if tok is None or tok[0] not in "+-":
+            punct = tokens[i][4]
+            if punct != "+" and punct != "-":
                 break
-            sign = 1 if self.take()[0] == "+" else -1
+            sign, i = (1 if punct == "+" else -1), i + 1
         total = self.algebra._normal_form(pairs)
-        return total if value is None else total + value
+        return (total if value is None else total + value), i
 
-    def term(self, sign: int):
-        """A ``(scalar, letter ids)`` pair, or the value of a term with a group."""
-        scalar = sign
-        tok = self.peek()
-        if tok is not None and tok[0] == "scalar":
-            self.take()
+    def term(self, i: int, sign: int):
+        """A ``(scalar, letter ids)`` pair, or the value of a term with a group,
+        and the index after it."""
+        alg, tokens = self.algebra, self.tokens
+        vertex_id, id_of = alg._vertex_id, alg._id_of
+        fraction, name, index, _, _, _ = tokens[i]
+        scalar, bare = sign, False
+        # a digit run that no '*' follows names the vertex of that name, if any
+        if fraction or (not index and name.isdigit()
+                        and (name not in vertex_id or tokens[i + 1][4] == "*")):
             try:
-                scalar = self.algebra.field.parse(tok[1])
+                scalar = alg.field.parse(fraction or name)
             except FieldError as exc:
                 raise ExpressionError(str(exc)) from None
             if sign < 0:
                 scalar = -scalar
-            nxt = self.peek()
-            if nxt is None or nxt[0] != "*":
-                raise ExpressionError("scalar prefix must be followed by '*'")
-            self.take()
-        alg = self.algebra
+            i += 1
+            bare = tokens[i][4] != "*"
+            if not bare:
+                i += 1
         word: list[int] = []
         value = None  # product of the factors before ``word``, once a group is read
         while True:
-            factor = self.factor()
-            if isinstance(factor, int):
-                word.append(factor)
-            else:
+            fraction, name, index, star, punct, _ = tokens[i]
+            if index:
+                kind = "star" if star else "edge"
+                try:
+                    letter = id_of.get((kind, name, int(index)))
+                except ValueError:  # an index too long for int()
+                    raise ExpressionError(f"unknown generator {name + '.' + index!r}") from None
+                if letter is None:
+                    gen = Generator(kind, name, int(index))  # built only to name the letter
+                    raise ExpressionError(f"unknown generator {gen.token()!r}")
+                word.append(letter)
+            elif name:
+                letter = vertex_id.get(name)
+                if letter is None or (tokens[i + 1][4] == "*" and name.isdigit()):
+                    if not name.isdigit():
+                        raise ExpressionError(f"unknown vertex {name!r}")
+                    break  # a scalar
+                word.append(letter)
+            elif punct == "(":
+                group, i = self.expr(i + 1)
+                if tokens[i][4] != ")":
+                    raise ExpressionError("unexpected end of expression" if tokens[i] is _END
+                                          else "expected ')'")
                 if word:
-                    factor = alg._lift(alg._nf_word(tuple(word))) * factor
+                    group = alg._lift(alg._nf_word(tuple(word))) * group
                     word = []
-                value = factor if value is None else value * factor
-            tok = self.peek()
-            if tok is None or tok[0] not in ("name", "edge", "star", "("):
+                value = group if value is None else value * group
+            else:
                 break
+            i += 1
+        if not word and value is None:
+            if bare:
+                raise ExpressionError("scalar prefix must be followed by '*'")
+            if tokens[i] is _END:
+                raise ExpressionError("unexpected end of expression")
+            raise ExpressionError(f"unexpected token {_quote(tokens[i])}")
         if value is None:
-            return scalar, tuple(word)
+            return (scalar, tuple(word)), i
         if word:
             value = value * alg._lift(alg._nf_word(tuple(word)))
-        return value.scaled(scalar)
-
-    def factor(self):
-        """The letter id of a generator, or the value of a parenthesised group."""
-        kind, text = self.take()
-        if kind == "(":
-            value = self.expr()
-            closing = self.take()
-            if closing[0] != ")":
-                raise ExpressionError("expected ')'")
-            return value
-        if kind == "name":
-            vertex = self.algebra._vertex_id.get(text)
-            if vertex is None:
-                raise ExpressionError(f"unknown vertex {text!r}")
-            return vertex
-        if kind in ("edge", "star"):
-            name, _, digits = text.rpartition(".")
-            try:
-                index = parse_natural(digits)
-            except ValueError:  # an index too long for int()
-                raise ExpressionError(f"unknown generator {text!r}") from None
-            letter = self.algebra._id_of.get((kind, name, index))
-            if letter is None:
-                gen = Generator(kind, name, index)  # built only to name the letter
-                raise ExpressionError(f"unknown generator {gen.token()!r}")
-            return letter
-        raise ExpressionError(f"unexpected token {text!r}")
+        return value.scaled(scalar), i
 
 
 def parse_element(algebra: Algebra, text: str) -> AlgebraElement:
     """Evaluate an element expression in the given algebra."""
     if not text.strip():
         raise ExpressionError("empty expression")
-    return _Parser(algebra, text).parse()
+    tokens = _tokens(text)
+    tokens.append(_END)
+    value, i = _Parser(algebra, tokens).expr(0)
+    if tokens[i] is not _END:
+        raise ExpressionError(f"trailing input near {_quote(tokens[i])}")
+    return value

@@ -7,9 +7,13 @@ sides is meaningful.
 
 from __future__ import annotations
 
+import re
 from itertools import product
+from typing import Optional
 
-from wlpa import WeightedGraph, vertex_weight
+from wlpa import AlgebraElement, Generator, WeightedGraph, vertex_weight
+from wlpa.exprs import ExpressionError, _matching_parentheses, _scan_identifier
+from wlpa.fields import FieldError, parse_natural
 
 
 # -- reachability and cycles --------------------------------------------------
@@ -194,6 +198,190 @@ def reference_normal_form(algebra, pairs) -> dict:
             continue
         work += [(k * c, w[:i] + repl + w[i + 2:]) for c, repl in act]  # [] for 0
     return {w: c for w, c in out.items() if c}
+
+
+# -- reference expression parser -----------------------------------------------
+
+_ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\([0-9]+\))*")
+_STRAND_RE = re.compile(r"\.([0-9]+)(\*)?")  # strand suffix .<digits>, optional star
+_DENOMINATOR_RE = re.compile(r"/([0-9]+)")
+_SPACE_RE = re.compile(r"\s*")
+
+
+class _Tokenizer:
+    """``(kind, text)`` tokens, read one position at a time."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str]] = []
+        self._run()
+
+    def _run(self):
+        text, tokens = self.text, self.tokens
+        closes = _matching_parentheses(text)
+        decided: dict[int, Optional[int]] = {}
+        skip_space, atom = _SPACE_RE.match, _ATOM_RE.match
+        pos = skip_space(text).end()
+        while pos < len(text):
+            ch = text[pos]
+            if ch in "+-*":
+                tokens.append((ch, ch))
+                pos += 1
+            else:
+                if ch == "(":
+                    ident_end = _scan_identifier(text, pos, closes, decided)
+                else:
+                    m = atom(text, pos)
+                    ident_end = m.end() if m else None
+                if ident_end is not None:
+                    name = text[pos:ident_end]
+                    pos = ident_end
+                    m = _STRAND_RE.match(text, pos)
+                    if m:
+                        pos = m.end()
+                        kind = "star" if m.group(2) else "edge"
+                        tokens.append((kind, f"{name}.{m.group(1)}"))
+                    elif name.isdigit():
+                        # a bare number is a scalar; allow a/b
+                        m2 = _DENOMINATOR_RE.match(text, pos)
+                        if m2:
+                            pos = m2.end()
+                            tokens.append(("scalar", f"{name}/{m2.group(1)}"))
+                        else:
+                            tokens.append(("scalar", name))
+                    else:
+                        tokens.append(("name", name))
+                elif ch in "()":
+                    tokens.append((ch, ch))
+                    pos += 1
+                else:
+                    raise ExpressionError(f"unexpected character {ch!r} at position {pos}")
+            pos = skip_space(text, pos).end()
+
+
+class _Parser:
+    """Recursive descent with one ``peek``/``take`` call per token."""
+
+    def __init__(self, algebra, text: str):
+        self.algebra = algebra
+        self.tokens = tokens = _Tokenizer(text).tokens
+        self.i = 0
+        vertices = algebra._vertex_id
+        for k, (kind, name) in enumerate(tokens):
+            # a digit run that no '*' follows names the vertex of that name, if any
+            if kind == "scalar" and name in vertices and tokens[k + 1:k + 2] != [("*", "*")]:
+                tokens[k] = ("name", name)
+
+    def peek(self) -> Optional[tuple[str, str]]:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self) -> tuple[str, str]:
+        tok = self.peek()
+        if tok is None:
+            raise ExpressionError("unexpected end of expression")
+        self.i += 1
+        return tok
+
+    def parse(self):
+        value = self.expr()
+        if self.peek() is not None:
+            raise ExpressionError(f"trailing input near {self.peek()[1]!r}")
+        return value
+
+    def expr(self):
+        pairs, value = [], None
+        sign = 1
+        tok = self.peek()
+        if tok is not None and tok[0] == "-":
+            self.take()
+            sign = -1
+        while True:
+            term = self.term(sign)
+            if isinstance(term, AlgebraElement):
+                value = term if value is None else value + term
+            else:
+                pairs.append(term)
+            tok = self.peek()
+            if tok is None or tok[0] not in "+-":
+                break
+            sign = 1 if self.take()[0] == "+" else -1
+        total = self.algebra._normal_form(pairs)
+        return total if value is None else total + value
+
+    def term(self, sign: int):
+        scalar = sign
+        tok = self.peek()
+        if tok is not None and tok[0] == "scalar":
+            self.take()
+            try:
+                scalar = self.algebra.field.parse(tok[1])
+            except FieldError as exc:
+                raise ExpressionError(str(exc)) from None
+            if sign < 0:
+                scalar = -scalar
+            nxt = self.peek()
+            if nxt is not None and nxt[0] == "*":
+                self.take()
+            elif nxt is None or nxt[0] not in _FACTOR_STARTS:
+                raise ExpressionError("scalar prefix must be followed by '*'")
+        alg = self.algebra
+        word: list[int] = []
+        value = None
+        while True:
+            factor = self.factor()
+            if isinstance(factor, int):
+                word.append(factor)
+            else:
+                if word:
+                    factor = alg._lift(alg._nf_word(tuple(word))) * factor
+                    word = []
+                value = factor if value is None else value * factor
+            tok = self.peek()
+            if tok is None or tok[0] not in _FACTOR_STARTS:
+                break
+        if value is None:
+            return scalar, tuple(word)
+        if word:
+            value = value * alg._lift(alg._nf_word(tuple(word)))
+        return value.scaled(scalar)
+
+    def factor(self):
+        kind, text = self.take()
+        if kind == "(":
+            value = self.expr()
+            closing = self.take()
+            if closing[0] != ")":
+                raise ExpressionError("expected ')'")
+            return value
+        if kind == "name":
+            vertex = self.algebra._vertex_id.get(text)
+            if vertex is None:
+                raise ExpressionError(f"unknown vertex {text!r}")
+            return vertex
+        if kind in ("edge", "star"):
+            name, _, digits = text.rpartition(".")
+            try:
+                index = parse_natural(digits)
+            except ValueError:  # an index too long for int()
+                raise ExpressionError(f"unknown generator {text!r}") from None
+            letter = self.algebra._id_of.get((kind, name, index))
+            if letter is None:
+                gen = Generator(kind, name, index)
+                raise ExpressionError(f"unknown generator {gen.token()!r}")
+            return letter
+        raise ExpressionError(f"unexpected token {text!r}")
+
+
+_FACTOR_STARTS = ("name", "edge", "star", "(")
+
+
+def reference_parse_element(algebra, text: str):
+    """``parse_element`` as a tokenizer of ``(kind, text)`` pairs and a parser
+    that peeks and takes them one at a time: the reading the one-scan parser
+    must agree with, value for value and message for message."""
+    if not text.strip():
+        raise ExpressionError("empty expression")
+    return _Parser(algebra, text).parse()
 
 
 # -- GF(2) linear algebra ------------------------------------------------------

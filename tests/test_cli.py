@@ -75,7 +75,7 @@ def test_expr_superscripted_identifiers():
 
 def test_expr_errors():
     algebra = algebra_for("loop1.wg")
-    for bad in ("", "a.1 +", "3 v", "a.2", "b.1", "unknown", "(a.1", "3/2"):
+    for bad in ("", "a.1 +", "3 +", "a.2", "b.1", "unknown", "(a.1", "3/2"):
         with pytest.raises(ExpressionError):
             parse_element(algebra, bad)
     # the first bad generator in the text is the one reported, wherever it sits
@@ -107,6 +107,16 @@ def test_expr_digit_vertices_read_back():
         assert invoke("eval", "--input", "-", text, stdin_text=graph) == (0, value + "\n", "")
     assert invoke("eval", "--input", "-", "2 * 2 * x", stdin_text=graph) == (
         1, "", "error: unexpected token '2'\n")
+
+
+def test_eval_output_reads_back():
+    # a scalar prefix may stand right before its factor, as eval prints it
+    cases = (([fx("e2loops.wg")], "2 * b.1* b.1 + 1/2 * a.1", "2 v + 1/2 a.1 - 2 b.2* b.2"),
+             ([fx("e2loops.wg"), "--field", "mod:7"], "-b.2 b.2* + 1/2 * b.1* b.1 - 3 * v",
+              (FIXTURES / "eval_e2loops_mod7.txt").read_text().strip()))
+    for args, text, printed in cases:
+        assert invoke("eval", "--input", *args, text) == (0, printed + "\n", "")
+        assert invoke("eval", "--input", *args, printed) == (0, printed + "\n", "")
 
 
 # -- CLI exit codes and text output -----------------------------------------

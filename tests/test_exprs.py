@@ -12,6 +12,7 @@ from wlpa import exprs
 from wlpa.exprs import ExpressionError, parse_element
 
 from graphgen import random_weighted_graph, small_graphs
+from oracles import reference_parse_element
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -112,7 +113,10 @@ def test_parse_element_matches_element_arithmetic():
     assert checked == 2 * (9 * 12 + 336 * 2 + 20 * 12)
 
 
-# -- tokenizer ----------------------------------------------------------------
+# -- scanning -----------------------------------------------------------------
+
+_OPEN = ("", "", "", "", "(", "")
+_CLOSE = ("", "", "", "", ")", "")
 
 
 class _CountingText(str):
@@ -125,34 +129,93 @@ class _CountingText(str):
         return super().__getitem__(key)
 
 
-def test_identifier_scan_is_linear_in_nesting():
-    n = 100
-    _CountingText.reads = 0
-    tokens = exprs._Tokenizer(_CountingText("(" * n + "v" + ")" * n)).tokens
-    assert tokens == [("(", "(")] * n + [("name", "v")] + [(")", ")")] * n
-    assert _CountingText.reads <= 5 * n
+class _CountingPattern:
+    """A compiled pattern that counts the scans made with it."""
+
+    calls = 0
+
+    def __init__(self, pattern):
+        self._pattern = pattern
+
+    def __getattr__(self, method):
+        scan = getattr(self._pattern, method)
+
+        def counted(*args):
+            _CountingPattern.calls += 1
+            return scan(*args)
+        return counted
+
+
+def test_identifier_scan_is_linear_in_nesting(monkeypatch):
+    for pattern in ("_TOKEN_RE", "_STRAND_RE", "_ATOM_RE", "_SUPERSCRIPTS_RE", "_SPACE_RE"):
+        monkeypatch.setattr(exprs, pattern, _CountingPattern(getattr(exprs, pattern)))
+    n = exprs.MAX_NESTING
+    _CountingPattern.calls = 0
+    tokens = exprs._tokens(_CountingText("(" * n + "v" + ")" * n))
+    assert tokens == [_OPEN] * n + [("", "v", "", "", "", "")] + [_CLOSE] * n
+    assert _CountingPattern.calls == 1  # one findall
+    # a superscripted name inside the run takes the reader that keeps positions
+    n -= 1
+    _CountingPattern.calls = _CountingText.reads = 0
+    tokens = exprs._tokens(_CountingText("(" * n + "(v)^(1)" + ")" * n))
+    assert tokens == [_OPEN] * n + [("", "(v)^(1)", "", "", "", "")] + [_CLOSE] * n
+    assert _CountingPattern.calls + _CountingText.reads <= 5 * n
 
 
 def test_deeply_superscripted_identifier_is_one_name():
     name = "a^(1)"
     for _ in range(60):
         name = f"({name})^(1)"
-    assert exprs._Tokenizer(name).tokens == [("name", name)]
-    assert exprs._Tokenizer(f"{name}.2*").tokens == [("star", f"{name}.2")]
-    assert exprs._Tokenizer(f"({name})").tokens == [("(", "("), ("name", name), (")", ")")]
+    assert exprs._tokens(name) == [("", name, "", "", "", "")]
+    assert exprs._tokens(f"{name}.2*") == [("", name, "2", "*", "", "")]
+    assert exprs._tokens(f"({name})") == [_OPEN, ("", name, "", "", "", ""), _CLOSE]
     alg = Algebra(WeightedGraph([name], []))
     assert parse_element(alg, f"2 * ({name} {name})") == alg.vertex(name).scaled(2)
+
+
+def test_texts_without_strays_skip_the_parenthesis_scan(monkeypatch):
+    calls = []
+    for helper in ("_matching_parentheses", "_scan_identifier"):
+        scan = getattr(exprs, helper)
+        monkeypatch.setattr(exprs, helper,
+                            lambda *args, _scan=scan, _name=helper: calls.append(_name) or _scan(*args))
+    alg = _TOTALITY_ALGEBRAS[0]
+    parse_element(alg, "2 * b.2 a.1 b.2* - 1/2 * a.1* + v")
+    siblings = parse_element(alg, " ".join(["(v + a.1)"] * exprs.MAX_NESTING))
+    assert calls == []
+    factor = expected = alg.vertex("v") + alg.edge("a", 1)
+    for _ in range(exprs.MAX_NESTING - 1):
+        expected = expected * factor
+    assert siblings == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(" * 100 + "v" + ")" * 100, None),
+    ("(" * 101 + "v" + ")" * 101, "parentheses nest deeper than 100"),
+    ("(v) " * 101, None),
+])
+def test_nesting_limit(text, message):
+    alg = _TOTALITY_ALGEBRAS[0]
+    if message is None:
+        assert parse_element(alg, text) == alg.vertex("v")
+    else:
+        with pytest.raises(ExpressionError) as info:
+            parse_element(alg, text)
+        assert str(info.value) == message
 
 
 # -- totality -----------------------------------------------------------------
 
 # single characters plus chunks that reach deeper into the grammar
 _ALPHABET = ["v", "a", "b", "x", ".", "0", "1", "2", "*", "/", "^", "(", ")", "+", "-", " ",
-             "v^(1)", "a.1", "b.2*", "b.3", "12", "1/0", "2/7", " * "]
+             "v^(1)", "a.1", "b.2*", "b.3", "12", "1/0", "2/7", " * ",
+             "\t", " ", "%", "a/2", "1/2 ", "(h^(1))^(2)", "b.01"]
 _TOTALITY_ALGEBRAS = [
     Algebra(parse_weighted_graph((FIXTURES / "e2loops.wg").read_text()), field=field)
     for field in (field_from_name("rational"), field_from_name("mod:7"))
 ]
+# a digit run is a vertex here unless '*' follows it
+_DIGIT_VERTICES = Algebra(parse_weighted_graph("vertex 2\nvertex x\nedge 7 2 x\n"))
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -164,6 +227,40 @@ def test_parse_element_returns_a_value_or_an_expression_error(text, alg):
     except ExpressionError:
         return
     assert value.algebra is alg
+
+
+def _outcome(parse, alg, text):
+    try:
+        return "value", parse(alg, text)
+    except ExpressionError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=30).map("".join),
+       st.sampled_from(_TOTALITY_ALGEBRAS + [_DIGIT_VERTICES]))
+def test_parse_element_agrees_with_the_reference_parser(text, alg):
+    assert _outcome(parse_element, alg, text) == _outcome(reference_parse_element, alg, text)
+
+
+def test_rendered_elements_read_back():
+    rng = Random(70102)
+    checked = 0
+    for path in sorted(FIXTURES.glob("*.wg")):
+        g = parse_weighted_graph(path.read_text())
+        letters = [Generator(*letter) for letter in _letters(g)]
+        for field in ("rational", "mod:7"):
+            alg = Algebra(g, field=field_from_name(field))
+            for _ in range(12):
+                terms = [(rng.choice(_SCALARS + ["-1", "-3/2"]),
+                          tuple(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+                         for _ in range(rng.randint(1, 3))]
+                x = alg.normalize(terms)
+                if x.is_zero():
+                    continue
+                assert parse_element(alg, x.render()) == x, (path.name, field, x.render())
+                checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("text", ["a.\u0661", "b.\u0662*", "1/\u0662 * v",
@@ -194,6 +291,7 @@ _INDEX = "b." + "9" * 5000  # beyond int()'s default digit limit
     ("2 * b.002 a.1*", "2 * b.2 a.1*"),
     ("\tv\n-  a.1 ", "v - a.1"),
     ("-(b.1 + b.02) b.2*", "-b.1 b.2* - b.2 b.2*"),
+    ("2 v", "2 * v"),
 ])
 def test_parser_accepts(text, same_as):
     alg = _TOTALITY_ALGEBRAS[0]
@@ -207,7 +305,6 @@ def test_parser_accepts(text, same_as):
     (_INDEX, f"unknown generator {_INDEX!r}"),
     ("v % a.1", "unexpected character '%' at position 2"),
     ("2", "scalar prefix must be followed by '*'"),
-    ("2 v", "scalar prefix must be followed by '*'"),
     ("v 2", "trailing input near '2'"),
     ("1 * 2", "unexpected token '2'"),
 ])

@@ -13,8 +13,9 @@ factor.  The forbidden factors are ``e^v_i (e^v_j)^*`` for the special edge
 rewrites with the defining relations oriented so that exactly these factors
 are eliminated:
 
-* ``u v -> 0`` or ``u`` and vertex letters are absorbed or annihilate,
-* non-composable adjacent letters give 0,
+* non-composable adjacent letters give 0, and a vertex letter next to a
+  letter it composes with is absorbed: ``v v -> v``, ``s(a) a -> a``,
+  ``a r(a) -> a``,
 * ``e_1^* f_1 -> d_ef r(e) - sum_{i >= 2} e_i^* f_i``   (same-source e, f),
 * ``s_i s_j^* -> d_ij v - sum_{g != s} g_i g_j^*``       (s special at v),
 
@@ -24,10 +25,10 @@ special factors) lexicographically, so rewriting terminates.  Only
 :meth:`Algebra._product` applies rules; normal forms fold it over a word's
 letters from either side, and comparing the two folds exercises confluence.
 
-Rules are stored per vertex: only pairs meeting at a shared vertex have an
-entry, and a pair (a, b) with r(a) != s(b) is 0 by an endpoint test.  The
-table has at most sum_v (in(v) + 1)(out(v) + 1) entries for in(v)/out(v)
-non-vertex letters ending/starting at v, not one per pair of letters.
+Endpoint tests decide the first kind of step; only pairs of non-vertex
+letters meeting at a shared vertex have a stored rule.  The table has at
+most sum_v in(v) out(v) entries for in(v)/out(v) non-vertex letters
+ending/starting at v, not one per pair of letters.
 """
 
 from __future__ import annotations
@@ -157,37 +158,51 @@ def _add_term(acc: dict, word: tuple[int, ...], coeff) -> None:
 
 
 def _letters(graph: WeightedGraph):
-    """The letters of ``graph`` in canonical order, with the ids of the strands.
+    """The letters of ``graph`` in canonical order, and their tables by letter id.
 
     Canonical order: vertices in graph order, then per edge in graph order
-    the strands e_1..e_w followed by e_1^*..e_w^*.  Returns ``(gens,
-    edge_id, star_id)``, where ``edge_id[(e, i)]`` and ``star_id[(e, i)]``
-    are the ids of e_i and e_i^*.
+    the strands e_1..e_w followed by e_1^*..e_w^*.  One pass over the edges
+    returns ``(gens, edge_id, star_id, src, rng, star_of, degree)``: the ids
+    ``edge_id[(e, i)]`` of e_i and ``star_id[(e, i)]`` of e_i^*, and per
+    letter its source and range vertex ids, its involute and its degree
+    ``(i - 1, +-1)`` (None for a vertex).
     """
+    vert = {v: i for i, v in enumerate(graph.vertices)}
     gens = [Generator.vertex(v) for v in graph.vertices]
+    nv = len(gens)
+    src, rng, star_of, degree = list(range(nv)), list(range(nv)), list(range(nv)), [None] * nv
     edge_id: dict[tuple[str, int], int] = {}
     star_id: dict[tuple[str, int], int] = {}
     for e in graph.edges:
-        for ids, make in ((edge_id, Generator.edge), (star_id, Generator.star)):
-            for i in range(1, e.weight + 1):
-                ids[(e.id, i)] = len(gens)
+        w, s, r = e.weight, vert[e.source], vert[e.range]
+        # e_i runs s -> r and its star, w ids later, r -> s
+        for ids, make, start, end, shift, sign in ((edge_id, Generator.edge, s, r, w, 1),
+                                                   (star_id, Generator.star, r, s, -w, -1)):
+            for i in range(1, w + 1):
+                t = ids[(e.id, i)] = len(gens)
                 gens.append(make(e.id, i))
-    return gens, edge_id, star_id
+                src.append(start)
+                rng.append(end)
+                star_of.append(t + shift)
+                degree.append((i - 1, sign))
+    return gens, edge_id, star_id, tuple(src), tuple(rng), tuple(star_of), tuple(degree)
 
 
 class Algebra:
     """The weighted Leavitt path algebra of a graph over an exact field.
 
-    The letter tables, the vertex-local rewrite rules and the nod-word
-    automaton are built once and never change.  Only :meth:`nodword_counts`
-    (the counts behind :meth:`growth`, :meth:`zero_component_count` and the
-    basis budget) and :meth:`enumerate_nodwords` walk the automaton.  The
-    normal-form memos (``_memo_left``, ``_memo_right``) of :meth:`_nf_word`
-    gain one entry per whole word missed, so an instance must not be shared
-    between threads without a lock.  Only words from outside reach them:
+    The letter tables (one pass of :func:`_letters`), the vertex-local
+    rules of the non-vertex pairs (vertex letters are absorbed by endpoint
+    tests) and the nod-word automaton are built once and never change.
+    Only :meth:`nodword_counts` (the counts behind :meth:`growth`,
+    :meth:`zero_component_count` and the basis budget) and
+    :meth:`enumerate_nodwords` walk the automaton.  The normal-form memos
+    (``_memo_left``, ``_memo_right``) of :meth:`_nf_word` gain one entry
+    per whole word missed, so an instance must not be shared between
+    threads without a lock.  Only words from outside reach them:
     :meth:`normalize` (so every ``parse_element`` term) and the backward
-    images of ``family_maps``; products of elements (:meth:`_product`)
-    leave them as they are.  Letters are interned in one table, ``_id_of``,
+    images of ``family_maps``; products of elements (:meth:`_product`) and
+    :func:`identity_map` leave them as they are.  Letters are interned in one table, ``_id_of``,
     keyed by plain ``(kind, name, index)`` tuples (index 0 for a vertex):
     :meth:`_intern_letter` reads a :class:`Generator`'s three fields into
     it, and ``parse_element`` looks up the tuples it reads from the text.
@@ -200,38 +215,14 @@ class Algebra:
         validate_choice(graph, self.choice)
         self.field = field
 
-        gens, self._edge_strand_id, self._star_strand_id = _letters(graph)
-        src, rng = list(graph.vertices), list(graph.vertices)
-        for e in graph.edges:
-            src += [e.source] * e.weight + [e.range] * e.weight
-            rng += [e.range] * e.weight + [e.source] * e.weight
+        (gens, self._edge_strand_id, self._star_strand_id, self._src_id, self._rng_id,
+         self._star_of, self._letter_degree) = _letters(graph)
         self._gens = tuple(gens)
-        self._src = tuple(src)
-        self._rng = tuple(rng)
         self._id_of = {(g.kind, g.name, g.index): i for i, g in enumerate(gens)}
         self._nv = len(graph.vertices)
         self._vertex_id = {v: i for i, v in enumerate(graph.vertices)}
-        self._src_id = tuple(self._vertex_id[v] for v in src)
-        self._rng_id = tuple(self._vertex_id[v] for v in rng)
         self._nonvertex_ids = tuple(range(self._nv, len(gens)))
-
-        self._star_of = list(range(len(gens)))
-        for key, i in self._edge_strand_id.items():
-            j = self._star_strand_id[key]
-            self._star_of[i] = j
-            self._star_of[j] = i
-
         self.grading_length = max((e.weight for e in graph.edges), default=0)
-        self._letter_degree: list[Optional[tuple[int, int]]] = []
-        for i, g in enumerate(gens):
-            if g.kind == "vertex":
-                self._letter_degree.append(None)
-            else:
-                self._letter_degree.append((g.index - 1, 1 if g.kind == "edge" else -1))
-
-        self._special_of_vertex = {
-            v: e for v, e in self.choice.pairs
-        }
         self._build_pair_table()
 
         # Nod-word automaton: allowed successors per non-vertex letter, in id order.
@@ -248,25 +239,22 @@ class Algebra:
     # -- rule table ----------------------------------------------------
 
     def _build_pair_table(self):
-        """Store the oriented rules of the pairs that meet at a vertex.
+        """Store the oriented rules of the pairs of non-vertex letters that meet at a vertex.
 
-        Only pairs (a, b) with r(a) = s(b) get an entry; :meth:`_rule`
-        decides every other pair as 0 by comparing endpoint ids.  The
-        entries are the absorption rules of each vertex letter, the
-        ``e_1^* f_1`` rules of each pair of edges emitted by a vertex and
-        the ``e_i e_j^*`` rules of each special edge.  Every key meets at
-        one vertex v, so there are at most (in(v) + 1)(out(v) + 1) keys per
-        v, where in(v) and out(v) count the non-vertex letters ending and
-        starting at v.
+        The entries are the ``e_1^* f_1`` rules of each pair of edges
+        emitted by a vertex and the ``e_i e_j^*`` rules of each special
+        edge.  :meth:`_rule` decides every other pair by comparing endpoint
+        ids: a pair (a, b) with r(a) != s(b) is 0, and a composable pair
+        with a vertex letter is the other letter.  Every key meets at one
+        vertex v, so there are at most in(v) * out(v) keys per v, where
+        in(v) and out(v) count the non-vertex letters ending and starting
+        at v.
         """
         g = self.graph
         vert = self._vertex_id
         edge, star = self._edge_strand_id, self._star_strand_id
-        rules: dict[tuple[int, int], list] = {(x, x): [(1, (x,))] for x in range(self._nv)}
-        for a in self._nonvertex_ids:
-            keep = [(1, (a,))]
-            rules[(self._src_id[a], a)] = keep
-            rules[(a, self._rng_id[a])] = keep
+        special = self.choice.mapping
+        rules: dict[tuple[int, int], list] = {}
         for v in g.vertices:
             out = g.out_edges(v)
             for e in out:
@@ -276,9 +264,9 @@ class Algebra:
                     for i in range(2, min(e.weight, f.weight) + 1):
                         terms.append((-1, (star[(e.id, i)], edge[(f.id, i)])))
                     rules[(star[(e.id, 1)], edge[(f.id, 1)])] = terms
-            if v not in self._special_of_vertex:
+            if v not in special:
                 continue
-            s = g.edge(self._special_of_vertex[v])
+            s = g.edge(special[v])
             for i in range(1, s.weight + 1):
                 for j in range(1, s.weight + 1):
                     # e^v_i (e^v_j)^* at v = s(e^v)
@@ -290,9 +278,16 @@ class Algebra:
         self._rules = rules
 
     def _rule(self, a: int, b: int):
-        """The rewrite of the pair (a, b): a term list (empty for 0), or None if normal."""
+        """The rewrite of the pair (a, b): a term list (empty for 0), or None if normal.
+
+        A pair holding a vertex letter is decided by endpoints, as in :meth:`_product`.
+        """
         if self._rng_id[a] != self._src_id[b]:
             return ()
+        if a < self._nv:
+            return ((1, (b,)),)
+        if b < self._nv:
+            return ((1, (a,)),)
         return self._rules.get((a, b))
 
     # -- word plumbing ---------------------------------------------------
@@ -375,21 +370,23 @@ class Algebra:
 
         Rules have length-2 left sides and ``wa``, ``wb`` are nod-words, so
         ``head + tail`` (first ``wa + wb``) can hold a redex only at their
-        junction ``(a, b)``.  It is 0 if a and b do not compose and a
-        nod-word if the pair has no rule.  Otherwise each rule term ``r``
-        gives ``head[:-1] + r + tail[1:]``:
+        junction ``(a, b)``.  It is 0 if a and b do not compose.  By
+        ``u v = d_uv u`` and ``s(e) e = e = e r(e)``, a nod-word holding a
+        vertex letter is that one letter, and it meets a word only at its
+        endpoint: ``v w = w`` and ``w v = w``.  Otherwise the junction is a
+        nod-word if the pair has no rule, and each rule term ``r`` gives
+        ``head[:-1] + r + tail[1:]``:
 
         * a two-letter ``r = x y`` (``e_i^* f_i`` with i >= 2, or ``g_i
           g_j^*`` with g not special) is a normal pair, and a rule ``(p, x)``
           comes with a rule ``(p, a)``, a rule ``(y, q)`` with ``(b, q)``
           (e.g. ``(e_k, e_i^*)`` is a rule only for e special, and so is
           ``(e_k, e_1^*)``), so the result is a nod-word;
-        * a one-letter non-vertex ``r`` absorbs the vertex word ``wa`` or
-          ``wb``, and the result is the other word;
         * a vertex ``r`` between letters is absorbed.  Rules keep endpoints,
           so ``head[:-1]`` and ``tail[1:]`` meet at that vertex and their
-          junction is rewritten next.  A rule has at most one vertex term,
-          so each pair follows one junction at a time.
+          junction is rewritten next; they hold no vertex letter, so only
+          the table decides it.  A rule has at most one vertex term, so
+          each pair follows one junction at a time.
 
         This is the one routine that applies a rule: :meth:`_nf_word` folds
         it over single letters.  It grows no memo.
@@ -403,6 +400,10 @@ class Algebra:
                     continue
                 # head and tail meet; k is the coefficient of head + tail
                 k, head, tail = ca * cb, wa, wb
+                if wa[0] < nv:  # v w = w
+                    head = ()
+                elif wb[0] < nv:  # w v = w
+                    tail = ()
                 while head and tail:
                     act = rules.get((head[-1], tail[0]))
                     if act is None:
@@ -476,7 +477,8 @@ class Algebra:
 
     def generator_endpoints(self, gen: Generator) -> tuple[str, str]:
         i = self._intern_letter(gen)
-        return self._src[i], self._rng[i]
+        vertices = self.graph.vertices
+        return vertices[self._src_id[i]], vertices[self._rng_id[i]]
 
     def pair_is_normal(self, a: Generator, b: Generator) -> bool:
         return self._rule(self._intern_letter(a), self._intern_letter(b)) is None
@@ -487,7 +489,7 @@ class Algebra:
 
     @property
     def rule_count(self) -> int:
-        """Number of stored rewrite rules; non-composable pairs are not stored."""
+        """Number of stored rules; vertex and non-composable pairs are decided by endpoints."""
         return len(self._rules)
 
     def word_degree(self, word: Iterable[Generator]):
@@ -577,8 +579,8 @@ class Algebra:
             raise BudgetExceededError(budget)
 
         def keep(ids: tuple[int, ...]) -> bool:
-            return ((source is None or self._src[ids[0]] == source)
-                    and (range_ is None or self._rng[ids[-1]] == range_)
+            return ((source is None or self.graph.vertices[self._src_id[ids[0]]] == source)
+                    and (range_ is None or self.graph.vertices[self._rng_id[ids[-1]]] == range_)
                     and (degree is None or self._ids_degree(ids) == tuple(degree)))
 
         out = [self._genword((v,)) for v in range(self._nv) if keep((v,))]
@@ -759,7 +761,7 @@ def relation_instances(g: WeightedGraph):
     are enumerated over letter ids, as :func:`relation_failures` checks
     them, and only named here, by the letters of :func:`_letters`.
     """
-    gens, edge_id, star_id = _letters(g)
+    gens, edge_id, star_id = _letters(g)[:3]
     n = len(g.vertices)
     pairs = (_vertex_relation(g, i, j) for i in range(n) for j in range(n))
     for label, terms in chain(pairs, _edge_relations(g, edge_id, star_id)):
@@ -820,7 +822,7 @@ def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement]
     is lowered once (:func:`_lower`) and each instance is one
     :func:`_compose` of its letter-id words; see :func:`_relation_failures`.
     """
-    gens, edge_id, star_id = _letters(g)
+    gens, edge_id, star_id = _letters(g)[:3]
     return _relation_failures(g, edge_id, star_id, _lower(mapping, gens, target), target)
 
 
@@ -931,11 +933,7 @@ def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
 
 
 def identity_map(algebra: Algebra) -> dict[Generator, AlgebraElement]:
-    """Each generator mapped to itself, as elements of ``algebra``."""
-    out = {}
-    for gen in algebra.nonvertex_generators():
-        out[gen] = algebra.word((gen,))
-    for v in algebra.graph.vertices:
-        gen = Generator.vertex(v)
-        out[gen] = algebra.word((gen,))
-    return out
+    """Each generator mapped to itself: a letter is a nod-word, so nothing is normalized."""
+    gens = algebra._gens
+    return {gens[t]: AlgebraElement(algebra, {(t,): 1})
+            for t in chain(algebra._nonvertex_ids, range(algebra._nv))}

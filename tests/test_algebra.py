@@ -194,6 +194,18 @@ def test_relation_failures_agrees_with_each_instance():
         assert relation_failures(g, mapping, algebra) == (len(instances), expected)
 
 
+@pytest.mark.parametrize("name", ["e2loops.wg", "l23.wg"])
+@pytest.mark.parametrize("field", ["rational", "mod:7"])
+def test_identity_map_leaves_the_memos_empty(name, field):
+    # a single letter is a nod-word, so no image is normalized
+    algebra = Algebra(fixture_graph(name), field=field_from_name(field))
+    mapping = identity_map(algebra)
+    assert (algebra._memo_left, algebra._memo_right) == ({}, {})
+    assert list(mapping) == [*algebra.nonvertex_generators(), *map(V, algebra.graph.vertices)]
+    for gen, image in mapping.items():
+        assert image == algebra.word((gen,))
+
+
 # 2^61 - 1: a product of two residues needs more than 64 bits
 FIELDS = ["rational", "mod:7", "mod:2305843009213693951"]
 
@@ -228,10 +240,12 @@ def _random_support(rng, algebra, words):
 
 
 def _junction_path(algebra, wa, wb):
-    """Which way ``_product`` takes for the pair: apart, normal, one step or absorbed."""
+    """Which way ``_product`` takes for the pair: apart, endpoint, normal, one step or absorbed."""
     if algebra._rng_id[wa[-1]] != algebra._src_id[wb[0]]:
         return "apart"
-    act = algebra._rules.get((wa[-1], wb[0]))
+    if wa[0] < algebra._nv or wb[0] < algebra._nv:
+        return "endpoint"  # a vertex word, absorbed by the other word
+    act = algebra._rule(wa[-1], wb[0])
     if act is None:
         return "normal"
     # a vertex term between letters is absorbed and the next junction rewritten
@@ -245,7 +259,7 @@ def test_product_equals_normal_form_of_concatenated_words(field):
     # _product rewrites only at the junction and _combine folds it over the
     # letters both ways; the reference rewrites whole words with no memo
     rng = Random(52010)
-    paths = dict.fromkeys(["apart", "normal", "one step", "absorbed"], 0)
+    paths = dict.fromkeys(["apart", "endpoint", "normal", "one step", "absorbed"], 0)
     checked = 0
     while checked < 200:
         g = random_weighted_graph(rng, max_vertices=4, max_edges=5, max_weight=3)
@@ -685,13 +699,15 @@ def test_pair_table_is_vertex_local_at_scale():
     g = WeightedGraph(vertices, edges)
     algebra = Algebra(g)
     # non-vertex letters ending at v, and starting at v: both are the total
-    # weight of the edges incident to v (e_i and e_i^* run opposite ways)
+    # weight of the edges incident to v (e_i and e_i^* run opposite ways);
+    # vertex letters are absorbed by endpoints, so they add no rule
     incident = dict.fromkeys(vertices, 0)
     for e in edges:
         incident[e.source] += e.weight
         incident[e.range] += e.weight
-    bound = sum((k + 1) * (k + 1) for k in incident.values())
+    bound = sum(k * k for k in incident.values())  # sum of in(v) * out(v)
     letters = n + 2 * sum(e.weight for e in edges)
+    assert bound == 8072
     assert algebra.rule_count <= bound < letters * letters // 1000
     for max_len in range(3):
         assert len(algebra.enumerate_nodwords(max_len)) == algebra.growth(max_len)

@@ -162,30 +162,25 @@ def _letters(graph: WeightedGraph):
 
     Canonical order: vertices in graph order, then per edge in graph order
     the strands e_1..e_w followed by e_1^*..e_w^*.  One pass over the edges
-    returns ``(gens, edge_id, star_id, src, rng, star_of, degree)``: the ids
-    ``edge_id[(e, i)]`` of e_i and ``star_id[(e, i)]`` of e_i^*, and per
+    returns ``(id_of, src, rng, star_of, degree)``: the id of each letter's
+    ``(kind, name, index)`` key (index 0 for a vertex), in id order, and per
     letter its source and range vertex ids, its involute and its degree
     ``(i - 1, +-1)`` (None for a vertex).
     """
-    vert = {v: i for i, v in enumerate(graph.vertices)}
-    gens = [Generator.vertex(v) for v in graph.vertices]
-    nv = len(gens)
+    id_of = {("vertex", v, 0): i for i, v in enumerate(graph.vertices)}
+    nv = len(id_of)
     src, rng, star_of, degree = list(range(nv)), list(range(nv)), list(range(nv)), [None] * nv
-    edge_id: dict[tuple[str, int], int] = {}
-    star_id: dict[tuple[str, int], int] = {}
     for e in graph.edges:
-        w, s, r = e.weight, vert[e.source], vert[e.range]
+        w, s, r = e.weight, id_of["vertex", e.source, 0], id_of["vertex", e.range, 0]
         # e_i runs s -> r and its star, w ids later, r -> s
-        for ids, make, start, end, shift, sign in ((edge_id, Generator.edge, s, r, w, 1),
-                                                   (star_id, Generator.star, r, s, -w, -1)):
+        for kind, start, end, shift, sign in (("edge", s, r, w, 1), ("star", r, s, -w, -1)):
             for i in range(1, w + 1):
-                t = ids[(e.id, i)] = len(gens)
-                gens.append(make(e.id, i))
+                t = id_of[kind, e.id, i] = len(src)
                 src.append(start)
                 rng.append(end)
                 star_of.append(t + shift)
                 degree.append((i - 1, sign))
-    return gens, edge_id, star_id, tuple(src), tuple(rng), tuple(star_of), tuple(degree)
+    return id_of, tuple(src), tuple(rng), tuple(star_of), tuple(degree)
 
 
 class Algebra:
@@ -202,10 +197,10 @@ class Algebra:
     threads without a lock.  Only words from outside reach them:
     :meth:`normalize` (so every ``parse_element`` term) and the backward
     images of ``family_maps``; products of elements (:meth:`_product`) and
-    :func:`identity_map` leave them as they are.  Letters are interned in one table, ``_id_of``,
-    keyed by plain ``(kind, name, index)`` tuples (index 0 for a vertex):
-    :meth:`_intern_letter` reads a :class:`Generator`'s three fields into
-    it, and ``parse_element`` looks up the tuples it reads from the text.
+    :func:`identity_map` leave them as they are.  Inside, a letter is an
+    id: the one letter table, ``_id_of``, maps its plain ``(kind, name,
+    index)`` key, the fields of its :class:`Generator`, to it.  Generators
+    are made only for output, from the table :meth:`_generators` fills.
     """
 
     def __init__(self, graph: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None,
@@ -215,13 +210,11 @@ class Algebra:
         validate_choice(graph, self.choice)
         self.field = field
 
-        (gens, self._edge_strand_id, self._star_strand_id, self._src_id, self._rng_id,
-         self._star_of, self._letter_degree) = _letters(graph)
-        self._gens = tuple(gens)
-        self._id_of = {(g.kind, g.name, g.index): i for i, g in enumerate(gens)}
+        (self._id_of, self._src_id, self._rng_id, self._star_of,
+         self._letter_degree) = _letters(graph)
+        self._generator_table: Optional[tuple[Generator, ...]] = None  # filled on first use
         self._nv = len(graph.vertices)
-        self._vertex_id = {v: i for i, v in enumerate(graph.vertices)}
-        self._nonvertex_ids = tuple(range(self._nv, len(gens)))
+        self._nonvertex_ids = tuple(range(self._nv, len(self._id_of)))
         self.grading_length = max((e.weight for e in graph.edges), default=0)
         self._build_pair_table()
 
@@ -250,9 +243,7 @@ class Algebra:
         in(v) and out(v) count the non-vertex letters ending and starting
         at v.
         """
-        g = self.graph
-        vert = self._vertex_id
-        edge, star = self._edge_strand_id, self._star_strand_id
+        g, id_of = self.graph, self._id_of
         special = self.choice.mapping
         rules: dict[tuple[int, int], list] = {}
         for v in g.vertices:
@@ -260,21 +251,22 @@ class Algebra:
             for e in out:
                 for f in out:
                     # e_1^* f_1 with s(e) = s(f) = v
-                    terms = [(1, (vert[e.range],))] if e.id == f.id else []
+                    terms = [(1, (id_of["vertex", e.range, 0],))] if e.id == f.id else []
                     for i in range(2, min(e.weight, f.weight) + 1):
-                        terms.append((-1, (star[(e.id, i)], edge[(f.id, i)])))
-                    rules[(star[(e.id, 1)], edge[(f.id, 1)])] = terms
+                        terms.append((-1, (id_of["star", e.id, i], id_of["edge", f.id, i])))
+                    rules[id_of["star", e.id, 1], id_of["edge", f.id, 1]] = terms
             if v not in special:
                 continue
             s = g.edge(special[v])
             for i in range(1, s.weight + 1):
                 for j in range(1, s.weight + 1):
                     # e^v_i (e^v_j)^* at v = s(e^v)
-                    terms = [(1, (vert[v],))] if i == j else []
+                    terms = [(1, (id_of["vertex", v, 0],))] if i == j else []
                     for other in out:
                         if other.id != s.id and other.weight >= max(i, j):
-                            terms.append((-1, (edge[(other.id, i)], star[(other.id, j)])))
-                    rules[(edge[(s.id, i)], star[(s.id, j)])] = terms
+                            terms.append((-1, (id_of["edge", other.id, i],
+                                               id_of["star", other.id, j])))
+                    rules[id_of["edge", s.id, i], id_of["star", s.id, j]] = terms
         self._rules = rules
 
     def _rule(self, a: int, b: int):
@@ -304,8 +296,12 @@ class Algebra:
             raise AlgebraError("words must be nonempty")
         return ids
 
-    def _genword(self, ids: tuple[int, ...]) -> Word:
-        return tuple(self._gens[i] for i in ids)
+    def _generators(self) -> tuple[Generator, ...]:
+        """The :class:`Generator` of each letter id, built on the first call."""
+        table = self._generator_table
+        if table is None:
+            table = self._generator_table = tuple(Generator(*key) for key in self._id_of)
+        return table
 
     def _word_length(self, ids: tuple[int, ...]) -> int:
         # Single vertex letters are length-0 paths.
@@ -473,7 +469,7 @@ class Algebra:
         return all(self._rule(a, b) is None for a, b in zip(ids, ids[1:]))
 
     def nonvertex_generators(self) -> tuple[Generator, ...]:
-        return tuple(self._gens[i] for i in self._nonvertex_ids)
+        return self._generators()[self._nv:]
 
     def generator_endpoints(self, gen: Generator) -> tuple[str, str]:
         i = self._intern_letter(gen)
@@ -482,10 +478,6 @@ class Algebra:
 
     def pair_is_normal(self, a: Generator, b: Generator) -> bool:
         return self._rule(self._intern_letter(a), self._intern_letter(b)) is None
-
-    def successors(self, gen: Generator) -> tuple[Generator, ...]:
-        """The non-vertex letters that may follow the non-vertex ``gen`` in a nod-word."""
-        return tuple(self._gens[b] for b in self._succ[self._intern_letter(gen)])
 
     @property
     def rule_count(self) -> int:
@@ -583,12 +575,13 @@ class Algebra:
                     and (range_ is None or self.graph.vertices[self._rng_id[ids[-1]]] == range_)
                     and (degree is None or self._ids_degree(ids) == tuple(degree)))
 
-        out = [self._genword((v,)) for v in range(self._nv) if keep((v,))]
+        gens = self._generators()
+        out = [(gens[v],) for v in range(self._nv) if keep((v,))]
         layer = [(i,) for i in self._nonvertex_ids]
         for length in range(1, max_len + 1):
             if not layer:
                 break  # no nod-word of this length, so none longer
-            out.extend(self._genword(ids) for ids in layer if keep(ids))
+            out.extend(tuple(gens[i] for i in ids) for ids in layer if keep(ids))
             if length < max_len:
                 layer = [ids + (b,) for ids in layer for b in self._succ[ids[-1]]]
         return out
@@ -714,7 +707,8 @@ class AlgebraElement:
         """(field scalar, word) pairs in length-then-lex order."""
         alg = self._algebra
         items = sorted(self._support.items(), key=lambda kv: (alg._word_length(kv[0]), kv[0]))
-        return [(alg.field.from_int(c), alg._genword(w)) for w, c in items]
+        gens = alg._generators()
+        return [(alg.field.from_int(c), tuple(gens[i] for i in w)) for w, c in items]
 
     def support_words(self) -> list[Word]:
         return [w for _, w in self.terms()]
@@ -761,10 +755,11 @@ def relation_instances(g: WeightedGraph):
     are enumerated over letter ids, as :func:`relation_failures` checks
     them, and only named here, by the letters of :func:`_letters`.
     """
-    gens, edge_id, star_id = _letters(g)[:3]
+    id_of = _letters(g)[0]
+    gens = [Generator(*key) for key in id_of]
     n = len(g.vertices)
     pairs = (_vertex_relation(g, i, j) for i in range(n) for j in range(n))
-    for label, terms in chain(pairs, _edge_relations(g, edge_id, star_id)):
+    for label, terms in chain(pairs, _edge_relations(g, id_of)):
         yield label, [(k, [gens[t] for t in word]) for k, word in terms]
 
 
@@ -776,17 +771,12 @@ def _vertex_relation(g: WeightedGraph, i: int, j: int):
     return f"(i) {g.vertices[i]} {g.vertices[j]}", terms
 
 
-def _edge_relations(g: WeightedGraph, edge: dict, star: dict):
-    """The instances of relations (ii)-(iv) over letter ids, in :func:`relation_instances` order.
-
-    Vertex ids are graph positions; ``edge`` and ``star`` are the strand
-    ids of :func:`_letters`.
-    """
-    vert = {v: i for i, v in enumerate(g.vertices)}
+def _edge_relations(g: WeightedGraph, id_of: dict):
+    """Relations (ii)-(iv) over the letter ids ``id_of``, in :func:`relation_instances` order."""
     for e in g.edges:
-        s, r = vert[e.source], vert[e.range]
+        s, r = id_of["vertex", e.source, 0], id_of["vertex", e.range, 0]
         for i in range(1, e.weight + 1):
-            a, b = edge[(e.id, i)], star[(e.id, i)]
+            a, b = id_of["edge", e.id, i], id_of["star", e.id, i]
             yield f"(ii) source {e.id}.{i}", [(1, (s, a)), (-1, (a,))]
             yield f"(ii) range {e.id}.{i}", [(1, (a, r)), (-1, (a,))]
             yield f"(ii) star-range {e.id}.{i}", [(1, (r, b)), (-1, (b,))]
@@ -799,17 +789,17 @@ def _edge_relations(g: WeightedGraph, edge: dict, star: dict):
         wv = vertex_weight(g, v)
         for e in out:
             for f in out:
-                terms = [(1, (star[(e.id, i)], edge[(f.id, i)]))
+                terms = [(1, (id_of["star", e.id, i], id_of["edge", f.id, i]))
                          for i in range(1, min(e.weight, f.weight) + 1)]
                 if e.id == f.id:
-                    terms.append((-1, (vert[e.range],)))
+                    terms.append((-1, (id_of["vertex", e.range, 0],)))
                 yield f"(iii) {v} {e.id} {f.id}", terms
         for i in range(1, wv + 1):
             for j in range(1, wv + 1):
-                terms = [(1, (edge[(e.id, i)], star[(e.id, j)]))
+                terms = [(1, (id_of["edge", e.id, i], id_of["star", e.id, j]))
                          for e in out if e.weight >= max(i, j)]
                 if i == j:
-                    terms.append((-1, (vert[v],)))
+                    terms.append((-1, (id_of["vertex", v, 0],)))
                 yield f"(iv) {v} {i} {j}", terms
 
 
@@ -822,13 +812,13 @@ def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement]
     is lowered once (:func:`_lower`) and each instance is one
     :func:`_compose` of its letter-id words; see :func:`_relation_failures`.
     """
-    gens, edge_id, star_id = _letters(g)[:3]
-    return _relation_failures(g, edge_id, star_id, _lower(mapping, gens, target), target)
+    id_of = _letters(g)[0]
+    images = _lower(mapping, [Generator(*key) for key in id_of], target)
+    return _relation_failures(g, id_of, images, target)
 
 
-def _relation_failures(g: WeightedGraph, edge: dict, star: dict, images: list,
-                       target: Algebra) -> tuple[int, list[str]]:
-    """:func:`relation_failures` for a map lowered over the letters of ``g``.
+def _relation_failures(g: WeightedGraph, id_of: dict, images, target: Algebra):
+    """:func:`relation_failures` for a map lowered over the letter ids ``id_of`` of ``g``.
 
     Relation (i) is decided without a product per ordered pair of
     vertices.  The image of ``u v`` is a sum of products ``a b`` of support
@@ -847,7 +837,7 @@ def _relation_failures(g: WeightedGraph, edge: dict, star: dict, images: list,
             starting_at.setdefault(s, []).append(j)
     meeting = [sorted({i}.union(*(starting_at.get(r, ()) for r in ends[i]))) for i in range(n)]
     instances = chain((_vertex_relation(g, i, j) for i in range(n) for j in meeting[i]),
-                      _edge_relations(g, edge, star))
+                      _edge_relations(g, id_of))
     reduce = target.field.reduce
     count = n * n - sum(map(len, meeting))  # the pairs of (i) that are not built
     failures = []
@@ -910,7 +900,7 @@ def apply_generator_map(element: AlgebraElement,
     """
     if element.algebra.field != target.field:
         raise MixedContextError("source and target algebras use different fields")
-    gens = element.algebra._gens
+    gens = element.algebra._generators()
     return evaluate_relation([(c, [gens[t] for t in w]) for w, c in element._support.items()],
                              mapping, target)
 
@@ -934,6 +924,6 @@ def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
 
 def identity_map(algebra: Algebra) -> dict[Generator, AlgebraElement]:
     """Each generator mapped to itself: a letter is a nod-word, so nothing is normalized."""
-    gens = algebra._gens
+    gens = algebra._generators()
     return {gens[t]: AlgebraElement(algebra, {(t,): 1})
             for t in chain(algebra._nonvertex_ids, range(algebra._nv))}

@@ -28,19 +28,19 @@ decides each opening one once.  A text without strays has its
 parentheses matched only when it holds more than ``MAX_NESTING`` of
 ``(``, since fewer cannot nest deeper.
 
-Evaluation is formal.  Each generator is read straight to its letter id,
-a strand through the plain ``(kind, name, index)`` key of the algebra's
-letter table, and checked when it is read, so the first bad generator in
-the text is the error reported; a :class:`Generator` is built only to
-name an unknown one.  A term without groups is one ``(scalar, word)``
-pair, its letter ids juxtaposed into a single word; normal forms are
-unique, so the normal form of that word is the product of its letters.
-Each expression, the whole text and every group, hands the pairs of its
-group-free terms in one call to the routine ``Algebra.normalize`` runs
-after interning.  A term with a parenthesised group multiplies elements
-instead (the pending word's normal form times the group's value), and its
-value is added to that sum, so nested groups never expand into
-exponentially many formal words.
+Evaluation is formal.  Each generator is read straight to its letter id
+through its plain ``(kind, name, index)`` key in the algebra's one letter
+table and checked when it is read, so the first bad generator in the text
+is the error reported; a :class:`Generator` is built only to name an
+unknown one.  A term without groups is one ``(scalar, word)`` pair, its
+letter ids juxtaposed into a single word; normal forms are unique, so the
+normal form of that word is the product of its letters.  Each expression,
+the whole text and every group, hands the pairs of its group-free terms in
+one call to the routine ``Algebra.normalize`` runs after interning.  A
+term with a parenthesised group multiplies elements instead (the pending
+word's normal form times the group's value), and its value is added to
+that sum, so nested groups never expand into exponentially many formal
+words.
 """
 
 from __future__ import annotations
@@ -180,12 +180,12 @@ class _Parser:
         """A ``(scalar, letter ids)`` pair, or the value of a term with a group,
         and the index after it."""
         alg, tokens = self.algebra, self.tokens
-        vertex_id, id_of = alg._vertex_id, alg._id_of
+        id_of = alg._id_of
         fraction, name, index, _, _, _ = tokens[i]
         scalar, bare = sign, False
         # a digit run that no '*' follows names the vertex of that name, if any
         if fraction or (not index and name.isdigit()
-                        and (name not in vertex_id or tokens[i + 1][4] == "*")):
+                        and (("vertex", name, 0) not in id_of or tokens[i + 1][4] == "*")):
             try:
                 scalar = alg.field.parse(fraction or name)
             except FieldError as exc:
@@ -211,7 +211,7 @@ class _Parser:
                     raise ExpressionError(f"unknown generator {gen.token()!r}")
                 word.append(letter)
             elif name:
-                letter = vertex_id.get(name)
+                letter = id_of.get(("vertex", name, 0))
                 if letter is None or (tokens[i + 1][4] == "*" and name.isdigit()):
                     if not name.isdigit():
                         raise ExpressionError(f"unknown vertex {name!r}")

@@ -297,41 +297,37 @@ def search_shape_word(g: WeightedGraph, choice: Optional[SpecialEdgeChoice] = No
 
 
 def _search_shape_word(algebra: Algebra, bound: Optional[int] = None) -> Optional[Word]:
+    """:func:`search_shape_word` over the letter ids and the automaton of ``algebra``."""
     g = algebra.graph
     if bound is None:
         max_weight = max(e.weight for e in g.edges)
         bound = 2 * len(g.vertices) * max_weight + 2
 
+    id_of, succ, rule = algebra._id_of, algebra._succ, algebra._rule
     for e in weighted_edges(g):
-        start = Generator.edge(e.id, 2)
-        last = Generator.star(e.id, 2)
-        if algebra.pair_is_normal(start, last):
-            return (start, last)
-        # parent links for path reconstruction, keyed by letter
-        parent: dict[Generator, Optional[Generator]] = {start: None}
-        queue = deque([start])
-        depth = {start: 1}
-        found = None
+        start, last = id_of["edge", e.id, 2], id_of["star", e.id, 2]
+        # parent links for path reconstruction, keyed by letter id
+        parent: dict[int, Optional[int]] = {start: None}
+        found = start if rule(start, last) is None else None
+        queue = deque([(start, 1)])  # (letter id, length of its word)
         while queue and found is None:
-            cur = queue.popleft()
-            if depth[cur] + 1 >= bound:
+            cur, length = queue.popleft()
+            if length + 1 >= bound:
                 continue
-            for nxt in algebra.successors(cur):
+            for nxt in succ[cur]:
                 if nxt in parent:
                     continue
                 parent[nxt] = cur
-                depth[nxt] = depth[cur] + 1
-                if algebra.pair_is_normal(nxt, last):
+                if rule(nxt, last) is None:
                     found = nxt
                     break
-                queue.append(nxt)
+                queue.append((nxt, length + 1))
         if found is not None:
-            chain = [last]
-            walk: Optional[Generator] = found
-            while walk is not None:
-                chain.append(walk)
-                walk = parent[walk]
-            return tuple(reversed(chain))
+            chain = [last, found]
+            while parent[chain[-1]] is not None:
+                chain.append(parent[chain[-1]])
+            keys = list(id_of)
+            return tuple(Generator(*keys[t]) for t in reversed(chain))
     return None
 
 

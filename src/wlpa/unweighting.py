@@ -11,12 +11,12 @@ the original token, with an extra pair of parentheses when the token
 already carries a superscript.
 
 Both stages come with explicit generator correspondences between the two
-algebras (:func:`family_maps`), and :func:`verify_families` checks the
-defining relations and the round trips mechanically.  The trace of a
-compilation carries the graph it was built from, so the maps reuse its
-(LPA) decision and stage-1 graph instead of recomputing them, and one case
-table (:func:`_stage2_cases`) both builds the stage-2 graph and, read once
-at letter ids, gives both maps: each stage-2 vertex or edge fixes its own
+algebras (:func:`family_maps`), kept as tables over letter ids
+(:class:`FamilyMap`); :func:`verify_families` checks the defining
+relations and the round trips on those tables.  The trace of a compilation
+carries the graph it was built from, so the maps reuse its (LPA) decision
+and stage-1 graph, and one case table (:func:`_stage2_cases`) builds both
+the stage-2 graph and the maps: each stage-2 vertex or edge fixes its own
 backward image and adds one letter to a forward image.
 """
 
@@ -234,10 +234,34 @@ def _zone_of_stage1(g: WeightedGraph, stage1: WeightedGraph) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FamilyMap:
-    """Generator-by-generator assignment between the two algebras."""
+    """A generator-by-generator map, as a table over the letter ids of ``domain``.
+
+    ``images[t]`` is the support in ``target`` of the image of letter t.
+    """
 
     direction: str  # "forward" | "backward"
-    assignments: dict[Generator, AlgebraElement]
+    domain: Algebra
+    target: Algebra
+    images: tuple[dict, ...]
+
+    @classmethod
+    def from_assignments(cls, direction: str, domain: Algebra, target: Algebra,
+                         assignments: dict[Generator, AlgebraElement]) -> "FamilyMap":
+        """The map with the given image of each generator of ``domain``.
+
+        A key that is no letter or a letter with no image raises :class:`UnknownGeneratorError`,
+        an image outside ``target`` :class:`MixedContextError`.
+        """
+        for gen in assignments:
+            domain._intern_letter(gen)
+        images = _lower(assignments, domain._generators(), target)
+        return cls(direction, domain, target, tuple(images))
+
+    @property
+    def assignments(self) -> dict[Generator, AlgebraElement]:
+        """A new dict of the images by generator: editing it leaves the map as it is."""
+        return {gen: AlgebraElement(self.target, image)
+                for gen, image in zip(self.domain._generators(), self.images)}
 
 
 def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
@@ -264,6 +288,7 @@ def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
     gv = trace.gv
 
     src, tgt = Algebra(g, field=field), Algebra(g_tilde, field=field)
+    src_id, tgt_id = src._id_of, tgt._id_of
     zone = set(trace.Z)
 
     # stage-1 relabeling: the ids in ``src`` of the edge and star letters of
@@ -271,7 +296,7 @@ def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
     relabel: dict[tuple[str, int], tuple[int, int]] = {}
     for e in g.edges:
         for i in range(1, e.weight + 1):
-            pair = (src._edge_strand_id[e.id, i], src._star_strand_id[e.id, i])
+            pair = (src_id["edge", e.id, i], src_id["star", e.id, i])
             if e.source in zone:
                 relabel[strand_name(e.id, i), 1] = pair[::-1]
             else:
@@ -280,16 +305,16 @@ def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
     # supports indexed by letter id: each stage-2 piece adds its target
     # letter to the forward image of its source letter and fixes its own
     # backward image, the normal form of at most three source letters
-    forward: list[dict] = [{} for _ in src._gens]
-    backward: list[dict] = [{} for _ in tgt._gens]
+    forward: list[dict] = [{} for _ in src_id]
+    backward: list[dict] = [{} for _ in tgt_id]
     vertex_cases, edge_cases = _stage2_cases(h, gv)
     for name, case, v, i in vertex_cases:
-        t = tgt._vertex_id[name]
-        forward[src._vertex_id[v]][t,] = 1
-        word = (src._vertex_id[v],) if case == "M" else relabel[gv[v], i][::-1]  # (g^v_i)* g^v_i
+        t, s = tgt_id["vertex", name, 0], src_id["vertex", v, 0]
+        forward[s][t,] = 1
+        word = (s,) if case == "M" else relabel[gv[v], i][::-1]  # (g^v_i)* g^v_i
         backward[t] = src._nf_word(word)
     for record, case, eid, i in edge_cases:
-        t = tgt._edge_strand_id[record.id, 1]
+        t = tgt_id["edge", record.id, 1]
         edge, star = relabel[eid, 1 if case == "B" else i]
         forward[edge][tgt._star_of[t] if case == "D" else t,] = 1
         if case == "B":
@@ -305,10 +330,10 @@ def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
     for edge, star in relabel.values():
         fwd[star] = fwd[edge].involute()
     bwd = [src._lift(image) for image in backward]
-    for t in tgt._edge_strand_id.values():
+    for t in tgt._nonvertex_ids[::2]:  # e_1, then e_1^*, for each edge of g_tilde
         bwd[tgt._star_of[t]] = bwd[t].involute()
-    return (FamilyMap("forward", dict(zip(src._gens, fwd))),
-            FamilyMap("backward", dict(zip(tgt._gens, bwd))))
+    return (FamilyMap("forward", src, tgt, tuple(x._support for x in fwd)),
+            FamilyMap("backward", tgt, src, tuple(x._support for x in bwd)))
 
 
 @dataclass(frozen=True)
@@ -338,48 +363,36 @@ def verify_families(g: WeightedGraph, g_tilde: Graph, fwd: FamilyMap,
     ``g``, and that both round trips fix every generator.  Checking the
     round trips on generators suffices because the generators generate.
 
-    Each map is lowered once (:func:`~wlpa.algebra._lower`) to a table of
-    image supports indexed by the letter ids of its domain, so no
-    generator is looked up per relation instance.  The relations are then
-    checked as :func:`relation_failures` checks them, which builds relation
-    (i) ``u v = d_uv u`` only for u = v and for the pairs whose images meet
-    and counts the other pairs as holding.  Each relation value and each
-    round trip is one :func:`~wlpa.algebra._compose` over a lowered table,
-    and a round trip is compared with its letter's one-word support: a
-    letter is a nod-word, so nothing is normalized.
-    Counts and failure labels are those of evaluating every item of
-    :func:`relation_instances`.
+    Each map is read as it is kept, a table over the letter ids of its
+    domain, so a generator is built only to name a failed round trip.  The
+    relations are checked as :func:`relation_failures` checks them; each
+    round trip is one :func:`~wlpa.algebra._compose`, compared with its
+    letter's one-word support: a letter is a nod-word, so nothing is
+    normalized.  Counts and failure labels are those of evaluating every
+    item of :func:`relation_instances`.
     """
-    fwd_values = list(fwd.assignments.values())
-    bwd_values = list(bwd.assignments.values())
-    tgt_algebra = fwd_values[0].algebra if fwd_values else Algebra(g_tilde)
-    src_algebra = bwd_values[0].algebra if bwd_values else Algebra(g)
-    for graph, algebra in ((g, src_algebra), (g_tilde, tgt_algebra)):
-        if (algebra.graph.vertices, algebra.graph.edges) != (graph.vertices, graph.edges):
-            raise MixedContextError("family map images are not over the given graphs")
-    fwd_images = _lower(fwd.assignments, src_algebra._gens, tgt_algebra)
-    bwd_images = _lower(bwd.assignments, tgt_algebra._gens, src_algebra)
+    over = ((fwd.domain, g), (fwd.target, g_tilde), (bwd.domain, g_tilde), (bwd.target, g))
+    if any((a.graph.vertices, a.graph.edges) != (h.vertices, h.edges) for a, h in over):
+        raise MixedContextError("family map images are not over the given graphs")
 
-    checked_fwd, failed_fwd = _relation_failures(
-        g, src_algebra._edge_strand_id, src_algebra._star_strand_id, fwd_images, tgt_algebra)
+    checked_fwd, failed_fwd = _relation_failures(g, fwd.domain._id_of, fwd.images, fwd.target)
     checked_bwd, failed_bwd = _relation_failures(
-        g_tilde, tgt_algebra._edge_strand_id, tgt_algebra._star_strand_id, bwd_images, src_algebra)
+        g_tilde, bwd.domain._id_of, bwd.images, bwd.target)
     failures = [f"forward {label}" for label in failed_fwd]
     failures += [f"backward {label}" for label in failed_bwd]
     counts = {
         "forward_relations": checked_fwd,
         "backward_relations": checked_bwd,
-        "roundtrip_source": len(fwd.assignments),
-        "roundtrip_target": len(bwd.assignments),
+        "roundtrip_source": len(fwd.images),
+        "roundtrip_target": len(bwd.images),
     }
 
-    for side, there, back, home in (("source", fwd, bwd_images, src_algebra),
-                                    ("target", bwd, fwd_images, tgt_algebra)):
-        for gen, image in there.assignments.items():
-            t = home._intern_letter(gen)  # first: a key that is no letter was not lowered
-            value = _compose([(c, w) for w, c in image._support.items()], back, home)
+    for side, there, back in (("source", fwd, bwd), ("target", bwd, fwd)):
+        home = back.target
+        for t, image in enumerate(there.images):
+            value = _compose([(c, w) for w, c in image.items()], back.images, home)
             if home._lift(value)._support != {(t,): 1}:  # a letter is its own normal form
-                failures.append(f"roundtrip {side} {gen.token()}")
+                failures.append(f"roundtrip {side} {there.domain._generators()[t].token()}")
 
     return FamilyVerification(
         ok=not failures, counts=counts, failures=tuple(failures)

@@ -266,10 +266,11 @@ class _Parser:
         self.algebra = algebra
         self.tokens = tokens = _Tokenizer(text).tokens
         self.i = 0
-        vertices = algebra._vertex_id
+        id_of = algebra._id_of
         for k, (kind, name) in enumerate(tokens):
             # a digit run that no '*' follows names the vertex of that name, if any
-            if kind == "scalar" and name in vertices and tokens[k + 1:k + 2] != [("*", "*")]:
+            if (kind == "scalar" and ("vertex", name, 0) in id_of
+                    and tokens[k + 1:k + 2] != [("*", "*")]):
                 tokens[k] = ("name", name)
 
     def peek(self) -> Optional[tuple[str, str]]:
@@ -354,7 +355,7 @@ class _Parser:
                 raise ExpressionError("expected ')'")
             return value
         if kind == "name":
-            vertex = self.algebra._vertex_id.get(text)
+            vertex = self.algebra._id_of.get(("vertex", text, 0))
             if vertex is None:
                 raise ExpressionError(f"unknown vertex {text!r}")
             return vertex
@@ -607,8 +608,9 @@ def dense_family_verification(g: WeightedGraph, g_tilde: WeightedGraph, fwd, bwd
     """
     from wlpa import relation_instances
 
-    tgt = next(iter(fwd.assignments.values())).algebra
-    src = next(iter(bwd.assignments.values())).algebra
+    fwd_images, bwd_images = fwd.assignments, bwd.assignments
+    tgt = next(iter(fwd_images.values())).algebra
+    src = next(iter(bwd_images.values())).algebra
 
     def value(terms, mapping, target):
         total = target.zero()
@@ -621,17 +623,18 @@ def dense_family_verification(g: WeightedGraph, g_tilde: WeightedGraph, fwd, bwd
 
     failures = []
     counts = {}
-    for direction, graph, fmap, target in (("forward", g, fwd, tgt),
-                                           ("backward", g_tilde, bwd, src)):
+    for direction, graph, images, target in (("forward", g, fwd_images, tgt),
+                                             ("backward", g_tilde, bwd_images, src)):
         counts[f"{direction}_relations"] = 0
         for label, terms in relation_instances(graph):
             counts[f"{direction}_relations"] += 1
-            if value(terms, fmap.assignments, target):
+            if value(terms, images, target):
                 failures.append(f"{direction} {label}")
-    for side, there, back, home in (("source", fwd, bwd, src), ("target", bwd, fwd, tgt)):
+    for side, there, back, home in (("source", fwd_images, bwd_images, src),
+                                    ("target", bwd_images, fwd_images, tgt)):
         counts[f"roundtrip_{side}"] = 0
-        for gen, image in there.assignments.items():
+        for gen, image in there.items():
             counts[f"roundtrip_{side}"] += 1
-            if value(image.terms(), back.assignments, home) != home.word((gen,)):
+            if value(image.terms(), back, home) != home.word((gen,)):
                 failures.append(f"roundtrip {side} {gen.token()}")
     return not failures, counts, tuple(failures)

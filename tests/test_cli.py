@@ -322,6 +322,26 @@ def test_cli_transform_verify_mod_field(name):
     assert verified["mod:7"]["counts"] == verified["rational"]["counts"]
 
 
+@pytest.mark.parametrize("text, vertices, count", [("", [], 0), ("vertex a\n", ["a"], 1)])
+def test_cli_transform_verify_edge_graphs(text, vertices, count):
+    # no letters, or one vertex letter: each map is an empty or one-entry table
+    argv = ("transform", "--verify", "--field", "mod:7", "--input", "-")
+    graph_text = "".join(f"vertex {v}\n" for v in vertices)
+    counts = ["backward_relations", "forward_relations", "roundtrip_source", "roundtrip_target"]
+    assert invoke(*argv, stdin_text=text) == (0, (
+        "# stage 1\n# Z: \n# gv: \n" + (graph_text or "\n") + "# stage 2\n"
+        + (graph_text or "\n") + "# verify: ok\n"
+        + "".join(f"# {key}: {count}\n" for key in counts)), "")
+    code, out, err = invoke(*argv, "--format", "machine", stdin_text=text)
+    graph = {"vertices": vertices, "edges": []}
+    assert (code, json.loads(out), err) == (0, {
+        "command": "transform", "satisfied": True, "stage1": graph, "stage2": graph,
+        "trace": {"Z": [], "gv": {}},
+        "verify": {"ok": True, "failures": [], "counts": {
+            "forward_relations": count, "backward_relations": count,
+            "roundtrip_source": count, "roundtrip_target": count}}}, "")
+
+
 def test_cli_check_lpa_long_satisfying_ring():
     text = serialize_weighted_graph(weighted_ring(1200, {5: 2, 400: 3, 801: 2}))
     code, out, err = invoke("check-lpa", "--input", "-", stdin_text=text)

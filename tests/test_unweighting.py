@@ -1,4 +1,6 @@
+import importlib.util
 import io
+import sys
 from pathlib import Path
 from random import Random
 
@@ -27,11 +29,13 @@ from wlpa import (
     verify_families,
     weighted_edges,
 )
+from wlpa import cli
 
 from graphgen import random_lpa_satisfying_graph, weighted_ring
 from oracles import dense_family_verification
 
-FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 
 E = Generator.edge
 S = Generator.star
@@ -282,9 +286,28 @@ def test_verify_families_rejects_maps_over_other_graphs():
     fwd, bwd = family_maps(g, g_out, g_trace)
     with pytest.raises(MixedContextError):
         verify_families(h, h_out, fwd, bwd)
-    del fwd.assignments[V(g.vertices[0])]
-    with pytest.raises(UnknownGeneratorError):
-        verify_families(g, g_out, fwd, bwd)
+    images = fwd.assignments
+    missing = {gen: image for gen, image in images.items() if gen != V(g.vertices[0])}
+    stray = {**images, E("no-such-edge", 1): images[V(g.vertices[0])]}
+    for assignments in (missing, stray):
+        with pytest.raises(UnknownGeneratorError):
+            FamilyMap.from_assignments("forward", fwd.domain, fwd.target, assignments)
+    with pytest.raises(MixedContextError):  # images over another algebra of the same graph
+        FamilyMap.from_assignments("forward", fwd.domain, Algebra(g_out), images)
+
+
+def test_family_map_assignments_are_a_copy():
+    g = fixture_graph("g6.wg")
+    out, trace = to_unweighted(g)
+    fwd, bwd = family_maps(g, out, trace)
+    images = fwd.assignments
+    first, last = next(iter(images)), next(reversed(images))
+    images[first] = images[first] + images[first]
+    images[last] = images[last].algebra.zero()
+    assert verify_families(g, out, fwd, bwd).ok
+    assert fwd.assignments != images
+    intact = fwd.assignments
+    assert FamilyMap.from_assignments("forward", fwd.domain, fwd.target, intact) == fwd
 
 
 def test_verify_families_random_sample():
@@ -327,8 +350,7 @@ def _corruptions(fmap, graph):
     image algebra of which one starts a word of b's image, a zero edge
     image and a vertex image replaced by an edge image.
     """
-    images = fmap.assignments
-    algebra = next(iter(images.values())).algebra
+    images, algebra = fmap.assignments, fmap.target
     a, b = V(graph.vertices[0]), V(graph.vertices[-1])
     strand = E(next(e for e in graph.edges if e.source != e.range).id, 1)
 
@@ -343,7 +365,8 @@ def _corruptions(fmap, graph):
         "zero-edge": {strand: algebra.zero()},
         "edge-for-vertex": {a: images[strand]},
     }
-    return {name: FamilyMap(fmap.direction, {**images, **change})
+    return {name: FamilyMap.from_assignments(fmap.direction, fmap.domain, algebra,
+                                             {**images, **change})
             for name, change in changes.items()}
 
 
@@ -371,7 +394,7 @@ def test_verify_families_work_is_linear_in_vertices(monkeypatch):
     g = weighted_ring(n, {0: 2, 100: 3, 200: 2})
     out, trace = to_unweighted(g)
     fwd, bwd = family_maps(g, out, trace)
-    algebras = [next(iter(fmap.assignments.values())).algebra for fmap in (fwd, bwd)]
+    algebras = [fwd.target, bwd.target]
     memo_sizes = [(len(a._memo_left), len(a._memo_right)) for a in algebras]
 
     calls = 0
@@ -395,7 +418,6 @@ def test_verify_families_builds_no_generator_per_relation_instance(monkeypatch):
     g = weighted_ring(300, {0: 2, 100: 3, 200: 2})
     out, trace = to_unweighted(g)
     fwd, bwd = family_maps(g, out, trace)
-    letters = len(fwd.assignments) + len(bwd.assignments)  # one image per letter
 
     calls = 0
     original = Generator.__init__
@@ -409,7 +431,7 @@ def test_verify_families_builds_no_generator_per_relation_instance(monkeypatch):
     result = verify_families(g, out, fwd, bwd)
     assert result.ok
     assert result.counts["forward_relations"] >= 300 * 300
-    assert calls <= 2 * letters
+    assert calls == 0
 
 
 def test_family_maps_builds_no_generator_per_image(monkeypatch):
@@ -432,7 +454,33 @@ def test_family_maps_builds_no_generator_per_image(monkeypatch):
     monkeypatch.setattr(Algebra, "normalize", counted_normalize)
     fwd, bwd = family_maps(g, out, trace)
     monkeypatch.undo()
-    letters = len(fwd.assignments) + len(bwd.assignments)  # one image per letter
-    assert calls["Generator"] <= 2 * letters
+    assert calls["Generator"] == 0
     assert calls["normalize"] == 0
     assert verify_families(g, out, fwd, bwd).ok
+
+
+def test_algebra_build_and_transform_verify_build_no_generator(monkeypatch):
+    # letters are ids inside the package; a Generator is made only for output
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look their module up
+    spec.loader.exec_module(gen)
+    sat = parse_weighted_graph(gen.cases(7, [("sat", 960)])[0].text)
+    ring = serialize_weighted_graph(weighted_ring(300, {0: 2, 100: 3, 200: 2}))
+
+    calls = 0
+    original = Generator.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Generator, "__init__", counted)
+    algebra = Algebra(sat)
+    assert (len(algebra._id_of), calls) == (4608, 0)
+    out = io.StringIO()
+    code = cli.run(["transform", "--verify", "--input", "-"],
+                   stdin=io.StringIO(ring), stdout=out, stderr=io.StringIO())
+    assert (code, calls) == (0, 0)
+    assert "# verify: ok\n" in out.getvalue()

@@ -190,11 +190,14 @@ class Algebra:
     rules of the non-vertex pairs (vertex letters are absorbed by endpoint
     tests) and the nod-word automaton are built once and never change.
     Only :meth:`nodword_counts` (the counts behind :meth:`growth`,
-    :meth:`zero_component_count` and the basis budget) and
-    :meth:`enumerate_nodwords` walk the automaton.  The normal-form memos
-    (``_memo_left``, ``_memo_right``) of :meth:`_nf_word` gain one entry
-    per whole word missed, so an instance must not be shared between
-    threads without a lock.  Only words from outside reach them:
+    :meth:`zero_component_count`, the CLI tables and the basis budget) and
+    :meth:`enumerate_nodwords` walk the automaton.  The counts walked are
+    kept in the count store, so a request up to the length walked so far
+    walks nothing.  The store and the normal-form memos (``_memo_left``,
+    ``_memo_right``) of :meth:`_nf_word` are filled after the build and
+    only ever grow; the memos gain one entry per whole word missed.  So an
+    instance must not be shared between threads without a lock.  Only
+    words from outside reach the memos:
     :meth:`normalize` (so every ``parse_element`` term) and the backward
     images of ``family_maps``; products of elements (:meth:`_product`) and
     :func:`identity_map` leave them as they are.  Inside, a letter is an
@@ -228,6 +231,14 @@ class Algebra:
         }
         self._memo_left: dict[tuple[int, ...], dict] = {}
         self._memo_right: dict[tuple[int, ...], dict] = {}
+        # The count store of nodword_counts: the nod-words of each length
+        # walked so far and the last layer, by last letter (None before the
+        # first step, empty once no longer word exists); and the degree-zero
+        # counts of the longest walk, with the bound it was pruned to.
+        self._counts = [self._nv]
+        self._layer: Optional[dict[int, int]] = None
+        self._zero_counts: list[int] = []
+        self._zero_bound = -1
 
     # -- rule table ----------------------------------------------------
 
@@ -499,51 +510,90 @@ class Algebra:
     def nodword_counts(self, max_len: int, zero_degree: bool = False):
         """Yield the number of nod-words of each length 0, 1, ..., max_len.
 
-        One pass over the nod-word automaton: the words of a length are
-        counted by their last letter, so exponentially growing graphs need
-        no exponential frontier.  With ``zero_degree`` only the words of
-        degree zero are counted; the counts are then grouped by the degree
-        of the word so far, and a degree too far from zero to return by
-        ``max_len`` is dropped.  Vertex letters have length 0 and degree
-        zero.  The walk stops at the first length with no word: nod-words
-        are closed under prefixes, so the counts not yielded are zero.  A
-        negative ``max_len`` raises :class:`AlgebraError` on the first ``next``.
+        The counts come from the count store, which only ever grows.  The
+        words of a length are counted by their last letter, so exponentially
+        growing graphs need no exponential frontier, and a length past the
+        store is counted from its last layer, one step of the nod-word
+        automaton.  The walk stops at the first length with no word:
+        nod-words are closed under prefixes, so the counts not yielded are
+        zero, and the store remembers that nothing longer exists.  With
+        ``zero_degree`` only the words of degree zero are counted, by
+        :meth:`_zero_walk`, whose layers are pruned by its bound; a request
+        up to the longest bound walked so far is a read of its counts, and a
+        longer one walks again.  Vertex letters have length 0 and degree
+        zero.  Generators consumed in turns share the store.  A negative
+        ``max_len`` raises :class:`AlgebraError` on the first ``next``.
         """
         if max_len < 0:
             raise AlgebraError("max_len must be >= 0")
+        if zero_degree:
+            if max_len <= self._zero_bound:
+                yield from self._zero_counts[:max_len + 1]
+            else:
+                yield from self._zero_walk(max_len)
+            return
+        counts = self._counts
+        for length in range(max_len + 1):
+            if length == len(counts) and not self._count_next():
+                return  # no word of this length, so none longer
+            yield counts[length]
+
+    def _count_next(self) -> bool:
+        """Count the nod-words one letter longer than the store; False if there are none."""
+        layer = self._layer
+        if layer is None:
+            layer = dict.fromkeys(self._nonvertex_ids, 1)
+        elif layer:
+            layer = self._step(layer)
+        self._layer = layer
+        if layer:
+            self._counts.append(sum(layer.values()))
+        return bool(layer)
+
+    def _step(self, counts: dict[int, int]) -> dict[int, int]:
+        """The words one letter longer than those ``counts`` holds, counted by last letter."""
+        succ = self._succ
+        step: dict[int, int] = {}
+        for a, c in counts.items():
+            for b in succ[a]:
+                step[b] = step.get(b, 0) + c
+        return step
+
+    def _zero_walk(self, max_len: int):
+        """Yield the degree-zero counts of lengths 0..max_len, and store them when done.
+
+        The counts are grouped by the degree of the word so far, and a
+        degree too far from zero to return by ``max_len`` is dropped.  So
+        every count up to ``max_len`` is exact, but an empty layer means only
+        that no degree-zero word up to this bound is longer.
+        """
+        counts = [self._nv]
         yield self._nv
         zero = (0,) * self.grading_length
         # {degree so far: {last letter: number of words}}, no group empty;
-        # one group, keyed ``zero``, unless the degrees are tracked
-        letters = dict.fromkeys(self._nonvertex_ids, 1)
-        layer = {zero: letters} if letters else {}
+        # the degree of a group's words leaves out their last letter
+        layer = {zero: dict.fromkeys(self._nonvertex_ids, 1)}
         for length in range(1, max_len + 1):
-            if zero_degree:
-                remaining = max_len - length
-                grouped: dict[tuple[int, ...], dict[int, int]] = {}
-                for deg, counts in layer.items():
-                    for b, c in counts.items():
-                        pos, sign = self._letter_degree[b]
-                        deg2 = list(deg)
-                        deg2[pos] += sign
-                        if sum(map(abs, deg2)) > remaining:
-                            continue
-                        group = grouped.setdefault(tuple(deg2), {})
-                        group[b] = group.get(b, 0) + c
-                layer = grouped
-            if not layer:
-                return  # no word of this length, so none longer
-            yield sum(layer.get(zero, {}).values())
+            remaining = max_len - length
+            grouped: dict[tuple[int, ...], dict[int, int]] = {}
+            for deg, by_letter in layer.items():
+                for b, c in by_letter.items():
+                    pos, sign = self._letter_degree[b]
+                    deg2 = list(deg)
+                    deg2[pos] += sign
+                    if sum(map(abs, deg2)) > remaining:
+                        continue
+                    group = grouped.setdefault(tuple(deg2), {})
+                    group[b] = group.get(b, 0) + c
+            if not grouped:
+                break  # no degree-zero word up to max_len is this long
+            counts.append(sum(grouped.get(zero, {}).values()))
+            yield counts[-1]
             if length < max_len:
-                nxt: dict[tuple[int, ...], dict[int, int]] = {}
-                for deg, counts in layer.items():
-                    step: dict[int, int] = {}
-                    for a, c in counts.items():
-                        for b in self._succ[a]:
-                            step[b] = step.get(b, 0) + c
-                    if step:
-                        nxt[deg] = step
-                layer = nxt
+                layer = {deg: step for deg, by_letter in grouped.items()
+                         if (step := self._step(by_letter))}
+        if max_len > self._zero_bound:
+            self._zero_counts, self._zero_bound = counts, max_len
 
     def enumerate_nodwords(self, max_len: int, source: Optional[str] = None,
                            range_: Optional[str] = None,
@@ -558,8 +608,8 @@ class Algebra:
         :meth:`nodword_counts` raises :class:`BudgetExceededError` once it
         passes the budget, before any word is built.  An unknown ``source``
         or ``range_`` vertex raises :class:`UnknownVertexError`.  The words
-        are grown from a frontier of their own, since the counter holds
-        only numbers.
+        are grown from a frontier of their own, since the count store holds
+        only numbers; with no filter, no word is tested.
         """
         if max_len < 0:
             raise AlgebraError("max_len must be >= 0")
@@ -575,13 +625,16 @@ class Algebra:
                     and (range_ is None or self.graph.vertices[self._rng_id[ids[-1]]] == range_)
                     and (degree is None or self._ids_degree(ids) == tuple(degree)))
 
+        unfiltered = source is None and range_ is None and degree is None
         gens = self._generators()
-        out = [(gens[v],) for v in range(self._nv) if keep((v,))]
+        letter = gens.__getitem__
+        out = [(gens[v],) for v in range(self._nv) if unfiltered or keep((v,))]
         layer = [(i,) for i in self._nonvertex_ids]
         for length in range(1, max_len + 1):
             if not layer:
                 break  # no nod-word of this length, so none longer
-            out.extend(tuple(gens[i] for i in ids) for ids in layer if keep(ids))
+            kept = layer if unfiltered else [ids for ids in layer if keep(ids)]
+            out.extend(tuple(map(letter, ids)) for ids in kept)
             if length < max_len:
                 layer = [ids + (b,) for ids in layer for b in self._succ[ids[-1]]]
         return out
@@ -591,12 +644,18 @@ class Algebra:
 
         Nod-words form a basis, so this is the dimension of the span of
         products of at most ``n`` generators, and its rate of growth in
-        ``n`` is the Gelfand-Kirillov dimension.
+        ``n`` is the Gelfand-Kirillov dimension.  It reads the count store,
+        so asking for ``growth(0)``, ..., ``growth(n)`` walks the automaton
+        once, to n, and asking again walks no further.
         """
         return sum(self.nodword_counts(n))
 
     def zero_component_count(self, max_len: int) -> int:
-        """Number of degree-zero nod-words of length <= max_len: see :meth:`nodword_counts`."""
+        """Number of degree-zero nod-words of length <= max_len: see :meth:`nodword_counts`.
+
+        A bound up to the longest one walked so far reads the stored counts;
+        a longer one walks again, pruned to the new bound.
+        """
         return sum(self.nodword_counts(max_len, zero_degree=True))
 
     def __repr__(self):
@@ -811,8 +870,14 @@ def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement]
     ``target`` is not zero, in :func:`relation_instances` order.  The map
     is lowered once (:func:`_lower`) and each instance is one
     :func:`_compose` of its letter-id words; see :func:`_relation_failures`.
+    A key that is no letter of ``g`` or a letter with no image raises
+    :class:`UnknownGeneratorError`, an image outside ``target``
+    :class:`MixedContextError`.
     """
     id_of = _letters(g)[0]
+    for gen in mapping:
+        if (gen.kind, gen.name, gen.index) not in id_of:
+            raise UnknownGeneratorError(f"unknown generator {gen.token()!r}")
     images = _lower(mapping, [Generator(*key) for key in id_of], target)
     return _relation_failures(g, id_of, images, target)
 

@@ -62,6 +62,11 @@ _SPACE_RE = re.compile(r"\s*")
 _END = ("",) * 6  # closes every token list the parser reads
 
 
+# Longest digit run read as an integer scalar with int(): no setting of
+# Python's digit limit for int() goes below 640.  A longer run, and every
+# fraction, is read by the field's parse, which names a bad literal.
+_INT_DIGITS = 640
+
 # Deepest parenthesis nesting accepted.  The parser recurses once per
 # group, so deeper input is rejected up front.
 MAX_NESTING = 100
@@ -186,10 +191,13 @@ class _Parser:
         # a digit run that no '*' follows names the vertex of that name, if any
         if fraction or (not index and name.isdigit()
                         and (("vertex", name, 0) not in id_of or tokens[i + 1][4] == "*")):
-            try:
-                scalar = alg.field.parse(fraction or name)
-            except FieldError as exc:
-                raise ExpressionError(str(exc)) from None
+            if fraction or len(name) > _INT_DIGITS:
+                try:
+                    scalar = alg.field.parse(fraction or name)
+                except FieldError as exc:
+                    raise ExpressionError(str(exc)) from None
+            else:  # ASCII digits, as the pattern reads them
+                scalar = alg.field.reduce(int(name))
             if sign < 0:
                 scalar = -scalar
             i += 1

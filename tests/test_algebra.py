@@ -1,9 +1,10 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wlpa import (
     NOT_HOMOGENEOUS,
@@ -192,6 +193,14 @@ def test_relation_failures_agrees_with_each_instance():
                     if not evaluate_relation(terms, mapping, algebra).is_zero()]
         assert expected
         assert relation_failures(g, mapping, algebra) == (len(instances), expected)
+
+
+def test_relation_failures_rejects_a_key_that_is_no_letter():
+    g = fixture_graph("g6.wg")
+    algebra = Algebra(g)
+    mapping = {**identity_map(algebra), V("nope"): algebra.zero()}
+    with pytest.raises(UnknownGeneratorError, match="unknown generator 'nope'"):
+        relation_failures(g, mapping, algebra)
 
 
 @pytest.mark.parametrize("name", ["e2loops.wg", "l23.wg"])
@@ -531,6 +540,109 @@ def test_zero_component_matches_enumeration():
                 if algebra.word_degree(w) == zero
             ]
             assert algebra.zero_component_count(n) == len(direct)
+
+
+def _finitely_many_nodwords(algebra):
+    # the automaton has no cycle: peel off letters with no successor left
+    succ = {a: set(bs) for a, bs in algebra._succ.items()}
+    while True:
+        ends = {a for a, bs in succ.items() if not bs}
+        if not ends:
+            return not succ
+        succ = {a: bs - ends for a, bs in succ.items() if a not in ends}
+
+
+def _request_answer(algebra, request):
+    zero_degree, n = request
+    return algebra.zero_component_count(n) if zero_degree else algebra.growth(n)
+
+
+@st.composite
+def _graph_and_requests(draw):
+    g = random_weighted_graph(Random(draw(st.integers(0, 2**32))),
+                              max_vertices=4, max_edges=4, max_weight=3)
+    lengths = st.integers(0, 7)
+    if _finitely_many_nodwords(Algebra(g)):
+        lengths = lengths | st.just(10**9)
+    requests = draw(st.lists(st.tuples(st.booleans(), lengths), max_size=12))
+    order = draw(st.sampled_from(["drawn", "ascending", "descending", "twice"]))
+    if order == "ascending":
+        requests.sort()
+    elif order == "descending":
+        requests.sort(reverse=True)
+    elif order == "twice":
+        requests += requests
+    return g, requests
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_graph_and_requests())
+def test_count_store_answers_as_a_fresh_algebra(case):
+    g, requests = case
+    algebra = Algebra(g)
+    for request in requests:
+        assert _request_answer(algebra, request) == _request_answer(Algebra(g), request), request
+
+
+def _table(counts, max_len):
+    # the CLI table: running totals, the last repeated past the end of the walk
+    totals = list(accumulate(counts))
+    return totals + totals[-1:] * (max_len + 1 - len(totals))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_graph_and_requests(), st.tuples(st.booleans(), st.integers(0, 7)),
+       st.tuples(st.booleans(), st.integers(0, 7)), st.lists(st.booleans(), max_size=30))
+# the shorter walk starts while the longer one is part-way
+@example((fixture_graph("e2loops.wg"), []), (True, 6), (True, 3), [False, True, True, True])
+@example((fixture_graph("e2loops.wg"), []), (False, 6), (False, 3), [False, True, False, True])
+def test_count_generators_consumed_in_turns(case, first, second, turns):
+    g, requests = case
+    algebra = Algebra(g)
+    for request in requests:  # the walks start from a part-filled store
+        _request_answer(algebra, request)
+    walks = (first, second)
+    gens = [algebra.nodword_counts(n, zero_degree=zero) for zero, n in walks]
+    got = [[], []]
+    for turn in turns + [False] * 9 + [True] * 9:  # then drain both
+        got[turn].extend(islice(gens[turn], 1))
+    for (zero, n), counts in zip(walks, got):
+        fresh = Algebra(g).nodword_counts(n, zero_degree=zero)
+        assert _table(counts, n) == _table(fresh, n), (zero, n)
+
+
+class _CountingSucc(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def _count_succ_reads(algebra):
+    algebra._succ = _CountingSucc(algebra._succ)
+    return algebra._succ
+
+
+@pytest.mark.parametrize("name", ["e2loops.wg", "g6.wg", "l23.wg"])
+def test_count_store_walks_each_length_once(name):
+    g = fixture_graph(name)
+    once = Algebra(g)
+    walk = _count_succ_reads(once)
+    once.growth(8)
+    assert walk.reads > 0
+
+    algebra = Algebra(g)
+    succ = _count_succ_reads(algebra)
+    assert [algebra.growth(n) for n in range(9)] == [once.growth(n) for n in range(9)]
+    assert succ.reads == walk.reads  # growth(0..8) walks once, to 8
+    algebra.zero_component_count(6)
+    before = succ.reads
+    for n in (8, 3, 0, 8):
+        algebra.growth(n)
+    for n in (6, 2, 0, 6):
+        algebra.zero_component_count(n)
+    assert succ.reads == before  # repeated requests read the store alone
 
 
 # -- idempotents and support length --------------------------------------

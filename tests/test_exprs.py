@@ -281,6 +281,17 @@ def test_overlong_numbers_are_expression_errors():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("alg", _TOTALITY_ALGEBRAS)
+@pytest.mark.parametrize("digits", [1, 639, 640, 641, 4000])
+def test_integer_scalars_on_both_sides_of_the_int_reader(alg, digits):
+    # runs up to exprs._INT_DIGITS are read with int(), longer ones by the field
+    run = "7" + "0" * (digits - 1)
+    want = alg.normalize([(int(run), (Generator.vertex("v"),))])
+    assert parse_element(alg, f"{run} * v") == want
+    assert parse_element(alg, f"-{run} v") == -want
+    assert parse_element(alg, f"{run} (v)") == want
+
+
 # -- letters read straight to ids -----------------------------------------
 
 _INDEX = "b." + "9" * 5000  # beyond int()'s default digit limit

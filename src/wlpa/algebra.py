@@ -934,10 +934,11 @@ def _lower(mapping: dict[Generator, AlgebraElement], letters: Iterable[Generator
     return images
 
 
-def _compose(pairs, images: list, target: Algebra) -> dict:
+def _compose(pairs, images, target: Algebra) -> dict:
     """Sum ``k * images[t_1] ... images[t_n]`` over ``(plain number k, letter-id word)`` pairs.
 
-    ``images`` is a map lowered by :func:`_lower`: element supports, so
+    ``images`` is a map lowered by :func:`_lower`, indexed by letter id (a
+    list, or a dict over the letters the words hold): element supports, so
     nod-words.  Each product of a partial product and the next image is
     one ``target._product``, which rewrites only at the junctions, over the
     integer rule coefficients; the sum is not yet reduced into the field.
@@ -960,14 +961,20 @@ def apply_generator_map(element: AlgebraElement,
     """Image of ``element`` under a map fixed on generators.
 
     Each letter of each support word is replaced by its image in ``target``
-    and the images are multiplied in order: one :func:`evaluate_relation`
-    of the element's terms.
+    and the images are multiplied in order.  Only the element's letters
+    need an image; other keys of ``mapping`` are ignored.  Those letters
+    are lowered (:func:`_lower`, in order of first appearance) into a
+    table indexed by letter id, and the value is one :func:`_compose` of
+    the element's support, reduced into the field at the end: the value of
+    :func:`evaluate_relation` on the element's terms.
     """
     if element.algebra.field != target.field:
         raise MixedContextError("source and target algebras use different fields")
+    support = element._support
+    ids = dict.fromkeys(t for w in support for t in w)
     gens = element.algebra._generators()
-    return evaluate_relation([(c, [gens[t] for t in w]) for w, c in element._support.items()],
-                             mapping, target)
+    images = dict(zip(ids, _lower(mapping, [gens[t] for t in ids], target)))
+    return target._lift(_compose([(c, w) for w, c in support.items()], images, target))
 
 
 def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
@@ -975,7 +982,7 @@ def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
     """Value of ``terms`` under a generator assignment.
 
     ``terms`` are the (coefficient, word) pairs of a relation instance or
-    of an element, as in :func:`apply_generator_map`.  Only the letters the
+    of an element (:meth:`AlgebraElement.terms`).  Only the letters the
     words touch are lowered, numbered by first appearance; the value is one
     :func:`_compose`, reduced into the field at the end.
     """

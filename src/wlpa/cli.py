@@ -176,15 +176,15 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 
         if args.command == "transform":
             try:
-                stage2, trace = to_unweighted(graph)
+                _, trace = to_unweighted(graph)
             except LpaViolatedError as exc:
                 payload = {"command": "transform", **exc.report.to_records()}
                 _emit(args, stdout, payload, exc.report.describe())
                 return EXIT_NEGATIVE
             verification = None
             if args.verify:
-                fwd, bwd = family_maps(graph, stage2, trace, field=field)
-                verification = verify_families(graph, stage2, fwd, bwd)
+                fwd, bwd = family_maps(trace, field=field)
+                verification = verify_families(fwd, bwd)
             payload = {
                 "command": "transform",
                 "satisfied": True,

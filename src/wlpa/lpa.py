@@ -281,27 +281,26 @@ def _keylemma_word_from_cycle(g: WeightedGraph, violation: LpaViolation) -> Word
     return tuple(letters)
 
 
-def search_shape_word(g: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None,
-                      bound: Optional[int] = None) -> Optional[Word]:
+def search_shape_word(g: WeightedGraph,
+                      choice: Optional[SpecialEdgeChoice] = None) -> Optional[Word]:
     """Breadth-first search for a nod-word e.2 ... e.2* over a weighted e.
 
-    Words are explored in increasing length up to ``bound`` (default
-    2*|vertices|*max weight + 2).  Extension legality only depends on the
-    last letter, so the frontier is deduplicated per letter; any automaton
-    path lifts back to a valid nod-word.  Returns the first witness found,
-    scanning weighted edges in graph order, or None.
+    Words are explored in increasing length up to the fixed length bound
+    2*|vertices|*max weight + 2, as in :func:`witness_nodpath`.  Extension
+    legality only depends on the last letter, so the frontier is
+    deduplicated per letter; any automaton path lifts back to a valid
+    nod-word.  Returns the first witness found, scanning weighted edges in
+    graph order, or None.
     """
     if not weighted_edges(g):
         return None
-    return _search_shape_word(Algebra(g, choice), bound)
+    return _search_shape_word(Algebra(g, choice))
 
 
-def _search_shape_word(algebra: Algebra, bound: Optional[int] = None) -> Optional[Word]:
+def _search_shape_word(algebra: Algebra) -> Optional[Word]:
     """:func:`search_shape_word` over the letter ids and the automaton of ``algebra``."""
     g = algebra.graph
-    if bound is None:
-        max_weight = max(e.weight for e in g.edges)
-        bound = 2 * len(g.vertices) * max_weight + 2
+    bound = 2 * len(g.vertices) * max(e.weight for e in g.edges) + 2
 
     id_of, succ, rule = algebra._id_of, algebra._succ, algebra._rule
     for e in weighted_edges(g):

@@ -14,10 +14,11 @@ Both stages come with explicit generator correspondences between the two
 algebras (:func:`family_maps`), kept as tables over letter ids
 (:class:`FamilyMap`); :func:`verify_families` checks the defining
 relations and the round trips on those tables.  The trace of a compilation
-carries the graph it was built from, so the maps reuse its (LPA) decision
-and stage-1 graph, and one case table (:func:`_stage2_cases`) builds both
-the stage-2 graph and the maps: each stage-2 vertex or edge fixes its own
-backward image and adds one letter to a forward image.
+carries all three graphs, so the maps are built from the trace alone and
+reuse its (LPA) decision and stage-1 graph, and the check reads the graphs
+from the maps' algebras.  One case table (:func:`_stage2_cases`) builds
+both the stage-2 graph and the maps: each stage-2 vertex or edge fixes its
+own backward image and adds one letter to a forward image.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .algebra import (
     AlgebraElement,
     Generator,
     MixedContextError,
+    _add_term,
     _compose,
     _lower,
     _relation_failures,
@@ -51,10 +53,6 @@ class PreconditionViolatedError(ValueError):
 
 
 class ReservedIdError(ValueError):
-    pass
-
-
-class TraceMismatchError(ValueError):
     pass
 
 
@@ -215,21 +213,8 @@ def to_unweighted(g: WeightedGraph) -> tuple[Graph, TransformTrace]:
     stage1 = make_ranges_sinks(g)  # decides (LPA) and rejects reserved ids
     stage2 = unweight_sunk(stage1)
     gv_pairs = tuple((e.range, e.id) for e in weighted_edges(stage1))
-    trace = TransformTrace(g, stage1, stage2, _zone_of_stage1(g, stage1), gv_pairs)
-    return stage2, trace
-
-
-def _zone_of_stage1(g: WeightedGraph, stage1: WeightedGraph) -> tuple[str, ...]:
-    """Z = T(r(E1w)) of ``g`` in graph order, read off its stage-1 graph.
-
-    Stage 1 renamed exactly the edges with source in Z (input ids never
-    carry the strand marker), so Z holds the weighted ranges and both ends
-    of every renamed edge; the zone is not searched a second time.
-    """
-    kept = {e.id for e in stage1.edges}
-    zone = {e.range for e in weighted_edges(g)}
-    zone.update(v for e in g.edges if e.id not in kept for v in (e.source, e.range))
-    return tuple(v for v in g.vertices if v in zone)
+    zone = tree(g, [e.range for e in weighted_edges(g)])
+    return stage2, TransformTrace(g, stage1, stage2, zone, gv_pairs)
 
 
 @dataclass(frozen=True)
@@ -264,27 +249,23 @@ class FamilyMap:
                 for gen, image in zip(self.domain._generators(), self.images)}
 
 
-def family_maps(g: WeightedGraph, g_tilde: Graph, trace: TransformTrace,
-                field=RATIONALS) -> tuple[FamilyMap, FamilyMap]:
-    """The mutually inverse generator assignments of the compilation.
+def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, FamilyMap]:
+    """The mutually inverse generator assignments of the compilation ``trace``.
 
-    The forward map sends the generators of the algebra of ``g`` to
-    elements of the algebra of ``g_tilde``; the backward map goes the
-    other way.  Both come from one pass over the stage-2 case table that
-    built ``g_tilde``, at the letter ids of the two algebras, with the
-    stage-1 relabeling as one table of those ids.  A forward image is a
-    sum of single target letters; a backward image is the normal form of
-    a word of at most three source letters; a star image is the involute
-    of its edge's.  The trace must come from :func:`to_unweighted` of
-    ``g``; its stage-1 graph and g^v map are used as they are, without
-    deciding (LPA) or running stage 1 again.  :func:`verify_families`
-    checks the maps whatever trace they were built from.
+    The forward map sends the generators of the algebra of the source g to
+    elements of the algebra of the stage-2 graph g~; the backward map goes
+    the other way.  Both algebras are built here, over ``field``.  The maps
+    come from one pass over the stage-2 case table that built g~, at the
+    letter ids of the two algebras, with the stage-1 relabeling as one
+    table of those ids.  A forward image is a sum of single target
+    letters; a backward image is the normal form of a word of at most
+    three source letters; a star image is the involute of its edge's.  The
+    trace is read as :func:`to_unweighted` returned it: g, the stage-1
+    graph, g~, Z and the g^v map are used as they are, without deciding
+    (LPA) or running stage 1 again.  :func:`verify_families` checks the
+    maps whatever trace they were built from.
     """
-    if trace.source != g:
-        raise TraceMismatchError("trace was not built from the given weighted graph")
-    if trace.stage2_graph != g_tilde:
-        raise TraceMismatchError("trace does not describe the given unweighted graph")
-    h = trace.stage1_graph
+    g, h, g_tilde = trace.source, trace.stage1_graph, trace.stage2_graph
     gv = trace.gv
 
     src, tgt = Algebra(g, field=field), Algebra(g_tilde, field=field)
@@ -353,31 +334,34 @@ class FamilyVerification:
         }
 
 
-def verify_families(g: WeightedGraph, g_tilde: Graph, fwd: FamilyMap,
-                    bwd: FamilyMap) -> FamilyVerification:
+def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
     """Mechanically verify that the two family maps are mutually inverse.
 
-    Checks that the forward images satisfy every defining relation of the
-    algebra of ``g`` inside the algebra of ``g_tilde``, that the backward
-    images satisfy the relations of ``g_tilde`` inside the algebra of
-    ``g``, and that both round trips fix every generator.  Checking the
-    round trips on generators suffices because the generators generate.
+    ``fwd`` maps the algebra of a graph g into the algebra of a graph g~
+    and ``bwd`` maps back: ``bwd.domain`` must be the very algebra
+    ``fwd.target`` and ``bwd.target`` the very ``fwd.domain``, over one
+    field, or :class:`MixedContextError` is raised, as for elements of
+    different algebras.  g and g~ are read from those algebras.  Checks
+    that the forward images satisfy every defining relation of g inside
+    the algebra of g~, that the backward images satisfy the relations of
+    g~ inside the algebra of g, and that both round trips fix every
+    generator.  Checking the round trips on generators suffices because
+    the generators generate.
 
     Each map is read as it is kept, a table over the letter ids of its
     domain, so a generator is built only to name a failed round trip.  The
-    relations are checked as :func:`relation_failures` checks them; each
-    round trip is one :func:`~wlpa.algebra._compose`, compared with its
-    letter's one-word support: a letter is a nod-word, so nothing is
-    normalized.  Counts and failure labels are those of evaluating every
-    item of :func:`relation_instances`.
+    relations are checked as :func:`relation_failures` checks them, and so
+    is each round trip: one :func:`~wlpa.algebra._compose` of the letter's
+    image, minus the letter, holds when every coefficient reduces to zero.
+    Nothing is normalized.  Counts and failure labels are those of
+    evaluating every item of :func:`relation_instances`.
     """
-    over = ((fwd.domain, g), (fwd.target, g_tilde), (bwd.domain, g_tilde), (bwd.target, g))
-    if any((a.graph.vertices, a.graph.edges) != (h.vertices, h.edges) for a, h in over):
-        raise MixedContextError("family map images are not over the given graphs")
+    src, tgt = fwd.domain, fwd.target
+    if bwd.domain is not tgt or bwd.target is not src or src.field != tgt.field:
+        raise MixedContextError("family maps are not between the same two algebras")
 
-    checked_fwd, failed_fwd = _relation_failures(g, fwd.domain._id_of, fwd.images, fwd.target)
-    checked_bwd, failed_bwd = _relation_failures(
-        g_tilde, bwd.domain._id_of, bwd.images, bwd.target)
+    checked_fwd, failed_fwd = _relation_failures(src.graph, src._id_of, fwd.images, tgt)
+    checked_bwd, failed_bwd = _relation_failures(tgt.graph, tgt._id_of, bwd.images, src)
     failures = [f"forward {label}" for label in failed_fwd]
     failures += [f"backward {label}" for label in failed_bwd]
     counts = {
@@ -387,11 +371,12 @@ def verify_families(g: WeightedGraph, g_tilde: Graph, fwd: FamilyMap,
         "roundtrip_target": len(bwd.images),
     }
 
+    reduce = src.field.reduce
     for side, there, back in (("source", fwd, bwd), ("target", bwd, fwd)):
-        home = back.target
         for t, image in enumerate(there.images):
-            value = _compose([(c, w) for w, c in image.items()], back.images, home)
-            if home._lift(value)._support != {(t,): 1}:  # a letter is its own normal form
+            value = _compose([(c, w) for w, c in image.items()], back.images, back.target)
+            _add_term(value, (t,), -1)
+            if any(map(reduce, value.values())):
                 failures.append(f"roundtrip {side} {there.domain._generators()[t].token()}")
 
     return FamilyVerification(

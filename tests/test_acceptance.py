@@ -97,18 +97,18 @@ def test_acceptance_3_isomorphism_verification():
     with criterion(3, "family verification on 200 random graphs", 60.0):
         for name in ("g6.wg", "fork.wg"):
             g = fixture_graph(name)
-            out, trace = to_unweighted(g)
-            fwd, bwd = family_maps(g, out, trace)
-            result = verify_families(g, out, fwd, bwd)
+            _, trace = to_unweighted(g)
+            fwd, bwd = family_maps(trace)
+            result = verify_families(fwd, bwd)
             assert result.ok, (name, result.failures[:3])
         rng = Random(77003)
         for _ in range(200):
             g = random_lpa_satisfying_graph(
                 rng, max_vertices=6, max_edges=8, max_weight=3
             )
-            out, trace = to_unweighted(g)
-            fwd, bwd = family_maps(g, out, trace)
-            result = verify_families(g, out, fwd, bwd)
+            _, trace = to_unweighted(g)
+            fwd, bwd = family_maps(trace)
+            result = verify_families(fwd, bwd)
             assert result.ok, result.failures[:3]
 
 

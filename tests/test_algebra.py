@@ -729,6 +729,38 @@ def test_apply_generator_map_rejections():
         evaluate_relation([(1, [])], mapping, source)
 
 
+def _random_paths(rng, algebra, count, max_len):
+    # words along composable letters, so their normal forms are rarely zero
+    letters = list(algebra.nonvertex_generators()) + [V(v) for v in algebra.graph.vertices]
+    starts = {}
+    for letter in letters:
+        starts.setdefault(algebra.generator_endpoints(letter)[0], []).append(letter)
+    words = []
+    for _ in range(count):
+        word = [rng.choice(letters)]
+        for _ in range(rng.randint(0, max_len - 1)):
+            word.append(rng.choice(starts[algebra.generator_endpoints(word[-1])[1]]))
+        words.append(tuple(word))
+    return words
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.sampled_from(["rational", "mod:7"]), st.sampled_from([2, 3, -1]))
+def test_apply_generator_map_agrees_with_evaluate_relation(seed, field, scale):
+    rng = Random(seed)
+    g = random_weighted_graph(rng, max_vertices=4, max_edges=5, max_weight=3)
+    algebra = Algebra(g, field=field_from_name(field))
+    words = _random_paths(rng, algebra, 6, 4)
+    element = algebra.normalize([(rng.randint(-3, 3), w) for w in words])
+    scaled = identity_map(algebra)
+    vertex = V(rng.choice(g.vertices))
+    scaled[vertex] = scaled[vertex].scaled(scale)
+    for mapping in (identity_map(algebra), scaled):
+        expected = evaluate_relation(element.terms(), mapping, algebra)
+        assert apply_generator_map(element, mapping, algebra) == expected
+    assert apply_generator_map(element, identity_map(algebra), algebra) == element
+
+
 def test_unknown_generators_rejected():
     algebra = Algebra(loop1())
     with pytest.raises(UnknownGeneratorError):

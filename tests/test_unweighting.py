@@ -14,7 +14,6 @@ from wlpa import (
     MixedContextError,
     PreconditionViolatedError,
     ReservedIdError,
-    TraceMismatchError,
     UnknownGeneratorError,
     family_maps,
     field_from_name,
@@ -201,8 +200,8 @@ def test_pipeline_identity_on_unweighted():
 
 def test_family_map_images_follow_case_table():
     g = fixture_graph("g6.wg")
-    out, trace = to_unweighted(g)
-    fwd, bwd = family_maps(g, out, trace)
+    _, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace)
     # weighted edge f: first strand goes forward, higher strands reverse
     assert fwd.assignments[E("f", 1)].support_words() == [(E("f^(1)", 1),)]
     assert fwd.assignments[E("f", 2)].support_words() == [(S("f^(2)", 1),)]
@@ -228,15 +227,14 @@ def test_family_map_images_follow_case_table():
     assert bwd.assignments[E("g^(1)", 1)].render() == "g.1 - g.1 f.2* f.2"
 
 
-def test_family_maps_trace_mismatch():
+def test_family_maps_read_their_graphs_from_the_trace():
     g = fixture_graph("g6.wg")
-    out, trace = to_unweighted(g)
-    other = fixture_graph("fork.wg")
-    other_out, other_trace = to_unweighted(other)
-    with pytest.raises(TraceMismatchError):
-        family_maps(g, other_out, other_trace)
-    with pytest.raises(TraceMismatchError):
-        family_maps(other, out, trace)
+    _, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace, field=field_from_name("mod:7"))
+    assert fwd.domain.graph is trace.source
+    assert fwd.target.graph is trace.stage2_graph
+    assert bwd.domain is fwd.target and bwd.target is fwd.domain
+    assert fwd.domain.field == fwd.target.field == field_from_name("mod:7")
 
 
 def test_transform_verify_decides_lpa_once(monkeypatch):
@@ -266,26 +264,43 @@ def test_transform_verify_decides_lpa_once(monkeypatch):
 def test_verify_families_fixture_pairs():
     for name in ("g6.wg", "fork.wg", "twoparallel.wg"):
         g = fixture_graph(name)
-        out, trace = to_unweighted(g)
-        fwd, bwd = family_maps(g, out, trace)
-        result = verify_families(g, out, fwd, bwd)
+        _, trace = to_unweighted(g)
+        fwd, bwd = family_maps(trace)
+        result = verify_families(fwd, bwd)
         assert result.ok, (name, result.failures[:5])
 
 
 def test_verify_families_identity_pair():
     g = parse_weighted_graph("vertex u\nvertex v\nedge a u v 1\nedge l v v 1")
-    out, trace = to_unweighted(g)
-    fwd, bwd = family_maps(g, out, trace)
-    assert verify_families(g, out, fwd, bwd).ok
+    _, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace)
+    assert verify_families(fwd, bwd).ok
+
+
+def test_verify_families_rejects_maps_of_other_algebras():
+    _, g_trace = to_unweighted(fixture_graph("g6.wg"))
+    _, h_trace = to_unweighted(fixture_graph("fork.wg"))
+    over_q = family_maps(g_trace)
+    over_f7 = family_maps(g_trace, field=field_from_name("mod:7"))
+    over_h = family_maps(h_trace)
+    # maps between the same two algebras whose fields differ
+    q_graph, f7_graph = over_q[0].domain, over_f7[0].target
+    mixed = (FamilyMap.from_assignments("forward", q_graph, f7_graph, over_f7[0].assignments),
+             FamilyMap.from_assignments("backward", f7_graph, q_graph, over_q[1].assignments))
+    pairs = [(over_q[0], over_f7[1]), (over_f7[0], over_q[1]), (over_q[0], over_h[1]), mixed]
+    for fwd, bwd in pairs:
+        with pytest.raises(MixedContextError):
+            verify_families(fwd, bwd)
 
 
 def test_verify_families_rejects_maps_over_other_graphs():
-    g, h = fixture_graph("g6.wg"), fixture_graph("fork.wg")
-    g_out, g_trace = to_unweighted(g)
-    h_out, _ = to_unweighted(h)
-    fwd, bwd = family_maps(g, g_out, g_trace)
-    with pytest.raises(MixedContextError):
-        verify_families(h, h_out, fwd, bwd)
+    g = fixture_graph("g6.wg")
+    _, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace)
+    # a second build has the same graphs and field but other Algebra objects
+    for pair in ((fwd, family_maps(trace)[1]), (family_maps(trace)[0], bwd), (fwd, fwd)):
+        with pytest.raises(MixedContextError):
+            verify_families(*pair)
     images = fwd.assignments
     missing = {gen: image for gen, image in images.items() if gen != V(g.vertices[0])}
     stray = {**images, E("no-such-edge", 1): images[V(g.vertices[0])]}
@@ -293,18 +308,18 @@ def test_verify_families_rejects_maps_over_other_graphs():
         with pytest.raises(UnknownGeneratorError):
             FamilyMap.from_assignments("forward", fwd.domain, fwd.target, assignments)
     with pytest.raises(MixedContextError):  # images over another algebra of the same graph
-        FamilyMap.from_assignments("forward", fwd.domain, Algebra(g_out), images)
+        FamilyMap.from_assignments("forward", fwd.domain, Algebra(trace.stage2_graph), images)
 
 
 def test_family_map_assignments_are_a_copy():
     g = fixture_graph("g6.wg")
-    out, trace = to_unweighted(g)
-    fwd, bwd = family_maps(g, out, trace)
+    _, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace)
     images = fwd.assignments
     first, last = next(iter(images)), next(reversed(images))
     images[first] = images[first] + images[first]
     images[last] = images[last].algebra.zero()
-    assert verify_families(g, out, fwd, bwd).ok
+    assert verify_families(fwd, bwd).ok
     assert fwd.assignments != images
     intact = fwd.assignments
     assert FamilyMap.from_assignments("forward", fwd.domain, fwd.target, intact) == fwd
@@ -314,9 +329,9 @@ def test_verify_families_random_sample():
     rng = Random(30303)
     for _ in range(25):
         g = random_lpa_satisfying_graph(rng)
-        out, trace = to_unweighted(g)
-        fwd, bwd = family_maps(g, out, trace)
-        result = verify_families(g, out, fwd, bwd)
+        _, trace = to_unweighted(g)
+        fwd, bwd = family_maps(trace)
+        result = verify_families(fwd, bwd)
         assert result.ok, result.failures[:5]
 
 
@@ -376,12 +391,12 @@ def _corruptions(fmap, graph):
 def test_verify_families_matches_dense_oracle_on_corrupted_maps(name, field):
     g = _verification_graph(name)
     out, trace = to_unweighted(g)
-    fwd, bwd = family_maps(g, out, trace, field=field_from_name(field))
+    fwd, bwd = family_maps(trace, field=field_from_name(field))
     cases = [("intact", fwd, bwd)]
     cases += [(f"forward {k}", m, bwd) for k, m in _corruptions(fwd, g).items()]
     cases += [(f"backward {k}", fwd, m) for k, m in _corruptions(bwd, out).items()]
     for label, f, b in cases:
-        result = verify_families(g, out, f, b)
+        result = verify_families(f, b)
         expected = dense_family_verification(g, out, f, b)
         assert (result.ok, result.counts, result.failures) == expected, label
         assert result.ok == (label == "intact"), label
@@ -392,8 +407,8 @@ def test_verify_families_work_is_linear_in_vertices(monkeypatch):
     # compared with its letter, so no word is normalized and no memo grows
     n = 300
     g = weighted_ring(n, {0: 2, 100: 3, 200: 2})
-    out, trace = to_unweighted(g)
-    fwd, bwd = family_maps(g, out, trace)
+    _, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace)
     algebras = [fwd.target, bwd.target]
     memo_sizes = [(len(a._memo_left), len(a._memo_right)) for a in algebras]
 
@@ -406,7 +421,7 @@ def test_verify_families_work_is_linear_in_vertices(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Algebra, "_nf_word", counted)
-    result = verify_families(g, out, fwd, bwd)
+    result = verify_families(fwd, bwd)
     assert result.ok
     assert result.counts["forward_relations"] >= n * n
     assert calls == 0
@@ -416,8 +431,8 @@ def test_verify_families_work_is_linear_in_vertices(monkeypatch):
 def test_verify_families_builds_no_generator_per_relation_instance(monkeypatch):
     # each map is read through one table over the letter ids of its domain
     g = weighted_ring(300, {0: 2, 100: 3, 200: 2})
-    out, trace = to_unweighted(g)
-    fwd, bwd = family_maps(g, out, trace)
+    _, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace)
 
     calls = 0
     original = Generator.__init__
@@ -428,7 +443,7 @@ def test_verify_families_builds_no_generator_per_relation_instance(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Generator, "__init__", counted)
-    result = verify_families(g, out, fwd, bwd)
+    result = verify_families(fwd, bwd)
     assert result.ok
     assert result.counts["forward_relations"] >= 300 * 300
     assert calls == 0
@@ -437,7 +452,7 @@ def test_verify_families_builds_no_generator_per_relation_instance(monkeypatch):
 def test_family_maps_builds_no_generator_per_image(monkeypatch):
     # each image is built over letter ids from the case table, no normalize call
     g = weighted_ring(300, {0: 2, 100: 3, 200: 2})
-    out, trace = to_unweighted(g)
+    _, trace = to_unweighted(g)
 
     calls = {"Generator": 0, "normalize": 0}
     original_init, original_normalize = Generator.__init__, Algebra.normalize
@@ -452,11 +467,11 @@ def test_family_maps_builds_no_generator_per_image(monkeypatch):
 
     monkeypatch.setattr(Generator, "__init__", counted_init)
     monkeypatch.setattr(Algebra, "normalize", counted_normalize)
-    fwd, bwd = family_maps(g, out, trace)
+    fwd, bwd = family_maps(trace)
     monkeypatch.undo()
     assert calls["Generator"] == 0
     assert calls["normalize"] == 0
-    assert verify_families(g, out, fwd, bwd).ok
+    assert verify_families(fwd, bwd).ok
 
 
 def test_algebra_build_and_transform_verify_build_no_generator(monkeypatch):

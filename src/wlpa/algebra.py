@@ -197,13 +197,13 @@ class Algebra:
     ``_memo_right``) of :meth:`_nf_word` are filled after the build and
     only ever grow; the memos gain one entry per whole word missed.  So an
     instance must not be shared between threads without a lock.  Only
-    words from outside reach the memos:
-    :meth:`normalize` (so every ``parse_element`` term) and the backward
-    images of ``family_maps``; products of elements (:meth:`_product`) and
-    :func:`identity_map` leave them as they are.  Inside, a letter is an
-    id: the one letter table, ``_id_of``, maps its plain ``(kind, name,
-    index)`` key, the fields of its :class:`Generator`, to it.  Generators
-    are made only for output, from the table :meth:`_generators` fills.
+    words from outside reach the memos, through :meth:`normalize` (so
+    every ``parse_element`` term); products of elements (:meth:`_product`),
+    the relation checks, :func:`identity_map` and ``family_maps`` leave
+    them as they are.  Inside, a letter is an id: the one letter table,
+    ``_id_of``, maps its plain ``(kind, name, index)`` key, the fields of
+    its :class:`Generator`, to it.  Generators are made only for output,
+    from the table :meth:`_generators` fills.
     """
 
     def __init__(self, graph: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None,
@@ -662,6 +662,11 @@ class Algebra:
         return f"Algebra({self.graph!r}, field={self.field.name})"
 
 
+def _involute(support: dict, star_of) -> dict:
+    """The involute of a support: each word reversed, each letter swapped by ``star_of``."""
+    return {tuple(star_of[i] for i in reversed(w)): c for w, c in support.items()}
+
+
 class AlgebraElement:
     """A finitely supported combination of nod-words over a fixed algebra.
 
@@ -731,13 +736,7 @@ class AlgebraElement:
 
     def involute(self) -> "AlgebraElement":
         """Reverse words and swap e_i with e_i^*; scalars are fixed."""
-        alg = self._algebra
-        star = alg._star_of
-        out = {
-            tuple(star[i] for i in reversed(w)): c
-            for w, c in self._support.items()
-        }
-        return AlgebraElement(alg, out)
+        return AlgebraElement(self._algebra, _involute(self._support, self._algebra._star_of))
 
     def degree(self):
         """Common degree of the support words, or a sentinel.
@@ -810,56 +809,78 @@ def relation_instances(g: WeightedGraph):
     algebra iff the sum of the terms is zero.  Strand indices beyond an
     edge's weight are dropped, matching the convention that those strands
     are zero.  Relation (i) comes first, one instance per ordered pair of
-    vertices (u-major, both in graph order), then (ii)-(iv).  The instances
-    are enumerated over letter ids, as :func:`relation_failures` checks
-    them, and only named here, by the letters of :func:`_letters`.
+    vertices (u-major, both in graph order), then (ii)-(iv).
+
+    The instances are the records of :func:`_vertex_relation` and
+    :func:`_edge_relations`, which :func:`relation_failures` evaluates,
+    rendered here: a record ``(key, pairs, rhs)`` stands for
+    ``sum of x y over its letter-id pairs (x, y) = rhs``, with rhs one
+    letter id or None for 0.  Its terms are each pair with coefficient 1,
+    then the rhs letter with -1, and its label is :func:`_label` of its
+    format key.
     """
-    id_of = _letters(g)[0]
-    gens = [Generator(*key) for key in id_of]
+    gens = [Generator(*key) for key in _letters(g)[0]]
     n = len(g.vertices)
-    pairs = (_vertex_relation(g, i, j) for i in range(n) for j in range(n))
-    for label, terms in chain(pairs, _edge_relations(g, id_of)):
-        yield label, [(k, [gens[t] for t in word]) for k, word in terms]
+    vertex_pairs = (_vertex_relation(g, i, j) for i in range(n) for j in range(n))
+    for key, pairs, rhs in chain(vertex_pairs, _edge_relations(g)):
+        terms = [(1, [gens[x], gens[y]]) for x, y in pairs]
+        if rhs is not None:
+            terms.append((-1, [gens[rhs]]))
+        yield _label(key), terms
+
+
+def _label(key: tuple) -> str:
+    """The label of a relation instance or round trip from its key ``(format, *fields)``."""
+    return key[0].format(*key[1:])
 
 
 def _vertex_relation(g: WeightedGraph, i: int, j: int):
-    """Relation (i) for the ordered pair of vertex ids (i, j): ``u v = d_uv u``."""
-    terms = [(1, (i, j))]
-    if i == j:
-        terms.append((-1, (i,)))
-    return f"(i) {g.vertices[i]} {g.vertices[j]}", terms
+    """The record of relation (i) for the ordered pair of vertex ids (i, j): ``u v = d_uv u``."""
+    names = g.vertices
+    return ("(i) {} {}", names[i], names[j]), ((i, j),), (i if i == j else None)
 
 
-def _edge_relations(g: WeightedGraph, id_of: dict):
-    """Relations (ii)-(iv) over the letter ids ``id_of``, in :func:`relation_instances` order."""
+def _edge_relations(g: WeightedGraph):
+    """The records of relations (ii)-(iv), in :func:`relation_instances` order.
+
+    Letter ids come from per-edge bases in the layout of :func:`_letters`:
+    the strands of an edge of weight w at base b are ``e_i = b + i - 1``
+    and ``e_i^* = b + w + i - 1``.  The out-lists of the vertices are
+    collected in the same pass as the bases, as ``(edge id, weight, base,
+    range id)`` in graph order.  A record's key is rendered only on demand.
+    """
+    index = g._vertex_index
+    emitted: list[list[tuple]] = [[] for _ in g.vertices]
+    base = len(g.vertices)
     for e in g.edges:
-        s, r = id_of["vertex", e.source, 0], id_of["vertex", e.range, 0]
-        for i in range(1, e.weight + 1):
-            a, b = id_of["edge", e.id, i], id_of["star", e.id, i]
-            yield f"(ii) source {e.id}.{i}", [(1, (s, a)), (-1, (a,))]
-            yield f"(ii) range {e.id}.{i}", [(1, (a, r)), (-1, (a,))]
-            yield f"(ii) star-range {e.id}.{i}", [(1, (r, b)), (-1, (b,))]
-            yield f"(ii) star-source {e.id}.{i}", [(1, (b, s)), (-1, (b,))]
+        w, s, r = e.weight, index[e.source], index[e.range]
+        emitted[s].append((e.id, w, base, r))
+        for a in range(base, base + w):
+            b, i = a + w, a - base + 1
+            yield ("(ii) source {}.{}", e.id, i), ((s, a),), a
+            yield ("(ii) range {}.{}", e.id, i), ((a, r),), a
+            yield ("(ii) star-range {}.{}", e.id, i), ((r, b),), b
+            yield ("(ii) star-source {}.{}", e.id, i), ((b, s),), b
+        base += 2 * w
 
-    for v in g.vertices:
-        out = g.out_edges(v)
+    for v, (name, out) in enumerate(zip(g.vertices, emitted)):
         if not out:
             continue
-        wv = vertex_weight(g, v)
         for e in out:
+            eid, we, be, r = e
+            stars = range(be + we, be + 2 * we)
             for f in out:
-                terms = [(1, (id_of["star", e.id, i], id_of["edge", f.id, i]))
-                         for i in range(1, min(e.weight, f.weight) + 1)]
-                if e.id == f.id:
-                    terms.append((-1, (id_of["vertex", e.range, 0],)))
-                yield f"(iii) {v} {e.id} {f.id}", terms
-        for i in range(1, wv + 1):
-            for j in range(1, wv + 1):
-                terms = [(1, (id_of["edge", e.id, i], id_of["star", e.id, j]))
-                         for e in out if e.weight >= max(i, j)]
-                if i == j:
-                    terms.append((-1, (id_of["vertex", v, 0],)))
-                yield f"(iv) {v} {i} {j}", terms
+                fid, wf, bf, _ = f
+                # e_i^* f_i for 1 <= i <= min(w(e), w(f)): zip stops at the shorter
+                pairs = tuple(zip(stars, range(bf, bf + wf)))
+                yield ("(iii) {} {} {}", name, eid, fid), pairs, (r if f is e else None)
+        wv = max(w for _, w, _, _ in out)
+        for i in range(wv):
+            for j in range(wv):
+                k = max(i, j)
+                # e_{i+1} e_{j+1}^* over the edges of weight > k
+                pairs = tuple((b + i, b + w + j) for _, w, b, _ in out if w > k)
+                yield ("(iv) {} {} {}", name, i + 1, j + 1), pairs, (v if i == j else None)
 
 
 def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement],
@@ -868,22 +889,21 @@ def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement]
 
     Returns the number of instances and the labels of those whose value in
     ``target`` is not zero, in :func:`relation_instances` order.  The map
-    is lowered once (:func:`_lower`) and each instance is one
-    :func:`_compose` of its letter-id words; see :func:`_relation_failures`.
-    A key that is no letter of ``g`` or a letter with no image raises
-    :class:`UnknownGeneratorError`, an image outside ``target``
-    :class:`MixedContextError`.
+    is lowered once (:func:`_lower`) and the records are evaluated by
+    :func:`_relation_failures`.  A key that is no letter of ``g`` or a
+    letter with no image raises :class:`UnknownGeneratorError`, an image
+    outside ``target`` :class:`MixedContextError`.
     """
     id_of = _letters(g)[0]
     for gen in mapping:
         if (gen.kind, gen.name, gen.index) not in id_of:
             raise UnknownGeneratorError(f"unknown generator {gen.token()!r}")
     images = _lower(mapping, [Generator(*key) for key in id_of], target)
-    return _relation_failures(g, id_of, images, target)
+    return _relation_failures(g, images, target)
 
 
-def _relation_failures(g: WeightedGraph, id_of: dict, images, target: Algebra):
-    """:func:`relation_failures` for a map lowered over the letter ids ``id_of`` of ``g``.
+def _relation_failures(g: WeightedGraph, images, target: Algebra):
+    """:func:`relation_failures` for a map lowered over the letter ids of ``g``.
 
     Relation (i) is decided without a product per ordered pair of
     vertices.  The image of ``u v`` is a sum of products ``a b`` of support
@@ -891,8 +911,16 @@ def _relation_failures(g: WeightedGraph, id_of: dict, images, target: Algebra):
     ``u v`` is evaluated only for v = u and for the v whose image has a
     word starting where a word of u's image ends (found by bucketing the
     images by source vertex); every other pair gives 0 = 0 and is counted
-    as holding without being built.  An instance holds when every
-    coefficient of its composed value reduces to zero in the field.
+    as holding without being built.
+
+    Every other record ``(key, pairs, rhs)`` is evaluated in one loop: the
+    new dict of the first pair's ``target._product`` is the accumulator
+    and the products of the other pairs are added to it, over the integer
+    rule coefficients.  The instance holds at once if that sum is the image
+    of the rhs letter (the empty support for 0) as it stands.  Otherwise
+    the image is subtracted, and the instance holds when every coefficient
+    reduces to zero in the field.  Only a failing instance has its key
+    rendered into a label.
     """
     n = len(g.vertices)
     ends = [{target._rng_id[w[-1]] for w in images[i]} for i in range(n)]
@@ -901,15 +929,26 @@ def _relation_failures(g: WeightedGraph, id_of: dict, images, target: Algebra):
         for s in {target._src_id[w[0]] for w in images[j]}:
             starting_at.setdefault(s, []).append(j)
     meeting = [sorted({i}.union(*(starting_at.get(r, ()) for r in ends[i]))) for i in range(n)]
-    instances = chain((_vertex_relation(g, i, j) for i in range(n) for j in meeting[i]),
-                      _edge_relations(g, id_of))
-    reduce = target.field.reduce
+    records = chain((_vertex_relation(g, i, j) for i in range(n) for j in meeting[i]),
+                    _edge_relations(g))
+    product, reduce = target._product, target.field.reduce
     count = n * n - sum(map(len, meeting))  # the pairs of (i) that are not built
     failures = []
-    for label, terms in instances:
+    for key, pairs, rhs in records:
         count += 1
-        if any(map(reduce, _compose(terms, images, target).values())):
-            failures.append(label)
+        x, y = pairs[0]
+        acc = product(images[x], images[y])
+        get = acc.get  # a coefficient may cancel to 0: the test below reduces it
+        for x, y in pairs[1:]:
+            for w, c in product(images[x], images[y]).items():
+                acc[w] = get(w, 0) + c
+        image = images[rhs] if rhs is not None else {}
+        if acc == image:
+            continue  # the sum is exactly the rhs image
+        for w, c in image.items():
+            acc[w] = get(w, 0) - c
+        if any(map(reduce, acc.values())):
+            failures.append(_label(key))
     return count, failures
 
 

@@ -32,6 +32,8 @@ from .algebra import (
     MixedContextError,
     _add_term,
     _compose,
+    _involute,
+    _label,
     _lower,
     _relation_failures,
 )
@@ -257,13 +259,18 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
     the other way.  Both algebras are built here, over ``field``.  The maps
     come from one pass over the stage-2 case table that built g~, at the
     letter ids of the two algebras, with the stage-1 relabeling as one
-    table of those ids.  A forward image is a sum of single target
-    letters; a backward image is the normal form of a word of at most
-    three source letters; a star image is the involute of its edge's.  The
-    trace is read as :func:`to_unweighted` returned it: g, the stage-1
-    graph, g~, Z and the g^v map are used as they are, without deciding
-    (LPA) or running stage 1 again.  :func:`verify_families` checks the
-    maps whatever trace they were built from.
+    table of those ids.  The images are kept as plain supports.  A forward
+    image is a sum of single target letters, each with coefficient 1, so
+    it needs no reduction.  A backward image is one
+    :func:`~wlpa.algebra._compose` of a word of at most three source
+    letters over the letters' one-word supports (as
+    :func:`~wlpa.algebra.identity_map` builds them), reduced into the
+    field; it normalizes nothing, so the memos of both algebras stay
+    empty.  A star image is the involute of its edge's, taken on the
+    support.  The trace is read as :func:`to_unweighted` returned it: g,
+    the stage-1 graph, g~, Z and the g^v map are used as they are, without
+    deciding (LPA) or running stage 1 again.  :func:`verify_families`
+    checks the maps whatever trace they were built from.
     """
     g, h, g_tilde = trace.source, trace.stage1_graph, trace.stage2_graph
     gv = trace.gv
@@ -285,7 +292,8 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
 
     # supports indexed by letter id: each stage-2 piece adds its target
     # letter to the forward image of its source letter and fixes its own
-    # backward image, the normal form of at most three source letters
+    # backward image, one product of at most three source letters
+    letters = [{(t,): 1} for t in range(len(src_id))]
     forward: list[dict] = [{} for _ in src_id]
     backward: list[dict] = [{} for _ in tgt_id]
     vertex_cases, edge_cases = _stage2_cases(h, gv)
@@ -293,7 +301,7 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
         t, s = tgt_id["vertex", name, 0], src_id["vertex", v, 0]
         forward[s][t,] = 1
         word = (s,) if case == "M" else relabel[gv[v], i][::-1]  # (g^v_i)* g^v_i
-        backward[t] = src._nf_word(word)
+        backward[t] = _compose([(1, word)], letters, src)
     for record, case, eid, i in edge_cases:
         t = tgt_id["edge", record.id, 1]
         edge, star = relabel[eid, 1 if case == "B" else i]
@@ -304,17 +312,18 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
             word = (star,)
         else:
             word = (edge,)
-        backward[t] = src._nf_word(word)
+        backward[t] = _compose([(1, word)], letters, src)
 
-    # the maps are *-homomorphisms: each star image is the involute of its edge's
-    fwd = [tgt._lift(image) for image in forward]
+    # the maps are *-homomorphisms: each star image is the involute of its
+    # edge's; forward coefficients are 1, so only backward ones are reduced
     for edge, star in relabel.values():
-        fwd[star] = fwd[edge].involute()
-    bwd = [src._lift(image) for image in backward]
+        forward[star] = _involute(forward[edge], tgt._star_of)
+    reduce = field.reduce
+    backward = [{w: r for w, c in image.items() if (r := reduce(c))} for image in backward]
     for t in tgt._nonvertex_ids[::2]:  # e_1, then e_1^*, for each edge of g_tilde
-        bwd[tgt._star_of[t]] = bwd[t].involute()
-    return (FamilyMap("forward", src, tgt, tuple(x._support for x in fwd)),
-            FamilyMap("backward", tgt, src, tuple(x._support for x in bwd)))
+        backward[tgt._star_of[t]] = _involute(backward[t], src._star_of)
+    return (FamilyMap("forward", src, tgt, tuple(forward)),
+            FamilyMap("backward", tgt, src, tuple(backward)))
 
 
 @dataclass(frozen=True)
@@ -348,20 +357,29 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
     generator.  Checking the round trips on generators suffices because
     the generators generate.
 
+    ``fwd.direction`` must be "forward" and ``bwd.direction`` "backward",
+    or :class:`MixedContextError` is raised: swapped maps would check the
+    relations of g~ as forward ones.
+
     Each map is read as it is kept, a table over the letter ids of its
-    domain, so a generator is built only to name a failed round trip.  The
-    relations are checked as :func:`relation_failures` checks them, and so
-    is each round trip: one :func:`~wlpa.algebra._compose` of the letter's
-    image, minus the letter, holds when every coefficient reduces to zero.
-    Nothing is normalized.  Counts and failure labels are those of
-    evaluating every item of :func:`relation_instances`.
+    domain.  The relations are checked as :func:`relation_failures` checks
+    them: each instance is a record of letter-id pairs and a right-hand
+    letter, evaluated with one product per pair.  Each round trip is one
+    :func:`~wlpa.algebra._compose` of the letter's image, minus the letter.
+    Either holds when every coefficient reduces to zero.  Nothing is
+    normalized.  A label is rendered, and a generator built, only for a
+    failure.  Counts and failure labels are those of evaluating every item
+    of :func:`relation_instances`.
     """
     src, tgt = fwd.domain, fwd.target
     if bwd.domain is not tgt or bwd.target is not src or src.field != tgt.field:
         raise MixedContextError("family maps are not between the same two algebras")
+    if (fwd.direction, bwd.direction) != ("forward", "backward"):
+        raise MixedContextError(
+            f"expected a forward and a backward map, got {fwd.direction} and {bwd.direction}")
 
-    checked_fwd, failed_fwd = _relation_failures(src.graph, src._id_of, fwd.images, tgt)
-    checked_bwd, failed_bwd = _relation_failures(tgt.graph, tgt._id_of, bwd.images, src)
+    checked_fwd, failed_fwd = _relation_failures(src.graph, fwd.images, tgt)
+    checked_bwd, failed_bwd = _relation_failures(tgt.graph, bwd.images, src)
     failures = [f"forward {label}" for label in failed_fwd]
     failures += [f"backward {label}" for label in failed_bwd]
     counts = {
@@ -377,7 +395,8 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
             value = _compose([(c, w) for w, c in image.items()], back.images, back.target)
             _add_term(value, (t,), -1)
             if any(map(reduce, value.values())):
-                failures.append(f"roundtrip {side} {there.domain._generators()[t].token()}")
+                token = there.domain._generators()[t].token()
+                failures.append(_label(("roundtrip {} {}", side, token)))
 
     return FamilyVerification(
         ok=not failures, counts=counts, failures=tuple(failures)

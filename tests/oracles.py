@@ -595,19 +595,63 @@ def engine_span_dimension_gf2(g: WeightedGraph, max_len: int) -> int:
     return echelon.rank
 
 
+# -- defining relations ---------------------------------------------------------
+
+
+def reference_relation_instances(g: WeightedGraph):
+    """Yield ``(label, terms)`` for every defining-relation instance, eagerly.
+
+    The enumeration ``relation_instances`` must reproduce item for item:
+    (i) for each ordered pair of vertices, then (ii) per edge strand, then
+    (iii) and (iv) per emitting vertex, with f-string labels and terms
+    ``(integer coefficient, [Generator, ...])`` read off the graph.
+    """
+    V, E, S = Generator.vertex, Generator.edge, Generator.star
+    for u in g.vertices:
+        for v in g.vertices:
+            terms = [(1, [V(u), V(v)])]
+            if u == v:
+                terms.append((-1, [V(u)]))
+            yield f"(i) {u} {v}", terms
+    for e in g.edges:
+        s, r = V(e.source), V(e.range)
+        for i in range(1, e.weight + 1):
+            a, b = E(e.id, i), S(e.id, i)
+            yield f"(ii) source {e.id}.{i}", [(1, [s, a]), (-1, [a])]
+            yield f"(ii) range {e.id}.{i}", [(1, [a, r]), (-1, [a])]
+            yield f"(ii) star-range {e.id}.{i}", [(1, [r, b]), (-1, [b])]
+            yield f"(ii) star-source {e.id}.{i}", [(1, [b, s]), (-1, [b])]
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if not out:
+            continue
+        for e in out:
+            for f in out:
+                terms = [(1, [S(e.id, i), E(f.id, i)])
+                         for i in range(1, min(e.weight, f.weight) + 1)]
+                if e.id == f.id:
+                    terms.append((-1, [V(e.range)]))
+                yield f"(iii) {v} {e.id} {f.id}", terms
+        wv = vertex_weight(g, v)
+        for i in range(1, wv + 1):
+            for j in range(1, wv + 1):
+                terms = [(1, [E(e.id, i), S(e.id, j)]) for e in out if e.weight >= max(i, j)]
+                if i == j:
+                    terms.append((-1, [V(v)]))
+                yield f"(iv) {v} {i} {j}", terms
+
+
 # -- family verification ------------------------------------------------------
 
 
 def dense_family_verification(g: WeightedGraph, g_tilde: WeightedGraph, fwd, bwd):
     """``(ok, counts, failures)`` as ``verify_families`` must report them.
 
-    Evaluates every item of ``relation_instances`` of both graphs, one
-    product per ordered pair of vertices included, and every round trip,
-    with plain element ``*``, ``+`` and ``scaled``; neither
+    Evaluates every item of :func:`reference_relation_instances` of both
+    graphs, one product per ordered pair of vertices included, and every
+    round trip, with plain element ``*``, ``+`` and ``scaled``; neither
     ``evaluate_relation`` nor ``apply_generator_map`` is used.
     """
-    from wlpa import relation_instances
-
     fwd_images, bwd_images = fwd.assignments, bwd.assignments
     tgt = next(iter(fwd_images.values())).algebra
     src = next(iter(bwd_images.values())).algebra
@@ -626,7 +670,7 @@ def dense_family_verification(g: WeightedGraph, g_tilde: WeightedGraph, fwd, bwd
     for direction, graph, images, target in (("forward", g, fwd_images, tgt),
                                              ("backward", g_tilde, bwd_images, src)):
         counts[f"{direction}_relations"] = 0
-        for label, terms in relation_instances(graph):
+        for label, terms in reference_relation_instances(graph):
             counts[f"{direction}_relations"] += 1
             if value(terms, images, target):
                 failures.append(f"{direction} {label}")

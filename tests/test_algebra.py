@@ -37,6 +37,7 @@ from oracles import (
     classical_unweighted_count,
     engine_span_dimension_gf2,
     reference_normal_form,
+    reference_relation_instances,
     truncated_quotient_dimension,
 )
 
@@ -193,6 +194,31 @@ def test_relation_failures_agrees_with_each_instance():
                     if not evaluate_relation(terms, mapping, algebra).is_zero()]
         assert expected
         assert relation_failures(g, mapping, algebra) == (len(instances), expected)
+
+
+@st.composite
+def _multigraphs(draw):
+    # few vertices, so parallel edges and self-loops are common
+    vertices = [f"v{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends, st.integers(1, 3)), max_size=7))
+    return WeightedGraph(vertices, [EdgeRecord(f"e{k}", s, r, w)
+                                    for k, (s, r, w) in enumerate(edges, 1)])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_multigraphs())
+@example(parse_weighted_graph("vertex u\nvertex v\nedge a u v 3\nedge b u v 2\n"
+                              "edge l u u 2\nedge m v v 1\nedge c v u 1"))
+def test_relation_instances_match_the_reference(g):
+    # label, coefficients, Generator words and order, item for item
+    assert list(relation_instances(g)) == list(reference_relation_instances(g))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.wg")))
+def test_relation_instances_match_the_reference_on_fixtures(name):
+    g = fixture_graph(name)
+    assert list(relation_instances(g)) == list(reference_relation_instances(g))
 
 
 def test_relation_failures_rejects_a_key_that_is_no_letter():

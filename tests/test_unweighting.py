@@ -28,7 +28,7 @@ from wlpa import (
     verify_families,
     weighted_edges,
 )
-from wlpa import cli
+from wlpa import algebra as algebra_module, cli, unweighting as unweighting_module
 
 from graphgen import random_lpa_satisfying_graph, weighted_ring
 from oracles import dense_family_verification
@@ -309,6 +309,71 @@ def test_verify_families_rejects_maps_over_other_graphs():
             FamilyMap.from_assignments("forward", fwd.domain, fwd.target, assignments)
     with pytest.raises(MixedContextError):  # images over another algebra of the same graph
         FamilyMap.from_assignments("forward", fwd.domain, Algebra(trace.stage2_graph), images)
+
+
+def test_verify_families_rejects_swapped_maps():
+    # swapped, the relations of g~ would be checked and labelled as forward ones
+    _, trace = to_unweighted(fixture_graph("g6.wg"))
+    fwd, bwd = family_maps(trace)
+    relabeled = (FamilyMap("backward", fwd.domain, fwd.target, fwd.images),
+                 FamilyMap("forward", bwd.domain, bwd.target, bwd.images))
+    for pair in ((bwd, fwd), relabeled, (fwd, relabeled[1]), (relabeled[0], bwd)):
+        with pytest.raises(MixedContextError, match="a forward and a backward map"):
+            verify_families(*pair)
+    assert verify_families(fwd, bwd).ok
+
+
+def _ring300():
+    return weighted_ring(300, {0: 2, 100: 3, 200: 2})
+
+
+@pytest.mark.parametrize("make", [lambda: fixture_graph("g6.wg"), _ring300], ids=["g6", "ring300"])
+def test_family_maps_leave_the_memos_empty(make):
+    # each backward image is one product of its letters, so nothing is normalized
+    _, trace = to_unweighted(make())
+    fwd, bwd = family_maps(trace)
+    algebras = (fwd.domain, fwd.target)
+    assert [(a._memo_left, a._memo_right) for a in algebras] == [({}, {}), ({}, {})]
+    assert verify_families(fwd, bwd).ok
+    assert [(a._memo_left, a._memo_right) for a in algebras] == [({}, {}), ({}, {})]
+
+
+def _counted_labels(monkeypatch):
+    """The keys of every label rendered from now on, through the one renderer."""
+    keys = []
+    original = algebra_module._label
+
+    def counted(key):
+        keys.append(key)
+        return original(key)
+
+    for module in (algebra_module, unweighting_module):
+        monkeypatch.setattr(module, "_label", counted)
+    return keys
+
+
+@pytest.mark.parametrize("make", [lambda: fixture_graph("g6.wg"), _ring300], ids=["g6", "ring300"])
+def test_passing_verification_renders_no_label(make, monkeypatch):
+    _, trace = to_unweighted(make())
+    fwd, bwd = family_maps(trace)
+    keys = _counted_labels(monkeypatch)
+    assert verify_families(fwd, bwd).ok
+    assert keys == []
+
+
+@pytest.mark.parametrize("name", ["g6.wg", "fork.wg"])
+def test_failing_verification_renders_one_label_per_failure(name, monkeypatch):
+    g = fixture_graph(name)
+    out, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace)
+    cases = [(f"forward {k}", m, bwd) for k, m in _corruptions(fwd, g).items()]
+    cases += [(f"backward {k}", fwd, m) for k, m in _corruptions(bwd, out).items()]
+    keys = _counted_labels(monkeypatch)
+    for label, f, b in cases:
+        keys.clear()
+        result = verify_families(f, b)
+        assert result.failures, label
+        assert len(keys) == len(result.failures), label
 
 
 def test_family_map_assignments_are_a_copy():

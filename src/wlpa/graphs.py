@@ -11,17 +11,42 @@ its own, kept inside one component.  No walk here recurses.
 All types are immutable after construction and safe to share; every
 operation here is a pure function.  Vertices and edges keep the order of
 the input file, and every result listing them is emitted in that order.
+
+A graph text is read with one ``findall`` of ``_LINE_RE``, one tuple
+``(vertex, edge, source, range, weight, stray)`` per line.  The scan takes
+only lines split by ``\\n`` or ``\\r\\n`` whose tokens are ASCII ids and
+digits between spaces and tabs; the stray group holds the rest of the text
+from the first line it cannot take, so it can only be the last tuple.  Such
+a text, or an unweighted one with a weight other than 1, is read again by
+:func:`_parse_lines`, the positional reader, which keeps the
+``str.splitlines``/``str.split`` semantics and reports each error at its
+line and at its token's own column.  The constructor checks every id once,
+in one match over their join, and finds duplicates and dangling endpoints
+through the tables it builds; on any fault it runs the ordered checks,
+so the error raised is the first one in input order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 import re
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .fields import parse_natural
 
-_ID_RE = re.compile(r"[A-Za-z0-9_^()]+\Z")
+_ID = r"[A-Za-z0-9_^()]+"
+_ID_RE = re.compile(_ID + r"\Z")
+_IDS_RE = re.compile(rf"{_ID}(?:\n{_ID})*")
+_LINE_RE = re.compile(
+    rf"(?=[\s\S])[ \t]*(?:vertex[ \t]+({_ID})"
+    rf"|edge[ \t]+({_ID})[ \t]+({_ID})[ \t]+({_ID})(?:[ \t]+([0-9]+))?"
+    # a comment runs to the next character str.splitlines breaks at
+    r"|#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?[ \t]*(?:\r?\n|\Z)"
+    r"|([\s\S]+)"
+)
+_edge_ids = attrgetter("id")
+_edge_weights = attrgetter("weight")
 
 
 class GraphError(ValueError):
@@ -55,8 +80,7 @@ class UnknownEdgeError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     """A directed edge with a positive integer weight."""
 
     id: str
@@ -74,6 +98,41 @@ class WeightedGraph:
     def __init__(self, vertices: Iterable[str], edges: Iterable[EdgeRecord]):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[EdgeRecord, ...] = tuple(edges)
+        try:
+            indexed = self._index()
+        except (AttributeError, KeyError, TypeError):
+            indexed = False
+        if not indexed:
+            self._index_in_order()
+
+    def _index(self) -> bool:
+        """Build the lookup tables with bulk checks; False if one fails.
+
+        Raises AttributeError, KeyError or TypeError on some faults instead.
+        """
+        vertices, edges = self.vertices, self.edges
+        edge_ids = list(map(_edge_ids, edges))
+        ids = [*vertices, *edge_ids]
+        joined = "\n".join(ids)
+        if ids and (not _IDS_RE.fullmatch(joined) or joined.count("\n") != len(ids) - 1):
+            return False  # a bad id, or one holding a newline
+        weights = list(map(_edge_weights, edges))
+        if weights and (set(map(type, weights)) != {int} or min(weights) < 1):
+            return False
+        self._vertex_index = {v: i for i, v in enumerate(vertices)}
+        self._edge_by_id = dict(zip(edge_ids, edges))
+        if (len(self._vertex_index) < len(vertices) or len(self._edge_by_id) < len(edges)
+                or not self._vertex_index.keys().isdisjoint(self._edge_by_id)):
+            return False  # a duplicate id
+        self._out = out = {v: [] for v in vertices}
+        self._in = into = {v: [] for v in vertices}
+        for e in edges:  # KeyError at a dangling endpoint
+            out[e.source].append(e)
+            into[e.range].append(e)
+        return True
+
+    def _index_in_order(self) -> None:
+        """Check vertices, then edges, in input order, and build the lookup tables."""
         ids: set[str] = set()
         for v in self.vertices:
             if not _ID_RE.match(v):
@@ -217,7 +276,28 @@ def _edge_record(g: WeightedGraph, e: EdgeLike) -> EdgeRecord:
 # -- parsing and serialization ----------------------------------------------
 
 
+def _scan_lines(text: str, expect_weight_one: bool):
+    """Vertices and edges of ``text`` from one scan, or None if it needs :func:`_parse_lines`."""
+    tokens = _LINE_RE.findall(text)
+    if tokens and tokens[-1][5]:
+        return None
+    vertices: list[str] = []
+    edges: list[EdgeRecord] = []
+    try:
+        for vid, eid, src, rng, weight, _ in tokens:
+            if vid:
+                vertices.append(vid)
+            elif eid:
+                edges.append(EdgeRecord(eid, src, rng, int(weight) if weight else 1))
+    except ValueError:  # a weight past int()'s digit limit
+        return None
+    if expect_weight_one and any(e.weight != 1 for e in edges):
+        return None
+    return vertices, edges
+
+
 def _parse_lines(text: str, expect_weight_one: bool):
+    """The positional reader: line by line, each error at its line and its token's column."""
     vertices: list[str] = []
     edges: list[EdgeRecord] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -226,15 +306,18 @@ def _parse_lines(text: str, expect_weight_one: bool):
             continue
         parts = line.split()
 
-        def column(token: str) -> int:
-            return raw.find(token) + 1
+        def column(k: int) -> int:
+            start = 0  # past the tokens before parts[k], which may hold it too
+            for part in parts[:k]:
+                start = raw.find(part, start) + len(part)
+            return raw.find(parts[k], start) + 1
 
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise GraphSyntaxError(lineno, 1, "expected: vertex <id>")
             vid = parts[1]
             if not _ID_RE.match(vid):
-                raise GraphSyntaxError(lineno, column(vid), f"bad id {vid!r}")
+                raise GraphSyntaxError(lineno, column(1), f"bad id {vid!r}")
             vertices.append(vid)
         elif parts[0] == "edge":
             if len(parts) not in (4, 5):
@@ -242,14 +325,14 @@ def _parse_lines(text: str, expect_weight_one: bool):
                     lineno, 1, "expected: edge <id> <source> <range> [<weight>]"
                 )
             eid, src, rng = parts[1], parts[2], parts[3]
-            for token in (eid, src, rng):
-                if not _ID_RE.match(token):
-                    raise GraphSyntaxError(lineno, column(token), f"bad id {token!r}")
+            for k in (1, 2, 3):
+                if not _ID_RE.match(parts[k]):
+                    raise GraphSyntaxError(lineno, column(k), f"bad id {parts[k]!r}")
             if len(parts) == 5:
                 try:
                     weight = parse_natural(parts[4])
                 except ValueError:
-                    raise GraphSyntaxError(lineno, column(parts[4]),
+                    raise GraphSyntaxError(lineno, column(4),
                                            f"bad weight {parts[4]!r}") from None
             else:
                 weight = 1
@@ -261,7 +344,7 @@ def _parse_lines(text: str, expect_weight_one: bool):
             edges.append(EdgeRecord(eid, src, rng, weight))
         else:
             raise GraphSyntaxError(
-                lineno, column(parts[0]), f"unknown directive {parts[0]!r}"
+                lineno, column(0), f"unknown directive {parts[0]!r}"
             )
     return vertices, edges
 
@@ -272,13 +355,13 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
     Blank lines and lines starting with ``#`` are ignored.  Edge weights
     default to 1 when the weight column is omitted.
     """
-    vertices, edges = _parse_lines(text, expect_weight_one=False)
+    vertices, edges = _scan_lines(text, False) or _parse_lines(text, False)
     return WeightedGraph(vertices, edges)
 
 
 def parse_graph(text: str) -> Graph:
     """Parse an unweighted graph; any explicit weight must be 1."""
-    vertices, edges = _parse_lines(text, expect_weight_one=True)
+    vertices, edges = _scan_lines(text, True) or _parse_lines(text, True)
     return Graph(vertices, edges)
 
 

@@ -11,6 +11,14 @@ where E1w is the set of weighted edges and T the reachability tree.  When
 the condition fails, :func:`witness_nodpath` produces a nod-word whose
 first letter is ``e.2`` and whose last letter is ``e.2*`` for a weighted
 edge ``e``; no such nod-word exists when the condition holds.
+
+:func:`check_lpa` decides first, in one pass linear in the zone
+Z = T(r(E1w)) (:func:`_satisfies_lpa`).  Under LPA1 and LPA2 every vertex
+of Z emits at most one edge, so Z is a functional graph: T(r(e)) is the
+forward orbit of r(e), which ends in a sink or in one cycle.  Then (LPA)
+holds iff the orbits of the weighted edges that enter Z from outside are
+pairwise disjoint and end in sinks.  Only a graph that fails (LPA) goes on
+to the reporter, which searches each range tree and names every violation.
 """
 
 from __future__ import annotations
@@ -126,20 +134,24 @@ class LpaReport:
 def check_lpa(g: WeightedGraph) -> LpaReport:
     """Evaluate the four conditions and report every violation found.
 
-    One breadth-first search per weighted edge e gives its range tree
-    T(r(e)) and the witness paths from r(e); the zone is the union of
-    these trees.  A cycle based in T(r(e)) stays inside it, so LPA4 fails
-    for e exactly when T(r(e)) - e has a strongly connected component that
-    carries a cycle.  One strongly-connected-components pass per e finds
-    these components, and each gives one LPA4 violation: its first vertex
-    in graph order is the base, and a breadth-first search inside the
-    component gives a shortest cycle through it.  No cycles are
-    enumerated, so LPA4 costs O(V+E) per weighted edge.
+    A graph that :func:`_satisfies_lpa` decides to satisfy (LPA) is
+    reported satisfied at once, in time linear in the graph.  Otherwise
+    the reporter runs: one breadth-first search per weighted edge e gives
+    its range tree T(r(e)) and the witness paths from r(e); the zone is
+    the union of these trees.  A cycle based in T(r(e)) stays inside it,
+    so LPA4 fails for e exactly when T(r(e)) - e has a strongly connected
+    component that carries a cycle.  One strongly-connected-components
+    pass per e finds these components, and each gives one LPA4 violation:
+    its first vertex in graph order is the base, and a breadth-first
+    search inside the component gives a shortest cycle through it.  No
+    cycles are enumerated, so LPA4 costs O(V+E) per weighted edge.
 
     Violations are emitted per condition in graph scan order; one witness
     is reported for each offending site.  All witnesses replay against the
     raw graph primitives (see :func:`violation_holds`).
     """
+    if _satisfies_lpa(g):
+        return LpaReport(satisfied=True)
     violations: list[LpaViolation] = []
     heavy = weighted_edges(g)
     searches = [breadth_first(g, [e.range]) for e in heavy]
@@ -195,6 +207,51 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
             )
 
     return LpaReport(satisfied=not violations, violations=tuple(violations))
+
+
+def _satisfies_lpa(g: WeightedGraph) -> bool:
+    """Decide (LPA) in one pass over the zone Z = T(r(E1w)) as a functional graph.
+
+    LPA1: the weighted edges have distinct sources.  LPA2: every vertex of
+    Z emits at most one edge, so ``succ`` maps it to its one successor, or
+    to None at a sink, and T(r(e)) is the orbit of r(e).  Then (LPA) holds
+    iff the orbits of the entries, the weighted edges whose source lies
+    outside Z, are pairwise disjoint and each ends in a sink.
+
+    Necessary: an entry f cannot lie on a cycle inside Z (LPA4), and
+    r(e) never reaches s(f), so two entries are never in line (LPA3).
+    Sufficient: a weighted e with s(e) in Z is the one edge s(e) emits.
+    If s(e) is on no cycle, some r(f) reaches s(e) from strictly higher
+    up its orbit, and going up this way ends at an entry; so every such
+    s(e) lies on the orbit of an entry, which ends in a sink.  Within one
+    orbit all sources are in line, and the remaining sources lie on
+    cycles that no entry reaches, whose edges they emit (LPA4).  Orbits
+    meet iff they share their sink or cycle, so no other trees meet (LPA3).
+    """
+    heavy = weighted_edges(g)
+    if len({e.source for e in heavy}) < len(heavy):
+        return False  # LPA1
+    out = g._out
+    succ: dict[str, Optional[str]] = {}
+    todo = [e.range for e in heavy]
+    for v in todo:  # the loop also visits what it appends
+        if v not in succ:
+            emitted = out[v]
+            if len(emitted) > 1:
+                return False  # LPA2
+            succ[v] = emitted[0].range if emitted else None
+            todo += [e.range for e in emitted]
+    seen: set[str] = set()
+    for e in heavy:
+        if e.source in succ:
+            continue
+        v: Optional[str] = e.range
+        while v is not None:
+            if v in seen:
+                return False  # this orbit closes a cycle or meets another entry's
+            seen.add(v)
+            v = succ[v]
+    return True
 
 
 def violation_holds(g: WeightedGraph, violation: LpaViolation) -> bool:

@@ -11,7 +11,18 @@ import re
 from itertools import product
 from typing import Optional
 
-from wlpa import AlgebraElement, Generator, WeightedGraph, vertex_weight
+from wlpa import (
+    AlgebraElement,
+    BadWeightError,
+    DanglingEndpointError,
+    DuplicateIdError,
+    EdgeRecord,
+    Generator,
+    GraphError,
+    GraphSyntaxError,
+    WeightedGraph,
+    vertex_weight,
+)
 from wlpa.exprs import ExpressionError, _matching_parentheses, _scan_identifier
 from wlpa.fields import FieldError, parse_natural
 
@@ -84,6 +95,94 @@ def brute_force_lpa4_sites(g: WeightedGraph) -> list[tuple[str, str, int]]:
             length = min(len(c) for c in brute_force_cycles(g, v) if e.id not in c)
             sites.append((e.id, v, length))
     return sites
+
+
+# -- graph text and graph checks ----------------------------------------------
+
+_GRAPH_ID_RE = re.compile(r"[A-Za-z0-9_^()]+\Z")
+
+
+def reference_graph_tables(vertices, edges):
+    """The lookup tables ``WeightedGraph(vertices, edges)`` must build, or its error.
+
+    The checks run as one loop in input order: each vertex id and
+    duplicate, then per edge its id, a duplicate, its source, its range and
+    its weight; the first fault in that order is the error raised.
+    Returns ``(vertex_index, edge_by_id, out, in)``.
+    """
+    ids: set[str] = set()
+    for v in vertices:
+        if not _GRAPH_ID_RE.match(v):
+            raise GraphError(f"bad vertex id {v!r}")
+        if v in ids:
+            raise DuplicateIdError(f"duplicate id {v!r}")
+        ids.add(v)
+    index = {v: i for i, v in enumerate(vertices)}
+    by_id: dict = {}
+    out: dict = {v: [] for v in vertices}
+    into: dict = {v: [] for v in vertices}
+    for e in edges:
+        if not _GRAPH_ID_RE.match(e.id):
+            raise GraphError(f"bad edge id {e.id!r}")
+        if e.id in ids:
+            raise DuplicateIdError(f"duplicate id {e.id!r}")
+        ids.add(e.id)
+        if e.source not in index:
+            raise DanglingEndpointError(f"edge {e.id!r}: unknown source {e.source!r}")
+        if e.range not in index:
+            raise DanglingEndpointError(f"edge {e.id!r}: unknown range {e.range!r}")
+        if not isinstance(e.weight, int) or e.weight < 1:
+            raise BadWeightError(f"edge {e.id!r}: weight {e.weight!r} < 1")
+        by_id[e.id] = e
+        out[e.source].append(e)
+        into[e.range].append(e)
+    return index, by_id, out, into
+
+
+def reference_read_graph_text(text: str, expect_weight_one: bool = False):
+    """``(vertices, edges)`` of a graph text, read one line at a time.
+
+    Lines are the pieces of ``str.splitlines``; a line is blank, a
+    ``#`` comment or a directive.  Tokens are the ``\\S+`` runs, which
+    split at exactly the characters ``str.split`` splits at, and each
+    error names its line and its token's own column.  Ids and weights are
+    not checked against each other here: that is
+    :func:`reference_graph_tables`.
+    """
+    vertices: list[str] = []
+    edges: list[EdgeRecord] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        found = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw)]
+        if not found or found[0][0].startswith("#"):
+            continue
+        words = [w for w, _ in found]
+        if words[0] == "vertex":
+            if len(words) != 2:
+                raise GraphSyntaxError(lineno, 1, "expected: vertex <id>")
+            ids = found[1:]
+        elif words[0] == "edge":
+            if len(words) not in (4, 5):
+                raise GraphSyntaxError(lineno, 1, "expected: edge <id> <source> <range> [<weight>]")
+            ids = found[1:4]
+        else:
+            raise GraphSyntaxError(lineno, found[0][1], f"unknown directive {words[0]!r}")
+        for word, column in ids:
+            if not _GRAPH_ID_RE.match(word):
+                raise GraphSyntaxError(lineno, column, f"bad id {word!r}")
+        if words[0] == "vertex":
+            vertices.append(words[1])
+            continue
+        weight = 1
+        if len(words) == 5:
+            try:
+                weight = parse_natural(words[4])
+            except ValueError:
+                raise GraphSyntaxError(lineno, found[4][1], f"bad weight {words[4]!r}") from None
+        if expect_weight_one and weight != 1:
+            raise BadWeightError(f"line {lineno}: edge {words[1]!r} has weight {weight} "
+                                 "in an unweighted graph")
+        edges.append(EdgeRecord(words[1], words[2], words[3], weight))
+    return vertices, edges
 
 
 # -- classical unweighted normal form -----------------------------------------

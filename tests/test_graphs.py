@@ -1,6 +1,8 @@
 from pathlib import Path
 from random import Random
+import re
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from wlpa import (
@@ -8,6 +10,7 @@ from wlpa import (
     DanglingEndpointError,
     DuplicateIdError,
     EdgeRecord,
+    GraphError,
     GraphPath,
     GraphSyntaxError,
     UnknownVertexError,
@@ -16,6 +19,7 @@ from wlpa import (
     cyclic_components,
     graph_to_records,
     in_line,
+    parse_graph,
     parse_weighted_graph,
     reaches,
     serialize_weighted_graph,
@@ -27,7 +31,12 @@ from wlpa import (
 )
 
 from graphgen import random_weighted_graph
-from oracles import brute_force_cycles, transitive_closure
+from oracles import (
+    brute_force_cycles,
+    reference_graph_tables,
+    reference_read_graph_text,
+    transitive_closure,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -80,6 +89,7 @@ def test_parse_weight_is_ascii_digits(weight):
     with pytest.raises(GraphSyntaxError) as err:
         parse_weighted_graph(f"vertex v\nedge a v v {weight}")
     assert err.value.line == 2 and f"bad weight {weight!r}" in str(err.value)
+    assert str(err.value) == f"line 2, column 12: bad weight {weight!r}"
 
 
 @pytest.mark.parametrize("weight", [2.7, "\u0662", "1_0", True, -1, "2 "])
@@ -120,6 +130,194 @@ def test_serialize_parse_is_canonical_reordering():
     canon = serialize_weighted_graph(g)
     assert canon == "vertex v\nvertex u\nedge a v v 2\n"
     assert serialize_weighted_graph(parse_weighted_graph(canon)) == canon
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returned, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (GraphError, TypeError, AttributeError) as exc:
+        return type(exc), str(exc)
+
+
+def _graph_outcome(build, *args):
+    def tables():
+        g = build(*args)
+        return g.vertices, g.edges, (g._vertex_index, g._edge_by_id, g._out, g._in)
+    return _outcome(tables)
+
+
+def _reference_outcome(vertices, edges):
+    def tables():
+        return tuple(vertices), tuple(edges), reference_graph_tables(vertices, edges)
+    return _outcome(tables)
+
+
+def _reference_text_outcome(text, unweighted=False):
+    def read():
+        return _reference_outcome(*reference_read_graph_text(text, unweighted))
+    return _outcome(read)
+
+
+def test_edge_record_fields():
+    e = EdgeRecord("a", "u", "v")
+    assert (e.id, e.source, e.range, e.weight) == ("a", "u", "v", 1)
+    assert e == EdgeRecord(id="a", source="u", range="v", weight=1) != EdgeRecord("a", "u", "v", 2)
+    assert hash(e) == hash(EdgeRecord("a", "u", "v", 1))
+    assert repr(e) == "EdgeRecord(id='a', source='u', range='v', weight=1)"
+    with pytest.raises(AttributeError):
+        e.weight = 2
+
+
+def test_parse_bad_weight_reports_the_weight_token_column():
+    # the id 2x comes first on the line; the weight is the token at column 13
+    with pytest.raises(GraphSyntaxError) as err:
+        parse_weighted_graph("vertex a\nvertex b\nedge 2x a b 2x")
+    assert str(err.value) == "line 3, column 13: bad weight '2x'"
+    assert (err.value.line, err.value.column) == (3, 13)
+
+
+@pytest.mark.parametrize("text,vertices", [
+    ("vertex a\rvertex b", ("a", "b")),
+    ("vertex a\xa0", ("a",)),
+    ("\xa0vertex\u3000a\n", ("a",)),
+    ("vertex a\r\n\r\n# c\r\nvertex b\r\n", ("a", "b")),
+    ("  # comment\n\n \t \nvertex a\n#vertex b\n", ("a",)),
+    ("vertex a\r\r\nvertex b", ("a", "b")),
+])
+def test_parse_line_semantics(text, vertices):
+    assert parse_weighted_graph(text).vertices == vertices
+    assert _graph_outcome(parse_weighted_graph, text) == _reference_text_outcome(text)
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_parse_breaks_lines_where_splitlines_does(brk):
+    with pytest.raises(GraphSyntaxError) as err:
+        parse_weighted_graph(f"vertex a{brk}b")
+    assert str(err.value) == "line 2, column 1: unknown directive 'b'"
+    # so a comment ends there too
+    with pytest.raises(GraphSyntaxError) as err:
+        parse_weighted_graph(f"# note{brk}vertex a b")
+    assert str(err.value) == "line 2, column 1: expected: vertex <id>"
+
+
+def test_parse_weight_omitted_and_explicit():
+    g = parse_weighted_graph("vertex v\r\nedge a v v\r\nedge b v v 3\r\nedge c v v 007")
+    assert [e.weight for e in g.edges] == [1, 3, 7]
+
+
+def test_parse_graph_reports_a_weight_at_its_line():
+    text = "vertex v\nedge a v v 1\nedge b v v\nedge c v v 2\n"
+    with pytest.raises(BadWeightError) as err:
+        parse_graph(text)
+    assert str(err.value) == "line 4: edge 'c' has weight 2 in an unweighted graph"
+    assert _graph_outcome(parse_graph, text) == _reference_text_outcome(text, True)
+    assert parse_graph(text.replace(" 2\n", "\n")).edges[2] == EdgeRecord("c", "v", "v", 1)
+
+
+def test_parse_weight_past_the_digit_limit():
+    text = "vertex v\nedge a v v " + "9" * 5000
+    assert _graph_outcome(parse_weighted_graph, text) == _reference_text_outcome(text)
+    assert _outcome(parse_weighted_graph, text)[0] is GraphSyntaxError
+
+
+_V = ["a", "b"]
+_E = EdgeRecord
+
+
+@pytest.mark.parametrize("vertices,edges", [
+    # a bad id and a duplicate, both orders
+    (["a", "b$", "a"], []),
+    (["a", "a", "b$"], []),
+    (_V, [_E("e", "a", "b"), _E("e", "a", "b"), _E("f$", "a", "b")]),
+    (_V, [_E("f$", "a", "b"), _E("a", "a", "b")]),
+    (["a", "b\nc", "a"], []),
+    # a duplicate and a dangling endpoint
+    (_V, [_E("e", "a", "z"), _E("e", "a", "b")]),
+    (_V, [_E("e", "a", "b"), _E("e", "z", "b")]),
+    (_V, [_E("b", "a", "z")]),
+    (_V, [_E("e", "a", "b"), _E("f", "a", "z"), _E("f", "z", "a")]),
+    # a dangling endpoint and weight 0
+    (_V, [_E("e", "z", "b", 0)]),
+    (_V, [_E("e", "a", "b", 0), _E("f", "a", "z")]),
+    (_V, [_E("e", "a", "b", 1), _E("f", "a", "b", 0), _E("g", "y", "z", -1)]),
+    # faults the bulk checks cannot read
+    ([5, "a$"], []),
+    (["a$", 5], []),
+    (_V, [_E("e", "a", "b", 2.0), _E("f", "a", "b", "2")]),
+    (_V, [_E("e", "a", "b", True)]),
+    (_V, [_E("e", ["a"], "b")]),
+    (_V, [("e", "a", "b", 1)]),
+])
+def test_constructor_reports_the_first_fault_in_input_order(vertices, edges):
+    expected = _reference_outcome(vertices, edges)
+    assert _graph_outcome(WeightedGraph, vertices, edges) == expected
+    # records read each weight first, so only natural weights reach the graph
+    if all(type(e) is EdgeRecord and type(e.weight) is int and e.weight >= 0 for e in edges):
+        records = {"vertices": vertices, "edges": [e._asdict() for e in edges]}
+        assert _graph_outcome(weighted_graph_from_records, records) == expected
+
+
+_IDS = ["a", "b", "v1", "12", "edge", "vertex", "(h^(1))^(2)", "x_y"]
+_SPACE = st.sampled_from([" ", "\t", "  ", " \t"])
+_EDGE_SPACE = st.sampled_from(["", " ", "\t"])
+_ODD_SPACE = st.sampled_from(["\xa0", "\u3000", "\x1f"])
+_BREAK = st.sampled_from(["\n", "\r\n"])
+_ODD_BREAK = st.sampled_from(["\r", "\x0c", "\x85", "\u2028"])
+
+
+@st.composite
+def _graph_texts(draw, odd=False):
+    """A valid graph text with random spacing, comments and line ends.
+
+    With ``odd``, spaces and line breaks also come from the Unicode
+    whitespace and line boundaries that ``str.split`` and
+    ``str.splitlines`` honour.
+    """
+    space = _SPACE | _ODD_SPACE if odd else _SPACE
+    edge_space = _EDGE_SPACE | _ODD_SPACE if odd else _EDGE_SPACE
+    brk = _BREAK | _ODD_BREAK if odd else _BREAK
+    names = draw(st.lists(st.sampled_from(_IDS), min_size=1, unique=True))
+    vertices = names[:draw(st.integers(1, len(names)))]
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from(["", "1", "2", "3", "01"])),
+                          max_size=6))
+    lines = [["vertex", v] for v in vertices]
+    lines += [["edge", f"e{k}", s, r] + ([w] if w else []) for k, (s, r, w) in enumerate(edges)]
+    lines = draw(st.permutations(lines))
+    out = []
+    for tokens in lines:
+        for _ in range(draw(st.integers(0, 1))):
+            out.append(draw(st.sampled_from(["", "  ", "# c", "\t#c v x$"])))
+        text = draw(space).join(tokens)
+        out.append(draw(edge_space) + text + draw(edge_space))
+    return "".join(line + draw(brk) for line in out) + draw(st.sampled_from(["", "vertex z"]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_graph_texts() | _graph_texts(odd=True))
+@example("vertex a\nvertex b\r\nedge e a b 2\r\n  # c\n\nedge f b a")
+def test_reader_matches_the_reference_on_valid_texts(text):
+    expected = _reference_text_outcome(text)
+    assert not isinstance(expected[0], type), expected
+    assert _graph_outcome(parse_weighted_graph, text) == expected
+    assert _graph_outcome(parse_graph, text) == _reference_text_outcome(text, True)
+
+
+_CORRUPTIONS = ["a$b", "0", "-1", "\uff12", "x", "vertexx", "#", "edge", "zz", "a", "",
+                "a b", "2x", "\xa0", "\r", "\x0c", "9" * 5000]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_graph_texts(), st.data())
+def test_reader_matches_the_reference_on_corrupted_texts(text, data):
+    tokens = list(re.finditer(r"[^\s#]+", text))
+    token = data.draw(st.sampled_from(tokens))
+    bad = data.draw(st.sampled_from(_CORRUPTIONS))
+    text = text[:token.start()] + bad + text[token.end():]
+    assert _graph_outcome(parse_weighted_graph, text) == _reference_text_outcome(text)
+    assert _graph_outcome(parse_graph, text) == _reference_text_outcome(text, True)
 
 
 # -- primitives ----------------------------------------------------------

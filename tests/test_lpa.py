@@ -1,8 +1,11 @@
 from pathlib import Path
 from random import Random
+from unittest import mock
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
+from wlpa import lpa
 from wlpa import (
     Algebra,
     EdgeRecord,
@@ -132,6 +135,82 @@ def test_check_lpa_enumerates_no_cycles_on_a_satisfying_ring(monkeypatch):
         report = check_lpa(g)
         assert "LPA4" in [v.kind for v in report.violations]
     assert calls == 0
+
+
+def _reporter_verdict(g):
+    with mock.patch.object(lpa, "_satisfies_lpa", lambda g: False):
+        return check_lpa(g).satisfied
+
+
+@st.composite
+def _multigraphs(draw):
+    # few vertices, so parallel edges, self-loops and sinks are common
+    vertices = [f"v{i}" for i in range(1, draw(st.integers(1, 5)) + 1)]
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from([1, 1, 2, 3])), max_size=8))
+    return WeightedGraph(vertices, [EdgeRecord(f"e{k}", s, r, w)
+                                    for k, (s, r, w) in enumerate(edges, 1)])
+
+
+@st.composite
+def _functional_zones(draw):
+    """Vertices z_i emitting at most one edge, fed from free vertices u_j.
+
+    Such a zone is a functional graph, so (LPA) holds or fails only by the
+    placement of the weighted edges: on cycles, tails and entries.
+    """
+    zone = [f"z{i}" for i in range(draw(st.integers(1, 8)))]
+    free = [f"u{i}" for i in range(draw(st.integers(0, 3)))]
+    pairs = [(z, draw(st.sampled_from(zone))) for z in zone if draw(st.integers(0, 5))]
+    for u in free:
+        pairs += [(u, draw(st.sampled_from(zone + free))) for _ in range(draw(st.integers(0, 3)))]
+    pairs = draw(st.permutations(pairs))
+    edges = [EdgeRecord(f"e{k}", s, r, draw(st.sampled_from([1, 1, 2, 3])))
+             for k, (s, r) in enumerate(pairs)]
+    return WeightedGraph(draw(st.permutations(zone + free)), edges)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_multigraphs() | _functional_zones())
+@example(weighted_ring(5, {0: 2, 2: 3}))
+@example(chord_ladder(6))
+@example(parse_weighted_graph(  # two entries into one tail, one of them outside
+    "vertex a\nvertex b\nvertex c\nvertex u\n"
+    "edge f u a 2\nedge e b c 2\nedge g a b 1"))
+def test_linear_decision_matches_the_reporter(g):
+    assert lpa._satisfies_lpa(g) == _reporter_verdict(g)
+
+
+def test_linear_decision_matches_the_reporter_on_graph_families():
+    rng = Random(71007)
+    graphs = list(small_graphs(max_vertices=3, max_edges=3, max_weight=2))
+    graphs += [random_lpa_satisfying_graph(rng) for _ in range(200)]
+    graphs += [random_lpa_failing_graph(rng) for _ in range(200)]
+    graphs += [weighted_ring(n, {i: 2 + i % 2 for i in range(0, n, 3)}) for n in (1, 2, 7)]
+    graphs += [chord_ladder(n) for n in (4, 9)]
+    verdicts = [lpa._satisfies_lpa(g) for g in graphs]
+    assert verdicts == [_reporter_verdict(g) for g in graphs]
+    assert 200 < sum(verdicts) < len(graphs) - 200
+
+
+def test_check_lpa_decides_a_large_satisfying_ring_in_one_pass(monkeypatch):
+    from wlpa import graphs
+
+    g = weighted_ring(4000, {i: 2 for i in range(0, 4000, 4)})
+    calls = {"cyclic_components": 0, "shortest_cycle": 0, "breadth_first": 0}
+    for module in (graphs, lpa):
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    assert check_lpa(g) == lpa.LpaReport(True)
+    assert calls == {"cyclic_components": 0, "shortest_cycle": 0, "breadth_first": 0}
 
 
 def test_lpa4_one_site_per_cyclic_component():

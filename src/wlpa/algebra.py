@@ -39,7 +39,7 @@ from itertools import accumulate, chain
 from typing import Iterable, Optional
 
 from .fields import RATIONALS, ModInt, PrimeField, Rationals
-from .graphs import WeightedGraph, vertex_weight, weighted_edges
+from .graphs import WeightedGraph, _edge_weights
 
 
 class AlgebraError(ValueError):
@@ -117,22 +117,27 @@ class SpecialEdgeChoice:
 
 
 def default_special_edges(g: WeightedGraph) -> SpecialEdgeChoice:
-    """For each non-sink vertex the first emitted edge of maximal weight."""
-    pairs = []
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if not out:
-            continue
-        wv = vertex_weight(g, v)
-        chosen = next(e for e in out if e.weight == wv)
-        pairs.append((v, chosen.id))
-    return SpecialEdgeChoice(tuple(pairs))
+    """For each non-sink vertex the first emitted edge of maximal weight.
+
+    One pass over the out-lists ``g._out``, in vertex order: ``max``
+    returns the first edge of maximal weight, in graph order.
+    """
+    return SpecialEdgeChoice(tuple((v, max(out, key=_edge_weights).id)
+                                   for v, out in g._out.items() if out))
 
 
 def validate_choice(g: WeightedGraph, choice: SpecialEdgeChoice) -> None:
+    """Raise :class:`AlgebraError` unless ``choice`` fixes a special edge exactly at the non-sinks.
+
+    One pass over the out-lists ``g._out``, in vertex order; keys of
+    ``choice`` that are no vertex are ignored.  At each vertex the checks
+    run in this order: a sink has no special edge; a non-sink has one; it
+    is an edge of ``g`` (else :class:`UnknownEdgeError`), emitted by the
+    vertex and of the vertex's maximal weight.
+    """
     mapping = choice.mapping
-    for v in g.vertices:
-        if g.is_sink(v):
+    for v, out in g._out.items():
+        if not out:
             if v in mapping:
                 raise AlgebraError(f"special edge fixed for sink {v!r}")
             continue
@@ -141,10 +146,11 @@ def validate_choice(g: WeightedGraph, choice: SpecialEdgeChoice) -> None:
         e = g.edge(mapping[v])
         if e.source != v:
             raise AlgebraError(f"special edge {e.id!r} is not emitted by {v!r}")
-        if e.weight != vertex_weight(g, v):
+        # an edge emitted by v is in out, so a lone one has the maximal weight
+        if len(out) > 1 and e.weight != (wv := max(map(_edge_weights, out))):
             raise AlgebraError(
                 f"special edge {e.id!r} has weight {e.weight}, "
-                f"not the maximal weight {vertex_weight(g, v)} at {v!r}"
+                f"not the maximal weight {wv} at {v!r}"
             )
 
 
@@ -186,12 +192,16 @@ def _letters(graph: WeightedGraph):
 class Algebra:
     """The weighted Leavitt path algebra of a graph over an exact field.
 
-    The letter tables (one pass of :func:`_letters`), the vertex-local
-    rules of the non-vertex pairs (vertex letters are absorbed by endpoint
-    tests) and the nod-word automaton are built once and never change.
-    Only :meth:`nodword_counts` (the counts behind :meth:`growth`,
-    :meth:`zero_component_count`, the CLI tables and the basis budget) and
-    :meth:`enumerate_nodwords` walk the automaton.  The counts walked are
+    ``__init__`` builds the special-edge choice (the default one unless
+    given, checked by :func:`validate_choice` either way), the letter
+    tables (one pass of :func:`_letters`) and the vertex-local rules of
+    the non-vertex pairs (vertex letters are absorbed by endpoint tests).
+    The nod-word automaton, :attr:`_succ`, is built on its first walk and
+    kept.  These tables never change.  Only :meth:`nodword_counts` (the
+    counts behind :meth:`growth`, :meth:`zero_component_count`, the CLI
+    tables and the basis budget), :meth:`enumerate_nodwords` and the
+    witness search walk the automaton, so an algebra that only multiplies
+    or checks relations never builds it.  The counts walked are
     kept in the count store, so a request up to the length walked so far
     walks nothing.  The store and the normal-form memos (``_memo_left``,
     ``_memo_right``) of :meth:`_nf_word` are filled after the build and
@@ -220,15 +230,7 @@ class Algebra:
         self._nonvertex_ids = tuple(range(self._nv, len(self._id_of)))
         self.grading_length = max((e.weight for e in graph.edges), default=0)
         self._build_pair_table()
-
-        # Nod-word automaton: allowed successors per non-vertex letter, in id order.
-        starting: list[list[int]] = [[] for _ in range(self._nv)]
-        for b in self._nonvertex_ids:
-            starting[self._src_id[b]].append(b)
-        self._succ = {
-            a: tuple(b for b in starting[self._rng_id[a]] if (a, b) not in self._rules)
-            for a in self._nonvertex_ids
-        }
+        self._succ_table: Optional[dict[int, tuple[int, ...]]] = None  # built on the first walk
         self._memo_left: dict[tuple[int, ...], dict] = {}
         self._memo_right: dict[tuple[int, ...], dict] = {}
         # The count store of nodword_counts: the nod-words of each length
@@ -254,31 +256,61 @@ class Algebra:
         in(v) and out(v) count the non-vertex letters ending and starting
         at v.
         """
-        g, id_of = self.graph, self._id_of
+        g, id_of, rng_id = self.graph, self._id_of, self._rng_id
         special = self.choice.mapping
         rules: dict[tuple[int, int], list] = {}
-        for v in g.vertices:
-            out = g.out_edges(v)
-            for e in out:
-                for f in out:
-                    # e_1^* f_1 with s(e) = s(f) = v
-                    terms = [(1, (id_of["vertex", e.range, 0],))] if e.id == f.id else []
-                    for i in range(2, min(e.weight, f.weight) + 1):
-                        terms.append((-1, (id_of["star", e.id, i], id_of["edge", f.id, i])))
-                    rules[id_of["star", e.id, 1], id_of["edge", f.id, 1]] = terms
+        for v, out in g._out.items():
+            # the strands of an edge of weight w whose e_1 has id b are
+            # e_i = b + i - 1 and e_i^* = b + w + i - 1 (see _letters)
+            strands = [(e.id, id_of["edge", e.id, 1], e.weight) for e in out]
+            for eid, be, we in strands:
+                for fid, bf, wf in strands:
+                    # e_1^* f_1 with s(e) = s(f) = v, then e_i^* f_i for i >= 2
+                    terms = [(1, (rng_id[be],))] if eid == fid else []
+                    for i in range(1, min(we, wf)):
+                        terms.append((-1, (be + we + i, bf + i)))
+                    rules[be + we, bf] = terms
             if v not in special:
                 continue
-            s = g.edge(special[v])
-            for i in range(1, s.weight + 1):
-                for j in range(1, s.weight + 1):
-                    # e^v_i (e^v_j)^* at v = s(e^v)
-                    terms = [(1, (id_of["vertex", v, 0],))] if i == j else []
-                    for other in out:
-                        if other.id != s.id and other.weight >= max(i, j):
-                            terms.append((-1, (id_of["edge", other.id, i],
-                                               id_of["star", other.id, j])))
-                    rules[id_of["edge", s.id, i], id_of["star", s.id, j]] = terms
+            sid = special[v]
+            bs = id_of["edge", sid, 1]
+            ws, vid = g.edge(sid).weight, self._src_id[bs]
+            for i in range(ws):
+                for j in range(ws):
+                    # e^v_(i+1) (e^v_(j+1))^* at v = s(e^v), over the other edges of weight > i, j
+                    terms = [(1, (vid,))] if i == j else []
+                    k = max(i, j)
+                    for oid, bo, wo in strands:
+                        if oid != sid and wo > k:
+                            terms.append((-1, (bo + i, bo + wo + j)))
+                    rules[bs + i, bs + ws + j] = terms
         self._rules = rules
+
+    @property
+    def _succ(self) -> dict[int, tuple[int, ...]]:
+        """The nod-word automaton: the allowed successors of each non-vertex letter, in id order.
+
+        Built on the first read, by :meth:`_step`, :meth:`enumerate_nodwords`
+        or the witness search, and kept in ``_succ_table``, which ``__init__``
+        sets to None.  It is no ``functools.cached_property``: on CPython
+        3.11 a key added to the instance dict after ``__init__`` makes every
+        other attribute read of the algebra slower.
+        """
+        succ = self._succ_table
+        if succ is None:
+            starting: list[list[int]] = [[] for _ in range(self._nv)]
+            for b in self._nonvertex_ids:
+                starting[self._src_id[b]].append(b)
+            rules, rng_id = self._rules, self._rng_id
+            succ = self._succ_table = {
+                a: tuple(b for b in starting[rng_id[a]] if (a, b) not in rules)
+                for a in self._nonvertex_ids
+            }
+        return succ
+
+    @_succ.setter
+    def _succ(self, succ: dict[int, tuple[int, ...]]) -> None:
+        self._succ_table = succ
 
     def _rule(self, a: int, b: int):
         """The rewrite of the pair (a, b): a term list (empty for 0), or None if normal.
@@ -636,7 +668,8 @@ class Algebra:
             kept = layer if unfiltered else [ids for ids in layer if keep(ids)]
             out.extend(tuple(map(letter, ids)) for ids in kept)
             if length < max_len:
-                layer = [ids + (b,) for ids in layer for b in self._succ[ids[-1]]]
+                succ = self._succ
+                layer = [ids + (b,) for ids in layer for b in succ[ids[-1]]]
         return out
 
     def growth(self, n: int) -> int:

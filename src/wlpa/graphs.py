@@ -389,14 +389,22 @@ def graph_to_records(g: WeightedGraph) -> dict:
 
 
 def weighted_graph_from_records(records: dict) -> WeightedGraph:
-    """Inverse of :func:`graph_to_records`; a weight is read as the text parser reads it."""
+    """Inverse of :func:`graph_to_records`; a weight is read as the text parser reads it.
+
+    A fault is reported in input order: before a bad weight is reported,
+    the graph of the edges read so far and this edge at weight 1 is built,
+    so an earlier fault, or this edge's own id or endpoint fault, is raised
+    first.
+    """
     edges = []
     for e in records["edges"]:
+        eid, source, range_ = e["id"], e["source"], e["range"]
         try:
-            edges.append(EdgeRecord(e["id"], e["source"], e["range"],
-                                    parse_natural(str(e.get("weight", 1)))))
+            weight = parse_natural(str(e.get("weight", 1)))
         except ValueError:
-            raise BadWeightError(f"edge {e['id']!r}: bad weight {e['weight']!r}") from None
+            WeightedGraph(records["vertices"], [*edges, EdgeRecord(eid, source, range_)])
+            raise BadWeightError(f"edge {eid!r}: bad weight {e['weight']!r}") from None
+        edges.append(EdgeRecord(eid, source, range_, weight))
     return WeightedGraph(records["vertices"], edges)
 
 

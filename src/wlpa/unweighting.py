@@ -128,29 +128,37 @@ def make_ranges_sinks(g: WeightedGraph) -> WeightedGraph:
 
 
 def _sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
-    """Check the stage-2 preconditions; return the range -> weighted edge map."""
-    gv: dict[str, str] = {}
-    for v in g.vertices:
-        emitted = [e for e in g.out_edges(v) if e.weight > 1]
-        if len(emitted) > 1:
+    """Check the stage-2 preconditions; return the range -> weighted edge map.
+
+    One pass over the weighted edges (weight > 1), in graph order, lists
+    the ids each vertex emits and receives.  The first fault is the one a
+    walk of the vertices in graph order meets first, at a vertex emitting
+    two weighted edges before one receiving two, and the two ids named are
+    the vertex's first two in graph order.  Only then is each weighted
+    edge's range, in graph order, checked to be a sink.
+    """
+    emits: dict[str, list[str]] = {}
+    receives: dict[str, list[str]] = {}
+    for e in g.edges:
+        if e.weight > 1:
+            emits.setdefault(e.source, []).append(e.id)
+            receives.setdefault(e.range, []).append(e.id)
+    index = g._vertex_index
+    faults = [(index[v], 0, v, ids) for v, ids in emits.items() if len(ids) > 1]
+    faults += [(index[v], 1, v, ids) for v, ids in receives.items() if len(ids) > 1]
+    if faults:
+        _, received, v, ids = min(faults)  # (vertex index, kind) is unique
+        verb = "receives" if received else "emits"
+        raise PreconditionViolatedError(
+            f"vertex {v!r} {verb} two distinct weighted edges ({ids[0]!r}, {ids[1]!r})"
+        )
+    out = g._out
+    for v, (eid,) in receives.items():  # one weighted edge per range, in graph order
+        if out[v]:
             raise PreconditionViolatedError(
-                f"vertex {v!r} emits two distinct weighted edges "
-                f"({emitted[0].id!r}, {emitted[1].id!r})"
+                f"range {v!r} of weighted edge {eid!r} is not a sink"
             )
-        received = [e for e in g.in_edges(v) if e.weight > 1]
-        if len(received) > 1:
-            raise PreconditionViolatedError(
-                f"vertex {v!r} receives two distinct weighted edges "
-                f"({received[0].id!r}, {received[1].id!r})"
-            )
-        if received:
-            gv[v] = received[0].id
-    for e in weighted_edges(g):
-        if not g.is_sink(e.range):
-            raise PreconditionViolatedError(
-                f"range {e.range!r} of weighted edge {e.id!r} is not a sink"
-            )
-    return gv
+    return {v: eid for v, (eid,) in receives.items()}
 
 
 def _stage2_cases(g: WeightedGraph, gv: dict[str, str]):
@@ -261,11 +269,12 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
     letter ids of the two algebras, with the stage-1 relabeling as one
     table of those ids.  The images are kept as plain supports.  A forward
     image is a sum of single target letters, each with coefficient 1, so
-    it needs no reduction.  A backward image is one
-    :func:`~wlpa.algebra._compose` of a word of at most three source
-    letters over the letters' one-word supports (as
+    it needs no reduction.  A backward image is a word of at most three
+    source letters.  A one-letter word (cases M, A, C and D) is a nod-word
+    and is its own support; a longer one (cases N and B) is one
+    :func:`~wlpa.algebra._compose` over the letters' one-word supports (as
     :func:`~wlpa.algebra.identity_map` builds them), reduced into the
-    field; it normalizes nothing, so the memos of both algebras stay
+    field.  Nothing is normalized, so the memos of both algebras stay
     empty.  A star image is the involute of its edge's, taken on the
     support.  The trace is read as :func:`to_unweighted` returned it: g,
     the stage-1 graph, g~, Z and the g^v map are used as they are, without
@@ -300,19 +309,19 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
     for name, case, v, i in vertex_cases:
         t, s = tgt_id["vertex", name, 0], src_id["vertex", v, 0]
         forward[s][t,] = 1
-        word = (s,) if case == "M" else relabel[gv[v], i][::-1]  # (g^v_i)* g^v_i
-        backward[t] = _compose([(1, word)], letters, src)
+        if case == "M":
+            backward[t] = {(s,): 1}
+        else:  # (g^v_i)* g^v_i
+            backward[t] = _compose([(1, relabel[gv[v], i][::-1])], letters, src)
     for record, case, eid, i in edge_cases:
         t = tgt_id["edge", record.id, 1]
         edge, star = relabel[eid, 1 if case == "B" else i]
         forward[edge][tgt._star_of[t] if case == "D" else t,] = 1
-        if case == "B":
-            word = (edge,) + relabel[gv[h.edge(eid).range], i][::-1]  # e_1 (g_i)* g_i
-        elif case == "D":
-            word = (star,)
-        else:
-            word = (edge,)
-        backward[t] = _compose([(1, word)], letters, src)
+        if case == "B":  # e_1 (g_i)* g_i
+            word = (edge,) + relabel[gv[h.edge(eid).range], i][::-1]
+            backward[t] = _compose([(1, word)], letters, src)
+        else:  # a letter is a nod-word: e_1 (A, C) or e_i^* (D)
+            backward[t] = {(star if case == "D" else edge,): 1}
 
     # the maps are *-homomorphisms: each star image is the involute of its
     # edge's; forward coefficients are 1, so only backward ones are reduced

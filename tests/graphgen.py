@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 from random import Random
 
+from hypothesis import strategies as st
+
 from wlpa import EdgeRecord, WeightedGraph, check_lpa
 
 
@@ -94,6 +96,16 @@ def random_lpa_failing_graph(rng: Random, max_vertices=5, max_edges=6,
         g = random_weighted_graph(rng, max_vertices, max_edges, max_weight)
         if not check_lpa(g).satisfied:
             return g
+
+
+@st.composite
+def multigraphs(draw):
+    """A hypothesis strategy: few vertices, so parallel edges, self-loops, sinks and ties are common."""
+    vertices = [f"v{i}" for i in range(1, draw(st.integers(1, 5)) + 1)]
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from([1, 1, 2, 3])), max_size=8))
+    return WeightedGraph(vertices, [EdgeRecord(f"e{k}", s, r, w)
+                                    for k, (s, r, w) in enumerate(edges, 1)])
 
 
 def weighted_ring(n: int, weights: dict[int, int]) -> WeightedGraph:

@@ -13,6 +13,7 @@ from typing import Optional
 
 from wlpa import (
     AlgebraElement,
+    AlgebraError,
     BadWeightError,
     DanglingEndpointError,
     DuplicateIdError,
@@ -20,8 +21,11 @@ from wlpa import (
     Generator,
     GraphError,
     GraphSyntaxError,
+    PreconditionViolatedError,
+    SpecialEdgeChoice,
     WeightedGraph,
     vertex_weight,
+    weighted_edges,
 )
 from wlpa.exprs import ExpressionError, _matching_parentheses, _scan_identifier
 from wlpa.fields import FieldError, parse_natural
@@ -183,6 +187,68 @@ def reference_read_graph_text(text: str, expect_weight_one: bool = False):
                                  "in an unweighted graph")
         edges.append(EdgeRecord(words[1], words[2], words[3], weight))
     return vertices, edges
+
+
+# -- special edges and stage-2 preconditions ----------------------------------
+
+
+def reference_default_special_edges(g: WeightedGraph) -> SpecialEdgeChoice:
+    """For each non-sink vertex the first emitted edge of maximal weight, by public lookups."""
+    pairs = []
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if not out:
+            continue
+        wv = vertex_weight(g, v)
+        chosen = next(e for e in out if e.weight == wv)
+        pairs.append((v, chosen.id))
+    return SpecialEdgeChoice(tuple(pairs))
+
+
+def reference_validate_choice(g: WeightedGraph, choice: SpecialEdgeChoice) -> None:
+    """Check a special-edge choice vertex by vertex, each clause by its own lookups."""
+    mapping = choice.mapping
+    for v in g.vertices:
+        if g.is_sink(v):
+            if v in mapping:
+                raise AlgebraError(f"special edge fixed for sink {v!r}")
+            continue
+        if v not in mapping:
+            raise AlgebraError(f"no special edge fixed for non-sink {v!r}")
+        e = g.edge(mapping[v])
+        if e.source != v:
+            raise AlgebraError(f"special edge {e.id!r} is not emitted by {v!r}")
+        if e.weight != vertex_weight(g, v):
+            raise AlgebraError(
+                f"special edge {e.id!r} has weight {e.weight}, "
+                f"not the maximal weight {vertex_weight(g, v)} at {v!r}"
+            )
+
+
+def reference_sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
+    """The stage-2 preconditions, vertex by vertex, then range by range; the range -> edge map."""
+    gv: dict[str, str] = {}
+    for v in g.vertices:
+        emitted = [e for e in g.out_edges(v) if e.weight > 1]
+        if len(emitted) > 1:
+            raise PreconditionViolatedError(
+                f"vertex {v!r} emits two distinct weighted edges "
+                f"({emitted[0].id!r}, {emitted[1].id!r})"
+            )
+        received = [e for e in g.in_edges(v) if e.weight > 1]
+        if len(received) > 1:
+            raise PreconditionViolatedError(
+                f"vertex {v!r} receives two distinct weighted edges "
+                f"({received[0].id!r}, {received[1].id!r})"
+            )
+        if received:
+            gv[v] = received[0].id
+    for e in weighted_edges(g):
+        if not g.is_sink(e.range):
+            raise PreconditionViolatedError(
+                f"range {e.range!r} of weighted edge {e.id!r} is not a sink"
+            )
+    return gv
 
 
 # -- classical unweighted normal form -----------------------------------------

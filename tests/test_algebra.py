@@ -13,6 +13,7 @@ from wlpa import (
     AlgebraError,
     EdgeRecord,
     Generator,
+    GraphError,
     MixedContextError,
     PrimeField,
     SpecialEdgeChoice,
@@ -28,16 +29,19 @@ from wlpa import (
     relation_instances,
     validate_choice,
 )
+from wlpa import algebra as algebra_module, lpa as lpa_module
 from wlpa.exprs import parse_element
 from wlpa.fields import ModInt
 
-from graphgen import random_lpa_satisfying_graph, random_weighted_graph, small_graphs
+from graphgen import multigraphs, random_lpa_satisfying_graph, random_weighted_graph, small_graphs
 from oracles import (
     AllLetters,
     classical_unweighted_count,
     engine_span_dimension_gf2,
+    reference_default_special_edges,
     reference_normal_form,
     reference_relation_instances,
+    reference_validate_choice,
     truncated_quotient_dimension,
 )
 
@@ -82,6 +86,73 @@ def test_choice_validation():
         validate_choice(g, SpecialEdgeChoice((("v", "a"),)))  # not maximal
     with pytest.raises(AlgebraError):
         validate_choice(g, SpecialEdgeChoice(()))  # not total
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returned, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (AlgebraError, GraphError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(multigraphs())
+def test_default_special_edges_match_the_reference(g):
+    assert default_special_edges(g) == reference_default_special_edges(g)
+
+
+@st.composite
+def _graphs_and_choices(draw):
+    """A multigraph and a choice of special edges, often a faulty one.
+
+    Each vertex is left out, or given its default edge, any edge of the
+    graph or an unknown one; so sinks are named, non-sinks missed, and
+    edges chosen that the vertex does not emit or that are not of its
+    maximal weight.  Keys that are no vertex may be added.
+    """
+    g = draw(multigraphs())
+    default = default_special_edges(g).mapping
+    ids = [e.id for e in g.edges] + ["zz"]
+    pairs = []
+    for v in g.vertices:
+        options = [None, *ids] + ([default[v]] * 3 if v in default else [])
+        eid = draw(st.sampled_from(options))
+        if eid is not None:
+            pairs.append((v, eid))
+    pairs += draw(st.lists(st.tuples(st.sampled_from(["x", "v9"]), st.sampled_from(ids)),
+                           max_size=2))
+    return g, SpecialEdgeChoice(tuple(draw(st.permutations(pairs))))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_graphs_and_choices())
+def test_validate_choice_matches_the_reference(case):
+    g, choice = case
+    assert _outcome(validate_choice, g, choice) == _outcome(reference_validate_choice, g, choice)
+
+
+_TIE = parse_weighted_graph(
+    "vertex v\nvertex w\nvertex s\n"
+    "edge a v w 1\nedge b v v 3\nedge c v s 3\nedge d w s 2\nedge f w w 2")
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ((("v", "b"), ("w", "d")), None),
+    ((("v", "c"), ("w", "f"), ("x", "zz")), None),
+    ((("v", "b"), ("w", "d"), ("s", "d")), "special edge fixed for sink 's'"),
+    ((("v", "b"),), "no special edge fixed for non-sink 'w'"),
+    ((("v", "zz"), ("w", "d")), "unknown edge 'zz'"),
+    ((("v", "d"), ("w", "d")), "special edge 'd' is not emitted by 'v'"),
+    ((("v", "a"), ("w", "d")), "special edge 'a' has weight 1, not the maximal weight 3 at 'v'"),
+    # the first vertex in graph order is reported, whatever the pair order
+    ((("w", "a"), ("v", "a")), "special edge 'a' has weight 1, not the maximal weight 3 at 'v'"),
+])
+def test_validate_choice_reports_each_fault(pairs, message):
+    choice = SpecialEdgeChoice(pairs)
+    outcome = _outcome(validate_choice, _TIE, choice)
+    assert outcome == _outcome(reference_validate_choice, _TIE, choice)
+    assert (outcome and outcome[1]) == message
 
 
 # -- nod-word predicate ------------------------------------------------------
@@ -669,6 +740,53 @@ def test_count_store_walks_each_length_once(name):
     for n in (6, 2, 0, 6):
         algebra.zero_component_count(n)
     assert succ.reads == before  # repeated requests read the store alone
+
+
+def _reference_automaton(algebra):
+    # the successors of a letter: every letter it makes a normal pair with
+    letters = algebra._nonvertex_ids
+    return {a: tuple(b for b in letters if algebra._rule(a, b) is None) for a in letters}
+
+
+_WALKS = {
+    "growth": lambda algebra: algebra.growth(6),
+    "zero_component_count": lambda algebra: algebra.zero_component_count(4),
+    "enumerate_nodwords": lambda algebra: algebra.enumerate_nodwords(3),
+    "witness search": lpa_module._search_shape_word,
+}
+
+
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+@pytest.mark.parametrize("name", ["e2loops.wg", "g6.wg", "l23.wg", "lpa_all.wg"])
+def test_automaton_is_built_on_first_walk(name, walk):
+    g = fixture_graph(name)
+    lazy = Algebra(g)
+    assert lazy._succ_table is None
+    got = _WALKS[walk](lazy)
+    assert lazy._succ_table is not None
+    assert lazy._succ == _reference_automaton(lazy)
+    eager = Algebra(g)
+    assert eager._succ == lazy._succ  # built before any walk
+    assert _WALKS[walk](eager) == got
+
+
+def test_products_and_relation_checks_build_no_automaton():
+    g = fixture_graph("e2loops.wg")
+    algebra = Algebra(g)
+    x = parse_element(algebra, "b.2 a.1 b.2* + 1/2 b.1* b.1")
+    assert not (x * x.involute()).is_zero()
+    assert relation_failures(g, identity_map(algebra), algebra)[1] == []
+    assert algebra.is_nodword((E("b", 2), S("b", 2))) is False
+    assert algebra._succ_table is None
+
+
+def test_validate_choice_runs_on_every_build(monkeypatch):
+    calls = []
+    monkeypatch.setattr(algebra_module, "validate_choice", lambda g, c: calls.append(c))
+    g = fixture_graph("e2loops.wg")
+    Algebra(g)
+    Algebra(g, SpecialEdgeChoice((("v", "b"),)))
+    assert calls == [default_special_edges(g), SpecialEdgeChoice((("v", "b"),))]
 
 
 # -- idempotents and support length --------------------------------------

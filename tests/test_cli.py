@@ -513,6 +513,10 @@ def test_cli_main_prints_help_and_exits_zero(monkeypatch, capsys):
         ("eval_e2loops_mod7.txt",
          ["eval", "--input", fx("e2loops.wg"), "--field", "mod:7",
           "-b.2 b.2* + 1/2 * b.1* b.1 - 3 * v"], 0),
+        ("growth_e2loops.txt", ["growth", "6", "--input", fx("e2loops.wg")], 0),
+        ("zerodim_l23.txt", ["zero-dim", "4", "--input", fx("l23.wg")], 0),
+        ("basis_l23_special.txt",
+         ["basis", "2", "--input", fx("l23.wg"), "--special", "v=e2"], 0),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):
@@ -521,6 +525,12 @@ def test_cli_machine_golden(golden, argv, expected_code):
     assert out == (FIXTURES / golden).read_text()
     if golden.endswith(".json"):
         json.loads(out)  # well-formed
+
+
+def test_cli_basis_rejects_a_special_edge_of_less_than_maximal_weight():
+    code, out, err = invoke("basis", "1", "--input", fx("e2loops.wg"), "--special", "v=a")
+    assert (code, out) == (1, "")
+    assert err == "error: special edge 'a' has weight 1, not the maximal weight 2 at 'v'\n"
 
 
 def test_cli_transform_machine_payload():

@@ -22,6 +22,7 @@ from wlpa import (
 
 from graphgen import (
     chord_ladder,
+    multigraphs,
     random_lpa_failing_graph,
     random_lpa_satisfying_graph,
     random_weighted_graph,
@@ -143,16 +144,6 @@ def _reporter_verdict(g):
 
 
 @st.composite
-def _multigraphs(draw):
-    # few vertices, so parallel edges, self-loops and sinks are common
-    vertices = [f"v{i}" for i in range(1, draw(st.integers(1, 5)) + 1)]
-    ends = st.sampled_from(vertices)
-    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from([1, 1, 2, 3])), max_size=8))
-    return WeightedGraph(vertices, [EdgeRecord(f"e{k}", s, r, w)
-                                    for k, (s, r, w) in enumerate(edges, 1)])
-
-
-@st.composite
 def _functional_zones(draw):
     """Vertices z_i emitting at most one edge, fed from free vertices u_j.
 
@@ -171,7 +162,7 @@ def _functional_zones(draw):
 
 
 @settings(max_examples=500, deadline=None, database=None)
-@given(_multigraphs() | _functional_zones())
+@given(multigraphs() | _functional_zones())
 @example(weighted_ring(5, {0: 2, 2: 3}))
 @example(chord_ladder(6))
 @example(parse_weighted_graph(  # two entries into one tail, one of them outside

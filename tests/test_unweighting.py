@@ -5,6 +5,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wlpa import (
     Algebra,
@@ -30,8 +31,8 @@ from wlpa import (
 )
 from wlpa import algebra as algebra_module, cli, unweighting as unweighting_module
 
-from graphgen import random_lpa_satisfying_graph, weighted_ring
-from oracles import dense_family_verification
+from graphgen import multigraphs, random_lpa_satisfying_graph, weighted_ring
+from oracles import dense_family_verification, reference_sunk_preconditions
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -146,6 +147,39 @@ def test_stage2_precondition_errors():
     with pytest.raises(PreconditionViolatedError) as err:
         unweight_sunk(double_receive)
     assert "receives" in err.value.clause
+
+
+@st.composite
+def _stage2_inputs(draw):
+    """A random multigraph, rarely sunk, or the stage-1 output of a graph satisfying (LPA)."""
+    if draw(st.booleans()):
+        return draw(multigraphs())
+    return make_ranges_sinks(random_lpa_satisfying_graph(Random(draw(st.integers(0, 2**32)))))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_stage2_inputs())
+@example(parse_weighted_graph(  # a receiving fault at u comes before an emitting one at w
+    "vertex u\nvertex w\nvertex s\nedge a w u 2\nedge b s u 3\nedge c w s 2"))
+@example(parse_weighted_graph(  # two ranges that are no sinks: the first weighted edge's
+    "vertex u\nvertex v\nvertex w\nedge a v w 2\nedge b w u 1\nedge c u v 3"))
+def test_sunk_preconditions_match_the_reference(g):
+    def outcome(check):
+        try:
+            return check(g)
+        except PreconditionViolatedError as exc:
+            return type(exc), str(exc)
+    assert outcome(unweighting_module._sunk_preconditions) == outcome(reference_sunk_preconditions)
+
+
+def test_to_unweighted_checks_the_stage2_preconditions_twice(monkeypatch):
+    # stage 1's postcondition and stage 2's precondition
+    calls = []
+    original = unweighting_module._sunk_preconditions
+    monkeypatch.setattr(unweighting_module, "_sunk_preconditions",
+                        lambda g: calls.append(g) or original(g))
+    _, trace = to_unweighted(fixture_graph("g6.wg"))
+    assert calls == [trace.stage1_graph] * 2
 
 
 def test_stage2_counts():
@@ -539,13 +573,18 @@ def test_family_maps_builds_no_generator_per_image(monkeypatch):
     assert verify_families(fwd, bwd).ok
 
 
-def test_algebra_build_and_transform_verify_build_no_generator(monkeypatch):
-    # letters are ids inside the package; a Generator is made only for output
+def _bench_graph(monkeypatch, family, n):
+    """The graph of the benchmark's ``family`` case of ``n`` vertices at seed 7."""
     spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look their module up
     spec.loader.exec_module(gen)
-    sat = parse_weighted_graph(gen.cases(7, [("sat", 960)])[0].text)
+    return parse_weighted_graph(gen.cases(7, [(family, n)])[0].text)
+
+
+def test_algebra_build_and_transform_verify_build_no_generator(monkeypatch):
+    # letters are ids inside the package; a Generator is made only for output
+    sat = _bench_graph(monkeypatch, "sat", 960)
     ring = serialize_weighted_graph(weighted_ring(300, {0: 2, 100: 3, 200: 2}))
 
     calls = 0
@@ -564,3 +603,31 @@ def test_algebra_build_and_transform_verify_build_no_generator(monkeypatch):
                    stdin=io.StringIO(ring), stdout=out, stderr=io.StringIO())
     assert (code, calls) == (0, 0)
     assert "# verify: ok\n" in out.getvalue()
+
+
+@pytest.mark.parametrize("case", ["ring", "sat"])
+def test_family_maps_and_verify_families_build_no_automaton(monkeypatch, case):
+    # only a walk of nod-words reads the automaton, and checking a compilation walks none
+    if case == "ring":
+        g = weighted_ring(300, {0: 2, 100: 3, 200: 2})
+    else:
+        g = _bench_graph(monkeypatch, "sat", 120)
+    _, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace)
+    assert verify_families(fwd, bwd).ok
+    assert (fwd.domain._succ_table, fwd.target._succ_table) == (None, None)
+
+
+def test_family_maps_composes_only_the_backward_words_of_two_letters_or_more(monkeypatch):
+    # a one-letter backward word (cases M, A, C, D) is its own support
+    _, trace = to_unweighted(fixture_graph("g6.wg"))
+    vertex_cases, edge_cases = unweighting_module._stage2_cases(trace.stage1_graph, trace.gv)
+    cases = [case for _, case, _, _ in vertex_cases + edge_cases]
+    assert {"M", "N", "A", "B", "C", "D"} <= set(cases)
+    calls = []
+    original = unweighting_module._compose
+    monkeypatch.setattr(unweighting_module, "_compose",
+                        lambda *args: calls.append(args) or original(*args))
+    fwd, bwd = family_maps(trace)
+    assert len(calls) == cases.count("N") + cases.count("B")
+    assert verify_families(fwd, bwd).ok

@@ -132,7 +132,7 @@ def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdg
         if not part:
             continue
         vertex, sep, edge = part.partition("=")
-        if not sep:
+        if not (vertex and sep and edge):
             raise _UsageError(f"bad --special entry {part!r}; expected vertex=edge")
         overrides[vertex] = edge
     pairs = [(v, overrides.pop(v, e)) for v, e in default_special_edges(g).pairs]

@@ -20,10 +20,11 @@ from the first line it cannot take, so it can only be the last tuple.  Such
 a text, or an unweighted one with a weight other than 1, is read again by
 :func:`_parse_lines`, the positional reader, which keeps the
 ``str.splitlines``/``str.split`` semantics and reports each error at its
-line and at its token's own column.  The constructor checks every id once,
-in one match over their join, and finds duplicates and dangling endpoints
-through the tables it builds; on any fault it runs the ordered checks,
-so the error raised is the first one in input order.
+line and at its token's own column.  The constructor builds its tables
+once, in ``WeightedGraph._index``, then checks every id in one match over
+their join and finds duplicates and dangling endpoints through those
+tables; on any fault the locator, ``_raise_first_fault``, walks the input
+in order, builds nothing and raises the first fault it meets.
 """
 
 from __future__ import annotations
@@ -99,19 +100,26 @@ class WeightedGraph:
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[EdgeRecord, ...] = tuple(edges)
         try:
-            indexed = self._index()
+            clean = self._index()
         except (AttributeError, KeyError, TypeError):
-            indexed = False
-        if not indexed:
-            self._index_in_order()
+            clean = False
+        if not clean:
+            self._raise_first_fault()
 
     def _index(self) -> bool:
-        """Build the lookup tables with bulk checks; False if one fails.
+        """Build the lookup tables, then run the bulk checks; False if one fails.
 
         Raises AttributeError, KeyError or TypeError on some faults instead.
         """
         vertices, edges = self.vertices, self.edges
+        self._vertex_index = {v: i for i, v in enumerate(vertices)}  # first, for the locator
         edge_ids = list(map(_edge_ids, edges))
+        self._edge_by_id = by_id = dict(zip(edge_ids, edges))
+        self._out = out = {v: [] for v in vertices}
+        self._in = into = {v: [] for v in vertices}
+        for e in edges:  # KeyError at a dangling endpoint
+            out[e.source].append(e)
+            into[e.range].append(e)
         ids = [*vertices, *edge_ids]
         joined = "\n".join(ids)
         if ids and (not _IDS_RE.fullmatch(joined) or joined.count("\n") != len(ids) - 1):
@@ -119,20 +127,15 @@ class WeightedGraph:
         weights = list(map(_edge_weights, edges))
         if weights and (set(map(type, weights)) != {int} or min(weights) < 1):
             return False
-        self._vertex_index = {v: i for i, v in enumerate(vertices)}
-        self._edge_by_id = dict(zip(edge_ids, edges))
-        if (len(self._vertex_index) < len(vertices) or len(self._edge_by_id) < len(edges)
-                or not self._vertex_index.keys().isdisjoint(self._edge_by_id)):
-            return False  # a duplicate id
-        self._out = out = {v: [] for v in vertices}
-        self._in = into = {v: [] for v in vertices}
-        for e in edges:  # KeyError at a dangling endpoint
-            out[e.source].append(e)
-            into[e.range].append(e)
-        return True
+        return (len(self._vertex_index) == len(vertices) and len(by_id) == len(edges)
+                and self._vertex_index.keys().isdisjoint(by_id))  # else a duplicate id
 
-    def _index_in_order(self) -> None:
-        """Check vertices, then edges, in input order, and build the lookup tables."""
+    def _raise_first_fault(self) -> None:
+        """Check vertices, then edges, in input order; raise the first fault met.
+
+        Builds no table: a graph with no fault here (a ``True`` weight) keeps
+        those of :meth:`_index`, which builds the vertex index first.
+        """
         ids: set[str] = set()
         for v in self.vertices:
             if not _ID_RE.match(v):
@@ -140,10 +143,6 @@ class WeightedGraph:
             if v in ids:
                 raise DuplicateIdError(f"duplicate id {v!r}")
             ids.add(v)
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self._edge_by_id: dict[str, EdgeRecord] = {}
-        self._out: dict[str, list[EdgeRecord]] = {v: [] for v in self.vertices}
-        self._in: dict[str, list[EdgeRecord]] = {v: [] for v in self.vertices}
         for e in self.edges:
             if not _ID_RE.match(e.id):
                 raise GraphError(f"bad edge id {e.id!r}")
@@ -151,18 +150,11 @@ class WeightedGraph:
                 raise DuplicateIdError(f"duplicate id {e.id!r}")
             ids.add(e.id)
             if e.source not in self._vertex_index:
-                raise DanglingEndpointError(
-                    f"edge {e.id!r}: unknown source {e.source!r}"
-                )
+                raise DanglingEndpointError(f"edge {e.id!r}: unknown source {e.source!r}")
             if e.range not in self._vertex_index:
-                raise DanglingEndpointError(
-                    f"edge {e.id!r}: unknown range {e.range!r}"
-                )
+                raise DanglingEndpointError(f"edge {e.id!r}: unknown range {e.range!r}")
             if not isinstance(e.weight, int) or e.weight < 1:
                 raise BadWeightError(f"edge {e.id!r}: weight {e.weight!r} < 1")
-            self._edge_by_id[e.id] = e
-            self._out[e.source].append(e)
-            self._in[e.range].append(e)
 
     # -- lookups -------------------------------------------------------
 

@@ -17,8 +17,11 @@ relations and the round trips on those tables.  The trace of a compilation
 carries all three graphs, so the maps are built from the trace alone and
 reuse its (LPA) decision and stage-1 graph, and the check reads the graphs
 from the maps' algebras.  One case table (:func:`_stage2_cases`) builds
-both the stage-2 graph and the maps: each stage-2 vertex or edge fixes its
-own backward image and adds one letter to a forward image.
+both the stage-2 graph and the maps.  It holds only the cases:
+:func:`unweight_sunk` alone names the pieces, and the maps read g~'s
+letters by position.  Each stage-2 vertex or edge fixes its own backward
+image, reduced where it is composed, and adds one letter to a forward
+image.
 """
 
 from __future__ import annotations
@@ -162,42 +165,32 @@ def _sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
 
 
 def _stage2_cases(g: WeightedGraph, gv: dict[str, str]):
-    """The stage-2 pieces of each vertex and edge of ``g``, in graph order.
+    """The stage-2 cases of each vertex and edge of ``g``, in graph order.
 
-    Returns ``(vertices, edges)``: ``vertices`` holds ``(name, case, v, i)``
-    with case M (``v`` kept) or N (strand copy ``i`` of ``v`` in r(E1w)),
-    ``edges`` holds ``(record, case, e, i)`` with case A (unchanged copy of
-    ``e``), B (fan strand ``i`` into a split range), C (first strand of a
-    weighted edge) or D (reversed higher strand ``i``).
+    Returns ``(vertices, edges)``: ``vertices`` holds ``(case, v, i)`` with
+    case M (``v`` kept) or N (strand copy ``i`` of ``v`` in r(E1w)),
+    ``edges`` holds ``(case, e, i)`` for the edge record ``e`` with case A
+    (unchanged copy of ``e``), B (fan strand ``i`` into a split range), C
+    (first strand of a weighted edge) or D (reversed higher strand ``i``).
+    Only :func:`unweight_sunk` names the pieces.
     """
-    vertices: list[tuple[str, str, str, int]] = []
+    vertices: list[tuple[str, str, int]] = []
     for v in g.vertices:
         if v in gv:
             w = g.edge(gv[v]).weight
-            vertices.extend((strand_name(v, i), "N", v, i) for i in range(1, w + 1))
+            vertices.extend(("N", v, i) for i in range(1, w + 1))
         else:
-            vertices.append((v, "M", v, 0))
-    edges: list[tuple[EdgeRecord, str, str, int]] = []
+            vertices.append(("M", v, 0))
+    edges: list[tuple[str, EdgeRecord, int]] = []
     for e in g.edges:
         if e.weight > 1:
-            edges.append((
-                EdgeRecord(strand_name(e.id, 1), e.source, strand_name(e.range, 1)),
-                "C", e.id, 1,
-            ))
-            for i in range(2, e.weight + 1):
-                edges.append((
-                    EdgeRecord(strand_name(e.id, i), strand_name(e.range, i), e.source),
-                    "D", e.id, i,
-                ))
+            edges.append(("C", e, 1))
+            edges.extend(("D", e, i) for i in range(2, e.weight + 1))
         elif e.range in gv:
             w = g.edge(gv[e.range]).weight
-            for i in range(1, w + 1):
-                edges.append((
-                    EdgeRecord(strand_name(e.id, i), e.source, strand_name(e.range, i)),
-                    "B", e.id, i,
-                ))
+            edges.extend(("B", e, i) for i in range(1, w + 1))
         else:
-            edges.append((EdgeRecord(e.id, e.source, e.range), "A", e.id, 1))
+            edges.append(("A", e, 1))
     return vertices, edges
 
 
@@ -208,10 +201,19 @@ def unweight_sunk(g: WeightedGraph) -> Graph:
     vertex emits or receives two distinct weighted edges.  Vertices in
     r(E1w) are replaced in place by copies v^(1) .. v^(w(g^v)); each edge
     produces its fan (B), first strand (C), reversed higher strands (D) or
-    an unchanged copy (A).
+    an unchanged copy (A), each piece named here and nowhere else.
     """
-    vertices, edges = _stage2_cases(g, _sunk_preconditions(g))
-    return Graph([name for name, *_ in vertices], [record for record, *_ in edges])
+    vertex_cases, edge_cases = _stage2_cases(g, _sunk_preconditions(g))
+    vertices = [v if case == "M" else strand_name(v, i) for case, v, i in vertex_cases]
+    edges = []
+    for case, e, i in edge_cases:
+        if case == "A":
+            edges.append(EdgeRecord(e.id, e.source, e.range))
+        elif case == "D":
+            edges.append(EdgeRecord(strand_name(e.id, i), strand_name(e.range, i), e.source))
+        else:  # B and C run from the source into the i-th copy of the range
+            edges.append(EdgeRecord(strand_name(e.id, i), e.source, strand_name(e.range, i)))
+    return Graph(vertices, edges)
 
 
 def to_unweighted(g: WeightedGraph) -> tuple[Graph, TransformTrace]:
@@ -266,26 +268,30 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
     elements of the algebra of the stage-2 graph g~; the backward map goes
     the other way.  Both algebras are built here, over ``field``.  The maps
     come from one pass over the stage-2 case table that built g~, at the
-    letter ids of the two algebras, with the stage-1 relabeling as one
-    table of those ids.  The images are kept as plain supports.  A forward
-    image is a sum of single target letters, each with coefficient 1, so
-    it needs no reduction.  A backward image is a word of at most three
-    source letters.  A one-letter word (cases M, A, C and D) is a nod-word
-    and is its own support; a longer one (cases N and B) is one
-    :func:`~wlpa.algebra._compose` over the letters' one-word supports (as
-    :func:`~wlpa.algebra.identity_map` builds them), reduced into the
-    field.  Nothing is normalized, so the memos of both algebras stay
-    empty.  A star image is the involute of its edge's, taken on the
-    support.  The trace is read as :func:`to_unweighted` returned it: g,
-    the stage-1 graph, g~, Z and the g^v map are used as they are, without
-    deciding (LPA) or running stage 1 again.  :func:`verify_families`
-    checks the maps whatever trace they were built from.
+    letter ids of the two algebras, with the stage-1 relabeling as one table
+    of those ids.  The case table holds only the cases, and
+    :func:`unweight_sunk` names the pieces: the maps read g~'s letters by
+    position, stage-2 vertex k as letter k and edge k as its k-th edge
+    letter, and make or look up no name.  The images are kept as plain
+    supports.  A forward image is a sum of single target letters, each with
+    coefficient 1, so it needs no reduction.  A backward image is a word of
+    at most three source letters.  A one-letter word (cases M, A, C and D)
+    is a nod-word and is its own support; a longer one (cases N and B) is
+    one :func:`~wlpa.algebra._compose` over the letters' one-word supports
+    (as :func:`~wlpa.algebra.identity_map` builds them), reduced into the
+    field where it is made.  Nothing is normalized, so the memos of both
+    algebras stay empty.  A star image is the involute of its edge's, taken
+    on the support; a backward one is set with its edge's.  The trace is
+    read as :func:`to_unweighted` returned it: g, the stage-1 graph, g~, Z
+    and the g^v map are used as they are, without deciding (LPA) or running
+    stage 1 again.  :func:`verify_families` checks the maps whatever trace
+    they were built from.
     """
     g, h, g_tilde = trace.source, trace.stage1_graph, trace.stage2_graph
     gv = trace.gv
 
     src, tgt = Algebra(g, field=field), Algebra(g_tilde, field=field)
-    src_id, tgt_id = src._id_of, tgt._id_of
+    src_id = src._id_of
     zone = set(trace.Z)
 
     # stage-1 relabeling: the ids in ``src`` of the edge and star letters of
@@ -303,34 +309,34 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
     # letter to the forward image of its source letter and fixes its own
     # backward image, one product of at most three source letters
     letters = [{(t,): 1} for t in range(len(src_id))]
+    reduce = field.reduce
+
+    def composed(word):  # forward coefficients are 1, so only these are reduced
+        return {w: r for w, c in _compose([(1, word)], letters, src).items() if (r := reduce(c))}
+
     forward: list[dict] = [{} for _ in src_id]
-    backward: list[dict] = [{} for _ in tgt_id]
+    backward: list[dict] = [{} for _ in tgt._id_of]
     vertex_cases, edge_cases = _stage2_cases(h, gv)
-    for name, case, v, i in vertex_cases:
-        t, s = tgt_id["vertex", name, 0], src_id["vertex", v, 0]
+    for t, (case, v, i) in enumerate(vertex_cases):
+        s = src_id["vertex", v, 0]
         forward[s][t,] = 1
         if case == "M":
             backward[t] = {(s,): 1}
         else:  # (g^v_i)* g^v_i
-            backward[t] = _compose([(1, relabel[gv[v], i][::-1])], letters, src)
-    for record, case, eid, i in edge_cases:
-        t = tgt_id["edge", record.id, 1]
-        edge, star = relabel[eid, 1 if case == "B" else i]
+            backward[t] = composed(relabel[gv[v], i][::-1])
+    for t, (case, e, i) in zip(tgt._nonvertex_ids[::2], edge_cases):  # t is e_1, t + 1 e_1^*
+        edge, star = relabel[e.id, 1 if case == "B" else i]
         forward[edge][tgt._star_of[t] if case == "D" else t,] = 1
         if case == "B":  # e_1 (g_i)* g_i
-            word = (edge,) + relabel[gv[h.edge(eid).range], i][::-1]
-            backward[t] = _compose([(1, word)], letters, src)
+            backward[t] = composed((edge,) + relabel[gv[e.range], i][::-1])
         else:  # a letter is a nod-word: e_1 (A, C) or e_i^* (D)
             backward[t] = {(star if case == "D" else edge,): 1}
+        backward[tgt._star_of[t]] = _involute(backward[t], src._star_of)
 
-    # the maps are *-homomorphisms: each star image is the involute of its
-    # edge's; forward coefficients are 1, so only backward ones are reduced
+    # the maps are *-homomorphisms: each forward star image is the involute
+    # of its edge's, as each backward one is above
     for edge, star in relabel.values():
         forward[star] = _involute(forward[edge], tgt._star_of)
-    reduce = field.reduce
-    backward = [{w: r for w, c in image.items() if (r := reduce(c))} for image in backward]
-    for t in tgt._nonvertex_ids[::2]:  # e_1, then e_1^*, for each edge of g_tilde
-        backward[tgt._star_of[t]] = _involute(backward[t], src._star_of)
     return (FamilyMap("forward", src, tgt, tuple(forward)),
             FamilyMap("backward", tgt, src, tuple(backward)))
 

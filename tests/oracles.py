@@ -12,21 +12,27 @@ from itertools import product
 from typing import Optional
 
 from wlpa import (
+    RATIONALS,
+    Algebra,
     AlgebraElement,
     AlgebraError,
     BadWeightError,
     DanglingEndpointError,
     DuplicateIdError,
     EdgeRecord,
+    FamilyMap,
     Generator,
+    Graph,
     GraphError,
     GraphSyntaxError,
     PreconditionViolatedError,
     SpecialEdgeChoice,
     WeightedGraph,
+    strand_name,
     vertex_weight,
     weighted_edges,
 )
+from wlpa.algebra import _compose, _involute
 from wlpa.exprs import ExpressionError, _matching_parentheses, _scan_identifier
 from wlpa.fields import FieldError, parse_natural
 
@@ -249,6 +255,99 @@ def reference_sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
                 f"range {e.range!r} of weighted edge {e.id!r} is not a sink"
             )
     return gv
+
+
+# -- stage 2 and its family maps ---------------------------------------------
+
+
+def _reference_stage2_pieces(g: WeightedGraph, gv: dict[str, str]):
+    """``(name, case, v, i)`` per stage-2 vertex and ``(record, case, e, i)`` per edge.
+
+    Each piece is named where its case is decided: M keeps ``v``, N is
+    strand copy ``i`` of ``v`` in r(E1w); A copies ``e``, B fans strand
+    ``i`` into a split range, C is the first strand of a weighted edge and
+    D its reversed strand ``i``.
+    """
+    vertices = []
+    for v in g.vertices:
+        if v in gv:
+            w = g.edge(gv[v]).weight
+            vertices.extend((strand_name(v, i), "N", v, i) for i in range(1, w + 1))
+        else:
+            vertices.append((v, "M", v, 0))
+    edges = []
+    for e in g.edges:
+        if e.weight > 1:
+            edges.append((EdgeRecord(strand_name(e.id, 1), e.source, strand_name(e.range, 1)),
+                          "C", e.id, 1))
+            for i in range(2, e.weight + 1):
+                edges.append((EdgeRecord(strand_name(e.id, i), strand_name(e.range, i), e.source),
+                              "D", e.id, i))
+        elif e.range in gv:
+            w = g.edge(gv[e.range]).weight
+            for i in range(1, w + 1):
+                edges.append((EdgeRecord(strand_name(e.id, i), e.source, strand_name(e.range, i)),
+                              "B", e.id, i))
+        else:
+            edges.append((EdgeRecord(e.id, e.source, e.range), "A", e.id, 1))
+    return vertices, edges
+
+
+def reference_unweight_sunk(g: WeightedGraph) -> Graph:
+    """Stage 2 from the named pieces of :func:`_reference_stage2_pieces`."""
+    vertices, edges = _reference_stage2_pieces(g, reference_sunk_preconditions(g))
+    return Graph([name for name, *_ in vertices], [record for record, *_ in edges])
+
+
+def reference_family_maps(trace, field=RATIONALS) -> tuple[FamilyMap, FamilyMap]:
+    """The family maps of ``trace``, each stage-2 letter looked up by its name.
+
+    The pieces are named again by :func:`_reference_stage2_pieces`; each
+    backward image is reduced in a pass of its own after the last piece,
+    and each star image is the involute of its edge's, set in a loop of its
+    own.
+    """
+    g, h, g_tilde = trace.source, trace.stage1_graph, trace.stage2_graph
+    gv = trace.gv
+    src, tgt = Algebra(g, field=field), Algebra(g_tilde, field=field)
+    src_id, tgt_id = src._id_of, tgt._id_of
+    zone = set(trace.Z)
+    relabel = {}
+    for e in g.edges:
+        for i in range(1, e.weight + 1):
+            pair = (src_id["edge", e.id, i], src_id["star", e.id, i])
+            if e.source in zone:
+                relabel[strand_name(e.id, i), 1] = pair[::-1]
+            else:
+                relabel[e.id, i] = pair
+    letters = [{(t,): 1} for t in range(len(src_id))]
+    forward = [{} for _ in src_id]
+    backward = [{} for _ in tgt_id]
+    vertex_cases, edge_cases = _reference_stage2_pieces(h, gv)
+    for name, case, v, i in vertex_cases:
+        t, s = tgt_id["vertex", name, 0], src_id["vertex", v, 0]
+        forward[s][t,] = 1
+        if case == "M":
+            backward[t] = {(s,): 1}
+        else:
+            backward[t] = _compose([(1, relabel[gv[v], i][::-1])], letters, src)
+    for record, case, eid, i in edge_cases:
+        t = tgt_id["edge", record.id, 1]
+        edge, star = relabel[eid, 1 if case == "B" else i]
+        forward[edge][tgt._star_of[t] if case == "D" else t,] = 1
+        if case == "B":
+            word = (edge,) + relabel[gv[h.edge(eid).range], i][::-1]
+            backward[t] = _compose([(1, word)], letters, src)
+        else:
+            backward[t] = {(star if case == "D" else edge,): 1}
+    for edge, star in relabel.values():
+        forward[star] = _involute(forward[edge], tgt._star_of)
+    reduce = field.reduce
+    backward = [{w: r for w, c in image.items() if (r := reduce(c))} for image in backward]
+    for t in tgt._nonvertex_ids[::2]:
+        backward[tgt._star_of[t]] = _involute(backward[t], src._star_of)
+    return (FamilyMap("forward", src, tgt, tuple(forward)),
+            FamilyMap("backward", tgt, src, tuple(backward)))
 
 
 # -- classical unweighted normal form -----------------------------------------

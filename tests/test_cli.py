@@ -441,6 +441,18 @@ def test_cli_special_override():
     assert code == 1 and "maximal" in err
 
 
+@pytest.mark.parametrize("entry,message", [
+    # an entry with an empty side is malformed
+    ("=b", "bad --special entry '=b'; expected vertex=edge"),
+    ("v=", "bad --special entry 'v='; expected vertex=edge"),
+    ("=", "bad --special entry '='; expected vertex=edge"),
+    ("x=b", "--special names sinks or unknown vertices: x"),
+])
+def test_cli_special_entry_errors(entry, message):
+    code, out, err = invoke("growth", "2", "--input", fx("e2loops.wg"), "--special", entry)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", [["validate"], ["check-lpa"], ["transform", "--verify"]])
 def test_cli_special_rejected_where_unused(command):
     code, out, err = invoke(*command, "--input", fx("fork.wg"), "--special", "u=b")
@@ -517,6 +529,8 @@ def test_cli_main_prints_help_and_exits_zero(monkeypatch, capsys):
         ("zerodim_l23.txt", ["zero-dim", "4", "--input", fx("l23.wg")], 0),
         ("basis_l23_special.txt",
          ["basis", "2", "--input", fx("l23.wg"), "--special", "v=e2"], 0),
+        # stage 2 holds all six cases and the nested name (h^(1))^(2)
+        ("transform_g6.txt", ["transform", "--verify", "--input", fx("g6.wg")], 0),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):

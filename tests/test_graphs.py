@@ -259,6 +259,37 @@ def test_constructor_reports_the_first_fault_in_input_order(vertices, edges):
         assert _graph_outcome(weighted_graph_from_records, records) == expected
 
 
+def test_constructor_accepts_a_true_weight():
+    # the bulk checks reject it by type, the ordered ones accept it, and the tables stand
+    e = _E("e", "a", "b", True)
+    g = WeightedGraph(_V, [e])
+    assert g.edge("e").weight is True
+    assert (g.out_edges("a"), g.in_edges("b"), g.is_sink("b")) == ((e,), (e,), True)
+    assert (g._vertex_index, g._edge_by_id, g._out, g._in) == reference_graph_tables(_V, [e])
+
+
+@pytest.mark.parametrize("vertices,edges", [
+    (["a", ["b"]], []),
+    (["a", 5], []),
+    (_V, [_E(["e"], "a", "b")]),
+    (_V, [_E(5, "a", "b")]),
+])
+def test_constructor_rejects_a_list_or_int_id_with_type_error(vertices, edges):
+    with pytest.raises(TypeError):
+        WeightedGraph(vertices, edges)
+
+
+def test_constructor_rejects_a_plain_tuple_edge_with_attribute_error():
+    with pytest.raises(AttributeError):
+        WeightedGraph(_V, [("e", "a", "b", 1)])
+
+
+def test_constructor_reports_a_bad_weight_before_a_later_dangling_endpoint():
+    with pytest.raises(BadWeightError) as err:
+        parse_weighted_graph("vertex a\nvertex b\nedge e a b 0\nedge f a x\n")
+    assert str(err.value) == "edge 'e': weight 0 < 1"
+
+
 _IDS = ["a", "b", "v1", "12", "edge", "vertex", "(h^(1))^(2)", "x_y"]
 _SPACE = st.sampled_from([" ", "\t", "  ", " \t"])
 _EDGE_SPACE = st.sampled_from(["", " ", "\t"])

@@ -5,17 +5,21 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wlpa import (
+    RATIONALS,
     Algebra,
+    EdgeRecord,
     FamilyMap,
     Generator,
     LpaViolatedError,
     MixedContextError,
     PreconditionViolatedError,
+    PrimeField,
     ReservedIdError,
     UnknownGeneratorError,
+    check_lpa,
     family_maps,
     field_from_name,
     make_ranges_sinks,
@@ -32,7 +36,12 @@ from wlpa import (
 from wlpa import algebra as algebra_module, cli, unweighting as unweighting_module
 
 from graphgen import multigraphs, random_lpa_satisfying_graph, weighted_ring
-from oracles import dense_family_verification, reference_sunk_preconditions
+from oracles import (
+    dense_family_verification,
+    reference_family_maps,
+    reference_sunk_preconditions,
+    reference_unweight_sunk,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -622,7 +631,7 @@ def test_family_maps_composes_only_the_backward_words_of_two_letters_or_more(mon
     # a one-letter backward word (cases M, A, C, D) is its own support
     _, trace = to_unweighted(fixture_graph("g6.wg"))
     vertex_cases, edge_cases = unweighting_module._stage2_cases(trace.stage1_graph, trace.gv)
-    cases = [case for _, case, _, _ in vertex_cases + edge_cases]
+    cases = [case for case, _, _ in vertex_cases + edge_cases]
     assert {"M", "N", "A", "B", "C", "D"} <= set(cases)
     calls = []
     original = unweighting_module._compose
@@ -631,3 +640,40 @@ def test_family_maps_composes_only_the_backward_words_of_two_letters_or_more(mon
     fwd, bwd = family_maps(trace)
     assert len(calls) == cases.count("N") + cases.count("B")
     assert verify_families(fwd, bwd).ok
+
+
+@st.composite
+def _lpa_graphs(draw):
+    """A multigraph satisfying (LPA), parallel edges and self-loops included, or a built one."""
+    if draw(st.booleans()):
+        g = draw(multigraphs())
+        assume(check_lpa(g).satisfied)
+        return g
+    return random_lpa_satisfying_graph(Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_lpa_graphs())
+@example(fixture_graph("g6.wg"))
+@example(fixture_graph("twoparallel.wg"))
+def test_stage2_and_family_maps_match_the_reference(g):
+    stage2, trace = to_unweighted(g)
+    assert stage2 == reference_unweight_sunk(trace.stage1_graph)
+    for field in (RATIONALS, PrimeField(7)):
+        maps, expected = family_maps(trace, field), reference_family_maps(trace, field)
+        for m, ref in zip(maps, expected):
+            assert [list(image.items()) for image in m.images] == \
+                [list(image.items()) for image in ref.images]
+
+
+def test_family_maps_builds_no_edge_record(monkeypatch):
+    # the stage-2 pieces are named and built only by unweight_sunk
+    _, trace = to_unweighted(fixture_graph("g6.wg"))
+    built = []
+    monkeypatch.setattr(unweighting_module, "EdgeRecord",
+                        lambda *args: built.append(args) or EdgeRecord(*args))
+    fwd, bwd = family_maps(trace)
+    assert built == []
+    assert verify_families(fwd, bwd).ok
+    unweight_sunk(trace.stage1_graph)  # the count sees what unweight_sunk builds
+    assert len(built) == len(trace.stage2_graph.edges)

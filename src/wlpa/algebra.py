@@ -164,20 +164,28 @@ def _add_term(acc: dict, word: tuple[int, ...], coeff) -> None:
 
 
 def _letters(graph: WeightedGraph):
-    """The letters of ``graph`` in canonical order, and their tables by letter id.
+    """The letters of ``graph`` in canonical order: their tables by letter id, and their layout.
 
     Canonical order: vertices in graph order, then per edge in graph order
-    the strands e_1..e_w followed by e_1^*..e_w^*.  One pass over the edges
-    returns ``(id_of, src, rng, star_of, degree)``: the id of each letter's
-    ``(kind, name, index)`` key (index 0 for a vertex), in id order, and per
-    letter its source and range vertex ids, its involute and its degree
-    ``(i - 1, +-1)`` (None for a vertex).
+    its strands ``e_i = b + i - 1`` and stars ``e_i^* = b + w + i - 1``
+    (1 <= i <= w) from its base b.  Only this pass decides where a letter
+    sits; every other table reads ids off what it returns: ``(id_of, src,
+    rng, star_of, degree, out, bases)``, the id of each letter's ``(kind,
+    name, index)`` key (index 0 for a vertex) in id order; per letter its
+    source and range vertex ids, its involute and its degree ``(i - 1,
+    +-1)`` (None for a vertex); per vertex id its out-list of ``(edge id,
+    weight, base, range id)``; and per edge its base, both in graph order.
     """
     id_of = {("vertex", v, 0): i for i, v in enumerate(graph.vertices)}
     nv = len(id_of)
     src, rng, star_of, degree = list(range(nv)), list(range(nv)), list(range(nv)), [None] * nv
+    out: list[list[tuple[str, int, int, int]]] = [[] for _ in range(nv)]
+    bases = []
+    index = graph._vertex_index  # vertex k is letter k
     for e in graph.edges:
-        w, s, r = e.weight, id_of["vertex", e.source, 0], id_of["vertex", e.range, 0]
+        w, s, r, b = e.weight, index[e.source], index[e.range], len(src)
+        out[s].append((e.id, w, b, r))
+        bases.append(b)
         # e_i runs s -> r and its star, w ids later, r -> s
         for kind, start, end, shift, sign in (("edge", s, r, w, 1), ("star", r, s, -w, -1)):
             for i in range(1, w + 1):
@@ -186,7 +194,7 @@ def _letters(graph: WeightedGraph):
                 rng.append(end)
                 star_of.append(t + shift)
                 degree.append((i - 1, sign))
-    return id_of, tuple(src), tuple(rng), tuple(star_of), tuple(degree)
+    return id_of, tuple(src), tuple(rng), tuple(star_of), tuple(degree), out, tuple(bases)
 
 
 class Algebra:
@@ -194,26 +202,24 @@ class Algebra:
 
     ``__init__`` builds the special-edge choice (the default one unless
     given, checked by :func:`validate_choice` either way), the letter
-    tables (one pass of :func:`_letters`) and the vertex-local rules of
-    the non-vertex pairs (vertex letters are absorbed by endpoint tests).
-    The nod-word automaton, :attr:`_succ`, is built on its first walk and
-    kept.  These tables never change.  Only :meth:`nodword_counts` (the
-    counts behind :meth:`growth`, :meth:`zero_component_count`, the CLI
-    tables and the basis budget), :meth:`enumerate_nodwords` and the
-    witness search walk the automaton, so an algebra that only multiplies
-    or checks relations never builds it.  The counts walked are
-    kept in the count store, so a request up to the length walked so far
-    walks nothing.  The store and the normal-form memos (``_memo_left``,
-    ``_memo_right``) of :meth:`_nf_word` are filled after the build and
-    only ever grow; the memos gain one entry per whole word missed.  So an
-    instance must not be shared between threads without a lock.  Only
-    words from outside reach the memos, through :meth:`normalize` (so
-    every ``parse_element`` term); products of elements (:meth:`_product`),
-    the relation checks, :func:`identity_map` and ``family_maps`` leave
-    them as they are.  Inside, a letter is an id: the one letter table,
-    ``_id_of``, maps its plain ``(kind, name, index)`` key, the fields of
-    its :class:`Generator`, to it.  Generators are made only for output,
-    from the table :meth:`_generators` fills.
+    tables and layout (one pass of :func:`_letters`; the relation checks
+    read ``_layout``) and, off the layout's out-lists, the vertex-local
+    rules of the non-vertex pairs (vertex letters are absorbed by endpoint
+    tests).  These tables never change.  The nod-word automaton,
+    :attr:`_succ`, is built on the first walk: only :meth:`nodword_counts`
+    (behind :meth:`growth`, :meth:`zero_component_count`, the CLI tables
+    and the basis budget), :meth:`enumerate_nodwords` and the witness
+    search walk it.  The count store keeps the counts walked, so a request
+    up to the length walked so far walks nothing.  The store and the
+    normal-form memos (``_memo_left``, ``_memo_right``) of :meth:`_nf_word`
+    only ever grow, so an instance must not be shared between threads
+    without a lock.  Only words from outside reach the memos, one entry
+    per whole word missed, through :meth:`normalize` (so every
+    ``parse_element`` term); products, the relation checks,
+    :func:`identity_map` and ``family_maps`` leave them as they are.  A
+    letter is an id: ``_id_of`` maps its ``(kind, name, index)`` key, the
+    fields of its :class:`Generator`, to it, and Generators are made only
+    for output, from the table :meth:`_generators` fills.
     """
 
     def __init__(self, graph: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None,
@@ -223,8 +229,9 @@ class Algebra:
         validate_choice(graph, self.choice)
         self.field = field
 
-        (self._id_of, self._src_id, self._rng_id, self._star_of,
-         self._letter_degree) = _letters(graph)
+        self._layout = _letters(graph)
+        (self._id_of, self._src_id, self._rng_id, self._star_of, self._letter_degree,
+         self._out_letters, self._edge_base) = self._layout
         self._generator_table: Optional[tuple[Generator, ...]] = None  # filled on first use
         self._nv = len(graph.vertices)
         self._nonvertex_ids = tuple(range(self._nv, len(self._id_of)))
@@ -254,34 +261,29 @@ class Algebra:
         with a vertex letter is the other letter.  Every key meets at one
         vertex v, so there are at most in(v) * out(v) keys per v, where
         in(v) and out(v) count the non-vertex letters ending and starting
-        at v.
+        at v.  The ids are read off the out-lists of :func:`_letters`, and
+        the special edge is found in its vertex's own out-list.
         """
-        g, id_of, rng_id = self.graph, self._id_of, self._rng_id
         special = self.choice.mapping
         rules: dict[tuple[int, int], list] = {}
-        for v, out in g._out.items():
-            # the strands of an edge of weight w whose e_1 has id b are
-            # e_i = b + i - 1 and e_i^* = b + w + i - 1 (see _letters)
-            strands = [(e.id, id_of["edge", e.id, 1], e.weight) for e in out]
-            for eid, be, we in strands:
-                for fid, bf, wf in strands:
+        for vid, (v, out) in enumerate(zip(self.graph.vertices, self._out_letters)):
+            # an edge of weight w at base b: e_i = b + i - 1, e_i^* = b + w + i - 1
+            for _, we, be, r in out:
+                for _, wf, bf, _ in out:
                     # e_1^* f_1 with s(e) = s(f) = v, then e_i^* f_i for i >= 2
-                    terms = [(1, (rng_id[be],))] if eid == fid else []
+                    terms = [(1, (r,))] if be == bf else []
                     for i in range(1, min(we, wf)):
                         terms.append((-1, (be + we + i, bf + i)))
                     rules[be + we, bf] = terms
-            if v not in special:
-                continue
-            sid = special[v]
-            bs = id_of["edge", sid, 1]
-            ws, vid = g.edge(sid).weight, self._src_id[bs]
+            sid = special.get(v)  # None at a sink, whose out-list is empty
+            ws, bs = next(((w, b) for eid, w, b, _ in out if eid == sid), (0, 0))
             for i in range(ws):
                 for j in range(ws):
                     # e^v_(i+1) (e^v_(j+1))^* at v = s(e^v), over the other edges of weight > i, j
                     terms = [(1, (vid,))] if i == j else []
                     k = max(i, j)
-                    for oid, bo, wo in strands:
-                        if oid != sid and wo > k:
+                    for _, wo, bo, _ in out:
+                        if bo != bs and wo > k:
                             terms.append((-1, (bo + i, bo + wo + j)))
                     rules[bs + i, bs + ws + j] = terms
         self._rules = rules
@@ -852,10 +854,11 @@ def relation_instances(g: WeightedGraph):
     then the rhs letter with -1, and its label is :func:`_label` of its
     format key.
     """
-    gens = [Generator(*key) for key in _letters(g)[0]]
+    layout = _letters(g)
+    gens = [Generator(*key) for key in layout[0]]
     n = len(g.vertices)
     vertex_pairs = (_vertex_relation(g, i, j) for i in range(n) for j in range(n))
-    for key, pairs, rhs in chain(vertex_pairs, _edge_relations(g)):
+    for key, pairs, rhs in chain(vertex_pairs, _edge_relations(g, layout)):
         terms = [(1, [gens[x], gens[y]]) for x, y in pairs]
         if rhs is not None:
             terms.append((-1, [gens[rhs]]))
@@ -873,41 +876,32 @@ def _vertex_relation(g: WeightedGraph, i: int, j: int):
     return ("(i) {} {}", names[i], names[j]), ((i, j),), (i if i == j else None)
 
 
-def _edge_relations(g: WeightedGraph):
-    """The records of relations (ii)-(iv), in :func:`relation_instances` order.
+def _edge_relations(g: WeightedGraph, layout):
+    """The records of relations (ii)-(iv) of ``g``, in :func:`relation_instances` order.
 
-    Letter ids come from per-edge bases in the layout of :func:`_letters`:
-    the strands of an edge of weight w at base b are ``e_i = b + i - 1``
-    and ``e_i^* = b + w + i - 1``.  The out-lists of the vertices are
-    collected in the same pass as the bases, as ``(edge id, weight, base,
-    range id)`` in graph order.  A record's key is rendered only on demand.
+    ``layout`` is ``_letters(g)``, and every letter id is read off it: the
+    strands of an edge of weight w at base b are ``e_i = b + i - 1`` and
+    ``e_i^* = b + w + i - 1``, its endpoints are those of e_1, and (iii)
+    and (iv) walk the out-lists ``(edge id, weight, base, range id)`` of
+    the vertices.  A record's key is rendered only on demand.
     """
-    index = g._vertex_index
-    emitted: list[list[tuple]] = [[] for _ in g.vertices]
-    base = len(g.vertices)
-    for e in g.edges:
-        w, s, r = e.weight, index[e.source], index[e.range]
-        emitted[s].append((e.id, w, base, r))
+    _, src, rng, _, _, emitted, bases = layout
+    for e, base in zip(g.edges, bases):
+        w, s, r = e.weight, src[base], rng[base]
         for a in range(base, base + w):
             b, i = a + w, a - base + 1
             yield ("(ii) source {}.{}", e.id, i), ((s, a),), a
             yield ("(ii) range {}.{}", e.id, i), ((a, r),), a
             yield ("(ii) star-range {}.{}", e.id, i), ((r, b),), b
             yield ("(ii) star-source {}.{}", e.id, i), ((b, s),), b
-        base += 2 * w
 
     for v, (name, out) in enumerate(zip(g.vertices, emitted)):
-        if not out:
-            continue
-        for e in out:
-            eid, we, be, r = e
-            stars = range(be + we, be + 2 * we)
-            for f in out:
-                fid, wf, bf, _ = f
+        for eid, we, be, r in out:
+            for fid, wf, bf, _ in out:
                 # e_i^* f_i for 1 <= i <= min(w(e), w(f)): zip stops at the shorter
-                pairs = tuple(zip(stars, range(bf, bf + wf)))
-                yield ("(iii) {} {} {}", name, eid, fid), pairs, (r if f is e else None)
-        wv = max(w for _, w, _, _ in out)
+                pairs = tuple(zip(range(be + we, be + 2 * we), range(bf, bf + wf)))
+                yield ("(iii) {} {} {}", name, eid, fid), pairs, (r if bf == be else None)
+        wv = max((w for _, w, _, _ in out), default=0)  # a sink has no (iv)
         for i in range(wv):
             for j in range(wv):
                 k = max(i, j)
@@ -927,16 +921,17 @@ def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement]
     letter with no image raises :class:`UnknownGeneratorError`, an image
     outside ``target`` :class:`MixedContextError`.
     """
-    id_of = _letters(g)[0]
+    layout = _letters(g)
+    id_of = layout[0]
     for gen in mapping:
         if (gen.kind, gen.name, gen.index) not in id_of:
             raise UnknownGeneratorError(f"unknown generator {gen.token()!r}")
     images = _lower(mapping, [Generator(*key) for key in id_of], target)
-    return _relation_failures(g, images, target)
+    return _relation_failures(g, layout, images, target)
 
 
-def _relation_failures(g: WeightedGraph, images, target: Algebra):
-    """:func:`relation_failures` for a map lowered over the letter ids of ``g``.
+def _relation_failures(g: WeightedGraph, layout, images, target: Algebra):
+    """:func:`relation_failures` for a map lowered over ``layout``, the ``_letters(g)`` of ``g``.
 
     Relation (i) is decided without a product per ordered pair of
     vertices.  The image of ``u v`` is a sum of products ``a b`` of support
@@ -963,7 +958,7 @@ def _relation_failures(g: WeightedGraph, images, target: Algebra):
             starting_at.setdefault(s, []).append(j)
     meeting = [sorted({i}.union(*(starting_at.get(r, ()) for r in ends[i]))) for i in range(n)]
     records = chain((_vertex_relation(g, i, j) for i in range(n) for j in meeting[i]),
-                    _edge_relations(g))
+                    _edge_relations(g, layout))
     product, reduce = target._product, target.field.reduce
     count = n * n - sum(map(len, meeting))  # the pairs of (i) that are not built
     failures = []

@@ -21,7 +21,6 @@ from .algebra import (
     BudgetExceededError,
     SpecialEdgeChoice,
     default_special_edges,
-    validate_choice,
 )
 from .exprs import ExpressionError, parse_element
 from .fields import FieldError, field_from_name, parse_natural
@@ -123,7 +122,10 @@ def _read_graph(path: str, stdin) -> WeightedGraph:
 
 
 def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdgeChoice]:
-    """The default special edges with the ``vertex=edge`` overrides laid over them."""
+    """The default special edges with the stripped ``vertex=edge`` overrides laid over them.
+
+    The algebra built from it checks the choice (``witness_nodpath`` if it builds none).
+    """
     if spec is None:
         return None
     overrides = {}
@@ -131,7 +133,7 @@ def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdg
         part = part.strip()
         if not part:
             continue
-        vertex, sep, edge = part.partition("=")
+        vertex, sep, edge = (side.strip() for side in part.partition("="))
         if not (vertex and sep and edge):
             raise _UsageError(f"bad --special entry {part!r}; expected vertex=edge")
         overrides[vertex] = edge
@@ -139,9 +141,7 @@ def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdg
     if overrides:
         names = ", ".join(sorted(overrides))
         raise _UsageError(f"--special names sinks or unknown vertices: {names}")
-    choice = SpecialEdgeChoice(tuple(pairs))
-    validate_choice(g, choice)
-    return choice
+    return SpecialEdgeChoice(tuple(pairs))
 
 
 def _emit(args, stdout, payload: dict, text: str) -> None:

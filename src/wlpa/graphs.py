@@ -133,8 +133,7 @@ class WeightedGraph:
     def _raise_first_fault(self) -> None:
         """Check vertices, then edges, in input order; raise the first fault met.
 
-        Builds no table: a graph with no fault here (a ``True`` weight) keeps
-        those of :meth:`_index`, which builds the vertex index first.
+        Builds no table; it reads the vertex index, which :meth:`_index` builds first.
         """
         ids: set[str] = set()
         for v in self.vertices:
@@ -153,6 +152,8 @@ class WeightedGraph:
                 raise DanglingEndpointError(f"edge {e.id!r}: unknown source {e.source!r}")
             if e.range not in self._vertex_index:
                 raise DanglingEndpointError(f"edge {e.id!r}: unknown range {e.range!r}")
+            if isinstance(e.weight, int) and type(e.weight) is not int:  # a bool
+                raise BadWeightError(f"edge {e.id!r}: bad weight {e.weight!r}")
             if not isinstance(e.weight, int) or e.weight < 1:
                 raise BadWeightError(f"edge {e.id!r}: weight {e.weight!r} < 1")
 

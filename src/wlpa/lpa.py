@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Algebra, Generator, SpecialEdgeChoice, Word
+from .algebra import Algebra, Generator, SpecialEdgeChoice, Word, validate_choice
 from .graphs import (
     GraphPath,
     WeightedGraph,
@@ -394,10 +394,13 @@ def witness_nodpath(g: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None
     and cycle; for the remaining kinds a breadth-first search over
     nod-words of the required shape is run with the hard length bound
     2*|vertices|*max weight + 2.  The returned word is re-checked with the
-    nod-word predicate before being handed out.
+    nod-word predicate before being handed out.  A given ``choice`` is
+    checked once: by the algebra built here, or before :class:`LpaSatisfiedError`.
     """
     report = check_lpa(g)
     if report.satisfied:
+        if choice is not None:
+            validate_choice(g, choice)
         raise LpaSatisfiedError("graph satisfies Condition (LPA); no witness exists")
 
     algebra = Algebra(g, choice)

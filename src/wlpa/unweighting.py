@@ -14,19 +14,20 @@ Both stages come with explicit generator correspondences between the two
 algebras (:func:`family_maps`), kept as tables over letter ids
 (:class:`FamilyMap`); :func:`verify_families` checks the defining
 relations and the round trips on those tables.  The trace of a compilation
-carries all three graphs, so the maps are built from the trace alone and
-reuse its (LPA) decision and stage-1 graph, and the check reads the graphs
-from the maps' algebras.  One case table (:func:`_stage2_cases`) builds
-both the stage-2 graph and the maps.  It holds only the cases:
-:func:`unweight_sunk` alone names the pieces, and the maps read g~'s
-letters by position.  Each stage-2 vertex or edge fixes its own backward
-image, reduced where it is composed, and adds one letter to a forward
-image.
+carries all three graphs, so the maps are built from the trace alone: they
+read stage 1 off the stage-1 graph, not off Z, and reuse the (LPA)
+decision; the check reads the graphs from the maps' algebras.  One case
+table (:func:`_stage2_cases`) of cases and positions builds both the
+stage-2 graph and the maps: :func:`unweight_sunk` alone names the pieces,
+and the maps read every letter by position.  Each stage-2 vertex or edge
+fixes its own backward image, reduced where it is composed, and adds one
+letter to a forward image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import (
     Algebra,
@@ -167,30 +168,30 @@ def _sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
 def _stage2_cases(g: WeightedGraph, gv: dict[str, str]):
     """The stage-2 cases of each vertex and edge of ``g``, in graph order.
 
-    Returns ``(vertices, edges)``: ``vertices`` holds ``(case, v, i)`` with
-    case M (``v`` kept) or N (strand copy ``i`` of ``v`` in r(E1w)),
-    ``edges`` holds ``(case, e, i)`` for the edge record ``e`` with case A
-    (unchanged copy of ``e``), B (fan strand ``i`` into a split range), C
-    (first strand of a weighted edge) or D (reversed higher strand ``i``).
-    Only :func:`unweight_sunk` names the pieces.
+    Returns ``(vertices, edges)``: ``vertices`` holds ``(case, k, i)`` for
+    the k-th vertex of ``g`` with case M (kept) or N (strand copy ``i`` of
+    a vertex in r(E1w)), ``edges`` holds ``(case, k, i)`` for the k-th edge
+    with case A (unchanged copy), B (fan strand ``i`` into a split range),
+    C (first strand of a weighted edge) or D (reversed higher strand
+    ``i``).  Only :func:`unweight_sunk` names the pieces.
     """
-    vertices: list[tuple[str, str, int]] = []
-    for v in g.vertices:
+    vertices: list[tuple[str, int, int]] = []
+    for k, v in enumerate(g.vertices):
         if v in gv:
             w = g.edge(gv[v]).weight
-            vertices.extend(("N", v, i) for i in range(1, w + 1))
+            vertices.extend(("N", k, i) for i in range(1, w + 1))
         else:
-            vertices.append(("M", v, 0))
-    edges: list[tuple[str, EdgeRecord, int]] = []
-    for e in g.edges:
+            vertices.append(("M", k, 0))
+    edges: list[tuple[str, int, int]] = []
+    for k, e in enumerate(g.edges):
         if e.weight > 1:
-            edges.append(("C", e, 1))
-            edges.extend(("D", e, i) for i in range(2, e.weight + 1))
+            edges.append(("C", k, 1))
+            edges.extend(("D", k, i) for i in range(2, e.weight + 1))
         elif e.range in gv:
             w = g.edge(gv[e.range]).weight
-            edges.extend(("B", e, i) for i in range(1, w + 1))
+            edges.extend(("B", k, i) for i in range(1, w + 1))
         else:
-            edges.append(("A", e, 1))
+            edges.append(("A", k, 1))
     return vertices, edges
 
 
@@ -204,9 +205,12 @@ def unweight_sunk(g: WeightedGraph) -> Graph:
     an unchanged copy (A), each piece named here and nowhere else.
     """
     vertex_cases, edge_cases = _stage2_cases(g, _sunk_preconditions(g))
-    vertices = [v if case == "M" else strand_name(v, i) for case, v, i in vertex_cases]
+    names = g.vertices
+    vertices = [names[k] if case == "M" else strand_name(names[k], i)
+                for case, k, i in vertex_cases]
     edges = []
-    for case, e, i in edge_cases:
+    for case, k, i in edge_cases:
+        e = g.edges[k]
         if case == "A":
             edges.append(EdgeRecord(e.id, e.source, e.range))
         elif case == "D":
@@ -266,76 +270,71 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
 
     The forward map sends the generators of the algebra of the source g to
     elements of the algebra of the stage-2 graph g~; the backward map goes
-    the other way.  Both algebras are built here, over ``field``.  The maps
-    come from one pass over the stage-2 case table that built g~, at the
-    letter ids of the two algebras, with the stage-1 relabeling as one table
-    of those ids.  The case table holds only the cases, and
-    :func:`unweight_sunk` names the pieces: the maps read g~'s letters by
-    position, stage-2 vertex k as letter k and edge k as its k-th edge
-    letter, and make or look up no name.  The images are kept as plain
-    supports.  A forward image is a sum of single target letters, each with
-    coefficient 1, so it needs no reduction.  A backward image is a word of
-    at most three source letters.  A one-letter word (cases M, A, C and D)
-    is a nod-word and is its own support; a longer one (cases N and B) is
-    one :func:`~wlpa.algebra._compose` over the letters' one-word supports
-    (as :func:`~wlpa.algebra.identity_map` builds them), reduced into the
-    field where it is made.  Nothing is normalized, so the memos of both
-    algebras stay empty.  A star image is the involute of its edge's, taken
-    on the support; a backward one is set with its edge's.  The trace is
-    read as :func:`to_unweighted` returned it: g, the stage-1 graph, g~, Z
-    and the g^v map are used as they are, without deciding (LPA) or running
-    stage 1 again.  :func:`verify_families` checks the maps whatever trace
-    they were built from.
+    the other way.  Both algebras are built here, over ``field``, and every
+    letter is read by position from their layouts: vertex k is letter k and
+    an edge's strands sit at its base.  Stage 1 is read off the stage-1
+    graph h, walking g's edges in step with h's: h kept e, or e's w
+    reversed strands stand in its place, the i-th swapping e_i and e_i^*.
+    Then one pass over the stage-2 case table that built g~ gives each
+    piece the position in h of its vertex or edge.  No name is made or
+    looked up, and Z is not read.  A forward image is a sum of single
+    target letters with coefficient 1, so it needs no reduction.  A
+    backward image is a word of at most three source letters: one letter
+    (cases M, A, C and D) is a nod-word and its own support, and a longer
+    word (cases N and B) is one :func:`~wlpa.algebra._compose` over the
+    letters' one-word supports, reduced into the field where it is made.
+    Nothing is normalized, so the memos of both algebras stay empty.  A
+    star image is the involute of its edge's, taken on the support.  The
+    trace is read as :func:`to_unweighted` returned it, without deciding
+    (LPA) or running stage 1 again; :func:`verify_families` checks the
+    maps whatever trace they were built from.
     """
-    g, h, g_tilde = trace.source, trace.stage1_graph, trace.stage2_graph
-    gv = trace.gv
+    g, h = trace.source, trace.stage1_graph
+    src, tgt = Algebra(g, field=field), Algebra(trace.stage2_graph, field=field)
 
-    src, tgt = Algebra(g, field=field), Algebra(g_tilde, field=field)
-    src_id = src._id_of
-    zone = set(trace.Z)
-
-    # stage-1 relabeling: the ids in ``src`` of the edge and star letters of
-    # each strand of h; a renamed strand e^(i) reverses e_i, so it swaps them
-    relabel: dict[tuple[str, int], tuple[int, int]] = {}
-    for e in g.edges:
-        for i in range(1, e.weight + 1):
-            pair = (src_id["edge", e.id, i], src_id["star", e.id, i])
-            if e.source in zone:
-                relabel[strand_name(e.id, i), 1] = pair[::-1]
-            else:
-                relabel[e.id, i] = pair
+    # stage 1: strands[k] holds the (edge, star) ids in ``src`` of the
+    # strands of h's k-th edge; into[v] those of the weighted edge into v
+    strands: list[list[tuple[int, int]]] = []
+    into: dict[int, list[tuple[int, int]]] = {}
+    for e, b in zip(g.edges, src._edge_base):
+        pairs = [(a, a + e.weight) for a in range(b, b + e.weight)]
+        if h.edges[len(strands)].id == e.id:  # h kept e
+            strands.append(pairs)
+            if e.weight > 1:
+                into[src._rng_id[b]] = pairs
+        else:  # e^(i) reverses e_i, so it swaps the pair
+            strands.extend([(star, edge)] for edge, star in pairs)
 
     # supports indexed by letter id: each stage-2 piece adds its target
     # letter to the forward image of its source letter and fixes its own
     # backward image, one product of at most three source letters
-    letters = [{(t,): 1} for t in range(len(src_id))]
+    letters = [{(t,): 1} for t in range(len(src._src_id))]
     reduce = field.reduce
 
     def composed(word):  # forward coefficients are 1, so only these are reduced
         return {w: r for w, c in _compose([(1, word)], letters, src).items() if (r := reduce(c))}
 
-    forward: list[dict] = [{} for _ in src_id]
-    backward: list[dict] = [{} for _ in tgt._id_of]
-    vertex_cases, edge_cases = _stage2_cases(h, gv)
-    for t, (case, v, i) in enumerate(vertex_cases):
-        s = src_id["vertex", v, 0]
+    forward: list[dict] = [{} for _ in src._src_id]
+    backward: list[dict] = [{} for _ in tgt._src_id]
+    vertex_cases, edge_cases = _stage2_cases(h, trace.gv)
+    for t, (case, s, i) in enumerate(vertex_cases):
         forward[s][t,] = 1
         if case == "M":
             backward[t] = {(s,): 1}
         else:  # (g^v_i)* g^v_i
-            backward[t] = composed(relabel[gv[v], i][::-1])
-    for t, (case, e, i) in zip(tgt._nonvertex_ids[::2], edge_cases):  # t is e_1, t + 1 e_1^*
-        edge, star = relabel[e.id, 1 if case == "B" else i]
+            backward[t] = composed(into[s][i - 1][::-1])
+    for t, (case, k, i) in zip(tgt._edge_base, edge_cases):  # t is e_1, t + 1 e_1^*
+        edge, star = strands[k][0 if case == "B" else i - 1]
         forward[edge][tgt._star_of[t] if case == "D" else t,] = 1
-        if case == "B":  # e_1 (g_i)* g_i
-            backward[t] = composed((edge,) + relabel[gv[e.range], i][::-1])
+        if case == "B":  # e_1 (g_i)* g_i, for g the weighted edge into r(e)
+            backward[t] = composed((edge,) + into[src._rng_id[edge]][i - 1][::-1])
         else:  # a letter is a nod-word: e_1 (A, C) or e_i^* (D)
             backward[t] = {(star if case == "D" else edge,): 1}
         backward[tgt._star_of[t]] = _involute(backward[t], src._star_of)
 
     # the maps are *-homomorphisms: each forward star image is the involute
     # of its edge's, as each backward one is above
-    for edge, star in relabel.values():
+    for edge, star in chain.from_iterable(strands):
         forward[star] = _involute(forward[edge], tgt._star_of)
     return (FamilyMap("forward", src, tgt, tuple(forward)),
             FamilyMap("backward", tgt, src, tuple(backward)))
@@ -379,7 +378,8 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
     Each map is read as it is kept, a table over the letter ids of its
     domain.  The relations are checked as :func:`relation_failures` checks
     them: each instance is a record of letter-id pairs and a right-hand
-    letter, evaluated with one product per pair.  Each round trip is one
+    letter, read off the domain algebra's letter layout (its ``_layout``),
+    and is evaluated with one product per pair.  Each round trip is one
     :func:`~wlpa.algebra._compose` of the letter's image, minus the letter.
     Either holds when every coefficient reduces to zero.  Nothing is
     normalized.  A label is rendered, and a generator built, only for a
@@ -393,8 +393,8 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
         raise MixedContextError(
             f"expected a forward and a backward map, got {fwd.direction} and {bwd.direction}")
 
-    checked_fwd, failed_fwd = _relation_failures(src.graph, fwd.images, tgt)
-    checked_bwd, failed_bwd = _relation_failures(tgt.graph, bwd.images, src)
+    checked_fwd, failed_fwd = _relation_failures(src.graph, src._layout, fwd.images, tgt)
+    checked_bwd, failed_bwd = _relation_failures(tgt.graph, tgt._layout, bwd.images, src)
     failures = [f"forward {label}" for label in failed_fwd]
     failures += [f"backward {label}" for label in failed_bwd]
     counts = {

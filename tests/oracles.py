@@ -117,7 +117,8 @@ def reference_graph_tables(vertices, edges):
 
     The checks run as one loop in input order: each vertex id and
     duplicate, then per edge its id, a duplicate, its source, its range and
-    its weight; the first fault in that order is the error raised.
+    its weight, which must be an int and no bool; the first fault in that
+    order is the error raised.
     Returns ``(vertex_index, edge_by_id, out, in)``.
     """
     ids: set[str] = set()
@@ -141,6 +142,8 @@ def reference_graph_tables(vertices, edges):
             raise DanglingEndpointError(f"edge {e.id!r}: unknown source {e.source!r}")
         if e.range not in index:
             raise DanglingEndpointError(f"edge {e.id!r}: unknown range {e.range!r}")
+        if isinstance(e.weight, int) and type(e.weight) is not int:  # a bool is no weight
+            raise BadWeightError(f"edge {e.id!r}: bad weight {e.weight!r}")
         if not isinstance(e.weight, int) or e.weight < 1:
             raise BadWeightError(f"edge {e.id!r}: weight {e.weight!r} < 1")
         by_id[e.id] = e

@@ -14,6 +14,7 @@ from wlpa import (
     parse_weighted_graph,
     serialize_weighted_graph,
 )
+from wlpa import algebra as algebra_module, lpa as lpa_module
 from wlpa.cli import main, run
 from wlpa.exprs import ExpressionError, parse_element
 
@@ -446,11 +447,37 @@ def test_cli_special_override():
     ("=b", "bad --special entry '=b'; expected vertex=edge"),
     ("v=", "bad --special entry 'v='; expected vertex=edge"),
     ("=", "bad --special entry '='; expected vertex=edge"),
+    ("v =", "bad --special entry 'v ='; expected vertex=edge"),
     ("x=b", "--special names sinks or unknown vertices: x"),
 ])
 def test_cli_special_entry_errors(entry, message):
     code, out, err = invoke("growth", "2", "--input", fx("e2loops.wg"), "--special", entry)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_cli_special_sides_are_stripped():
+    expected = (FIXTURES / "growth_e2loops.txt").read_text()
+    for spec in (" v = b ", "v=b", " v=b ,"):
+        assert invoke("growth", "6", "--input", fx("e2loops.wg"), "--special", spec) == \
+            (0, expected, "")
+
+
+@pytest.mark.parametrize("argv,code,builds", [
+    (["growth", "2", "--input", fx("e2loops.wg"), "--special", "v=b"], 0, 1),
+    (["witness", "--input", fx("e2loops.wg"), "--special", "v=b"], 0, 1),  # fails (LPA)
+    (["witness", "--input", fx("fork.wg"), "--special", "u=b"], 3, 0),  # satisfies (LPA)
+], ids=["growth", "witness-failing", "witness-satisfying"])
+def test_cli_checks_a_special_choice_once(monkeypatch, argv, code, builds):
+    checked, built = [], []
+    check, build = algebra_module.validate_choice, algebra_module.Algebra.__init__
+    monkeypatch.setattr(algebra_module, "validate_choice",
+                        lambda g, c: checked.append(c) or check(g, c))
+    monkeypatch.setattr(lpa_module, "validate_choice",
+                        lambda g, c: checked.append(c) or check(g, c))
+    monkeypatch.setattr(algebra_module.Algebra, "__init__",
+                        lambda self, *args: built.append(args) or build(self, *args))
+    assert invoke(*argv)[0] == code
+    assert len(checked) == 1 and len(built) == builds
 
 
 @pytest.mark.parametrize("command", [["validate"], ["check-lpa"], ["transform", "--verify"]])

@@ -12,6 +12,7 @@ from wlpa import (
     EdgeRecord,
     GraphError,
     GraphPath,
+    Graph,
     GraphSyntaxError,
     UnknownVertexError,
     WeightedGraph,
@@ -22,6 +23,7 @@ from wlpa import (
     parse_graph,
     parse_weighted_graph,
     reaches,
+    serialize_graph,
     serialize_weighted_graph,
     shortest_cycle,
     tree,
@@ -30,7 +32,7 @@ from wlpa import (
     weighted_graph_from_records,
 )
 
-from graphgen import random_weighted_graph
+from graphgen import multigraphs, random_weighted_graph, small_graphs
 from oracles import (
     brute_force_cycles,
     reference_graph_tables,
@@ -43,6 +45,30 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def fixture_graph(name):
     return parse_weighted_graph((FIXTURES / name).read_text())
+
+
+# -- round trips -----------------------------------------------------------
+
+_SMALL_GRAPHS = list(small_graphs(max_vertices=3, max_edges=3, max_weight=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs() | st.sampled_from(_SMALL_GRAPHS))
+def test_weighted_graph_text_round_trip(g):
+    assert parse_weighted_graph(serialize_weighted_graph(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs() | st.sampled_from(_SMALL_GRAPHS))
+def test_weighted_graph_records_round_trip(g):
+    assert weighted_graph_from_records(graph_to_records(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs() | st.sampled_from(_SMALL_GRAPHS))
+def test_unweighted_graph_text_round_trip(g):
+    u = Graph(g.vertices, [e._replace(weight=1) for e in g.edges])
+    assert parse_graph(serialize_graph(u)) == u
 
 
 # -- parsing -------------------------------------------------------------
@@ -259,13 +285,20 @@ def test_constructor_reports_the_first_fault_in_input_order(vertices, edges):
         assert _graph_outcome(weighted_graph_from_records, records) == expected
 
 
-def test_constructor_accepts_a_true_weight():
-    # the bulk checks reject it by type, the ordered ones accept it, and the tables stand
-    e = _E("e", "a", "b", True)
-    g = WeightedGraph(_V, [e])
-    assert g.edge("e").weight is True
-    assert (g.out_edges("a"), g.in_edges("b"), g.is_sink("b")) == ((e,), (e,), True)
-    assert (g._vertex_index, g._edge_by_id, g._out, g._in) == reference_graph_tables(_V, [e])
+class _Two(int):
+    pass
+
+
+def test_constructor_rejects_a_true_weight():
+    # the bulk checks reject a subclass of int by type, and so does the locator
+    for weight in (True, False, _Two(2)):
+        with pytest.raises(BadWeightError) as err:
+            WeightedGraph(_V, [_E("e", "a", "b", weight)])
+        assert str(err.value) == f"edge 'e': bad weight {weight!r}"
+    # in the records reader's words
+    records = {"vertices": _V, "edges": [{"id": "e", "source": "a", "range": "b", "weight": True}]}
+    with pytest.raises(BadWeightError, match="^edge 'e': bad weight True$"):
+        weighted_graph_from_records(records)
 
 
 @pytest.mark.parametrize("vertices,edges", [

@@ -8,9 +8,11 @@ import pytest
 from wlpa import lpa
 from wlpa import (
     Algebra,
+    AlgebraError,
     EdgeRecord,
     Generator,
     LpaSatisfiedError,
+    SpecialEdgeChoice,
     WeightedGraph,
     check_lpa,
     parse_weighted_graph,
@@ -301,6 +303,14 @@ def test_witness_from_long_path_into_long_cycle():
 def test_witness_on_satisfied_graph_raises():
     with pytest.raises(LpaSatisfiedError):
         witness_nodpath(fixture_graph("g6.wg"))
+
+
+def test_witness_on_satisfied_graph_checks_a_given_choice():
+    g = fixture_graph("fork.wg")
+    with pytest.raises(AlgebraError, match="not the maximal weight 2 at 'u'"):
+        witness_nodpath(g, SpecialEdgeChoice((("u", "a"),)))
+    with pytest.raises(LpaSatisfiedError):
+        witness_nodpath(g, SpecialEdgeChoice((("u", "b"),)))
 
 
 def test_witness_shape_on_small_graphs_exhaustive():

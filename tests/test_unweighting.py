@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import io
 import sys
@@ -677,3 +678,20 @@ def test_family_maps_builds_no_edge_record(monkeypatch):
     assert verify_families(fwd, bwd).ok
     unweight_sunk(trace.stage1_graph)  # the count sees what unweight_sunk builds
     assert len(built) == len(trace.stage2_graph.edges)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_lpa_graphs())
+@example(fixture_graph("g6.wg"))
+def test_family_maps_read_stage_1_off_the_stage_1_graph(g):
+    # neither Z nor a strand name is read: stage 1 is read off h, letters by position
+    _, trace = to_unweighted(g)
+    expected = family_maps(trace)
+    with pytest.MonkeyPatch.context() as patch:
+        def no_name(*args):
+            raise AssertionError("family_maps made a strand name")
+        patch.setattr(unweighting_module, "strand_name", no_name)
+        for maps in (family_maps(dataclasses.replace(trace, Z=())), family_maps(trace)):
+            for m, ref in zip(maps, expected):
+                assert [list(image.items()) for image in m.images] == \
+                    [list(image.items()) for image in ref.images]

@@ -22,13 +22,17 @@ are eliminated:
 where strand indices beyond an edge's weight are dropped.  Each step
 strictly decreases (word length, number of index-1 star letters, number of
 special factors) lexicographically, so rewriting terminates.  Only
-:meth:`Algebra._product` applies rules; normal forms fold it over a word's
-letters from either side, and comparing the two folds exercises confluence.
+:meth:`Algebra._product` rewrites a pair; normal forms fold it over a
+word's letters from either side, and comparing the two folds exercises
+confluence.
 
 Endpoint tests decide the first kind of step; only pairs of non-vertex
-letters meeting at a shared vertex have a stored rule.  The table has at
-most sum_v in(v) out(v) entries for in(v)/out(v) non-vertex letters
-ending/starting at v, not one per pair of letters.
+letters meeting at a shared vertex have a stored rule: the (iii) or (iv)
+relation it orients, ``(others, rhs)``, whose leading pair equals the
+vertex letter ``rhs`` (None for 0) minus the sum of the letter pairs
+``others``, so no coefficient is stored.  The table has at most sum_v
+in(v) out(v) entries for in(v)/out(v) non-vertex letters ending/starting
+at v, not one per pair of letters.
 """
 
 from __future__ import annotations
@@ -205,7 +209,9 @@ class Algebra:
     tables and layout (one pass of :func:`_letters`; the relation checks
     read ``_layout``) and, off the layout's out-lists, the vertex-local
     rules of the non-vertex pairs (vertex letters are absorbed by endpoint
-    tests).  These tables never change.  The nod-word automaton,
+    tests): each rule is the relation it orients, ``(others, rhs)``, only
+    :meth:`_product` rewrites with it, and every other reader asks
+    :meth:`_is_normal`.  These tables never change.  The nod-word automaton,
     :attr:`_succ`, is built on the first walk: only :meth:`nodword_counts`
     (behind :meth:`growth`, :meth:`zero_component_count`, the CLI tables
     and the basis budget), :meth:`enumerate_nodwords` and the witness
@@ -252,11 +258,14 @@ class Algebra:
     # -- rule table ----------------------------------------------------
 
     def _build_pair_table(self):
-        """Store the oriented rules of the pairs of non-vertex letters that meet at a vertex.
+        """Store each (iii) and (iv) instance as the rule orienting it, keyed by its leading pair.
 
-        The entries are the ``e_1^* f_1`` rules of each pair of edges
-        emitted by a vertex and the ``e_i e_j^*`` rules of each special
-        edge.  :meth:`_rule` decides every other pair by comparing endpoint
+        A rule is ``(others, rhs)``: its leading pair ``(a, b)`` rewrites to
+        the vertex letter ``rhs`` (None for 0) minus the sum of the letter
+        pairs in ``others``, which are the relation's other pairs in its
+        order.  The keys are the ``e_1^* f_1`` of each pair of edges
+        emitted by a vertex and the ``e_i e_j^*`` of each special edge.
+        :meth:`_is_normal` decides every other pair by comparing endpoint
         ids: a pair (a, b) with r(a) != s(b) is 0, and a composable pair
         with a vertex letter is the other letter.  Every key meets at one
         vertex v, so there are at most in(v) * out(v) keys per v, where
@@ -265,27 +274,27 @@ class Algebra:
         the special edge is found in its vertex's own out-list.
         """
         special = self.choice.mapping
-        rules: dict[tuple[int, int], list] = {}
+        rules: dict[tuple[int, int], tuple[list, Optional[int]]] = {}
         for vid, (v, out) in enumerate(zip(self.graph.vertices, self._out_letters)):
             # an edge of weight w at base b: e_i = b + i - 1, e_i^* = b + w + i - 1
             for _, we, be, r in out:
                 for _, wf, bf, _ in out:
-                    # e_1^* f_1 with s(e) = s(f) = v, then e_i^* f_i for i >= 2
-                    terms = [(1, (r,))] if be == bf else []
+                    # e_1^* f_1 = d_ef r(e) - sum of e_i^* f_i for i >= 2, s(e) = s(f) = v
+                    others = []
                     for i in range(1, min(we, wf)):
-                        terms.append((-1, (be + we + i, bf + i)))
-                    rules[be + we, bf] = terms
+                        others.append((be + we + i, bf + i))
+                    rules[be + we, bf] = (others, r if be == bf else None)
             sid = special.get(v)  # None at a sink, whose out-list is empty
             ws, bs = next(((w, b) for eid, w, b, _ in out if eid == sid), (0, 0))
             for i in range(ws):
                 for j in range(ws):
-                    # e^v_(i+1) (e^v_(j+1))^* at v = s(e^v), over the other edges of weight > i, j
-                    terms = [(1, (vid,))] if i == j else []
+                    # e^v_(i+1) (e^v_(j+1))^* = d_ij v - the pairs of other edges of weight > i, j
                     k = max(i, j)
+                    others = []
                     for _, wo, bo, _ in out:
                         if bo != bs and wo > k:
-                            terms.append((-1, (bo + i, bo + wo + j)))
-                    rules[bs + i, bs + ws + j] = terms
+                            others.append((bo + i, bo + wo + j))
+                    rules[bs + i, bs + ws + j] = (others, vid if i == j else None)
         self._rules = rules
 
     @property
@@ -314,18 +323,10 @@ class Algebra:
     def _succ(self, succ: dict[int, tuple[int, ...]]) -> None:
         self._succ_table = succ
 
-    def _rule(self, a: int, b: int):
-        """The rewrite of the pair (a, b): a term list (empty for 0), or None if normal.
-
-        A pair holding a vertex letter is decided by endpoints, as in :meth:`_product`.
-        """
-        if self._rng_id[a] != self._src_id[b]:
-            return ()
-        if a < self._nv:
-            return ((1, (b,)),)
-        if b < self._nv:
-            return ((1, (a,)),)
-        return self._rules.get((a, b))
+    def _is_normal(self, a: int, b: int) -> bool:
+        """True iff the pair (a, b) is a nod-word: composable, no vertex letter and no rule."""
+        return (self._rng_id[a] == self._src_id[b] and a >= self._nv and b >= self._nv
+                and (a, b) not in self._rules)
 
     # -- word plumbing ---------------------------------------------------
 
@@ -363,8 +364,8 @@ class Algebra:
         """Normal form of a single word as {word: integer coefficient}, memoized per word.
 
         A fold of :meth:`_product` over the letters of ``w`` (nod-words):
-        ``((l1 l2) l3) ...``, or ``l1 (l2 (l3 ...))`` with ``right``.  Rule
-        coefficients are integers, so word normal forms live over the
+        ``((l1 l2) l3) ...``, or ``l1 (l2 (l3 ...))`` with ``right``.  Rules
+        read with coefficients +1 and -1, so word normal forms live over the
         integers whatever the field; :meth:`_combine` scales them by plain
         numbers and :meth:`_lift` reduces the sums into the field.
         """
@@ -409,28 +410,28 @@ class Algebra:
     def _product(self, left: dict, right: dict) -> dict:
         """Sum ``ca * cb * nf(wa + wb)`` over two supports of nod-words, not yet reduced.
 
-        Rules have length-2 left sides and ``wa``, ``wb`` are nod-words, so
-        ``head + tail`` (first ``wa + wb``) can hold a redex only at their
-        junction ``(a, b)``.  It is 0 if a and b do not compose.  By
-        ``u v = d_uv u`` and ``s(e) e = e = e r(e)``, a nod-word holding a
-        vertex letter is that one letter, and it meets a word only at its
-        endpoint: ``v w = w`` and ``w v = w``.  Otherwise the junction is a
-        nod-word if the pair has no rule, and each rule term ``r`` gives
-        ``head[:-1] + r + tail[1:]``:
+        This is the one routine that rewrites a pair: :meth:`_nf_word`
+        folds it over single letters, and it grows no memo.  Rules have
+        length-2 left sides and ``wa``, ``wb`` are nod-words, so ``head +
+        tail`` (first ``wa + wb``) can hold a redex only at their junction
+        ``(a, b)``.  It is 0 if a and b do not compose.  By ``u v = d_uv
+        u`` and ``s(e) e = e = e r(e)``, a nod-word holding a vertex letter
+        is that one letter, and it meets a word only at its endpoint: ``v w
+        = w`` and ``w v = w``.  Otherwise the junction is a nod-word if the
+        pair has no rule, and a rule ``(others, rhs)`` is the relation
+        ``a b = rhs - sum of x y over others``:
 
-        * a two-letter ``r = x y`` (``e_i^* f_i`` with i >= 2, or ``g_i
-          g_j^*`` with g not special) is a normal pair, and a rule ``(p, x)``
+        * each other pair ``x y`` (``e_i^* f_i`` with i >= 2, or ``g_i
+          g_j^*`` with g not special) is normal, and a rule ``(p, x)``
           comes with a rule ``(p, a)``, a rule ``(y, q)`` with ``(b, q)``
           (e.g. ``(e_k, e_i^*)`` is a rule only for e special, and so is
-          ``(e_k, e_1^*)``), so the result is a nod-word;
-        * a vertex ``r`` between letters is absorbed.  Rules keep endpoints,
-          so ``head[:-1]`` and ``tail[1:]`` meet at that vertex and their
-          junction is rewritten next; they hold no vertex letter, so only
-          the table decides it.  A rule has at most one vertex term, so
-          each pair follows one junction at a time.
-
-        This is the one routine that applies a rule: :meth:`_nf_word` folds
-        it over single letters.  It grows no memo.
+          ``(e_k, e_1^*)``), so ``head[:-1] + x y + tail[1:]`` is a
+          nod-word, with coefficient ``-k``;
+        * an ``rhs`` of None ends the word; a vertex ``rhs`` is the word
+          when the pair was all of it, and is absorbed otherwise.  Rules
+          keep endpoints, so ``head[:-1]`` and ``tail[1:]`` meet at that
+          vertex and their junction is rewritten next; they hold no vertex
+          letter, so only the table decides it.
         """
         rules, src_id, rng_id, nv = self._rules, self._src_id, self._rng_id, self._nv
         acc: dict[tuple[int, ...], object] = {}
@@ -445,21 +446,17 @@ class Algebra:
                     head = ()
                 elif wb[0] < nv:  # w v = w
                     tail = ()
-                while head and tail:
-                    act = rules.get((head[-1], tail[0]))
-                    if act is None:
-                        break
+                # rewrite while the junction has a rule (a rule is a nonempty tuple)
+                while head and tail and (rule := rules.get((head[-1], tail[0]))):
+                    others, rhs = rule
                     head, tail = head[:-1], tail[1:]
-                    vertex = 0  # the coefficient of an absorbed vertex term
-                    for c, repl in act:
-                        if repl[0] < nv and (head or tail):
-                            vertex = c
-                        else:
-                            _add_term(acc, head + repl + tail, k * c)
-                    k *= vertex
-                    if not k:
-                        break
-                if k:
+                    for pair in others:
+                        _add_term(acc, head + pair + tail, -k)
+                    if rhs is None:
+                        head = tail = ()  # the pair is 0
+                    elif not (head or tail):
+                        head = (rhs,)  # the pair was the whole word
+                if head or tail:
                     _add_term(acc, head + tail, k)
         return acc
 
@@ -511,7 +508,7 @@ class Algebra:
     def is_nodword(self, word: Iterable[Generator]) -> bool:
         """True iff the word is a d-path with no forbidden length-2 factor."""
         ids = self._intern_word(word)
-        return all(self._rule(a, b) is None for a, b in zip(ids, ids[1:]))
+        return all(map(self._is_normal, ids, ids[1:]))
 
     def nonvertex_generators(self) -> tuple[Generator, ...]:
         return self._generators()[self._nv:]
@@ -522,7 +519,7 @@ class Algebra:
         return vertices[self._src_id[i]], vertices[self._rng_id[i]]
 
     def pair_is_normal(self, a: Generator, b: Generator) -> bool:
-        return self._rule(self._intern_letter(a), self._intern_letter(b)) is None
+        return self._is_normal(self._intern_letter(a), self._intern_letter(b))
 
     @property
     def rule_count(self) -> int:
@@ -944,10 +941,10 @@ def _relation_failures(g: WeightedGraph, layout, images, target: Algebra):
     Every other record ``(key, pairs, rhs)`` is evaluated in one loop: the
     new dict of the first pair's ``target._product`` is the accumulator
     and the products of the other pairs are added to it, over the integer
-    rule coefficients.  The instance holds at once if that sum is the image
-    of the rhs letter (the empty support for 0) as it stands.  Otherwise
-    the image is subtracted, and the instance holds when every coefficient
-    reduces to zero in the field.  Only a failing instance has its key
+    rule coefficients +1 and -1.  The instance holds at once if that sum is
+    the image of the rhs letter (the empty support for 0) as it stands.
+    Otherwise the image is subtracted, and the instance holds when every
+    coefficient reduces to zero in the field.  Only a failing instance has its key
     rendered into a label.
     """
     n = len(g.vertices)

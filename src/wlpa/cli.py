@@ -100,7 +100,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("max_len", type=_natural)
     p.add_argument("--source", default=None)
     p.add_argument("--range", dest="range_", default=None)
-    p.add_argument("--budget", type=_natural, default=10**7)
+    p.add_argument("--budget", type=_natural, default=10**5)
     p = with_special(sub.add_parser("growth", help="table of nod-word counts by length"))
     p.add_argument("max_len", type=_natural)
     p = with_special(sub.add_parser("zero-dim", help="table of degree-zero nod-word counts"))
@@ -124,6 +124,7 @@ def _read_graph(path: str, stdin) -> WeightedGraph:
 def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdgeChoice]:
     """The default special edges with the stripped ``vertex=edge`` overrides laid over them.
 
+    A second entry for a vertex, even a repeat of the same pair, is rejected.
     The algebra built from it checks the choice (``witness_nodpath`` if it builds none).
     """
     if spec is None:
@@ -136,6 +137,8 @@ def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdg
         vertex, sep, edge = (side.strip() for side in part.partition("="))
         if not (vertex and sep and edge):
             raise _UsageError(f"bad --special entry {part!r}; expected vertex=edge")
+        if vertex in overrides:
+            raise _UsageError(f"--special names vertex {vertex!r} twice")
         overrides[vertex] = edge
     pairs = [(v, overrides.pop(v, e)) for v, e in default_special_edges(g).pairs]
     if overrides:

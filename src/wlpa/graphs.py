@@ -116,10 +116,8 @@ class WeightedGraph:
         edge_ids = list(map(_edge_ids, edges))
         self._edge_by_id = by_id = dict(zip(edge_ids, edges))
         self._out = out = {v: [] for v in vertices}
-        self._in = into = {v: [] for v in vertices}
-        for e in edges:  # KeyError at a dangling endpoint
+        for e in edges:  # KeyError at a dangling source
             out[e.source].append(e)
-            into[e.range].append(e)
         ids = [*vertices, *edge_ids]
         joined = "\n".join(ids)
         if ids and (not _IDS_RE.fullmatch(joined) or joined.count("\n") != len(ids) - 1):
@@ -128,7 +126,8 @@ class WeightedGraph:
         if weights and (set(map(type, weights)) != {int} or min(weights) < 1):
             return False
         return (len(self._vertex_index) == len(vertices) and len(by_id) == len(edges)
-                and self._vertex_index.keys().isdisjoint(by_id))  # else a duplicate id
+                and self._vertex_index.keys().isdisjoint(by_id)  # else a duplicate id
+                and self._vertex_index.keys() >= {e.range for e in edges})  # else a dangling range
 
     def _raise_first_fault(self) -> None:
         """Check vertices, then edges, in input order; raise the first fault met.
@@ -174,7 +173,7 @@ class WeightedGraph:
 
     def in_edges(self, v: str) -> tuple[EdgeRecord, ...]:
         self._require_vertex(v)
-        return tuple(self._in[v])
+        return tuple(e for e in self.edges if e.range == v)
 
     def is_sink(self, v: str) -> bool:
         self._require_vertex(v)

@@ -359,12 +359,12 @@ def _search_shape_word(algebra: Algebra) -> Optional[Word]:
     g = algebra.graph
     bound = 2 * len(g.vertices) * max(e.weight for e in g.edges) + 2
 
-    id_of, succ, rule = algebra._id_of, algebra._succ, algebra._rule
+    id_of, succ, normal = algebra._id_of, algebra._succ, algebra._is_normal
     for e in weighted_edges(g):
         start, last = id_of["edge", e.id, 2], id_of["star", e.id, 2]
         # parent links for path reconstruction, keyed by letter id
         parent: dict[int, Optional[int]] = {start: None}
-        found = start if rule(start, last) is None else None
+        found = start if normal(start, last) else None
         queue = deque([(start, 1)])  # (letter id, length of its word)
         while queue and found is None:
             cur, length = queue.popleft()
@@ -374,7 +374,7 @@ def _search_shape_word(algebra: Algebra) -> Optional[Word]:
                 if nxt in parent:
                     continue
                 parent[nxt] = cur
-                if rule(nxt, last) is None:
+                if normal(nxt, last):
                     found = nxt
                     break
                 queue.append((nxt, length + 1))

@@ -443,11 +443,35 @@ class AllLetters:
 # -- reference rewriting -------------------------------------------------------
 
 
+def reference_rule(algebra, a: int, b: int):
+    """The rewrite of the letter-id pair (a, b): a term list (empty for 0), or None if normal.
+
+    This is the reference for the pair rewrite that ``Algebra._product``
+    applies at a junction.  A pair that does not compose is 0 and a
+    composable pair holding a vertex letter is the other letter, both by
+    endpoints; any other pair is rewritten by its stored rule ``(others,
+    rhs)``, read as the relation ``a b = rhs - sum of x y over others``:
+    the term ``(1, (rhs,))`` unless rhs is None, then ``(-1, (x, y))`` per
+    other pair.
+    """
+    if algebra._rng_id[a] != algebra._src_id[b]:
+        return []
+    if a < algebra._nv:
+        return [(1, (b,))]
+    if b < algebra._nv:
+        return [(1, (a,))]
+    rule = algebra._rules.get((a, b))
+    if rule is None:
+        return None
+    others, rhs = rule
+    return ([] if rhs is None else [(1, (rhs,))]) + [(-1, pair) for pair in others]
+
+
 def reference_normal_form(algebra, pairs) -> dict:
     """Sum ``k * nf(w)`` over ``(number k, letter-id word w)`` pairs, as {word: number}.
 
-    Each word is rewritten at its leftmost redex until none is left, with
-    only the package's rule table (``algebra._rule``): no memo and no
+    Each word is rewritten at its leftmost redex until none is left, by
+    :func:`reference_rule` over the package's rule table: no memo and no
     ``_product``, so it checks the junction rewriter and both of its folds
     from outside.  A worklist of ``(coefficient, word)`` replaces recursion;
     the sum is not reduced into the field.
@@ -457,7 +481,7 @@ def reference_normal_form(algebra, pairs) -> dict:
     while work:
         k, w = work.pop()
         for i in range(len(w) - 1):
-            act = algebra._rule(w[i], w[i + 1])
+            act = reference_rule(algebra, w[i], w[i + 1])
             if act is not None:
                 break
         else:

@@ -41,6 +41,7 @@ from oracles import (
     reference_default_special_edges,
     reference_normal_form,
     reference_relation_instances,
+    reference_rule,
     reference_validate_choice,
     truncated_quotient_dimension,
 )
@@ -351,11 +352,11 @@ def _junction_path(algebra, wa, wb):
         return "apart"
     if wa[0] < algebra._nv or wb[0] < algebra._nv:
         return "endpoint"  # a vertex word, absorbed by the other word
-    act = algebra._rule(wa[-1], wb[0])
-    if act is None:
+    rule = algebra._rules.get((wa[-1], wb[0]))
+    if rule is None:
         return "normal"
-    # a vertex term between letters is absorbed and the next junction rewritten
-    if len(wa) + len(wb) > 2 and any(repl[0] < algebra._nv for _, repl in act):
+    # a vertex rhs between letters is absorbed and the next junction rewritten
+    if len(wa) + len(wb) > 2 and rule[1] is not None:
         return "absorbed"
     return "one step"
 
@@ -745,7 +746,7 @@ def test_count_store_walks_each_length_once(name):
 def _reference_automaton(algebra):
     # the successors of a letter: every letter it makes a normal pair with
     letters = algebra._nonvertex_ids
-    return {a: tuple(b for b in letters if algebra._rule(a, b) is None) for a in letters}
+    return {a: tuple(b for b in letters if reference_rule(algebra, a, b) is None) for a in letters}
 
 
 _WALKS = {
@@ -975,6 +976,43 @@ def test_pair_table_matches_dense_oracle():
         index = {gen: k for k, gen in enumerate(letters)}
         keys = [(0 if w[0].kind == "vertex" else len(w), [index[x] for x in w]) for w in words]
         assert keys == sorted(keys)
+
+
+def _last_maximal_choice(g):
+    """For each non-sink vertex the last emitted edge of maximal weight."""
+    pairs = []
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if out:
+            wv = max(e.weight for e in out)
+            pairs.append((v, [e.id for e in out if e.weight == wv][-1]))
+    return SpecialEdgeChoice(tuple(pairs))
+
+
+_SMALL_GRAPHS = list(small_graphs(3, 3, 3))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(multigraphs() | st.sampled_from(_SMALL_GRAPHS), st.booleans())
+def test_each_rule_is_the_relation_it_orients(g, last):
+    # a (iii) or (iv) instance reads sum of its pairs - rhs = 0; its one
+    # stored pair rewrites to rhs minus the others, in instance order
+    algebra = Algebra(g, _last_maximal_choice(g) if last else None)
+    id_of = algebra._id_of
+    oriented = {}
+    for label, terms in reference_relation_instances(g):
+        if not label.startswith(("(iii)", "(iv)")):
+            continue
+        pairs = [tuple(id_of[x.kind, x.name, x.index] for x in w) for c, w in terms if c == 1]
+        rhs = [id_of[w[0].kind, w[0].name, w[0].index] for c, w in terms if c == -1]
+        assert all(len(p) == 2 for p in pairs) and len(rhs) + len(pairs) == len(terms)
+        keys = [p for p in pairs if p in algebra._rules]
+        assert len(keys) == 1, label
+        others, got = algebra._rules[keys[0]]
+        assert (list(others), got) == ([p for p in pairs if p != keys[0]], (rhs or [None])[0])
+        assert keys[0] not in oriented, (label, oriented.get(keys[0]))
+        oriented[keys[0]] = label
+    assert oriented.keys() == algebra._rules.keys()
 
 
 def test_pair_table_is_vertex_local_at_scale():

@@ -210,6 +210,16 @@ def test_cli_basis_budget_counts_words_explored():
         1, "", "enumeration exceeded the budget of 2 words\n")
 
 
+def test_cli_basis_default_budget_is_checked_before_any_word_is_built(monkeypatch):
+    # basis 9 on e2loops.wg explores 1,477,267 words, past the default 10**5
+    def no_words(self):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(Algebra, "_generators", no_words)
+    assert invoke("basis", "9", "--input", fx("e2loops.wg")) == (
+        1, "", "enumeration exceeded the budget of 100000 words\n")
+
+
 def test_cli_huge_length_on_finitely_many_nod_words():
     # the default budget is charged only for lengths that hold a nod-word
     assert invoke("basis", "1000000000", "--input", "-", stdin_text="vertex v\n") == (
@@ -271,7 +281,7 @@ def test_cli_tables_are_total_and_count_built_words(text, command, max_len, budg
         return
     words = alg.enumerate_nodwords(max_len)
     if command == "basis":
-        assert (code == 1) == (len(words) > (10**7 if budget is None else budget))
+        assert (code == 1) == (len(words) > (10**5 if budget is None else budget))
         return
     zero = (0,) * alg.grading_length
     lengths = [0 if w[0].kind == "vertex" else len(w) for w in words
@@ -455,6 +465,13 @@ def test_cli_special_entry_errors(entry, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("spec", ["v=a,v=b", "v=b,v=a", "v=b,v=b"])
+def test_cli_special_names_each_vertex_once(spec):
+    # neither entry wins, whichever comes last and whether or not they agree
+    assert invoke("growth", "3", "--input", fx("e2loops.wg"), "--special", spec) == (
+        1, "", "error: --special names vertex 'v' twice\n")
+
+
 def test_cli_special_sides_are_stripped():
     expected = (FIXTURES / "growth_e2loops.txt").read_text()
     for spec in (" v = b ", "v=b", " v=b ,"):
@@ -531,6 +548,8 @@ def test_cli_main_prints_help_and_exits_zero(monkeypatch, capsys):
 
 # -- golden files: machine format, text format for .txt --------------------
 
+_L23_EXPRESSION = "e2.1 e1.1 e1.1* e2.1* - e1.1* e1.1 e1.2* + 3 * e3.1* e3.1 e1.2 e1.1*"
+
 
 @pytest.mark.parametrize(
     "golden, argv, expected_code",
@@ -558,6 +577,13 @@ def test_cli_main_prints_help_and_exits_zero(monkeypatch, capsys):
          ["basis", "2", "--input", fx("l23.wg"), "--special", "v=e2"], 0),
         # stage 2 holds all six cases and the nested name (h^(1))^(2)
         ("transform_g6.txt", ["transform", "--verify", "--input", fx("g6.wg")], 0),
+        # (iii) rules with other pairs, (iv) rules whose special edge is last
+        # in its out-list, and a vertex absorbed between letters
+        ("eval_l23_special.txt",
+         ["eval", "--input", fx("l23.wg"), "--special", "v=e3", _L23_EXPRESSION], 0),
+        ("eval_l23_mod5.json",
+         ["eval", "--input", fx("l23.wg"), "--field", "mod:5", "--format", "machine",
+          _L23_EXPRESSION], 0),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):

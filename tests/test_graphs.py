@@ -169,7 +169,8 @@ def _outcome(fn, *args):
 def _graph_outcome(build, *args):
     def tables():
         g = build(*args)
-        return g.vertices, g.edges, (g._vertex_index, g._edge_by_id, g._out, g._in)
+        into = {v: list(g.in_edges(v)) for v in g.vertices}
+        return g.vertices, g.edges, (g._vertex_index, g._edge_by_id, g._out, into)
     return _outcome(tables)
 
 
@@ -275,6 +276,8 @@ _E = EdgeRecord
     (_V, [_E("e", "a", "b", True)]),
     (_V, [_E("e", ["a"], "b")]),
     (_V, [("e", "a", "b", 1)]),
+    # a dangling range and no other fault: only the range check of the bulk checks sees it
+    (_V, [_E("e", "a", "b"), _E("f", "b", "z")]),
 ])
 def test_constructor_reports_the_first_fault_in_input_order(vertices, edges):
     expected = _reference_outcome(vertices, edges)

@@ -18,7 +18,6 @@ from typing import Optional
 from .algebra import (
     Algebra,
     AlgebraError,
-    BudgetExceededError,
     SpecialEdgeChoice,
     default_special_edges,
 )
@@ -242,16 +241,12 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             return EXIT_OK
 
         if args.command == "basis":
-            try:
-                words = algebra.enumerate_nodwords(
-                    args.max_len,
-                    source=args.source,
-                    range_=args.range_,
-                    budget=args.budget,
-                )
-            except BudgetExceededError as exc:
-                print(str(exc), file=stderr)
-                return EXIT_INPUT
+            words = algebra.enumerate_nodwords(
+                args.max_len,
+                source=args.source,
+                range_=args.range_,
+                budget=args.budget,
+            )
             payload = {
                 "command": "basis",
                 "max_len": args.max_len,

@@ -18,11 +18,16 @@ of Z emits at most one edge, so Z is a functional graph: T(r(e)) is the
 forward orbit of r(e), which ends in a sink or in one cycle.  Then (LPA)
 holds iff the orbits of the weighted edges that enter Z from outside are
 pairwise disjoint and end in sinks.  Only a graph that fails (LPA) goes on
-to the reporter, which searches each range tree and names every violation.
+to the reporter, which names every violation.  It searches each range tree
+once and runs one strongly-connected-components pass over the zone; past
+that, each weighted edge costs its search, its own component and its share
+of the report, and only pairs of range trees that reach a common terminal
+component are compared.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -138,13 +143,32 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
     reported satisfied at once, in time linear in the graph.  Otherwise
     the reporter runs: one breadth-first search per weighted edge e gives
     its range tree T(r(e)) and the witness paths from r(e); the zone is
-    the union of these trees.  A cycle based in T(r(e)) stays inside it,
-    so LPA4 fails for e exactly when T(r(e)) - e has a strongly connected
-    component that carries a cycle.  One strongly-connected-components
-    pass per e finds these components, and each gives one LPA4 violation:
-    its first vertex in graph order is the base, and a breadth-first
-    search inside the component gives a shortest cycle through it.  No
-    cycles are enumerated, so LPA4 costs O(V+E) per weighted edge.
+    the union of these trees.  Then:
+
+    * LPA2: one sweep over the searches, in weighted-edge order, gives
+      each zone vertex its owner, the first search that reached it; a
+      branching vertex is reported with its owner's path.
+    * One strongly-connected-components pass over the zone.  The zone is
+      closed under reachability, so its components are the graph's own,
+      and each T(r(e)) is a union of them.  A component is terminal when
+      no edge leaves it; a sink is a terminal singleton.
+    * LPA3: two range trees meet iff they reach a common terminal
+      component, so only the pairs of weighted edges that share one are
+      visited, in order.  The first common vertex is read off the range
+      tree of the first edge, sorted in graph order once per edge.
+    * LPA4: a cycle based in T(r(e)) stays inside it, so LPA4 fails for e
+      exactly when T(r(e)) - e has a strongly connected component that
+      carries a cycle.  Deleting e splits only e's own component, which
+      exists when s(e) lies in T(r(e)); that one is split again without e,
+      and the others are the zone's.  Each component gives one violation:
+      its first vertex in graph order is the base, and a breadth-first
+      search inside the component gives a shortest cycle through it.
+
+    Past the k searches, the cost is O(V+E) for LPA1, LPA2 and the zone
+    pass; per weighted edge, its search, the sort of its range tree and
+    the re-split of its own component; and per visited pair, the in-line
+    test and the scan for a common vertex.  No cycles are enumerated, and
+    no per-edge step runs over all vertices or all components.
 
     Violations are emitted per condition in graph scan order; one witness
     is reported for each offending site.  All witnesses replay against the
@@ -155,47 +179,71 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
     violations: list[LpaViolation] = []
     heavy = weighted_edges(g)
     searches = [breadth_first(g, [e.range]) for e in heavy]
-    trees = [[v for v in g.vertices if v in reached] for reached in searches]
+    position = g._vertex_index.__getitem__
+    out = g._out
 
     for v in g.vertices:
-        emitted = [e.id for e in g.out_edges(v) if e.weight > 1]
+        emitted = [e.id for e in out[v] if e.weight > 1]
         if len(emitted) > 1:
             violations.append(
                 LpaViolation(kind="LPA1", vertex=v, edges=(emitted[0], emitted[1]))
             )
 
+    # the zone, each vertex to its owner: the first search that reached it,
+    # which writes last as the sweep runs backwards
+    owner: dict[str, int] = {}
+    for i in reversed(range(len(searches))):
+        owner.update(dict.fromkeys(searches[i], i))
     for v in g.vertices:
-        out = g.out_edges(v)
-        if len(out) < 2:
-            continue
-        # v is in the zone iff some search reached it; the first one is the witness
-        for e, reached in zip(heavy, searches):
-            if v in reached:
-                violations.append(
-                    LpaViolation(
-                        kind="LPA2",
-                        weighted_edge=e.id,
-                        path=path_to(reached, v),
-                        vertex=v,
-                        edges=(out[0].id, out[1].id),
-                    )
+        if len(out[v]) > 1 and v in owner:
+            i = owner[v]
+            violations.append(
+                LpaViolation(
+                    kind="LPA2",
+                    weighted_edge=heavy[i].id,
+                    path=path_to(searches[i], v),
+                    vertex=v,
+                    edges=(out[v][0].id, out[v][1].id),
                 )
-                break
+            )
 
+    components = cyclic_components(g, owner)
+    component_of = {v: c for c in components for v in c}
+    # each vertex of a terminal component to the component's first vertex
+    terminal = {v: v for v in owner if not out[v]}
+    for c in components:
+        if all(component_of.get(e.range) is c for v in c for e in out[v]):
+            terminal.update(dict.fromkeys(c, c[0]))
+
+    # two range trees meet iff they reach a common terminal component
+    ends = [{terminal[v] for v in reached if v in terminal} for reached in searches]
+    sharing: dict[str, list[int]] = {}
+    for i, keys in enumerate(ends):
+        for key in keys:
+            sharing.setdefault(key, []).append(i)
     for i, e in enumerate(heavy):
-        for j in range(i + 1, len(heavy)):
+        tree = None  # T(r(e)) in graph order, sorted at the first pair to report
+        later = {j for key in ends[i] for j in sharing[key][bisect_right(sharing[key], i):]}
+        for j in sorted(later):
             f = heavy[j]
             if f.source in searches[i] or e.source in searches[j]:
                 continue  # e and f are in line
-            common = next((v for v in trees[i] if v in searches[j]), None)
-            if common is not None:
-                violations.append(
-                    LpaViolation(kind="LPA3", edges=(e.id, f.id), vertex=common)
-                )
+            if tree is None:
+                tree = sorted(searches[i], key=position)
+            common = next(v for v in tree if v in searches[j])
+            violations.append(LpaViolation(kind="LPA3", edges=(e.id, f.id), vertex=common))
 
+    firsts = {c[0]: c for c in components}
     for e, reached in zip(heavy, searches):
-        # a cycle avoiding e lies in T(r(e)) - e; one site per component
-        for component in cyclic_components(g, reached, avoid=e.id):
+        # a cycle avoiding e lies in T(r(e)) - e; one site per component.
+        # Deleting e splits only its own component, if s(e) is in T(r(e)).
+        found = [firsts[v] for v in reached if v in firsts]
+        if e.source in reached:
+            own = component_of[e.source]
+            found = [c for c in found if c is not own]
+            found += cyclic_components(g, own, avoid=e.id)
+        found.sort(key=lambda c: position(c[0]))
+        for component in found:
             base = component[0]
             violations.append(
                 LpaViolation(

@@ -135,6 +135,22 @@ def chord_ladder(n: int) -> WeightedGraph:
     return WeightedGraph(vertices, edges)
 
 
+def weighted_fan(k: int) -> WeightedGraph:
+    """k weight-2 edges h_i: s_i -> r_i whose ranges feed the trunk t0 -> t1.
+
+    Range r_i enters the trunk at t_(i mod 2).  No source has an incoming
+    edge, so no two weighted edges are in line, yet every pair of range
+    trees meets at t1: (LPA) fails through LPA3 only, k(k-1)/2 times.
+    """
+    vertices = ["t0", "t1"]
+    edges = [EdgeRecord("u", "t0", "t1", 1)]
+    for i in range(k):
+        vertices += [f"s{i}", f"r{i}"]
+        edges += [EdgeRecord(f"h{i}", f"s{i}", f"r{i}", 2),
+                  EdgeRecord(f"c{i}", f"r{i}", f"t{i % 2}", 1)]
+    return WeightedGraph(vertices, edges)
+
+
 def small_graphs(max_vertices: int, max_edges: int, max_weight: int):
     """All graphs up to the given size, deduplicated up to isomorphism.
 

@@ -25,9 +25,13 @@ from wlpa import (
     Graph,
     GraphError,
     GraphSyntaxError,
+    LpaReport,
+    LpaViolation,
     PreconditionViolatedError,
     SpecialEdgeChoice,
     WeightedGraph,
+    cyclic_components,
+    shortest_cycle,
     strand_name,
     vertex_weight,
     weighted_edges,
@@ -35,6 +39,7 @@ from wlpa import (
 from wlpa.algebra import _compose, _involute
 from wlpa.exprs import ExpressionError, _matching_parentheses, _scan_identifier
 from wlpa.fields import FieldError, parse_natural
+from wlpa.graphs import breadth_first, path_to
 
 
 # -- reachability and cycles --------------------------------------------------
@@ -105,6 +110,72 @@ def brute_force_lpa4_sites(g: WeightedGraph) -> list[tuple[str, str, int]]:
             length = min(len(c) for c in brute_force_cycles(g, v) if e.id not in c)
             sites.append((e.id, v, length))
     return sites
+
+
+def reference_check_lpa(g: WeightedGraph) -> LpaReport:
+    """The (LPA) report as ``check_lpa`` must give it, one condition at a time.
+
+    No linear decision first: every graph goes through the four scans.  Each
+    weighted edge gets its own search, its range tree in graph order and
+    its own strongly-connected-components pass over T(r(e)) - e, and every
+    pair of weighted edges is tested, so this costs
+    Theta(k*(V+E) + k*V + k^2) for k weighted edges.
+    """
+    violations: list[LpaViolation] = []
+    heavy = weighted_edges(g)
+    searches = [breadth_first(g, [e.range]) for e in heavy]
+    trees = [[v for v in g.vertices if v in reached] for reached in searches]
+
+    for v in g.vertices:
+        emitted = [e.id for e in g.out_edges(v) if e.weight > 1]
+        if len(emitted) > 1:
+            violations.append(
+                LpaViolation(kind="LPA1", vertex=v, edges=(emitted[0], emitted[1]))
+            )
+
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if len(out) < 2:
+            continue
+        # v is in the zone iff some search reached it; the first one is the witness
+        for e, reached in zip(heavy, searches):
+            if v in reached:
+                violations.append(
+                    LpaViolation(
+                        kind="LPA2",
+                        weighted_edge=e.id,
+                        path=path_to(reached, v),
+                        vertex=v,
+                        edges=(out[0].id, out[1].id),
+                    )
+                )
+                break
+
+    for i, e in enumerate(heavy):
+        for j in range(i + 1, len(heavy)):
+            f = heavy[j]
+            if f.source in searches[i] or e.source in searches[j]:
+                continue  # e and f are in line
+            common = next((v for v in trees[i] if v in searches[j]), None)
+            if common is not None:
+                violations.append(
+                    LpaViolation(kind="LPA3", edges=(e.id, f.id), vertex=common)
+                )
+
+    for e, reached in zip(heavy, searches):
+        # a cycle avoiding e lies in T(r(e)) - e; one site per component
+        for component in cyclic_components(g, reached, avoid=e.id):
+            base = component[0]
+            violations.append(
+                LpaViolation(
+                    kind="LPA4",
+                    weighted_edge=e.id,
+                    path=path_to(reached, base),
+                    cycle=shortest_cycle(g, base, component, avoid=e.id),
+                )
+            )
+
+    return LpaReport(satisfied=not violations, violations=tuple(violations))
 
 
 # -- graph text and graph checks ----------------------------------------------

@@ -207,7 +207,7 @@ def test_cli_basis_budget_counts_words_explored():
         assert invoke("basis", "--input", fx("loop1.wg"), "0", "--budget", budget) == (
             0, "v\n", "")
     assert invoke("basis", "--input", fx("loop1.wg"), "1", "--budget", "2") == (
-        1, "", "enumeration exceeded the budget of 2 words\n")
+        1, "", "error: enumeration exceeded the budget of 2 words\n")
 
 
 def test_cli_basis_default_budget_is_checked_before_any_word_is_built(monkeypatch):
@@ -217,7 +217,7 @@ def test_cli_basis_default_budget_is_checked_before_any_word_is_built(monkeypatc
 
     monkeypatch.setattr(Algebra, "_generators", no_words)
     assert invoke("basis", "9", "--input", fx("e2loops.wg")) == (
-        1, "", "enumeration exceeded the budget of 100000 words\n")
+        1, "", "error: enumeration exceeded the budget of 100000 words\n")
 
 
 def test_cli_huge_length_on_finitely_many_nod_words():
@@ -584,6 +584,10 @@ _L23_EXPRESSION = "e2.1 e1.1 e1.1* e2.1* - e1.1* e1.1 e1.2* + 3 * e3.1* e3.1 e1.
         ("eval_l23_mod5.json",
          ["eval", "--input", fx("l23.wg"), "--field", "mod:5", "--format", "machine",
           _L23_EXPRESSION], 0),
+        # in-line pairs, a closed cyclic terminal, and weighted edges on
+        # cycles of their own range trees
+        ("checklpa_lpa_fan.json",
+         ["check-lpa", "--input", fx("lpa_fan.wg"), "--format", "machine"], 3),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):

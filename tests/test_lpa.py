@@ -30,9 +30,10 @@ from graphgen import (
     random_weighted_graph,
     relabeled,
     small_graphs,
+    weighted_fan,
     weighted_ring,
 )
-from oracles import brute_force_lpa4_sites
+from oracles import brute_force_lpa4_sites, reference_check_lpa
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -184,6 +185,53 @@ def test_linear_decision_matches_the_reporter_on_graph_families():
     verdicts = [lpa._satisfies_lpa(g) for g in graphs]
     assert verdicts == [_reporter_verdict(g) for g in graphs]
     assert 200 < sum(verdicts) < len(graphs) - 200
+
+
+def _with_fixture_examples(test):
+    for path in sorted(FIXTURES.glob("*.wg")):
+        test = example(parse_weighted_graph(path.read_text()))(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(multigraphs() | _functional_zones())
+@_with_fixture_examples
+def test_check_lpa_matches_the_reference_reporter(g):
+    assert check_lpa(g) == reference_check_lpa(g)
+
+
+def test_check_lpa_matches_the_reference_reporter_on_graph_families():
+    rng = Random(71026)
+    graphs = list(small_graphs(max_vertices=3, max_edges=3, max_weight=2))
+    graphs += [random_lpa_failing_graph(rng) for _ in range(500)]
+    graphs += [random_lpa_failing_graph(rng, max_vertices=9, max_edges=14) for _ in range(500)]
+    graphs += [chord_ladder(n) for n in range(3, 15)]
+    graphs += [weighted_fan(k) for k in range(2, 13)]
+    for g in graphs:
+        assert check_lpa(g) == reference_check_lpa(g), g
+
+
+def test_check_lpa_runs_one_zone_scc_pass(monkeypatch):
+    # one pass over the zone, then one re-split per weighted edge e whose
+    # source lies in T(r(e)): none on the fan, h3 and h4 on lpa_fan.wg
+    from wlpa import graphs
+
+    calls = {"cyclic_components": 0, "breadth_first": 0}
+    for module in (graphs, lpa):
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    for g, passes in ((weighted_fan(6), 1), (fixture_graph("lpa_fan.wg"), 3)):
+        calls.update(cyclic_components=0, breadth_first=0)
+        check_lpa(g)
+        assert calls == {"cyclic_components": passes, "breadth_first": 6}
 
 
 def test_check_lpa_decides_a_large_satisfying_ring_in_one_pass(monkeypatch):

@@ -880,7 +880,8 @@ def _edge_relations(g: WeightedGraph, layout):
     strands of an edge of weight w at base b are ``e_i = b + i - 1`` and
     ``e_i^* = b + w + i - 1``, its endpoints are those of e_1, and (iii)
     and (iv) walk the out-lists ``(edge id, weight, base, range id)`` of
-    the vertices.  A record's key is rendered only on demand.
+    the vertices.  A (iii) record of an edge of weight 1 is the single pair
+    ``e_1^* f_1``.  A record's key is rendered only on demand.
     """
     _, src, rng, _, _, emitted, bases = layout
     for e, base in zip(g.edges, bases):
@@ -896,7 +897,8 @@ def _edge_relations(g: WeightedGraph, layout):
         for eid, we, be, r in out:
             for fid, wf, bf, _ in out:
                 # e_i^* f_i for 1 <= i <= min(w(e), w(f)): zip stops at the shorter
-                pairs = tuple(zip(range(be + we, be + 2 * we), range(bf, bf + wf)))
+                pairs = (((be + we, bf),) if we == 1 or wf == 1
+                         else tuple(zip(range(be + we, be + 2 * we), range(bf, bf + wf))))
                 yield ("(iii) {} {} {}", name, eid, fid), pairs, (r if bf == be else None)
         wv = max((w for _, w, _, _ in out), default=0)  # a sink has no (iv)
         for i in range(wv):
@@ -933,19 +935,20 @@ def _relation_failures(g: WeightedGraph, layout, images, target: Algebra):
     Relation (i) is decided without a product per ordered pair of
     vertices.  The image of ``u v`` is a sum of products ``a b`` of support
     words of the images of u and v, and ``a b = 0`` when r(a) != s(b).  So
-    ``u v`` is evaluated only for v = u and for the v whose image has a
-    word starting where a word of u's image ends (found by bucketing the
-    images by source vertex); every other pair gives 0 = 0 and is counted
-    as holding without being built.
+    ``u v`` is evaluated, by one ``target._product``, only for v = u and
+    for the v whose image has a word starting where a word of u's image
+    ends (found by bucketing the images by source vertex), in a loop over
+    those v that builds no record; every other pair gives 0 = 0 and is
+    counted as holding without being built.
 
-    Every other record ``(key, pairs, rhs)`` is evaluated in one loop: the
-    new dict of the first pair's ``target._product`` is the accumulator
-    and the products of the other pairs are added to it, over the integer
-    rule coefficients +1 and -1.  The instance holds at once if that sum is
-    the image of the rhs letter (the empty support for 0) as it stands.
-    Otherwise the image is subtracted, and the instance holds when every
-    coefficient reduces to zero in the field.  Only a failing instance has its key
-    rendered into a label.
+    Every record ``(key, pairs, rhs)`` of :func:`_edge_relations` is
+    evaluated with one ``target._product`` per pair: the new dict of the
+    first product is the accumulator and the products of the other pairs
+    are added to it, over the integer rule coefficients +1 and -1.  An
+    instance holds at once if its sum is the image of its rhs letter (the
+    empty support for 0) as it stands; only otherwise does
+    :func:`_remainder_survives` subtract the image and reduce.  Only a
+    failing instance has its key rendered into a label.
     """
     n = len(g.vertices)
     ends = [{target._rng_id[w[-1]] for w in images[i]} for i in range(n)]
@@ -954,27 +957,34 @@ def _relation_failures(g: WeightedGraph, layout, images, target: Algebra):
         for s in {target._src_id[w[0]] for w in images[j]}:
             starting_at.setdefault(s, []).append(j)
     meeting = [sorted({i}.union(*(starting_at.get(r, ()) for r in ends[i]))) for i in range(n)]
-    records = chain((_vertex_relation(g, i, j) for i in range(n) for j in meeting[i]),
-                    _edge_relations(g, layout))
     product, reduce = target._product, target.field.reduce
-    count = n * n - sum(map(len, meeting))  # the pairs of (i) that are not built
+    empty: dict = {}
+    count = n * n  # the pairs of (i) off ``meeting`` hold without being built
     failures = []
-    for key, pairs, rhs in records:
+    for i in range(n):
+        image = images[i]
+        for j in meeting[i]:
+            acc, rhs = product(image, images[j]), (image if j == i else empty)
+            if acc != rhs and _remainder_survives(acc, rhs, reduce):
+                failures.append(_label(_vertex_relation(g, i, j)[0]))
+    for key, pairs, rhs in _edge_relations(g, layout):
         count += 1
         x, y = pairs[0]
         acc = product(images[x], images[y])
-        get = acc.get  # a coefficient may cancel to 0: the test below reduces it
-        for x, y in pairs[1:]:
+        for x, y in pairs[1:]:  # a coefficient may cancel to 0: it is reduced below
             for w, c in product(images[x], images[y]).items():
-                acc[w] = get(w, 0) + c
-        image = images[rhs] if rhs is not None else {}
-        if acc == image:
-            continue  # the sum is exactly the rhs image
-        for w, c in image.items():
-            acc[w] = get(w, 0) - c
-        if any(map(reduce, acc.values())):
+                acc[w] = acc.get(w, 0) + c
+        image = images[rhs] if rhs is not None else empty
+        if acc != image and _remainder_survives(acc, image, reduce):
             failures.append(_label(key))
     return count, failures
+
+
+def _remainder_survives(acc: dict, image: dict, reduce) -> bool:
+    """True iff some coefficient of ``acc - image`` is not 0 in the field; ``acc`` becomes it."""
+    for w, c in image.items():
+        acc[w] = acc.get(w, 0) - c
+    return any(map(reduce, acc.values()))
 
 
 def _lower(mapping: dict[Generator, AlgebraElement], letters: Iterable[Generator],
@@ -998,24 +1008,26 @@ def _lower(mapping: dict[Generator, AlgebraElement], letters: Iterable[Generator
     return images
 
 
-def _compose(pairs, images, target: Algebra) -> dict:
-    """Sum ``k * images[t_1] ... images[t_n]`` over ``(plain number k, letter-id word)`` pairs.
+def _compose(items, images, target: Algebra) -> dict:
+    """Sum ``k * images[t_1] ... images[t_n]`` over ``(letter-id word, plain number k)`` items.
 
-    ``images`` is a map lowered by :func:`_lower`, indexed by letter id (a
-    list, or a dict over the letters the words hold): element supports, so
-    nod-words.  Each product of a partial product and the next image is
-    one ``target._product``, which rewrites only at the junctions, over the
+    The items are in the order of a support's ``items()``, which a caller
+    passes as it stands.  ``images`` is a map lowered by :func:`_lower`,
+    indexed by letter id (a list, or a dict over the letters the words
+    hold): element supports, so nod-words.  A word of n letters costs n - 1
+    products, each of a partial product and the next image, by one
+    ``target._product``, which rewrites only at the junctions, over the
     integer rule coefficients; the sum is not yet reduced into the field.
     This is exact: ints and Fractions mix exactly, and Z -> F_p is a ring
-    map.
+    map.  A coefficient that cancels stays in the sum as 0 until then.
     """
     acc: dict[tuple[int, ...], object] = {}
-    for k, word in pairs:
+    for word, k in items:
         product = images[word[0]]
         for t in word[1:]:
             product = target._product(product, images[t])
         for w, c in product.items():
-            _add_term(acc, w, k * c)
+            acc[w] = acc.get(w, 0) + k * c
     return acc
 
 
@@ -1038,7 +1050,7 @@ def apply_generator_map(element: AlgebraElement,
     ids = dict.fromkeys(t for w in support for t in w)
     gens = element.algebra._generators()
     images = dict(zip(ids, _lower(mapping, [gens[t] for t in ids], target)))
-    return target._lift(_compose([(c, w) for w, c in support.items()], images, target))
+    return target._lift(_compose(support.items(), images, target))
 
 
 def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
@@ -1051,11 +1063,11 @@ def evaluate_relation(terms, mapping: dict[Generator, AlgebraElement],
     :func:`_compose`, reduced into the field at the end.
     """
     local: dict[Generator, int] = {}
-    pairs = [(target._scalar(coeff), tuple(local.setdefault(gen, len(local)) for gen in gens))
+    items = [(tuple(local.setdefault(gen, len(local)) for gen in gens), target._scalar(coeff))
              for coeff, gens in terms]
-    if not all(word for _, word in pairs):
+    if not all(word for word, _ in items):
         raise AlgebraError("words must be nonempty")
-    return target._lift(_compose(pairs, _lower(mapping, local, target), target))
+    return target._lift(_compose(items, _lower(mapping, local, target), target))
 
 
 def identity_map(algebra: Algebra) -> dict[Generator, AlgebraElement]:

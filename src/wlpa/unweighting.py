@@ -34,12 +34,12 @@ from .algebra import (
     AlgebraElement,
     Generator,
     MixedContextError,
-    _add_term,
     _compose,
     _involute,
     _label,
     _lower,
     _relation_failures,
+    _remainder_survives,
 )
 from .fields import RATIONALS
 from .graphs import EdgeRecord, Graph, WeightedGraph, tree, weighted_edges
@@ -312,7 +312,7 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
     reduce = field.reduce
 
     def composed(word):  # forward coefficients are 1, so only these are reduced
-        return {w: r for w, c in _compose([(1, word)], letters, src).items() if (r := reduce(c))}
+        return {w: r for w, c in _compose([(word, 1)], letters, src).items() if (r := reduce(c))}
 
     forward: list[dict] = [{} for _ in src._src_id]
     backward: list[dict] = [{} for _ in tgt._src_id]
@@ -380,11 +380,13 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
     them: each instance is a record of letter-id pairs and a right-hand
     letter, read off the domain algebra's letter layout (its ``_layout``),
     and is evaluated with one product per pair.  Each round trip is one
-    :func:`~wlpa.algebra._compose` of the letter's image, minus the letter.
-    Either holds when every coefficient reduces to zero.  Nothing is
-    normalized.  A label is rendered, and a generator built, only for a
-    failure.  Counts and failure labels are those of evaluating every item
-    of :func:`relation_instances`.
+    :func:`~wlpa.algebra._compose` of the items of the letter's image, n - 1
+    products for a word of n letters.  Either holds at once when its value
+    is exactly the right-hand side (for a round trip the letter with
+    coefficient 1), and otherwise when every coefficient of the difference
+    reduces to zero.  Nothing is normalized.  A label is rendered, and a
+    generator built, only for a failure.  Counts and failure labels are
+    those of evaluating every item of :func:`relation_instances`.
     """
     src, tgt = fwd.domain, fwd.target
     if bwd.domain is not tgt or bwd.target is not src or src.field != tgt.field:
@@ -407,9 +409,8 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
     reduce = src.field.reduce
     for side, there, back in (("source", fwd, bwd), ("target", bwd, fwd)):
         for t, image in enumerate(there.images):
-            value = _compose([(c, w) for w, c in image.items()], back.images, back.target)
-            _add_term(value, (t,), -1)
-            if any(map(reduce, value.values())):
+            value, letter = _compose(image.items(), back.images, back.target), {(t,): 1}
+            if value != letter and _remainder_survives(value, letter, reduce):
                 token = there.domain._generators()[t].token()
                 failures.append(_label(("roundtrip {} {}", side, token)))
 

@@ -404,14 +404,14 @@ def reference_family_maps(trace, field=RATIONALS) -> tuple[FamilyMap, FamilyMap]
         if case == "M":
             backward[t] = {(s,): 1}
         else:
-            backward[t] = _compose([(1, relabel[gv[v], i][::-1])], letters, src)
+            backward[t] = _compose([(relabel[gv[v], i][::-1], 1)], letters, src)
     for record, case, eid, i in edge_cases:
         t = tgt_id["edge", record.id, 1]
         edge, star = relabel[eid, 1 if case == "B" else i]
         forward[edge][tgt._star_of[t] if case == "D" else t,] = 1
         if case == "B":
             word = (edge,) + relabel[gv[h.edge(eid).range], i][::-1]
-            backward[t] = _compose([(1, word)], letters, src)
+            backward[t] = _compose([(word, 1)], letters, src)
         else:
             backward[t] = {(star if case == "D" else edge,): 1}
     for edge, star in relabel.values():

@@ -293,6 +293,27 @@ def test_relation_instances_match_the_reference_on_fixtures(name):
     assert list(relation_instances(g)) == list(reference_relation_instances(g))
 
 
+@pytest.mark.parametrize("field", ["rational", "mod:2", "mod:7"])
+@settings(max_examples=100, deadline=None, database=None)
+@given(g=_multigraphs(), data=st.data())
+def test_relation_failures_agrees_with_each_instance_on_multigraphs(field, g, data):
+    # one letter's image swapped with another's, doubled or zeroed
+    algebra = Algebra(g, field=field_from_name(field))
+    mapping = identity_map(algebra)
+    gens = list(mapping)
+    gen = data.draw(st.sampled_from(gens))
+    corruption = data.draw(st.sampled_from(["swap", "double", "zero"]))
+    if corruption == "swap":
+        other = data.draw(st.sampled_from(gens))
+        mapping[gen], mapping[other] = mapping[other], mapping[gen]
+    else:
+        mapping[gen] = mapping[gen].scaled(2) if corruption == "double" else algebra.zero()
+    instances = list(relation_instances(g))
+    expected = [label for label, terms in instances
+                if not evaluate_relation(terms, mapping, algebra).is_zero()]
+    assert relation_failures(g, mapping, algebra) == (len(instances), expected)
+
+
 def test_relation_failures_rejects_a_key_that_is_no_letter():
     g = fixture_graph("g6.wg")
     algebra = Algebra(g)

@@ -25,6 +25,7 @@ from wlpa import (
     field_from_name,
     make_ranges_sinks,
     parse_weighted_graph,
+    relation_instances,
     serialize_graph,
     serialize_weighted_graph,
     strand_name,
@@ -535,6 +536,33 @@ def test_verify_families_work_is_linear_in_vertices(monkeypatch):
     assert result.counts["forward_relations"] >= n * n
     assert calls == 0
     assert [(len(a._memo_left), len(a._memo_right)) for a in algebras] == memo_sizes
+
+
+def test_verify_families_makes_one_product_per_relation_pair_and_extra_round_trip_letter(
+        monkeypatch):
+    g = weighted_ring(300, {0: 2, 100: 3, 200: 2})
+    _, trace = to_unweighted(g)
+    fwd, bwd = family_maps(trace)
+    expected = 0
+    for fmap in (fwd, bwd):
+        images, target, graph = fmap.images, fmap.target, fmap.domain.graph
+        n = len(graph.vertices)
+        # (i): u v is built for v = u and where a word of u's image ends at a start of v's
+        ends = [{target._rng_id[w[-1]] for w in images[i]} for i in range(n)]
+        starts = [{target._src_id[w[0]] for w in images[j]} for j in range(n)]
+        expected += sum(i == j or not ends[i].isdisjoint(starts[j])
+                        for i in range(n) for j in range(n))
+        # (ii)-(iv): one product per letter pair of each instance
+        expected += sum(len(word) == 2 for label, terms in relation_instances(graph)
+                        if not label.startswith("(i) ") for _, word in terms)
+        # a round trip of n letters makes n - 1 products, a one-letter one none
+        expected += sum(len(word) - 1 for image in images for word in image)
+    calls = []
+    original = Algebra._product
+    monkeypatch.setattr(Algebra, "_product",
+                        lambda self, left, right: calls.append(1) or original(self, left, right))
+    assert verify_families(fwd, bwd).ok
+    assert len(calls) == expected
 
 
 def test_verify_families_builds_no_generator_per_relation_instance(monkeypatch):

@@ -32,7 +32,8 @@ relation it orients, ``(others, rhs)``, whose leading pair equals the
 vertex letter ``rhs`` (None for 0) minus the sum of the letter pairs
 ``others``, so no coefficient is stored.  The table has at most sum_v
 in(v) out(v) entries for in(v)/out(v) non-vertex letters ending/starting
-at v, not one per pair of letters.
+at v, not one per pair of letters.  It is the one description of relations
+(iii) and (iv): the relation checks read each rule as one instance.
 """
 
 from __future__ import annotations
@@ -206,11 +207,11 @@ class Algebra:
 
     ``__init__`` builds the special-edge choice (the default one unless
     given, checked by :func:`validate_choice` either way), the letter
-    tables and layout (one pass of :func:`_letters`; the relation checks
-    read ``_layout``) and, off the layout's out-lists, the vertex-local
-    rules of the non-vertex pairs (vertex letters are absorbed by endpoint
-    tests): each rule is the relation it orients, ``(others, rhs)``, only
-    :meth:`_product` rewrites with it, and every other reader asks
+    tables (one pass of :func:`_letters`) and, off its out-lists, the
+    vertex-local rules of the non-vertex pairs (vertex letters are absorbed
+    by endpoint tests): each rule is the relation it orients, ``(others,
+    rhs)``, only :meth:`_product` rewrites with it, the relation checks read
+    it as one (iii) or (iv) instance, and every other reader asks
     :meth:`_is_normal`.  These tables never change.  The nod-word automaton,
     :attr:`_succ`, is built on the first walk: only :meth:`nodword_counts`
     (behind :meth:`growth`, :meth:`zero_component_count`, the CLI tables
@@ -235,9 +236,8 @@ class Algebra:
         validate_choice(graph, self.choice)
         self.field = field
 
-        self._layout = _letters(graph)
         (self._id_of, self._src_id, self._rng_id, self._star_of, self._letter_degree,
-         self._out_letters, self._edge_base) = self._layout
+         self._out_letters, self._edge_base) = _letters(graph)
         self._generator_table: Optional[tuple[Generator, ...]] = None  # filled on first use
         self._nv = len(graph.vertices)
         self._nonvertex_ids = tuple(range(self._nv, len(self._id_of)))
@@ -271,7 +271,10 @@ class Algebra:
         vertex v, so there are at most in(v) * out(v) keys per v, where
         in(v) and out(v) count the non-vertex letters ending and starting
         at v.  The ids are read off the out-lists of :func:`_letters`, and
-        the special edge is found in its vertex's own out-list.
+        the special edge is found in its vertex's own out-list.  No other
+        code enumerates the (iii) and (iv) instances, and their order is the
+        insertion order: vertex by vertex, (iii) with e outer and f inner,
+        then (iv) with i outer and j inner.
         """
         special = self.choice.mapping
         rules: dict[tuple[int, int], tuple[list, Optional[int]]] = {}
@@ -841,21 +844,26 @@ def relation_instances(g: WeightedGraph):
     algebra iff the sum of the terms is zero.  Strand indices beyond an
     edge's weight are dropped, matching the convention that those strands
     are zero.  Relation (i) comes first, one instance per ordered pair of
-    vertices (u-major, both in graph order), then (ii)-(iv).
+    vertices (u-major, both in graph order), then (ii), (iii) and (iv).
 
-    The instances are the records of :func:`_vertex_relation` and
-    :func:`_edge_relations`, which :func:`relation_failures` evaluates,
-    rendered here: a record ``(key, pairs, rhs)`` stands for
-    ``sum of x y over its letter-id pairs (x, y) = rhs``, with rhs one
-    letter id or None for 0.  Its terms are each pair with coefficient 1,
-    then the rhs letter with -1, and its label is :func:`_label` of its
-    format key.
+    The instances are those :func:`relation_failures` evaluates, rendered
+    here as records ``(key, pairs, rhs)``, each standing for ``sum of x y
+    over its letter-id pairs (x, y) = rhs``, rhs one letter id or None for
+    0: those of :func:`_vertex_relation` and :func:`_strand_relations`,
+    then one per rule of ``Algebra(g)``, its pairs the lead and ``others``
+    and its key :func:`_rule_key` of the lead.  Its terms are each pair
+    with coefficient 1, then the rhs letter with -1; its label is
+    :func:`_label` of its key.
     """
-    layout = _letters(g)
-    gens = [Generator(*key) for key in layout[0]]
-    n = len(g.vertices)
+    algebra = Algebra(g)
+    gens, n = algebra._generators(), len(g.vertices)
     vertex_pairs = (_vertex_relation(g, i, j) for i in range(n) for j in range(n))
-    for key, pairs, rhs in chain(vertex_pairs, _edge_relations(g, layout)):
+    # sorted by letter id, a rule's pairs are in instance order: the (iii)
+    # pairs e_i^* f_i rise with i, and the (iv) pairs g_i g_j^* with the
+    # base of g, which rises along the out-list
+    rules = ((_rule_key(algebra, lead), sorted([lead, *others]), rhs)
+             for lead, (others, rhs) in algebra._rules.items())
+    for key, pairs, rhs in chain(vertex_pairs, _strand_relations(algebra), rules):
         terms = [(1, [gens[x], gens[y]]) for x, y in pairs]
         if rhs is not None:
             terms.append((-1, [gens[rhs]]))
@@ -873,18 +881,15 @@ def _vertex_relation(g: WeightedGraph, i: int, j: int):
     return ("(i) {} {}", names[i], names[j]), ((i, j),), (i if i == j else None)
 
 
-def _edge_relations(g: WeightedGraph, layout):
-    """The records of relations (ii)-(iv) of ``g``, in :func:`relation_instances` order.
+def _strand_relations(algebra: Algebra):
+    """The records of relation (ii), four per strand, in :func:`relation_instances` order.
 
-    ``layout`` is ``_letters(g)``, and every letter id is read off it: the
-    strands of an edge of weight w at base b are ``e_i = b + i - 1`` and
-    ``e_i^* = b + w + i - 1``, its endpoints are those of e_1, and (iii)
-    and (iv) walk the out-lists ``(edge id, weight, base, range id)`` of
-    the vertices.  A (iii) record of an edge of weight 1 is the single pair
-    ``e_1^* f_1``.  A record's key is rendered only on demand.
+    The strands of an edge of weight w at base b are ``e_i = b + i - 1``
+    and ``e_i^* = b + w + i - 1``, and its endpoints are those of e_1.  A
+    record's key is rendered only on demand.
     """
-    _, src, rng, _, _, emitted, bases = layout
-    for e, base in zip(g.edges, bases):
+    src, rng = algebra._src_id, algebra._rng_id
+    for e, base in zip(algebra.graph.edges, algebra._edge_base):
         w, s, r = e.weight, src[base], rng[base]
         for a in range(base, base + w):
             b, i = a + w, a - base + 1
@@ -893,20 +898,17 @@ def _edge_relations(g: WeightedGraph, layout):
             yield ("(ii) star-range {}.{}", e.id, i), ((r, b),), b
             yield ("(ii) star-source {}.{}", e.id, i), ((b, s),), b
 
-    for v, (name, out) in enumerate(zip(g.vertices, emitted)):
-        for eid, we, be, r in out:
-            for fid, wf, bf, _ in out:
-                # e_i^* f_i for 1 <= i <= min(w(e), w(f)): zip stops at the shorter
-                pairs = (((be + we, bf),) if we == 1 or wf == 1
-                         else tuple(zip(range(be + we, be + 2 * we), range(bf, bf + wf))))
-                yield ("(iii) {} {} {}", name, eid, fid), pairs, (r if bf == be else None)
-        wv = max((w for _, w, _, _ in out), default=0)  # a sink has no (iv)
-        for i in range(wv):
-            for j in range(wv):
-                k = max(i, j)
-                # e_{i+1} e_{j+1}^* over the edges of weight > k
-                pairs = tuple((b + i, b + w + j) for _, w, b, _ in out if w > k)
-                yield ("(iv) {} {} {}", name, i + 1, j + 1), pairs, (v if i == j else None)
+
+def _rule_key(algebra: Algebra, lead: tuple[int, int]) -> tuple:
+    """The key of the instance of the rule of ``lead``, which names no special edge.
+
+    A (iii) lead ``e_1^* f_1`` gives ``(iii) v e f`` with v = s(f), and a
+    (iv) lead ``s_i s_j^*`` gives ``(iv) v i j`` with v = s(s).
+    """
+    (a, b), gens, names = lead, algebra._generators(), algebra.graph.vertices
+    if gens[a].kind == "star":
+        return "(iii) {} {} {}", names[algebra._src_id[b]], gens[a].name, gens[b].name
+    return "(iv) {} {} {}", names[algebra._src_id[a]], gens[a].index, gens[b].index
 
 
 def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement],
@@ -915,22 +917,20 @@ def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement]
 
     Returns the number of instances and the labels of those whose value in
     ``target`` is not zero, in :func:`relation_instances` order.  The map
-    is lowered once (:func:`_lower`) and the records are evaluated by
-    :func:`_relation_failures`.  A key that is no letter of ``g`` or a
-    letter with no image raises :class:`UnknownGeneratorError`, an image
-    outside ``target`` :class:`MixedContextError`.
+    is lowered once (:func:`_lower`), and :func:`_relation_failures`
+    evaluates the instances of ``Algebra(g)``.  A key that is no letter of
+    ``g`` or a letter with no image raises :class:`UnknownGeneratorError`,
+    an image outside ``target`` :class:`MixedContextError`.
     """
-    layout = _letters(g)
-    id_of = layout[0]
+    domain = Algebra(g)
     for gen in mapping:
-        if (gen.kind, gen.name, gen.index) not in id_of:
-            raise UnknownGeneratorError(f"unknown generator {gen.token()!r}")
-    images = _lower(mapping, [Generator(*key) for key in id_of], target)
-    return _relation_failures(g, layout, images, target)
+        domain._intern_letter(gen)
+    images = _lower(mapping, domain._generators(), target)
+    return _relation_failures(domain, images, target)
 
 
-def _relation_failures(g: WeightedGraph, layout, images, target: Algebra):
-    """:func:`relation_failures` for a map lowered over ``layout``, the ``_letters(g)`` of ``g``.
+def _relation_failures(domain: Algebra, images, target: Algebra):
+    """:func:`relation_failures` for a map lowered over the letter ids of ``domain``.
 
     Relation (i) is decided without a product per ordered pair of
     vertices.  The image of ``u v`` is a sum of products ``a b`` of support
@@ -941,16 +941,16 @@ def _relation_failures(g: WeightedGraph, layout, images, target: Algebra):
     those v that builds no record; every other pair gives 0 = 0 and is
     counted as holding without being built.
 
-    Every record ``(key, pairs, rhs)`` of :func:`_edge_relations` is
-    evaluated with one ``target._product`` per pair: the new dict of the
-    first product is the accumulator and the products of the other pairs
-    are added to it, over the integer rule coefficients +1 and -1.  An
+    Each (ii) record of :func:`_strand_relations` is one
+    ``target._product``, and each rule of ``domain._rules`` one (iii) or
+    (iv) instance with one product per pair: the lead's new dict is the
+    accumulator and the products of ``others`` are added to it.  An
     instance holds at once if its sum is the image of its rhs letter (the
     empty support for 0) as it stands; only otherwise does
     :func:`_remainder_survives` subtract the image and reduce.  Only a
-    failing instance has its key rendered into a label.
+    failing instance has a label rendered, a rule's from :func:`_rule_key`.
     """
-    n = len(g.vertices)
+    g, n = domain.graph, domain._nv
     ends = [{target._rng_id[w[-1]] for w in images[i]} for i in range(n)]
     starting_at: dict[int, list[int]] = {}
     for j in range(n):
@@ -967,16 +967,21 @@ def _relation_failures(g: WeightedGraph, layout, images, target: Algebra):
             acc, rhs = product(image, images[j]), (image if j == i else empty)
             if acc != rhs and _remainder_survives(acc, rhs, reduce):
                 failures.append(_label(_vertex_relation(g, i, j)[0]))
-    for key, pairs, rhs in _edge_relations(g, layout):
+    for key, ((x, y),), rhs in _strand_relations(domain):
         count += 1
-        x, y = pairs[0]
+        acc, image = product(images[x], images[y]), images[rhs]
+        if acc != image and _remainder_survives(acc, image, reduce):
+            failures.append(_label(key))
+    for lead, (others, rhs) in domain._rules.items():
+        count += 1
+        x, y = lead
         acc = product(images[x], images[y])
-        for x, y in pairs[1:]:  # a coefficient may cancel to 0: it is reduced below
+        for x, y in others:  # a coefficient may cancel to 0: it is reduced below
             for w, c in product(images[x], images[y]).items():
                 acc[w] = acc.get(w, 0) + c
         image = images[rhs] if rhs is not None else empty
         if acc != image and _remainder_survives(acc, image, reduce):
-            failures.append(_label(key))
+            failures.append(_label(_rule_key(domain, lead)))
     return count, failures
 
 

@@ -171,10 +171,6 @@ class WeightedGraph:
         self._require_vertex(v)
         return tuple(self._out[v])
 
-    def in_edges(self, v: str) -> tuple[EdgeRecord, ...]:
-        self._require_vertex(v)
-        return tuple(e for e in self.edges if e.range == v)
-
     def is_sink(self, v: str) -> bool:
         self._require_vertex(v)
         return not self._out[v]
@@ -401,12 +397,6 @@ def weighted_graph_from_records(records: dict) -> WeightedGraph:
 
 
 # -- graph-theoretic primitives ----------------------------------------------
-
-
-def vertex_weight(g: WeightedGraph, v: str) -> int:
-    """Maximum weight among the edges emitted by ``v``; 0 for a sink."""
-    out = g.out_edges(v)
-    return max((e.weight for e in out), default=0)
 
 
 def weighted_edges(g: WeightedGraph) -> tuple[EdgeRecord, ...]:

@@ -13,7 +13,8 @@ already carries a superscript.
 Both stages come with explicit generator correspondences between the two
 algebras (:func:`family_maps`), kept as tables over letter ids
 (:class:`FamilyMap`); :func:`verify_families` checks the defining
-relations and the round trips on those tables.  The trace of a compilation
+relations and the round trips on those tables, reading relations (iii)
+and (iv) off each domain algebra's rule table.  The trace of a compilation
 carries all three graphs, so the maps are built from the trace alone: they
 read stage 1 off the stage-1 graph, not off Z, and reuse the (LPA)
 decision; the check reads the graphs from the maps' algebras.  One case
@@ -377,8 +378,9 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
 
     Each map is read as it is kept, a table over the letter ids of its
     domain.  The relations are checked as :func:`relation_failures` checks
-    them: each instance is a record of letter-id pairs and a right-hand
-    letter, read off the domain algebra's letter layout (its ``_layout``),
+    them, on the domain algebra: each instance is a sum of letter-id pairs
+    and a right-hand letter, (i) and (ii) read off the domain's letter
+    tables and (iii) and (iv) off its rule table, one instance per rule,
     and is evaluated with one product per pair.  Each round trip is one
     :func:`~wlpa.algebra._compose` of the items of the letter's image, n - 1
     products for a word of n letters.  Either holds at once when its value
@@ -395,8 +397,8 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
         raise MixedContextError(
             f"expected a forward and a backward map, got {fwd.direction} and {bwd.direction}")
 
-    checked_fwd, failed_fwd = _relation_failures(src.graph, src._layout, fwd.images, tgt)
-    checked_bwd, failed_bwd = _relation_failures(tgt.graph, tgt._layout, bwd.images, src)
+    checked_fwd, failed_fwd = _relation_failures(src, fwd.images, tgt)
+    checked_bwd, failed_bwd = _relation_failures(tgt, bwd.images, src)
     failures = [f"forward {label}" for label in failed_fwd]
     failures += [f"backward {label}" for label in failed_bwd]
     counts = {

@@ -7,7 +7,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from wlpa import EdgeRecord, WeightedGraph, check_lpa
+from wlpa import EdgeRecord, SpecialEdgeChoice, WeightedGraph, check_lpa
 
 
 def random_weighted_graph(rng: Random, max_vertices=5, max_edges=6, max_weight=3,
@@ -195,3 +195,14 @@ def relabeled(rng: Random, g: WeightedGraph) -> WeightedGraph:
         len(g.edges),
     )
     return WeightedGraph(vertices, edges)
+
+
+def _last_maximal_choice(g: WeightedGraph) -> SpecialEdgeChoice:
+    """For each non-sink vertex the last emitted edge of maximal weight."""
+    pairs = []
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if out:
+            wv = max(e.weight for e in out)
+            pairs.append((v, [e.id for e in out if e.weight == wv][-1]))
+    return SpecialEdgeChoice(tuple(pairs))

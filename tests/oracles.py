@@ -33,13 +33,25 @@ from wlpa import (
     cyclic_components,
     shortest_cycle,
     strand_name,
-    vertex_weight,
     weighted_edges,
 )
 from wlpa.algebra import _compose, _involute
 from wlpa.exprs import ExpressionError, _matching_parentheses, _scan_identifier
 from wlpa.fields import FieldError, parse_natural
 from wlpa.graphs import breadth_first, path_to
+
+
+# -- graph primitives ---------------------------------------------------------
+
+
+def vertex_weight(g: WeightedGraph, v: str) -> int:
+    """Maximum weight among the edges emitted by ``v``; 0 for a sink."""
+    return max((e.weight for e in g.out_edges(v)), default=0)
+
+
+def in_edges(g: WeightedGraph, v: str) -> tuple[EdgeRecord, ...]:
+    """The edges received by the vertex ``v`` of ``g``, in graph order."""
+    return tuple(e for e in g.edges if e.range == v)
 
 
 # -- reachability and cycles --------------------------------------------------
@@ -315,7 +327,7 @@ def reference_sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
                 f"vertex {v!r} emits two distinct weighted edges "
                 f"({emitted[0].id!r}, {emitted[1].id!r})"
             )
-        received = [e for e in g.in_edges(v) if e.weight > 1]
+        received = [e for e in in_edges(g, v) if e.weight > 1]
         if len(received) > 1:
             raise PreconditionViolatedError(
                 f"vertex {v!r} receives two distinct weighted edges "

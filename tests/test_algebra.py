@@ -33,7 +33,13 @@ from wlpa import algebra as algebra_module, lpa as lpa_module
 from wlpa.exprs import parse_element
 from wlpa.fields import ModInt
 
-from graphgen import multigraphs, random_lpa_satisfying_graph, random_weighted_graph, small_graphs
+from graphgen import (
+    _last_maximal_choice,
+    multigraphs,
+    random_lpa_satisfying_graph,
+    random_weighted_graph,
+    small_graphs,
+)
 from oracles import (
     AllLetters,
     classical_unweighted_count,
@@ -997,17 +1003,6 @@ def test_pair_table_matches_dense_oracle():
         index = {gen: k for k, gen in enumerate(letters)}
         keys = [(0 if w[0].kind == "vertex" else len(w), [index[x] for x in w]) for w in words]
         assert keys == sorted(keys)
-
-
-def _last_maximal_choice(g):
-    """For each non-sink vertex the last emitted edge of maximal weight."""
-    pairs = []
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if out:
-            wv = max(e.weight for e in out)
-            pairs.append((v, [e.id for e in out if e.weight == wv][-1]))
-    return SpecialEdgeChoice(tuple(pairs))
 
 
 _SMALL_GRAPHS = list(small_graphs(3, 3, 3))

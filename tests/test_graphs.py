@@ -27,7 +27,6 @@ from wlpa import (
     serialize_weighted_graph,
     shortest_cycle,
     tree,
-    vertex_weight,
     weighted_edges,
     weighted_graph_from_records,
 )
@@ -35,9 +34,11 @@ from wlpa import (
 from graphgen import multigraphs, random_weighted_graph, small_graphs
 from oracles import (
     brute_force_cycles,
+    in_edges,
     reference_graph_tables,
     reference_read_graph_text,
     transitive_closure,
+    vertex_weight,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -169,7 +170,7 @@ def _outcome(fn, *args):
 def _graph_outcome(build, *args):
     def tables():
         g = build(*args)
-        into = {v: list(g.in_edges(v)) for v in g.vertices}
+        into = {v: list(in_edges(g, v)) for v in g.vertices}
         return g.vertices, g.edges, (g._vertex_index, g._edge_by_id, g._out, into)
     return _outcome(tables)
 

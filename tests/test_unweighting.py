@@ -37,9 +37,10 @@ from wlpa import (
 )
 from wlpa import algebra as algebra_module, cli, unweighting as unweighting_module
 
-from graphgen import multigraphs, random_lpa_satisfying_graph, weighted_ring
+from graphgen import _last_maximal_choice, multigraphs, random_lpa_satisfying_graph, weighted_ring
 from oracles import (
     dense_family_verification,
+    in_edges,
     reference_family_maps,
     reference_sunk_preconditions,
     reference_unweight_sunk,
@@ -106,7 +107,7 @@ def test_stage1_postconditions_on_random_graphs():
             assert out.is_sink(e.range)
         for v in out.vertices:
             assert sum(1 for e in out.out_edges(v) if e.weight > 1) <= 1
-            assert sum(1 for e in out.in_edges(v) if e.weight > 1) <= 1
+            assert sum(1 for e in in_edges(out, v) if e.weight > 1) <= 1
 
 
 # -- stage 2 ---------------------------------------------------------------
@@ -443,6 +444,64 @@ def test_verify_families_random_sample():
         fwd, bwd = family_maps(trace)
         result = verify_families(fwd, bwd)
         assert result.ok, result.failures[:5]
+
+
+def _choice_graphs():
+    """The fixtures satisfying (LPA) and 20 seeded random graphs that do."""
+    graphs = [fixture_graph(f"{name}.wg") for name in ("g6", "fork", "loop1", "twoparallel")]
+    rng = Random(30328)
+    return graphs + [random_lpa_satisfying_graph(rng) for _ in range(20)]
+
+
+def _rebuilt(fmap, domain, target):
+    """``fmap`` as a map from ``domain`` to ``target``, its images normalized there."""
+    images = {gen: target.normalize(image.terms()) for gen, image in fmap.assignments.items()}
+    return FamilyMap.from_assignments(fmap.direction, domain, target, images)
+
+
+def _doubled(fmap, t):
+    """``fmap`` with the image of letter ``t`` doubled."""
+    images = list(fmap.images)
+    images[t] = {w: 2 * c for w, c in images[t].items()}
+    return dataclasses.replace(fmap, images=tuple(images))
+
+
+def test_verification_does_not_depend_on_the_special_edges():
+    # the same maps between the algebras under the last edges of maximal
+    # weight: (iii) and (iv) are read off other rules, with the same verdict
+    moved = labelled = 0
+    for g in _choice_graphs():
+        _, trace = to_unweighted(g)
+        fwd, bwd = family_maps(trace)
+        src, tgt = (Algebra(a.graph, _last_maximal_choice(a.graph)) for a in (fwd.domain, bwd.domain))
+        moved += src._rules.keys() != fwd.domain._rules.keys()
+        moved += tgt._rules.keys() != bwd.domain._rules.keys()
+        last_fwd, last_bwd = _rebuilt(fwd, src, tgt), _rebuilt(bwd, tgt, src)
+        # the first strand of the first edge on each side
+        tf, tb = fwd.domain._nv, bwd.domain._nv
+        cases = [
+            ((fwd, bwd), (last_fwd, last_bwd)),
+            ((_doubled(fwd, tf), bwd), (_doubled(last_fwd, tf), last_bwd)),
+            ((fwd, _doubled(bwd, tb)), (last_fwd, _doubled(last_bwd, tb))),
+        ]
+        results = [verify_families(*default) for default, _ in cases]
+        assert [verify_families(*last) for _, last in cases] == results
+        assert [r.ok for r in results] == [True, False, False]
+        labelled += any(" (iii) " in f or " (iv) " in f for r in results for f in r.failures)
+    assert moved >= 20 and labelled >= 20
+
+
+def test_each_rule_is_checked_once():
+    # (i) per ordered pair of vertices, (ii) four per strand, then one
+    # instance of (iii) or (iv) per rule of the domain algebra
+    for g in _choice_graphs():
+        _, trace = to_unweighted(g)
+        fwd, bwd = family_maps(trace)
+        counts = verify_families(fwd, bwd).counts
+        for key, fmap in (("forward_relations", fwd), ("backward_relations", bwd)):
+            h = fmap.domain.graph
+            n, strands = len(h.vertices), sum(e.weight for e in h.edges)
+            assert counts[key] == n * n + 4 * strands + fmap.domain.rule_count, key
 
 
 def test_zone_matches_tree_of_ranges():

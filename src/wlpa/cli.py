@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from itertools import accumulate
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebra import (
     Algebra,
@@ -146,11 +146,16 @@ def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdg
     return SpecialEdgeChoice(tuple(pairs))
 
 
-def _emit(args, stdout, payload: dict, text: str) -> None:
+def _emit(args, stdout, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the JSON document or the text, whichever ``--format`` asks for.
+
+    Both are given as functions, so only the requested output is built.
+    """
     if args.format == "machine":
-        print(json.dumps(payload), file=stdout)
+        print(json.dumps(payload()), file=stdout)
     else:
-        print(text, file=stdout, end="" if text.endswith("\n") else "\n")
+        rendered = text()
+        print(rendered, file=stdout, end="" if rendered.endswith("\n") else "\n")
 
 
 def run(argv, stdin=None, stdout=None, stderr=None) -> int:
@@ -165,47 +170,53 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         graph = _read_graph(args.input, stdin)
 
         if args.command == "validate":
-            payload = {"command": "validate", "ok": True, "graph": graph_to_records(graph)}
-            _emit(args, stdout, payload,
-                  f"ok: {len(graph.vertices)} vertices, {len(graph.edges)} edges")
+            _emit(args, stdout,
+                  lambda: {"command": "validate", "ok": True, "graph": graph_to_records(graph)},
+                  lambda: f"ok: {len(graph.vertices)} vertices, {len(graph.edges)} edges")
             return EXIT_OK
 
         if args.command == "check-lpa":
             report = check_lpa(graph)
-            payload = {"command": "check-lpa", **report.to_records()}
-            _emit(args, stdout, payload, report.describe())
+            _emit(args, stdout, lambda: {"command": "check-lpa", **report.to_records()},
+                  report.describe)
             return EXIT_OK if report.satisfied else EXIT_NEGATIVE
 
         if args.command == "transform":
             try:
                 _, trace = to_unweighted(graph)
             except LpaViolatedError as exc:
-                payload = {"command": "transform", **exc.report.to_records()}
-                _emit(args, stdout, payload, exc.report.describe())
+                _emit(args, stdout, lambda: {"command": "transform", **exc.report.to_records()},
+                      exc.report.describe)
                 return EXIT_NEGATIVE
             verification = None
             if args.verify:
                 fwd, bwd = family_maps(trace, field=field)
                 verification = verify_families(fwd, bwd)
-            payload = {
-                "command": "transform",
-                "satisfied": True,
-                "stage1": graph_to_records(trace.stage1_graph),
-                "stage2": graph_to_records(trace.stage2_graph),
-                "trace": trace.to_records(),
-                "verify": verification.to_records() if verification else None,
-            }
-            lines = ["# stage 1"]
-            lines.append("# Z: " + " ".join(trace.Z))
-            lines.append("# gv: " + " ".join(f"{v}={e}" for v, e in trace.gv_map))
-            lines.append(serialize_weighted_graph(trace.stage1_graph).rstrip("\n"))
-            lines.append("# stage 2")
-            lines.append(serialize_graph(trace.stage2_graph).rstrip("\n"))
-            if verification is not None:
-                lines.append("# verify: " + ("ok" if verification.ok else "FAILED"))
-                for key, value in sorted(verification.counts.items()):
-                    lines.append(f"# {key}: {value}")
-            _emit(args, stdout, payload, "\n".join(lines))
+
+            def payload():
+                return {
+                    "command": "transform",
+                    "satisfied": True,
+                    "stage1": graph_to_records(trace.stage1_graph),
+                    "stage2": graph_to_records(trace.stage2_graph),
+                    "trace": trace.to_records(),
+                    "verify": verification.to_records() if verification else None,
+                }
+
+            def text():
+                lines = ["# stage 1"]
+                lines.append("# Z: " + " ".join(trace.Z))
+                lines.append("# gv: " + " ".join(f"{v}={e}" for v, e in trace.gv_map))
+                lines.append(serialize_weighted_graph(trace.stage1_graph).rstrip("\n"))
+                lines.append("# stage 2")
+                lines.append(serialize_graph(trace.stage2_graph).rstrip("\n"))
+                if verification is not None:
+                    lines.append("# verify: " + ("ok" if verification.ok else "FAILED"))
+                    for key, value in sorted(verification.counts.items()):
+                        lines.append(f"# {key}: {value}")
+                return "\n".join(lines)
+
+            _emit(args, stdout, payload, text)
             if verification is not None and not verification.ok:
                 print("family verification failed", file=stderr)
                 return EXIT_INPUT
@@ -217,27 +228,24 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             try:
                 word = witness_nodpath(graph, choice)
             except LpaSatisfiedError:
-                payload = {"command": "witness", "satisfied": True, "word": None}
-                _emit(args, stdout, payload, "satisfied: no witness exists")
+                _emit(args, stdout,
+                      lambda: {"command": "witness", "satisfied": True, "word": None},
+                      lambda: "satisfied: no witness exists")
                 return EXIT_NEGATIVE
-            payload = {
-                "command": "witness",
-                "satisfied": False,
-                "word": [g.token() for g in word],
-            }
-            _emit(args, stdout, payload, " ".join(payload["word"]))
+            tokens = [g.token() for g in word]
+            _emit(args, stdout,
+                  lambda: {"command": "witness", "satisfied": False, "word": tokens},
+                  lambda: " ".join(tokens))
             return EXIT_OK
 
         algebra = Algebra(graph, choice, field)
 
         if args.command == "eval":
             element = parse_element(algebra, args.expression)
-            payload = {
-                "command": "eval",
-                "field": field.name,
-                "terms": element.to_records(),
-            }
-            _emit(args, stdout, payload, element.render())
+            _emit(args, stdout,
+                  lambda: {"command": "eval", "field": field.name,
+                           "terms": element.to_records()},
+                  element.render)
             return EXIT_OK
 
         if args.command == "basis":
@@ -247,13 +255,10 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
                 range_=args.range_,
                 budget=args.budget,
             )
-            payload = {
-                "command": "basis",
-                "max_len": args.max_len,
-                "words": [[g.token() for g in w] for w in words],
-            }
-            _emit(args, stdout, payload,
-                  "\n".join(algebra.render_word(w) for w in words) or "(none)")
+            _emit(args, stdout,
+                  lambda: {"command": "basis", "max_len": args.max_len,
+                           "words": [[g.token() for g in w] for w in words]},
+                  lambda: "\n".join(algebra.render_word(w) for w in words) or "(none)")
             return EXIT_OK
 
         if args.command in ("growth", "zero-dim"):
@@ -263,9 +268,9 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             # the walk stops at the first length with no nod-word; later rows repeat the total
             totals += totals[-1:] * (args.max_len + 1 - len(totals))
             table = list(enumerate(totals))
-            payload = {"command": args.command, "table": [[n, c] for n, c in table]}
-            _emit(args, stdout, payload,
-                  "\n".join(f"{n}\t{c}" for n, c in table))
+            _emit(args, stdout,
+                  lambda: {"command": args.command, "table": [[n, c] for n, c in table]},
+                  lambda: "\n".join(f"{n}\t{c}" for n, c in table))
             return EXIT_OK
 
         raise _UsageError(f"unknown command {args.command!r}")

@@ -472,9 +472,10 @@ def cyclic_components(g: WeightedGraph, within: Iterable[str],
     or more vertices or a self-loop; the components come from one iterative
     pass of Tarjan's algorithm, so deep graphs need no recursion.  Each
     component lists its vertices in graph order, and the components are
-    ordered by their first vertex.  :func:`~wlpa.lpa.check_lpa` calls it
-    once on the zone of a failing graph, then once on each weighted edge's
-    own component, with that edge as ``avoid``.
+    ordered by their first vertex.  :func:`~wlpa.lpa.check_lpa` and
+    :func:`~wlpa.lpa.witness_nodpath` call it once on the zone of a failing
+    graph, then once on each weighted edge's own component that they reach,
+    with that edge as ``avoid``.
     """
     inside = dict.fromkeys(within)
     for v in inside:

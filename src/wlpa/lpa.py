@@ -18,11 +18,17 @@ of Z emits at most one edge, so Z is a functional graph: T(r(e)) is the
 forward orbit of r(e), which ends in a sink or in one cycle.  Then (LPA)
 holds iff the orbits of the weighted edges that enter Z from outside are
 pairwise disjoint and end in sinks.  Only a graph that fails (LPA) goes on
-to the reporter, which names every violation.  It searches each range tree
-once and runs one strongly-connected-components pass over the zone; past
-that, each weighted edge costs its search, its own component and its share
-of the report, and only pairs of range trees that reach a common terminal
-component are compared.
+to the reporter, which names every violation.  Its zone pass searches each
+range tree once and runs one strongly-connected-components pass over the
+zone; then four condition passes read it.  Past that, each weighted edge
+costs its search, its own component and its share of the report, and only
+pairs of range trees that reach a common terminal component are compared.
+
+:func:`witness_nodpath` reads no report.  It decides with the linear pass,
+then looks for the first LPA4 site: one search from all weighted ranges
+and one strongly-connected-components pass over the zone, and the per-edge
+searches only when the zone carries a cycle.  Failing that, it searches
+nod-words of the required shape in the graph's algebra.
 """
 
 from __future__ import annotations
@@ -30,10 +36,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .algebra import Algebra, Generator, SpecialEdgeChoice, Word, validate_choice
 from .graphs import (
+    EdgeRecord,
     GraphPath,
     WeightedGraph,
     breadth_first,
@@ -141,28 +148,18 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
 
     A graph that :func:`_satisfies_lpa` decides to satisfy (LPA) is
     reported satisfied at once, in time linear in the graph.  Otherwise
-    the reporter runs: one breadth-first search per weighted edge e gives
-    its range tree T(r(e)) and the witness paths from r(e); the zone is
-    the union of these trees.  Then:
+    the reporter runs: the zone pass (:func:`_zone`), then the four
+    condition passes, each in graph scan order:
 
-    * LPA2: one sweep over the searches, in weighted-edge order, gives
-      each zone vertex its owner, the first search that reached it; a
-      branching vertex is reported with its owner's path.
-    * One strongly-connected-components pass over the zone.  The zone is
-      closed under reachability, so its components are the graph's own,
-      and each T(r(e)) is a union of them.  A component is terminal when
-      no edge leaves it; a sink is a terminal singleton.
-    * LPA3: two range trees meet iff they reach a common terminal
-      component, so only the pairs of weighted edges that share one are
-      visited, in order.  The first common vertex is read off the range
-      tree of the first edge, sorted in graph order once per edge.
-    * LPA4: a cycle based in T(r(e)) stays inside it, so LPA4 fails for e
-      exactly when T(r(e)) - e has a strongly connected component that
-      carries a cycle.  Deleting e splits only e's own component, which
-      exists when s(e) lies in T(r(e)); that one is split again without e,
-      and the others are the zone's.  Each component gives one violation:
-      its first vertex in graph order is the base, and a breadth-first
-      search inside the component gives a shortest cycle through it.
+    * LPA1 (:func:`_lpa1_sites`): one scan of the out-lists.
+    * LPA2 (:func:`_lpa2_sites`): a branching zone vertex is reported with
+      the path of its owner, the first search that reached it.
+    * LPA3 (:func:`_lpa3_sites`): two range trees meet iff they reach a
+      common terminal component, so only the pairs of weighted edges that
+      share one are visited, in order.  The first common vertex is read off
+      the range tree of the first edge, sorted in graph order once per edge.
+    * LPA4 (:func:`_lpa4_sites`): one violation per strongly connected
+      component of T(r(e)) - e that carries a cycle.
 
     Past the k searches, the cost is O(V+E) for LPA1, LPA2 and the zone
     pass; per weighted edge, its search, the sort of its range tree and
@@ -170,91 +167,148 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
     test and the scan for a common vertex.  No cycles are enumerated, and
     no per-edge step runs over all vertices or all components.
 
-    Violations are emitted per condition in graph scan order; one witness
-    is reported for each offending site.  All witnesses replay against the
-    raw graph primitives (see :func:`violation_holds`).
+    One witness is reported for each offending site.  All witnesses
+    replay against the raw graph primitives (see :func:`violation_holds`).
     """
     if _satisfies_lpa(g):
         return LpaReport(satisfied=True)
-    violations: list[LpaViolation] = []
+    zone = _zone(g)
+    violations = (*_lpa1_sites(g), *_lpa2_sites(g, zone), *_lpa3_sites(g, zone),
+                  *_lpa4_sites(g, zone))
+    return LpaReport(satisfied=not violations, violations=violations)
+
+
+class _Zone(NamedTuple):
+    """The zone Z = T(r(E1w)) of a failing graph, as the condition passes read it."""
+
+    heavy: tuple[EdgeRecord, ...]  # the weighted edges, in graph order
+    searches: list[dict[str, Optional[EdgeRecord]]]  # T(r(e)) and its paths, per edge
+    owner: dict[str, int]  # each zone vertex to the first search that reached it
+    components: list[tuple[str, ...]]  # the zone's cyclic components
+    component_of: dict[str, tuple[str, ...]]  # each vertex on a cycle to its component
+
+
+def _zone(g: WeightedGraph,
+          components: Optional[list[tuple[str, ...]]] = None) -> _Zone:
+    """The zone pass: one breadth-first search per weighted edge, then one
+    strongly-connected-components pass over the zone, unless its cyclic
+    ``components`` are given.
+
+    The zone is closed under reachability, so its components are the
+    graph's own, and each T(r(e)) is a union of them.  A zone vertex's
+    owner is the first search, in weighted-edge order, that reached it.
+    """
     heavy = weighted_edges(g)
     searches = [breadth_first(g, [e.range]) for e in heavy]
-    position = g._vertex_index.__getitem__
-    out = g._out
-
-    for v in g.vertices:
-        emitted = [e.id for e in out[v] if e.weight > 1]
-        if len(emitted) > 1:
-            violations.append(
-                LpaViolation(kind="LPA1", vertex=v, edges=(emitted[0], emitted[1]))
-            )
-
-    # the zone, each vertex to its owner: the first search that reached it,
-    # which writes last as the sweep runs backwards
+    # each vertex to its owner, which writes last as the sweep runs backwards
     owner: dict[str, int] = {}
     for i in reversed(range(len(searches))):
         owner.update(dict.fromkeys(searches[i], i))
+    if components is None:
+        components = cyclic_components(g, owner)
+    component_of = {v: c for c in components for v in c}
+    return _Zone(heavy, searches, owner, components, component_of)
+
+
+def _lpa1_sites(g: WeightedGraph) -> Iterator[LpaViolation]:
+    """LPA1: each vertex that emits two or more weighted edges, with its first two."""
     for v in g.vertices:
-        if len(out[v]) > 1 and v in owner:
-            i = owner[v]
-            violations.append(
-                LpaViolation(
-                    kind="LPA2",
-                    weighted_edge=heavy[i].id,
-                    path=path_to(searches[i], v),
-                    vertex=v,
-                    edges=(out[v][0].id, out[v][1].id),
-                )
+        emitted = [e.id for e in g._out[v] if e.weight > 1]
+        if len(emitted) > 1:
+            yield LpaViolation(kind="LPA1", vertex=v, edges=(emitted[0], emitted[1]))
+
+
+def _lpa2_sites(g: WeightedGraph, zone: _Zone) -> Iterator[LpaViolation]:
+    """LPA2: each zone vertex that emits two or more edges, via its owner's path."""
+    out = g._out
+    for v in g.vertices:
+        if len(out[v]) > 1 and v in zone.owner:
+            i = zone.owner[v]
+            yield LpaViolation(
+                kind="LPA2",
+                weighted_edge=zone.heavy[i].id,
+                path=path_to(zone.searches[i], v),
+                vertex=v,
+                edges=(out[v][0].id, out[v][1].id),
             )
 
-    components = cyclic_components(g, owner)
-    component_of = {v: c for c in components for v in c}
+
+def _lpa3_sites(g: WeightedGraph, zone: _Zone) -> Iterator[LpaViolation]:
+    """LPA3: each pair of weighted edges not in line whose range trees meet.
+
+    A component is terminal when no edge leaves it; a sink is a terminal
+    singleton.  Two range trees meet iff they reach a common terminal
+    component.
+    """
+    out, searches, component_of = g._out, zone.searches, zone.component_of
+    position = g._vertex_index.__getitem__
     # each vertex of a terminal component to the component's first vertex
-    terminal = {v: v for v in owner if not out[v]}
-    for c in components:
+    terminal = {v: v for v in zone.owner if not out[v]}
+    for c in zone.components:
         if all(component_of.get(e.range) is c for v in c for e in out[v]):
             terminal.update(dict.fromkeys(c, c[0]))
-
-    # two range trees meet iff they reach a common terminal component
     ends = [{terminal[v] for v in reached if v in terminal} for reached in searches]
     sharing: dict[str, list[int]] = {}
     for i, keys in enumerate(ends):
         for key in keys:
             sharing.setdefault(key, []).append(i)
-    for i, e in enumerate(heavy):
+    for i, e in enumerate(zone.heavy):
         tree = None  # T(r(e)) in graph order, sorted at the first pair to report
         later = {j for key in ends[i] for j in sharing[key][bisect_right(sharing[key], i):]}
         for j in sorted(later):
-            f = heavy[j]
+            f = zone.heavy[j]
             if f.source in searches[i] or e.source in searches[j]:
                 continue  # e and f are in line
             if tree is None:
                 tree = sorted(searches[i], key=position)
             common = next(v for v in tree if v in searches[j])
-            violations.append(LpaViolation(kind="LPA3", edges=(e.id, f.id), vertex=common))
+            yield LpaViolation(kind="LPA3", edges=(e.id, f.id), vertex=common)
 
-    firsts = {c[0]: c for c in components}
-    for e, reached in zip(heavy, searches):
-        # a cycle avoiding e lies in T(r(e)) - e; one site per component.
-        # Deleting e splits only its own component, if s(e) is in T(r(e)).
+
+def _lpa4_sites(g: WeightedGraph, zone: _Zone) -> Iterator[LpaViolation]:
+    """LPA4: the sites of cycles avoiding a weighted edge, in report order.
+
+    A cycle based in T(r(e)) stays inside it, so LPA4 fails for e exactly
+    when T(r(e)) - e has a strongly connected component that carries a
+    cycle.  Deleting e splits only e's own component, which exists when
+    s(e) lies in T(r(e)); that one is split again without e, and the others
+    are the zone's.  Each component gives one violation: its first vertex
+    in graph order is the base, and a breadth-first search inside the
+    component gives a shortest cycle through it.  The sites of each edge
+    are found when the first of them is asked for.
+    """
+    position = g._vertex_index.__getitem__
+    firsts = {c[0]: c for c in zone.components}
+    for e, reached in zip(zone.heavy, zone.searches):
         found = [firsts[v] for v in reached if v in firsts]
         if e.source in reached:
-            own = component_of[e.source]
+            own = zone.component_of[e.source]
             found = [c for c in found if c is not own]
             found += cyclic_components(g, own, avoid=e.id)
         found.sort(key=lambda c: position(c[0]))
         for component in found:
             base = component[0]
-            violations.append(
-                LpaViolation(
-                    kind="LPA4",
-                    weighted_edge=e.id,
-                    path=path_to(reached, base),
-                    cycle=shortest_cycle(g, base, component, avoid=e.id),
-                )
+            yield LpaViolation(
+                kind="LPA4",
+                weighted_edge=e.id,
+                path=path_to(reached, base),
+                cycle=shortest_cycle(g, base, component, avoid=e.id),
             )
 
-    return LpaReport(satisfied=not violations, violations=tuple(violations))
+
+def _first_lpa4_site(g: WeightedGraph) -> Optional[LpaViolation]:
+    """The first LPA4 violation :func:`check_lpa` reports for ``g``, or None.
+
+    One breadth-first search from all weighted ranges gives the zone, and
+    one strongly-connected-components pass over it.  Each T(r(e)) - e lies
+    inside the zone, so a zone with no cyclic component has no LPA4 site;
+    only otherwise do the per-edge searches run, reusing those components.
+    """
+    zone = breadth_first(g, [e.range for e in weighted_edges(g)])
+    components = cyclic_components(g, zone)
+    if not components:
+        return None
+    return next(_lpa4_sites(g, _zone(g, components)), None)
 
 
 def _satisfies_lpa(g: WeightedGraph) -> bool:
@@ -438,26 +492,27 @@ def _search_shape_word(algebra: Algebra) -> Optional[Word]:
 def witness_nodpath(g: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None) -> Word:
     """A nod-word e.2 ... e.2* certifying that Condition (LPA) fails.
 
-    LPA4 violations are turned into words directly from the witness path
-    and cycle; for the remaining kinds a breadth-first search over
-    nod-words of the required shape is run with the hard length bound
-    2*|vertices|*max weight + 2.  The returned word is re-checked with the
-    nod-word predicate before being handed out.  A given ``choice`` is
-    checked once: by the algebra built here, or before :class:`LpaSatisfiedError`.
+    It decides with :func:`_satisfies_lpa` and builds no report.  The first
+    LPA4 violation :func:`check_lpa` would report (:func:`_first_lpa4_site`)
+    is turned into a word directly from its witness path and cycle; that
+    costs one search and one strongly-connected-components pass over the
+    zone, and the per-edge searches only if the zone carries a cycle.
+    Without an LPA4 site, a breadth-first search over nod-words of the
+    required shape is run with the hard length bound 2*|vertices|*max
+    weight + 2.  The returned word is re-checked with the nod-word predicate
+    before being handed out.  A given ``choice`` is checked once: by the
+    algebra built here, or before :class:`LpaSatisfiedError`.
     """
-    report = check_lpa(g)
-    if report.satisfied:
+    if _satisfies_lpa(g):
         if choice is not None:
             validate_choice(g, choice)
         raise LpaSatisfiedError("graph satisfies Condition (LPA); no witness exists")
 
     algebra = Algebra(g, choice)
-    word: Optional[Word] = None
-    for violation in report.violations:
-        if violation.kind == "LPA4":
-            word = _keylemma_word_from_cycle(g, violation)
-            break
-    if word is None:
+    site = _first_lpa4_site(g)
+    if site is not None:
+        word = _keylemma_word_from_cycle(g, site)
+    else:
         word = _search_shape_word(algebra)
         if word is None:
             raise WitnessSearchError(

@@ -30,6 +30,7 @@ from wlpa import (
     PreconditionViolatedError,
     SpecialEdgeChoice,
     WeightedGraph,
+    Word,
     cyclic_components,
     shortest_cycle,
     strand_name,
@@ -39,6 +40,7 @@ from wlpa.algebra import _compose, _involute
 from wlpa.exprs import ExpressionError, _matching_parentheses, _scan_identifier
 from wlpa.fields import FieldError, parse_natural
 from wlpa.graphs import breadth_first, path_to
+from wlpa.lpa import _keylemma_word_from_cycle, _search_shape_word
 
 
 # -- graph primitives ---------------------------------------------------------
@@ -188,6 +190,22 @@ def reference_check_lpa(g: WeightedGraph) -> LpaReport:
             )
 
     return LpaReport(satisfied=not violations, violations=tuple(violations))
+
+
+def reference_witness(g: WeightedGraph,
+                      choice: Optional[SpecialEdgeChoice] = None) -> Word:
+    """The word ``witness_nodpath`` must give for a graph failing (LPA).
+
+    Read off the whole report: the first LPA4 violation of
+    :func:`reference_check_lpa` made into a word, or else the nod-word
+    search in the algebra of ``choice``.
+    """
+    report = reference_check_lpa(g)
+    assert not report.satisfied, "a graph satisfying (LPA) has no witness"
+    for violation in report.violations:
+        if violation.kind == "LPA4":
+            return _keylemma_word_from_cycle(g, violation)
+    return _search_shape_word(Algebra(g, choice))
 
 
 # -- graph text and graph checks ----------------------------------------------

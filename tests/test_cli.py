@@ -588,6 +588,14 @@ _L23_EXPRESSION = "e2.1 e1.1 e1.1* e2.1* - e1.1* e1.1 e1.2* + 3 * e3.1* e3.1 e1.
         # cycles of their own range trees
         ("checklpa_lpa_fan.json",
          ["check-lpa", "--input", fx("lpa_fan.wg"), "--format", "machine"], 3),
+        # LPA3 only with an acyclic zone: the word comes from the nod-word search
+        ("witness_fan3.json",
+         ["witness", "--input", fx("fan3.wg"), "--format", "machine"], 0),
+        # the first LPA4 site: the loop l, and the terminal cycle t3 t4
+        ("witness_lpa_all.json",
+         ["witness", "--input", fx("lpa_all.wg"), "--format", "machine"], 0),
+        ("witness_lpa_fan.json",
+         ["witness", "--input", fx("lpa_fan.wg"), "--format", "machine"], 0),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):

@@ -23,6 +23,7 @@ from wlpa import (
 )
 
 from graphgen import (
+    _last_maximal_choice,
     chord_ladder,
     multigraphs,
     random_lpa_failing_graph,
@@ -33,7 +34,7 @@ from graphgen import (
     weighted_fan,
     weighted_ring,
 )
-from oracles import brute_force_lpa4_sites, reference_check_lpa
+from oracles import brute_force_lpa4_sites, reference_check_lpa, reference_witness
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -378,6 +379,83 @@ def test_witness_shape_on_sampled_graphs():
         g = random_lpa_failing_graph(rng, max_vertices=4, max_edges=5, max_weight=3)
         word = witness_nodpath(g)
         assert shape_ok(Algebra(g), word)
+
+
+def _assert_witness_matches_the_reference(g):
+    if reference_check_lpa(g).satisfied:
+        with pytest.raises(LpaSatisfiedError):
+            witness_nodpath(g)
+        return
+    for choice in (None, _last_maximal_choice(g)):
+        assert witness_nodpath(g, choice) == reference_witness(g, choice), (g, choice)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(multigraphs() | _functional_zones())
+@_with_fixture_examples
+def test_witness_matches_the_reference_witness(g):
+    _assert_witness_matches_the_reference(g)
+
+
+def test_witness_matches_the_reference_witness_on_graph_families():
+    rng = Random(71029)
+    graphs = list(small_graphs(max_vertices=2, max_edges=3, max_weight=3))
+    graphs += [random_lpa_failing_graph(rng) for _ in range(200)]
+    graphs += [random_lpa_failing_graph(rng, max_vertices=8, max_edges=12) for _ in range(100)]
+    graphs += [weighted_fan(k) for k in range(2, 9)]
+    graphs += [chord_ladder(n) for n in range(3, 12)]
+    for g in graphs:
+        _assert_witness_matches_the_reference(g)
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each named function of ``graphs`` and ``lpa``."""
+    from wlpa import graphs
+
+    calls = dict.fromkeys(names, 0)
+    for module in (graphs, lpa):
+        for name in names:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _in_line_chain(k):
+    """k weighted edges h_i: s_i -> r_i in line along one path into the sink
+    r_(k-1), and a vertex x emitting two weighted edges, so (LPA) fails
+    through LPA1 only."""
+    vertices = ["x", "y", "z"]
+    edges = [EdgeRecord("a", "x", "y", 2), EdgeRecord("b", "x", "z", 2)]
+    for i in range(k):
+        vertices += [f"s{i}", f"r{i}"]
+        edges.append(EdgeRecord(f"h{i}", f"s{i}", f"r{i}", 2))
+        if i + 1 < k:
+            edges.append(EdgeRecord(f"c{i}", f"r{i}", f"s{i + 1}"))
+    return WeightedGraph(vertices, edges)
+
+
+@pytest.mark.parametrize("g", [weighted_fan(6), _in_line_chain(40)], ids=["fan", "chain"])
+def test_witness_on_an_acyclic_zone_searches_it_once(monkeypatch, g):
+    # no cycle in the zone, so no LPA4 site and no per-edge search
+    calls = _count_calls(monkeypatch, ["check_lpa", "breadth_first", "cyclic_components"])
+    word = witness_nodpath(g)
+    assert calls == {"check_lpa": 0, "breadth_first": 1, "cyclic_components": 1}
+    assert shape_ok(Algebra(g), word)
+
+
+def test_witness_takes_the_first_lpa4_site_with_one_cycle_search(monkeypatch):
+    g = chord_ladder(11)
+    calls = _count_calls(monkeypatch, ["check_lpa", "shortest_cycle"])
+    word = witness_nodpath(g)
+    assert calls == {"check_lpa": 0, "shortest_cycle": 1}
+    assert word[0] == Generator.edge("h", 2) and shape_ok(Algebra(g), word)
 
 
 def test_soundness_pairing():

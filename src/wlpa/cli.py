@@ -109,14 +109,14 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _read_graph(path: str, stdin) -> WeightedGraph:
-    if path == "-":
-        text = stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
     return parse_weighted_graph(text)
 
 
@@ -200,7 +200,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
                     "stage1": graph_to_records(trace.stage1_graph),
                     "stage2": graph_to_records(trace.stage2_graph),
                     "trace": trace.to_records(),
-                    "verify": verification.to_records() if verification else None,
+                    "verify": verification.to_records() if verification is not None else None,
                 }
 
             def text():

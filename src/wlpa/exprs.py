@@ -14,19 +14,19 @@ That rule comes first, so on a graph with a vertex ``2`` the text ``2 v``
 is a product of two vertices: ``AlgebraElement.render`` reads back as the
 same element only on graphs with no digit-run vertex name.
 
-One ``findall`` of ``_TOKEN_RE`` scans the whole text into tuples
-``(fraction, name, index, star, punctuation, stray)``.  The stray group
-holds the first character no other branch takes, and the rest of the
-text, so it can only be the last tuple.  Such a text is read a second
-time by :func:`_scan_strays`, a loop over the same pattern that keeps
-positions: a stray character is an error, unless it is the ``^`` of an
-identifier that begins with a parenthesis (``(h^(1))^(2)``).  There an
-opening parenthesis is part of an identifier exactly when its balanced
-group holds one identifier and is followed by ``^(digits)``; otherwise it
-opens a grouping.  That reader matches every parenthesis in one pass and
-decides each opening one once.  A text without strays has its
-parentheses matched only when it holds more than ``MAX_NESTING`` of
-``(``, since fewer cannot nest deeper.
+One ``findall`` scans the whole text into tuples ``(fraction, name,
+index, star, punctuation, stray)``.  The stray group holds the first
+character no other branch takes, and the rest of the text, so it can only
+be the last tuple; a stray is always an error, at ``len(text) -
+len(stray)``.  Names can nest, as ``(h^(1))^(2)`` does: a run of k
+opening parentheses, an atom and m groups ``)^(digits)...`` is a name
+from its last min(k, m) parentheses on, and the others open groups.
+With m > k the ``^`` after the (k+1)-th ``)`` is a stray.  Only a text
+holding ``)^(`` can hold such a name, so only such a text is scanned with
+``_NESTED_RE``, whose name branch also takes a whole run from its first
+``(``, and :func:`_nested_tokens` splits each run.  Parentheses are
+counted for depth first, and only in a text holding more than
+``MAX_NESTING`` of ``(``, since fewer cannot nest deeper.
 
 Evaluation is formal.  Each generator is read straight to its letter id
 through its plain ``(kind, name, index)`` key in the algebra's one letter
@@ -46,19 +46,19 @@ words.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .algebra import Algebra, AlgebraElement, Generator
 from .fields import FieldError
 
 _ATOM = r"[A-Za-z0-9_]+(?:\^\([0-9]+\))*"
 _STRAND = r"(?:\.([0-9]+)(\*)?)?"  # optional strand suffix .<digits>, optional star
-_TOKEN_RE = re.compile(
-    r"(?:([0-9]+/[0-9]+)|(" + _ATOM + ")" + _STRAND + r"|([-+*()])|(\S[\s\S]*))\s*")
-_STRAND_RE = re.compile(_STRAND + r"\s*")
-_ATOM_RE = re.compile(_ATOM)
-_SUPERSCRIPTS_RE = re.compile(r"(\^\([0-9]+\))+")
-_SPACE_RE = re.compile(r"\s*")
+_TOKEN = r"(?:([0-9]+/[0-9]+)|(%s)" + _STRAND + r"|([-+*()])|(\S[\s\S]*))\s*"
+_TOKEN_RE = re.compile(_TOKEN % _ATOM)
+# each token also whole in a first group; a name may be a run of '(',
+# taken from its first, an atom and groups ')^(digits)...'
+_NESTED_RE = re.compile(
+    "(" + _TOKEN % (r"(?<!\()\(+" + _ATOM + r"(?:\)(?:\^\([0-9]+\))+)+|" + _ATOM) + ")")
+_OPEN = ("", "", "", "", "(", "")
 _END = ("",) * 6  # closes every token list the parser reads
 
 
@@ -76,75 +76,52 @@ class ExpressionError(ValueError):
     pass
 
 
-def _matching_parentheses(text: str) -> dict[int, int]:
-    """Position of the matching ``)`` of every balanced ``(``.
+def _matching_parentheses(text: str) -> None:
+    """Raise :class:`ExpressionError` when parentheses nest deeper than ``MAX_NESTING``.
 
-    Raises :class:`ExpressionError` when parentheses nest deeper than
-    ``MAX_NESTING``.
+    A ``)`` with no ``(`` open is skipped.
     """
-    closes, stack = {}, []
-    for i, ch in enumerate(text):
+    depth = 0
+    for ch in text:
         if ch == "(":
-            stack.append(i)
-            if len(stack) > MAX_NESTING:
+            depth += 1
+            if depth > MAX_NESTING:
                 raise ExpressionError(f"parentheses nest deeper than {MAX_NESTING}")
-        elif ch == ")" and stack:
-            closes[stack.pop()] = i
-    return closes
+        elif ch == ")" and depth:
+            depth -= 1
 
 
-def _scan_identifier(text: str, pos: int, closes: dict[int, int],
-                     decided: dict[int, Optional[int]]) -> Optional[int]:
-    """End position of an identifier starting at ``pos``, or None.
+def _nested_tokens(text: str) -> list[tuple[str, ...]]:
+    """The tokens of a text holding ``)^(``, each name run split into ``(`` and its name.
 
-    ``(x)^(d)`` is an identifier when ``x`` is one that ends at the matching
-    ``)``.  The run of opening parentheses at ``pos`` is decided innermost
-    first, and each verdict is stored in ``decided``, so a reader that
-    steps over those parentheses one by one reads them only once.
+    A group's ``)`` after the first follows a ``)``: with m > k groups, the
+    (k+1)-th group's ``)`` ends the (m - k)-th ``))`` from the end.
     """
-    if pos in decided:
-        return decided[pos]
-    opens = []
-    while pos < len(text) and text[pos] == "(":
-        opens.append(pos)
-        pos += 1
-    m = _ATOM_RE.match(text, pos)
-    end = m.end() if m else None
-    for p in reversed(opens):
-        if end is not None:
-            m = _SUPERSCRIPTS_RE.match(text, end + 1) if closes.get(p) == end else None
-            end = m.end() if m else None
-        decided[p] = end
-    return end
-
-
-def _scan_strays(text: str) -> list[tuple[str, ...]]:
-    """The tokens of a text whose scan holds a stray character, read with positions."""
-    closes = _matching_parentheses(text)
-    decided: dict[int, Optional[int]] = {}
-    tokens = []
-    pos = _SPACE_RE.match(text).end()
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m.group(6):
-            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
-        end = _scan_identifier(text, pos, closes, decided) if m.group(5) == "(" else None
-        if end is None:
-            tokens.append(m.groups(""))
-        else:
-            m = _STRAND_RE.match(text, end)
-            tokens.append(("", text[pos:end]) + m.groups("") + ("", ""))
-        pos = m.end()
+    tokens, pos = [], len(text) - len(text.lstrip())
+    for source, *token in _NESTED_RE.findall(text):
+        name = token[1]
+        if name[:1] == "(":
+            opens = len(name) - len(name.lstrip("("))
+            groups = name.count(")") - name.count("^(")  # one per superscript
+            if groups > opens:
+                stray = pos + len(name.rsplit("))", groups - opens)[0]) + 2
+                raise ExpressionError(f"unexpected character '^' at position {stray}")
+            tokens += [_OPEN] * (opens - groups)
+            token[1] = name[opens - groups:]
+        tokens.append(tuple(token))
+        pos += len(source)
     return tokens
 
 
 def _tokens(text: str) -> list[tuple[str, ...]]:
     """``(fraction, name, index, star, punctuation, "")`` for each token of ``text``."""
-    tokens = _TOKEN_RE.findall(text)
-    if tokens and tokens[-1][5]:
-        return _scan_strays(text)
     if text.count("(") > MAX_NESTING:
         _matching_parentheses(text)
+    tokens = _nested_tokens(text) if ")^(" in text else _TOKEN_RE.findall(text)
+    if tokens and tokens[-1][5]:
+        stray = tokens[-1][5]
+        raise ExpressionError(
+            f"unexpected character {stray[0]!r} at position {len(text) - len(stray)}")
     return tokens
 
 

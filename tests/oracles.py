@@ -37,7 +37,7 @@ from wlpa import (
     weighted_edges,
 )
 from wlpa.algebra import _compose, _involute
-from wlpa.exprs import ExpressionError, _matching_parentheses, _scan_identifier
+from wlpa.exprs import MAX_NESTING, ExpressionError
 from wlpa.fields import FieldError, parse_natural
 from wlpa.graphs import breadth_first, path_to
 from wlpa.lpa import _keylemma_word_from_cycle, _search_shape_word
@@ -595,9 +595,52 @@ def reference_normal_form(algebra, pairs) -> dict:
 # -- reference expression parser -----------------------------------------------
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_]+(\^\([0-9]+\))*")
+_SUPERSCRIPTS_RE = re.compile(r"(\^\([0-9]+\))+")
 _STRAND_RE = re.compile(r"\.([0-9]+)(\*)?")  # strand suffix .<digits>, optional star
 _DENOMINATOR_RE = re.compile(r"/([0-9]+)")
 _SPACE_RE = re.compile(r"\s*")
+
+
+def _matching_parentheses(text: str) -> dict[int, int]:
+    """Position of the matching ``)`` of every balanced ``(``.
+
+    Raises :class:`ExpressionError` when parentheses nest deeper than
+    ``MAX_NESTING``.
+    """
+    closes, stack = {}, []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            stack.append(i)
+            if len(stack) > MAX_NESTING:
+                raise ExpressionError(f"parentheses nest deeper than {MAX_NESTING}")
+        elif ch == ")" and stack:
+            closes[stack.pop()] = i
+    return closes
+
+
+def _scan_identifier(text: str, pos: int, closes: dict[int, int],
+                     decided: dict[int, Optional[int]]) -> Optional[int]:
+    """End position of an identifier starting at ``pos``, or None.
+
+    ``(x)^(d)`` is an identifier when ``x`` is one that ends at the matching
+    ``)``.  The run of opening parentheses at ``pos`` is decided innermost
+    first, and each verdict is stored in ``decided``, so a reader that
+    steps over those parentheses one by one reads them only once.
+    """
+    if pos in decided:
+        return decided[pos]
+    opens = []
+    while pos < len(text) and text[pos] == "(":
+        opens.append(pos)
+        pos += 1
+    m = _ATOM_RE.match(text, pos)
+    end = m.end() if m else None
+    for p in reversed(opens):
+        if end is not None:
+            m = _SUPERSCRIPTS_RE.match(text, end + 1) if closes.get(p) == end else None
+            end = m.end() if m else None
+        decided[p] = end
+    return end
 
 
 class _Tokenizer:

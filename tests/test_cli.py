@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import sys
@@ -14,9 +15,10 @@ from wlpa import (
     parse_weighted_graph,
     serialize_weighted_graph,
 )
-from wlpa import algebra as algebra_module, lpa as lpa_module
+from wlpa import algebra as algebra_module, cli as cli_module, lpa as lpa_module
 from wlpa.cli import main, run
 from wlpa.exprs import ExpressionError, parse_element
+from wlpa.unweighting import family_maps
 
 from graphgen import weighted_ring
 
@@ -146,6 +148,14 @@ def test_cli_input_errors():
         "validate", "--input", "-", stdin_text="edge a v v 1"
     )
     assert code == 1 and "unknown source" in err
+
+
+def test_cli_rejects_a_graph_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.wg"
+    path.write_bytes(b"vertex v\xff\n")
+    assert invoke("validate", "--input", str(path)) == (1, "", (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+        " in position 8: invalid start byte\n"))
 
 
 def test_cli_eval():
@@ -319,6 +329,25 @@ def test_cli_transform_violated():
 def test_cli_transform_verify_exit():
     code, out, _ = invoke("transform", "--input", fx("fork.wg"), "--verify")
     assert code == 0 and "# verify: ok" in out
+
+
+def test_cli_transform_verify_failure_exits_1(monkeypatch):
+    # the forward image of the first letter doubled: v v = v no longer holds
+    def doubled_family_maps(trace, field):
+        fwd, bwd = family_maps(trace, field=field)
+        images = ({w: 2 * c for w, c in fwd.images[0].items()},) + fwd.images[1:]
+        return dataclasses.replace(fwd, images=images), bwd
+
+    monkeypatch.setattr(cli_module, "family_maps", doubled_family_maps)
+    argv = ("transform", "--verify", "--input", fx("fork.wg"))
+    code, out, err = invoke(*argv)
+    assert (code, err) == (1, "family verification failed\n")
+    assert "# verify: FAILED\n" in out
+    code, out, err = invoke(*argv, "--format", "machine")
+    assert (code, err) == (1, "family verification failed\n")
+    verify = json.loads(out)["verify"]
+    assert verify["ok"] is False
+    assert {"forward (i) u u", "roundtrip source u", "roundtrip target u"} <= set(verify["failures"])
 
 
 @pytest.mark.parametrize("name", ["g6.wg", "fork.wg"])
@@ -549,6 +578,7 @@ def test_cli_main_prints_help_and_exits_zero(monkeypatch, capsys):
 # -- golden files: machine format, text format for .txt --------------------
 
 _L23_EXPRESSION = "e2.1 e1.1 e1.1* e2.1* - e1.1* e1.1 e1.2* + 3 * e3.1* e3.1 e1.2 e1.1*"
+_NESTED_EXPRESSION = "2 * (h^(1))^(12) + ((e^(3))^(10))^(2).2* ((e^(3))^(10))^(2).2"
 
 
 @pytest.mark.parametrize(
@@ -596,6 +626,10 @@ _L23_EXPRESSION = "e2.1 e1.1 e1.1* e2.1* - e1.1* e1.1 e1.2* + 3 * e3.1* e3.1 e1.
          ["witness", "--input", fx("lpa_all.wg"), "--format", "machine"], 0),
         ("witness_lpa_fan.json",
          ["witness", "--input", fx("lpa_fan.wg"), "--format", "machine"], 0),
+        ("basis_l23_special.json",
+         ["basis", "2", "--input", fx("l23.wg"), "--special", "v=e2", "--format", "machine"], 0),
+        # a vertex and a weight-2 edge whose names nest
+        ("eval_nested.txt", ["eval", "--input", fx("nested.wg"), _NESTED_EXPRESSION], 0),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):

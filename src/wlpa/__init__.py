@@ -16,7 +16,6 @@ from .algebra import (
     default_special_edges,
     evaluate_relation,
     identity_map,
-    relation_failures,
     relation_instances,
     validate_choice,
 )
@@ -45,7 +44,6 @@ from .graphs import (
     serialize_weighted_graph,
     shortest_cycle,
     tree,
-    validate_path,
     weighted_edges,
     weighted_graph_from_records,
 )
@@ -56,7 +54,6 @@ from .lpa import (
     WitnessSearchError,
     check_lpa,
     search_shape_word,
-    violation_holds,
     witness_nodpath,
 )
 from .unweighting import (

@@ -202,6 +202,40 @@ def _letters(graph: WeightedGraph):
     return id_of, tuple(src), tuple(rng), tuple(star_of), tuple(degree), out, tuple(bases)
 
 
+def _successors(src, rng, degree, out, choice: SpecialEdgeChoice):
+    """The nod-word successors of a letter, as a function of its id.
+
+    ``src``, ``rng``, ``degree`` and ``out`` are the tables of
+    :func:`_letters`, and ``choice`` is a checked special-edge choice.  A
+    non-vertex letter a may be followed by the non-vertex letters b with
+    s(b) = r(a), in id order, except for the leading pairs of the rules of
+    :meth:`Algebra._build_pair_table`: after ``e_1^*``, every ``f_1`` that
+    r(a) emits (a (iii) rule), and after a strand ``s_i`` of the special
+    edge s at s(a), every ``s_j^*`` (a (iv) rule).  This one routine decides
+    which letter may follow which, for the automaton :attr:`Algebra._succ`
+    and for the witness search of :func:`~wlpa.lpa.witness_nodpath`.
+    """
+    starting: list[list[int]] = [[] for _ in out]
+    for b in range(len(out), len(src)):
+        starting[src[b]].append(b)
+    special = set(choice.mapping.values())  # an edge is special only at its source
+    # each strand s_i of a special edge of weight w at base b to its stars s_j^*
+    special_stars = {a: range(b + w, b + 2 * w)
+                     for emitted in out for eid, w, b, _ in emitted if eid in special
+                     for a in range(b, b + w)}
+
+    def successors(a: int) -> tuple[int, ...]:
+        after = starting[rng[a]]
+        if degree[a] == (0, -1):  # e_1^* is followed by no f_1
+            return tuple(b for b in after if degree[b] != (0, 1))
+        stars = special_stars.get(a)
+        if stars is not None:
+            return tuple(b for b in after if b not in stars)
+        return tuple(after)
+
+    return successors
+
+
 class Algebra:
     """The weighted Leavitt path algebra of a graph over an exact field.
 
@@ -213,11 +247,12 @@ class Algebra:
     rhs)``, only :meth:`_product` rewrites with it, the relation checks read
     it as one (iii) or (iv) instance, and every other reader asks
     :meth:`_is_normal`.  These tables never change.  The nod-word automaton,
-    :attr:`_succ`, is built on the first walk: only :meth:`nodword_counts`
-    (behind :meth:`growth`, :meth:`zero_component_count`, the CLI tables
-    and the basis budget), :meth:`enumerate_nodwords` and the witness
-    search walk it.  The count store keeps the counts walked, so a request
-    up to the length walked so far walks nothing.  The store and the
+    :attr:`_succ`, reads no rule: :func:`_successors` gives it from the
+    letter tables and the choice.  It is built on the first walk: only
+    :meth:`nodword_counts` (behind :meth:`growth`,
+    :meth:`zero_component_count`, the CLI tables and the basis budget) and
+    :meth:`enumerate_nodwords` walk it.  The count store keeps the counts
+    walked, so a request up to the length walked so far walks nothing.  The store and the
     normal-form memos (``_memo_left``, ``_memo_right``) of :meth:`_nf_word`
     only ever grow, so an instance must not be shared between threads
     without a lock.  Only words from outside reach the memos, one entry
@@ -304,22 +339,18 @@ class Algebra:
     def _succ(self) -> dict[int, tuple[int, ...]]:
         """The nod-word automaton: the allowed successors of each non-vertex letter, in id order.
 
-        Built on the first read, by :meth:`_step`, :meth:`enumerate_nodwords`
-        or the witness search, and kept in ``_succ_table``, which ``__init__``
-        sets to None.  It is no ``functools.cached_property``: on CPython
-        3.11 a key added to the instance dict after ``__init__`` makes every
-        other attribute read of the algebra slower.
+        Built on the first read, by :meth:`_step` or :meth:`enumerate_nodwords`,
+        with :func:`_successors`, which the witness search follows too, and
+        kept in ``_succ_table``, which ``__init__`` sets to None.  It is no
+        ``functools.cached_property``: on CPython 3.11 a key added to the
+        instance dict after ``__init__`` makes every other attribute read of
+        the algebra slower.
         """
         succ = self._succ_table
         if succ is None:
-            starting: list[list[int]] = [[] for _ in range(self._nv)]
-            for b in self._nonvertex_ids:
-                starting[self._src_id[b]].append(b)
-            rules, rng_id = self._rules, self._rng_id
-            succ = self._succ_table = {
-                a: tuple(b for b in starting[rng_id[a]] if (a, b) not in rules)
-                for a in self._nonvertex_ids
-            }
+            successors = _successors(self._src_id, self._rng_id, self._letter_degree,
+                                     self._out_letters, self.choice)
+            succ = self._succ_table = {a: successors(a) for a in self._nonvertex_ids}
         return succ
 
     @_succ.setter
@@ -846,14 +877,14 @@ def relation_instances(g: WeightedGraph):
     are zero.  Relation (i) comes first, one instance per ordered pair of
     vertices (u-major, both in graph order), then (ii), (iii) and (iv).
 
-    The instances are those :func:`relation_failures` evaluates, rendered
-    here as records ``(key, pairs, rhs)``, each standing for ``sum of x y
-    over its letter-id pairs (x, y) = rhs``, rhs one letter id or None for
-    0: those of :func:`_vertex_relation` and :func:`_strand_relations`,
-    then one per rule of ``Algebra(g)``, its pairs the lead and ``others``
-    and its key :func:`_rule_key` of the lead.  Its terms are each pair
-    with coefficient 1, then the rhs letter with -1; its label is
-    :func:`_label` of its key.
+    The instances are those :func:`_relation_failures` evaluates over
+    ``Algebra(g)``, rendered here as records ``(key, pairs, rhs)``, each
+    standing for ``sum of x y over its letter-id pairs (x, y) = rhs``, rhs
+    one letter id or None for 0: those of :func:`_vertex_relation` and
+    :func:`_strand_relations`, then one per rule of ``Algebra(g)``, its
+    pairs the lead and ``others`` and its key :func:`_rule_key` of the
+    lead.  Its terms are each pair with coefficient 1, then the rhs letter
+    with -1; its label is :func:`_label` of its key.
     """
     algebra = Algebra(g)
     gens, n = algebra._generators(), len(g.vertices)
@@ -911,26 +942,13 @@ def _rule_key(algebra: Algebra, lead: tuple[int, int]) -> tuple:
     return "(iv) {} {} {}", names[algebra._src_id[a]], gens[a].index, gens[b].index
 
 
-def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement],
-                      target: Algebra) -> tuple[int, list[str]]:
-    """Check every instance of :func:`relation_instances` under ``mapping``.
-
-    Returns the number of instances and the labels of those whose value in
-    ``target`` is not zero, in :func:`relation_instances` order.  The map
-    is lowered once (:func:`_lower`), and :func:`_relation_failures`
-    evaluates the instances of ``Algebra(g)``.  A key that is no letter of
-    ``g`` or a letter with no image raises :class:`UnknownGeneratorError`,
-    an image outside ``target`` :class:`MixedContextError`.
-    """
-    domain = Algebra(g)
-    for gen in mapping:
-        domain._intern_letter(gen)
-    images = _lower(mapping, domain._generators(), target)
-    return _relation_failures(domain, images, target)
-
-
 def _relation_failures(domain: Algebra, images, target: Algebra):
-    """:func:`relation_failures` for a map lowered over the letter ids of ``domain``.
+    """Check every instance of :func:`relation_instances` under a map lowered over ``domain``.
+
+    ``images`` holds the support of the image of each letter id of
+    ``domain`` (see :func:`_lower`).  Returns the number of instances and
+    the labels of those whose value in ``target`` is not zero, in
+    :func:`relation_instances` order.
 
     Relation (i) is decided without a product per ordered pair of
     vertices.  The image of ``u v`` is a sum of products ``a b`` of support

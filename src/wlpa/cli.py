@@ -124,7 +124,8 @@ def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdg
     """The default special edges with the stripped ``vertex=edge`` overrides laid over them.
 
     A second entry for a vertex, even a repeat of the same pair, is rejected.
-    The algebra built from it checks the choice (``witness_nodpath`` if it builds none).
+    The algebra built from it checks the choice, and ``witness_nodpath``, which builds
+    none, checks it itself.
     """
     if spec is None:
         return None

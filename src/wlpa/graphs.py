@@ -241,17 +241,6 @@ class GraphPath:
         return g.edge(self.edges[-1]).range
 
 
-def validate_path(g: WeightedGraph, p: GraphPath) -> None:
-    """Raise unless consecutive edges of ``p`` compose inside ``g``."""
-    if p.vertex is not None:
-        g._require_vertex(p.vertex)
-        return
-    records = [g.edge(eid) for eid in p.edges]
-    for a, b in zip(records, records[1:]):
-        if a.range != b.source:
-            raise GraphError(f"edges {a.id!r} and {b.id!r} do not compose")
-
-
 EdgeLike = Union[str, EdgeRecord]
 
 

@@ -28,7 +28,9 @@ pairs of range trees that reach a common terminal component are compared.
 then looks for the first LPA4 site: one search from all weighted ranges
 and one strongly-connected-components pass over the zone, and the per-edge
 searches only when the zone carries a cycle.  Failing that, it searches
-nod-words of the required shape in the graph's algebra.
+nod-words of the required shape breadth first, letter by letter, with the
+successor routine that also builds the algebra's nod-word automaton
+(:func:`~wlpa.algebra._successors`); it builds no algebra.
 """
 
 from __future__ import annotations
@@ -38,18 +40,23 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
-from .algebra import Algebra, Generator, SpecialEdgeChoice, Word, validate_choice
+from .algebra import (
+    Generator,
+    SpecialEdgeChoice,
+    Word,
+    _letters,
+    _successors,
+    default_special_edges,
+    validate_choice,
+)
 from .graphs import (
     EdgeRecord,
     GraphPath,
     WeightedGraph,
     breadth_first,
     cyclic_components,
-    in_line,
     path_to,
-    reaches,
     shortest_cycle,
-    validate_path,
     weighted_edges,
 )
 
@@ -59,7 +66,7 @@ class LpaSatisfiedError(ValueError):
 
 
 class WitnessSearchError(RuntimeError):
-    """The bounded witness search failed; this indicates an internal bug."""
+    """The witness search failed; this indicates an internal bug."""
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,8 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
     no per-edge step runs over all vertices or all components.
 
     One witness is reported for each offending site.  All witnesses
-    replay against the raw graph primitives (see :func:`violation_holds`).
+    replay against the raw graph primitives (the tests' oracle
+    ``violation_holds`` does so).
     """
     if _satisfies_lpa(g):
         return LpaReport(satisfied=True)
@@ -356,61 +364,6 @@ def _satisfies_lpa(g: WeightedGraph) -> bool:
     return True
 
 
-def violation_holds(g: WeightedGraph, violation: LpaViolation) -> bool:
-    """Replay a witness from raw graph primitives."""
-    try:
-        if violation.kind == "LPA1":
-            a, b = (g.edge(x) for x in violation.edges)
-            return (
-                a.id != b.id
-                and a.weight > 1
-                and b.weight > 1
-                and a.source == violation.vertex
-                and b.source == violation.vertex
-            )
-        if violation.kind == "LPA2":
-            e = g.edge(violation.weighted_edge)
-            validate_path(g, violation.path)
-            a, b = (g.edge(x) for x in violation.edges)
-            return (
-                e.weight > 1
-                and violation.path.source(g) == e.range
-                and violation.path.range(g) == violation.vertex
-                and a.id != b.id
-                and a.source == violation.vertex
-                and b.source == violation.vertex
-            )
-        if violation.kind == "LPA3":
-            e, f = (g.edge(x) for x in violation.edges)
-            return (
-                e.weight > 1
-                and f.weight > 1
-                and not in_line(g, e, f)
-                and reaches(g, e.range, violation.vertex)
-                and reaches(g, f.range, violation.vertex)
-            )
-        if violation.kind == "LPA4":
-            e = g.edge(violation.weighted_edge)
-            validate_path(g, violation.path)
-            cycle = violation.cycle
-            validate_path(g, cycle)
-            base = violation.path.range(g)
-            records = [g.edge(x) for x in cycle.edges]
-            sources = [rec.source for rec in records]
-            return (
-                e.weight > 1
-                and violation.path.source(g) == e.range
-                and len(cycle.edges) > 0
-                and records[0].source == base
-                and records[-1].range == base
-                and len(set(sources)) == len(sources)
-                and e.id not in cycle.edges
-            )
-    except ValueError:
-        return False
-    return False
-
-
 def _keylemma_word_from_cycle(g: WeightedGraph, violation: LpaViolation) -> Word:
     """Build the witness nod-word from an LPA4 violation.
 
@@ -444,42 +397,56 @@ def search_shape_word(g: WeightedGraph,
                       choice: Optional[SpecialEdgeChoice] = None) -> Optional[Word]:
     """Breadth-first search for a nod-word e.2 ... e.2* over a weighted e.
 
-    Words are explored in increasing length up to the fixed length bound
-    2*|vertices|*max weight + 2, as in :func:`witness_nodpath`.  Extension
-    legality only depends on the last letter, so the frontier is
-    deduplicated per letter; any automaton path lifts back to a valid
-    nod-word.  Returns the first witness found, scanning weighted edges in
-    graph order, or None.
+    It builds no algebra: :func:`_shape_word` follows the successors of
+    :func:`_letter_successors` under ``choice``.  Returns the first witness
+    found, scanning weighted edges in graph order, or None.
     """
     if not weighted_edges(g):
         return None
-    return _search_shape_word(Algebra(g, choice))
+    return _shape_word(g, *_letter_successors(g, choice))
 
 
-def _search_shape_word(algebra: Algebra) -> Optional[Word]:
-    """:func:`search_shape_word` over the letter ids and the automaton of ``algebra``."""
-    g = algebra.graph
-    bound = 2 * len(g.vertices) * max(e.weight for e in g.edges) + 2
+def _letter_successors(g: WeightedGraph, choice: Optional[SpecialEdgeChoice]):
+    """The letter ids of ``g`` and its :func:`_successors` routine, off one :func:`_letters`.
 
-    id_of, succ, normal = algebra._id_of, algebra._succ, algebra._is_normal
+    The default special edges are used unless ``choice`` is given, which
+    :func:`validate_choice` checks first.
+    """
+    if choice is None:
+        choice = default_special_edges(g)
+    else:
+        validate_choice(g, choice)
+    id_of, src, rng, _, degree, out, _ = _letters(g)
+    return id_of, _successors(src, rng, degree, out, choice)
+
+
+def _shape_word(g: WeightedGraph, id_of, successors) -> Optional[Word]:
+    """:func:`search_shape_word` over the letter ids ``id_of`` and the routine ``successors``.
+
+    Words are explored in increasing length from each e.2.  Extension
+    legality only depends on the last letter, so each letter is reached
+    once and the search ends with no length bound; any path of successors
+    lifts back to a valid nod-word.  A letter's successors are asked for
+    once, when it is reached.
+    """
     for e in weighted_edges(g):
         start, last = id_of["edge", e.id, 2], id_of["star", e.id, 2]
         # parent links for path reconstruction, keyed by letter id
         parent: dict[int, Optional[int]] = {start: None}
-        found = start if normal(start, last) else None
-        queue = deque([(start, 1)])  # (letter id, length of its word)
+        after = successors(start)
+        found = start if last in after else None
+        queue = deque([(start, after)])  # (letter id, its successors)
         while queue and found is None:
-            cur, length = queue.popleft()
-            if length + 1 >= bound:
-                continue
-            for nxt in succ[cur]:
+            cur, after = queue.popleft()
+            for nxt in after:
                 if nxt in parent:
                     continue
                 parent[nxt] = cur
-                if normal(nxt, last):
+                following = successors(nxt)
+                if last in following:
                     found = nxt
                     break
-                queue.append((nxt, length + 1))
+                queue.append((nxt, following))
         if found is not None:
             chain = [last, found]
             while parent[chain[-1]] is not None:
@@ -492,33 +459,35 @@ def _search_shape_word(algebra: Algebra) -> Optional[Word]:
 def witness_nodpath(g: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None) -> Word:
     """A nod-word e.2 ... e.2* certifying that Condition (LPA) fails.
 
-    It decides with :func:`_satisfies_lpa` and builds no report.  The first
-    LPA4 violation :func:`check_lpa` would report (:func:`_first_lpa4_site`)
-    is turned into a word directly from its witness path and cycle; that
-    costs one search and one strongly-connected-components pass over the
-    zone, and the per-edge searches only if the zone carries a cycle.
-    Without an LPA4 site, a breadth-first search over nod-words of the
-    required shape is run with the hard length bound 2*|vertices|*max
-    weight + 2.  The returned word is re-checked with the nod-word predicate
-    before being handed out.  A given ``choice`` is checked once: by the
-    algebra built here, or before :class:`LpaSatisfiedError`.
+    It decides with :func:`_satisfies_lpa` and builds no report and no
+    algebra.  The first LPA4 violation :func:`check_lpa` would report
+    (:func:`_first_lpa4_site`) is turned into a word directly from its
+    witness path and cycle; that costs one search and one
+    strongly-connected-components pass over the zone, and the per-edge
+    searches only if the zone carries a cycle.  Without an LPA4 site, the
+    breadth-first search of :func:`_shape_word` runs over nod-words of the
+    required shape.  The returned word is re-checked, pair by pair, with
+    the successors of :func:`_letter_successors` before being handed out.
+    A given ``choice`` is checked by :func:`validate_choice`, also on a
+    graph that satisfies (LPA), before :class:`LpaSatisfiedError`.
     """
     if _satisfies_lpa(g):
         if choice is not None:
             validate_choice(g, choice)
         raise LpaSatisfiedError("graph satisfies Condition (LPA); no witness exists")
 
-    algebra = Algebra(g, choice)
+    id_of, successors = _letter_successors(g, choice)
     site = _first_lpa4_site(g)
     if site is not None:
         word = _keylemma_word_from_cycle(g, site)
     else:
-        word = _search_shape_word(algebra)
+        word = _shape_word(g, id_of, successors)
         if word is None:
             raise WitnessSearchError(
-                "no witness found within the search bound; this contradicts "
+                "the nod-word search found no witness; this contradicts "
                 "the failure of Condition (LPA) and indicates a bug"
             )
-    if not algebra.is_nodword(word):
+    ids = [id_of[gen.kind, gen.name, gen.index] for gen in word]
+    if not all(b in successors(a) for a, b in zip(ids, ids[1:])):
         raise WitnessSearchError("constructed witness is not a nod-word")
     return word

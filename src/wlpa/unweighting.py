@@ -377,11 +377,12 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
     relations of g~ as forward ones.
 
     Each map is read as it is kept, a table over the letter ids of its
-    domain.  The relations are checked as :func:`relation_failures` checks
-    them, on the domain algebra: each instance is a sum of letter-id pairs
-    and a right-hand letter, (i) and (ii) read off the domain's letter
-    tables and (iii) and (iv) off its rule table, one instance per rule,
-    and is evaluated with one product per pair.  Each round trip is one
+    domain.  The relations are checked by
+    :func:`~wlpa.algebra._relation_failures`, on the domain algebra: each
+    instance is a sum of letter-id pairs and a right-hand letter, (i) and
+    (ii) read off the domain's letter tables and (iii) and (iv) off its
+    rule table, one instance per rule, and is evaluated with one product
+    per pair.  Each round trip is one
     :func:`~wlpa.algebra._compose` of the items of the letter's image, n - 1
     products for a word of n letters.  Either holds at once when its value
     is exactly the right-hand side (for a round trip the letter with

@@ -8,6 +8,7 @@ sides is meaningful.
 from __future__ import annotations
 
 import re
+from collections import deque
 from itertools import product
 from typing import Optional
 
@@ -24,6 +25,7 @@ from wlpa import (
     Generator,
     Graph,
     GraphError,
+    GraphPath,
     GraphSyntaxError,
     LpaReport,
     LpaViolation,
@@ -32,15 +34,17 @@ from wlpa import (
     WeightedGraph,
     Word,
     cyclic_components,
+    in_line,
+    reaches,
     shortest_cycle,
     strand_name,
     weighted_edges,
 )
-from wlpa.algebra import _compose, _involute
+from wlpa.algebra import _compose, _involute, _lower, _relation_failures
 from wlpa.exprs import MAX_NESTING, ExpressionError
 from wlpa.fields import FieldError, parse_natural
 from wlpa.graphs import breadth_first, path_to
-from wlpa.lpa import _keylemma_word_from_cycle, _search_shape_word
+from wlpa.lpa import _keylemma_word_from_cycle
 
 
 # -- graph primitives ---------------------------------------------------------
@@ -206,6 +210,113 @@ def reference_witness(g: WeightedGraph,
         if violation.kind == "LPA4":
             return _keylemma_word_from_cycle(g, violation)
     return _search_shape_word(Algebra(g, choice))
+
+
+def _search_shape_word(algebra: Algebra) -> Optional[Word]:
+    """The word ``search_shape_word`` must give, over the automaton of ``algebra``.
+
+    A breadth-first search for a nod-word e.2 ... e.2* over a weighted e,
+    through ``algebra._succ``, in increasing length up to the fixed length
+    bound 2*|vertices|*max weight + 2.  Extension legality only depends on
+    the last letter, so the frontier is deduplicated per letter; any
+    automaton path lifts back to a valid nod-word.  Returns the first
+    witness found, scanning weighted edges in graph order, or None.
+    """
+    g = algebra.graph
+    bound = 2 * len(g.vertices) * max(e.weight for e in g.edges) + 2
+
+    id_of, succ, normal = algebra._id_of, algebra._succ, algebra._is_normal
+    for e in weighted_edges(g):
+        start, last = id_of["edge", e.id, 2], id_of["star", e.id, 2]
+        # parent links for path reconstruction, keyed by letter id
+        parent: dict[int, Optional[int]] = {start: None}
+        found = start if normal(start, last) else None
+        queue = deque([(start, 1)])  # (letter id, length of its word)
+        while queue and found is None:
+            cur, length = queue.popleft()
+            if length + 1 >= bound:
+                continue
+            for nxt in succ[cur]:
+                if nxt in parent:
+                    continue
+                parent[nxt] = cur
+                if normal(nxt, last):
+                    found = nxt
+                    break
+                queue.append((nxt, length + 1))
+        if found is not None:
+            chain = [last, found]
+            while parent[chain[-1]] is not None:
+                chain.append(parent[chain[-1]])
+            keys = list(id_of)
+            return tuple(Generator(*keys[t]) for t in reversed(chain))
+    return None
+
+
+def violation_holds(g: WeightedGraph, violation: LpaViolation) -> bool:
+    """Replay a witness from raw graph primitives."""
+    try:
+        if violation.kind == "LPA1":
+            a, b = (g.edge(x) for x in violation.edges)
+            return (
+                a.id != b.id
+                and a.weight > 1
+                and b.weight > 1
+                and a.source == violation.vertex
+                and b.source == violation.vertex
+            )
+        if violation.kind == "LPA2":
+            e = g.edge(violation.weighted_edge)
+            validate_path(g, violation.path)
+            a, b = (g.edge(x) for x in violation.edges)
+            return (
+                e.weight > 1
+                and violation.path.source(g) == e.range
+                and violation.path.range(g) == violation.vertex
+                and a.id != b.id
+                and a.source == violation.vertex
+                and b.source == violation.vertex
+            )
+        if violation.kind == "LPA3":
+            e, f = (g.edge(x) for x in violation.edges)
+            return (
+                e.weight > 1
+                and f.weight > 1
+                and not in_line(g, e, f)
+                and reaches(g, e.range, violation.vertex)
+                and reaches(g, f.range, violation.vertex)
+            )
+        if violation.kind == "LPA4":
+            e = g.edge(violation.weighted_edge)
+            validate_path(g, violation.path)
+            cycle = violation.cycle
+            validate_path(g, cycle)
+            base = violation.path.range(g)
+            records = [g.edge(x) for x in cycle.edges]
+            sources = [rec.source for rec in records]
+            return (
+                e.weight > 1
+                and violation.path.source(g) == e.range
+                and len(cycle.edges) > 0
+                and records[0].source == base
+                and records[-1].range == base
+                and len(set(sources)) == len(sources)
+                and e.id not in cycle.edges
+            )
+    except ValueError:
+        return False
+    return False
+
+
+def validate_path(g: WeightedGraph, p: GraphPath) -> None:
+    """Raise unless consecutive edges of ``p`` compose inside ``g``."""
+    if p.vertex is not None:
+        g._require_vertex(p.vertex)
+        return
+    records = [g.edge(eid) for eid in p.edges]
+    for a, b in zip(records, records[1:]):
+        if a.range != b.source:
+            raise GraphError(f"edges {a.id!r} and {b.id!r} do not compose")
 
 
 # -- graph text and graph checks ----------------------------------------------
@@ -1074,6 +1185,24 @@ def reference_relation_instances(g: WeightedGraph):
                 if i == j:
                     terms.append((-1, [V(v)]))
                 yield f"(iv) {v} {i} {j}", terms
+
+
+def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement],
+                      target: Algebra) -> tuple[int, list[str]]:
+    """Check every instance of ``wlpa.relation_instances`` under ``mapping``.
+
+    Returns the number of instances and the labels of those whose value in
+    ``target`` is not zero, in ``relation_instances`` order.  The map is
+    lowered once (``_lower``), and the package's ``_relation_failures``
+    evaluates the instances of ``Algebra(g)``.  A key that is no letter of
+    ``g`` or a letter with no image raises :class:`UnknownGeneratorError`,
+    an image outside ``target`` :class:`MixedContextError`.
+    """
+    domain = Algebra(g)
+    for gen in mapping:
+        domain._intern_letter(gen)
+    images = _lower(mapping, domain._generators(), target)
+    return _relation_failures(domain, images, target)
 
 
 # -- family verification ------------------------------------------------------

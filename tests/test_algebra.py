@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product
 from pathlib import Path
 from random import Random
 
@@ -25,11 +25,10 @@ from wlpa import (
     field_from_name,
     identity_map,
     parse_weighted_graph,
-    relation_failures,
     relation_instances,
     validate_choice,
 )
-from wlpa import algebra as algebra_module, lpa as lpa_module
+from wlpa import algebra as algebra_module
 from wlpa.exprs import parse_element
 from wlpa.fields import ModInt
 
@@ -42,6 +41,7 @@ from graphgen import (
 )
 from oracles import (
     AllLetters,
+    _search_shape_word,
     classical_unweighted_count,
     engine_span_dimension_gf2,
     reference_default_special_edges,
@@ -49,6 +49,7 @@ from oracles import (
     reference_relation_instances,
     reference_rule,
     reference_validate_choice,
+    relation_failures,
     truncated_quotient_dimension,
 )
 
@@ -780,7 +781,7 @@ _WALKS = {
     "growth": lambda algebra: algebra.growth(6),
     "zero_component_count": lambda algebra: algebra.zero_component_count(4),
     "enumerate_nodwords": lambda algebra: algebra.enumerate_nodwords(3),
-    "witness search": lpa_module._search_shape_word,
+    "witness search": _search_shape_word,
 }
 
 
@@ -796,6 +797,29 @@ def test_automaton_is_built_on_first_walk(name, walk):
     eager = Algebra(g)
     assert eager._succ == lazy._succ  # built before any walk
     assert _WALKS[walk](eager) == got
+
+
+def _valid_choices(g):
+    """Every valid special-edge choice of ``g``: an edge of maximal weight at each non-sink."""
+    options = []
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if out:
+            wv = max(e.weight for e in out)
+            options.append([(v, e.id) for e in out if e.weight == wv])
+    return [SpecialEdgeChoice(pairs) for pairs in product(*options)]
+
+
+def test_automaton_matches_the_rule_table_under_every_choice():
+    # the successor routine, which reads no rule, yields exactly the letters
+    # that make a pair with no rule, under each special edge of each vertex
+    built = 0
+    for g in small_graphs(3, 3, 2):
+        for choice in _valid_choices(g):
+            algebra = Algebra(g, choice)
+            assert algebra._succ == _reference_automaton(algebra), (g, choice)
+            built += 1
+    assert built > len(list(small_graphs(3, 3, 2)))  # some vertex had two choices
 
 
 def test_products_and_relation_checks_build_no_automaton():

@@ -510,7 +510,7 @@ def test_cli_special_sides_are_stripped():
 
 @pytest.mark.parametrize("argv,code,builds", [
     (["growth", "2", "--input", fx("e2loops.wg"), "--special", "v=b"], 0, 1),
-    (["witness", "--input", fx("e2loops.wg"), "--special", "v=b"], 0, 1),  # fails (LPA)
+    (["witness", "--input", fx("e2loops.wg"), "--special", "v=b"], 0, 0),  # fails (LPA)
     (["witness", "--input", fx("fork.wg"), "--special", "u=b"], 3, 0),  # satisfies (LPA)
 ], ids=["growth", "witness-failing", "witness-satisfying"])
 def test_cli_checks_a_special_choice_once(monkeypatch, argv, code, builds):
@@ -630,6 +630,14 @@ _NESTED_EXPRESSION = "2 * (h^(1))^(12) + ((e^(3))^(10))^(2).2* ((e^(3))^(10))^(2
          ["basis", "2", "--input", fx("l23.wg"), "--special", "v=e2", "--format", "machine"], 0),
         # a vertex and a weight-2 edge whose names nest
         ("eval_nested.txt", ["eval", "--input", fx("nested.wg"), _NESTED_EXPRESSION], 0),
+        # the nod-word search follows --special: e1.2 e1.2* is a nod-word
+        # unless e1 is the special edge at v1
+        ("witness_lpa1_loop_e1.json",
+         ["witness", "--input", fx("lpa1_loop.wg"), "--special", "v1=e1", "--format",
+          "machine"], 0),
+        ("witness_lpa1_loop_e2.json",
+         ["witness", "--input", fx("lpa1_loop.wg"), "--special", "v1=e2", "--format",
+          "machine"], 0),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):

@@ -17,7 +17,6 @@ from wlpa import (
     check_lpa,
     parse_weighted_graph,
     search_shape_word,
-    violation_holds,
     weighted_edges,
     witness_nodpath,
 )
@@ -34,7 +33,12 @@ from graphgen import (
     weighted_fan,
     weighted_ring,
 )
-from oracles import brute_force_lpa4_sites, reference_check_lpa, reference_witness
+from oracles import (
+    brute_force_lpa4_sites,
+    reference_check_lpa,
+    reference_witness,
+    violation_holds,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -448,6 +452,22 @@ def test_witness_on_an_acyclic_zone_searches_it_once(monkeypatch, g):
     word = witness_nodpath(g)
     assert calls == {"check_lpa": 0, "breadth_first": 1, "cyclic_components": 1}
     assert shape_ok(Algebra(g), word)
+
+
+@pytest.mark.parametrize("g", [weighted_fan(6), _in_line_chain(40),
+                               fixture_graph("lpa1_loop.wg")], ids=["fan", "chain", "loop"])
+def test_witness_search_builds_no_algebra(monkeypatch, g):
+    # the nod-word search reads one pass of the letter tables under the choice
+    build = Algebra.__init__
+    for choice in (None, _last_maximal_choice(g)):
+        built = []
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, ["_letters"])
+            patch.setattr(Algebra, "__init__",
+                          lambda self, *args: built.append(args) or build(self, *args))
+            word = witness_nodpath(g, choice)
+        assert (len(built), calls["_letters"]) == (0, 1)
+        assert word == reference_witness(g, choice)
 
 
 def test_witness_takes_the_first_lpa4_site_with_one_cycle_search(monkeypatch):

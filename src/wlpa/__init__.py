@@ -1,5 +1,7 @@
 """Weighted Leavitt path algebras: graphs, Condition (LPA), unweighting, arithmetic."""
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     NOT_HOMOGENEOUS,
     ZERO_ELEMENT,
@@ -36,7 +38,6 @@ from .graphs import (
     cycles_through,
     cyclic_components,
     graph_to_records,
-    in_line,
     parse_graph,
     parse_weighted_graph,
     reaches,
@@ -71,4 +72,6 @@ from .unweighting import (
     verify_families,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them binds
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -522,9 +522,6 @@ class Algebra:
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
 
-    def element(self, terms) -> "AlgebraElement":
-        return self.normalize(terms)
-
     def word(self, word: Iterable[Generator], coeff=1) -> "AlgebraElement":
         return self.normalize([(coeff, tuple(word))])
 
@@ -546,23 +543,6 @@ class Algebra:
 
     def nonvertex_generators(self) -> tuple[Generator, ...]:
         return self._generators()[self._nv:]
-
-    def generator_endpoints(self, gen: Generator) -> tuple[str, str]:
-        i = self._intern_letter(gen)
-        vertices = self.graph.vertices
-        return vertices[self._src_id[i]], vertices[self._rng_id[i]]
-
-    def pair_is_normal(self, a: Generator, b: Generator) -> bool:
-        return self._is_normal(self._intern_letter(a), self._intern_letter(b))
-
-    @property
-    def rule_count(self) -> int:
-        """Number of stored rules; vertex and non-composable pairs are decided by endpoints."""
-        return len(self._rules)
-
-    def word_degree(self, word: Iterable[Generator]):
-        ids = self._intern_word(word)
-        return self._ids_degree(ids)
 
     def _ids_degree(self, ids: tuple[int, ...]) -> tuple[int, ...]:
         deg = [0] * self.grading_length
@@ -661,13 +641,11 @@ class Algebra:
             self._zero_counts, self._zero_bound = counts, max_len
 
     def enumerate_nodwords(self, max_len: int, source: Optional[str] = None,
-                           range_: Optional[str] = None,
-                           degree: Optional[tuple[int, ...]] = None,
-                           budget: Optional[int] = None) -> list[Word]:
+                           range_: Optional[str] = None, budget: Optional[int] = None) -> list[Word]:
         """All nod-words of length <= max_len in length-then-lex order.
 
         Single vertex letters count as length 0.  The optional filters keep
-        only words with the given source vertex, range vertex and degree.
+        only words with the given source vertex and range vertex.
         ``budget`` caps the number of words explored, which is
         ``growth(max_len)`` whatever the filters keep: the running total of
         :meth:`nodword_counts` raises :class:`BudgetExceededError` once it
@@ -687,10 +665,9 @@ class Algebra:
 
         def keep(ids: tuple[int, ...]) -> bool:
             return ((source is None or self.graph.vertices[self._src_id[ids[0]]] == source)
-                    and (range_ is None or self.graph.vertices[self._rng_id[ids[-1]]] == range_)
-                    and (degree is None or self._ids_degree(ids) == tuple(degree)))
+                    and (range_ is None or self.graph.vertices[self._rng_id[ids[-1]]] == range_))
 
-        unfiltered = source is None and range_ is None and degree is None
+        unfiltered = source is None and range_ is None
         gens = self._generators()
         letter = gens.__getitem__
         out = [(gens[v],) for v in range(self._nv) if unfiltered or keep((v,))]

@@ -89,14 +89,6 @@ class ModInt:
             raise FieldError("mixed scalar types")
         return other
 
-    def __add__(self, other):
-        other = self._check(other)
-        return ModInt(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return ModInt(self.value - other.value, self.modulus)
-
     def __mul__(self, other):
         other = self._check(other)
         return ModInt(self.value * other.value, self.modulus)

@@ -2,11 +2,11 @@
 
 Data model and graph primitives shared by the whole package: the line-based
 text format with its parser and serializer, machine-readable records,
-reachability, trees, the in-line relation on edges, the cyclic strongly
-connected components, shortest cycles and enumeration of all cycles
-through a vertex.  Reachability, trees and shortest paths all read one
-breadth-first search, :func:`breadth_first`; :func:`shortest_cycle` runs
-its own, kept inside one component.  No walk here recurses.
+reachability, trees, the cyclic strongly connected components, shortest
+cycles and enumeration of all cycles through a vertex.  Reachability,
+trees and shortest paths all read one breadth-first search,
+:func:`breadth_first`; :func:`shortest_cycle` runs its own, kept inside
+one component.  No walk here recurses.
 
 All types are immutable after construction and safe to share; every
 operation here is a pure function.  Vertices and edges keep the order of
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 import re
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fields import parse_natural
 
@@ -158,22 +158,11 @@ class WeightedGraph:
 
     # -- lookups -------------------------------------------------------
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vertex_index
-
     def edge(self, edge_id: str) -> EdgeRecord:
         try:
             return self._edge_by_id[edge_id]
         except KeyError:
             raise UnknownEdgeError(f"unknown edge {edge_id!r}") from None
-
-    def out_edges(self, v: str) -> tuple[EdgeRecord, ...]:
-        self._require_vertex(v)
-        return tuple(self._out[v])
-
-    def is_sink(self, v: str) -> bool:
-        self._require_vertex(v)
-        return not self._out[v]
 
     def _require_vertex(self, v: str) -> None:
         if v not in self._vertex_index:
@@ -229,25 +218,6 @@ class GraphPath:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def source(self, g: WeightedGraph) -> str:
-        if self.vertex is not None:
-            return self.vertex
-        return g.edge(self.edges[0]).source
-
-    def range(self, g: WeightedGraph) -> str:
-        if self.vertex is not None:
-            return self.vertex
-        return g.edge(self.edges[-1]).range
-
-
-EdgeLike = Union[str, EdgeRecord]
-
-
-def _edge_record(g: WeightedGraph, e: EdgeLike) -> EdgeRecord:
-    if isinstance(e, EdgeRecord):
-        return g.edge(e.id)
-    return g.edge(e)
 
 
 # -- parsing and serialization ----------------------------------------------
@@ -441,15 +411,6 @@ def tree(g: WeightedGraph, roots: Iterable[str]) -> tuple[str, ...]:
     """
     reached = breadth_first(g, roots)
     return tuple(v for v in g.vertices if v in reached)
-
-
-def in_line(g: WeightedGraph, e: EdgeLike, f: EdgeLike) -> bool:
-    """True iff e = f, or r(e) reaches s(f), or r(f) reaches s(e)."""
-    er = _edge_record(g, e)
-    fr = _edge_record(g, f)
-    if er.id == fr.id:
-        return True
-    return reaches(g, er.range, fr.source) or reaches(g, fr.range, er.source)
 
 
 def cyclic_components(g: WeightedGraph, within: Iterable[str],

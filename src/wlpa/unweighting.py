@@ -32,13 +32,10 @@ from itertools import chain
 
 from .algebra import (
     Algebra,
-    AlgebraElement,
-    Generator,
     MixedContextError,
     _compose,
     _involute,
     _label,
-    _lower,
     _relation_failures,
     _remainder_survives,
 )
@@ -246,25 +243,6 @@ class FamilyMap:
     target: Algebra
     images: tuple[dict, ...]
 
-    @classmethod
-    def from_assignments(cls, direction: str, domain: Algebra, target: Algebra,
-                         assignments: dict[Generator, AlgebraElement]) -> "FamilyMap":
-        """The map with the given image of each generator of ``domain``.
-
-        A key that is no letter or a letter with no image raises :class:`UnknownGeneratorError`,
-        an image outside ``target`` :class:`MixedContextError`.
-        """
-        for gen in assignments:
-            domain._intern_letter(gen)
-        images = _lower(assignments, domain._generators(), target)
-        return cls(direction, domain, target, tuple(images))
-
-    @property
-    def assignments(self) -> dict[Generator, AlgebraElement]:
-        """A new dict of the images by generator: editing it leaves the map as it is."""
-        return {gen: AlgebraElement(self.target, image)
-                for gen, image in zip(self.domain._generators(), self.images)}
-
 
 def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, FamilyMap]:
     """The mutually inverse generator assignments of the compilation ``trace``.
@@ -346,9 +324,6 @@ class FamilyVerification:
     ok: bool
     counts: dict
     failures: tuple[str, ...]
-
-    def __bool__(self):
-        return self.ok
 
     def to_records(self) -> dict:
         return {

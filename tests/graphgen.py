@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from wlpa import EdgeRecord, SpecialEdgeChoice, WeightedGraph, check_lpa
 
+from oracles import out_edges
+
 
 def random_weighted_graph(rng: Random, max_vertices=5, max_edges=6, max_weight=3,
                           min_vertices=1) -> WeightedGraph:
@@ -201,7 +203,7 @@ def _last_maximal_choice(g: WeightedGraph) -> SpecialEdgeChoice:
     """For each non-sink vertex the last emitted edge of maximal weight."""
     pairs = []
     for v in g.vertices:
-        out = g.out_edges(v)
+        out = out_edges(g, v)
         if out:
             wv = max(e.weight for e in out)
             pairs.append((v, [e.id for e in out if e.weight == wv][-1]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from itertools import product
-from typing import Optional
+from typing import Optional, Union
 
 from wlpa import (
     RATIONALS,
@@ -34,7 +34,6 @@ from wlpa import (
     WeightedGraph,
     Word,
     cyclic_components,
-    in_line,
     reaches,
     shortest_cycle,
     strand_name,
@@ -50,14 +49,51 @@ from wlpa.lpa import _keylemma_word_from_cycle
 # -- graph primitives ---------------------------------------------------------
 
 
+def out_edges(g: WeightedGraph, v: str) -> tuple[EdgeRecord, ...]:
+    """The edges emitted by the vertex ``v`` of ``g``, in graph order."""
+    g._require_vertex(v)
+    return tuple(g._out[v])
+
+
+def is_sink(g: WeightedGraph, v: str) -> bool:
+    """True iff the vertex ``v`` of ``g`` emits no edge."""
+    return not out_edges(g, v)
+
+
 def vertex_weight(g: WeightedGraph, v: str) -> int:
     """Maximum weight among the edges emitted by ``v``; 0 for a sink."""
-    return max((e.weight for e in g.out_edges(v)), default=0)
+    return max((e.weight for e in out_edges(g, v)), default=0)
 
 
 def in_edges(g: WeightedGraph, v: str) -> tuple[EdgeRecord, ...]:
     """The edges received by the vertex ``v`` of ``g``, in graph order."""
     return tuple(e for e in g.edges if e.range == v)
+
+
+def path_source(g: WeightedGraph, p: GraphPath) -> str:
+    """The first vertex of the path ``p`` of ``g``."""
+    return p.vertex if p.vertex is not None else g.edge(p.edges[0]).source
+
+
+def path_range(g: WeightedGraph, p: GraphPath) -> str:
+    """The last vertex of the path ``p`` of ``g``."""
+    return p.vertex if p.vertex is not None else g.edge(p.edges[-1]).range
+
+
+EdgeLike = Union[str, EdgeRecord]
+
+
+def _edge_record(g: WeightedGraph, e: EdgeLike) -> EdgeRecord:
+    return g.edge(e.id if isinstance(e, EdgeRecord) else e)
+
+
+def in_line(g: WeightedGraph, e: EdgeLike, f: EdgeLike) -> bool:
+    """True iff e = f, or r(e) reaches s(f), or r(f) reaches s(e)."""
+    er = _edge_record(g, e)
+    fr = _edge_record(g, f)
+    if er.id == fr.id:
+        return True
+    return reaches(g, er.range, fr.source) or reaches(g, fr.range, er.source)
 
 
 # -- reachability and cycles --------------------------------------------------
@@ -145,14 +181,14 @@ def reference_check_lpa(g: WeightedGraph) -> LpaReport:
     trees = [[v for v in g.vertices if v in reached] for reached in searches]
 
     for v in g.vertices:
-        emitted = [e.id for e in g.out_edges(v) if e.weight > 1]
+        emitted = [e.id for e in out_edges(g, v) if e.weight > 1]
         if len(emitted) > 1:
             violations.append(
                 LpaViolation(kind="LPA1", vertex=v, edges=(emitted[0], emitted[1]))
             )
 
     for v in g.vertices:
-        out = g.out_edges(v)
+        out = out_edges(g, v)
         if len(out) < 2:
             continue
         # v is in the zone iff some search reached it; the first one is the witness
@@ -271,8 +307,8 @@ def violation_holds(g: WeightedGraph, violation: LpaViolation) -> bool:
             a, b = (g.edge(x) for x in violation.edges)
             return (
                 e.weight > 1
-                and violation.path.source(g) == e.range
-                and violation.path.range(g) == violation.vertex
+                and path_source(g, violation.path) == e.range
+                and path_range(g, violation.path) == violation.vertex
                 and a.id != b.id
                 and a.source == violation.vertex
                 and b.source == violation.vertex
@@ -291,12 +327,12 @@ def violation_holds(g: WeightedGraph, violation: LpaViolation) -> bool:
             validate_path(g, violation.path)
             cycle = violation.cycle
             validate_path(g, cycle)
-            base = violation.path.range(g)
+            base = path_range(g, violation.path)
             records = [g.edge(x) for x in cycle.edges]
             sources = [rec.source for rec in records]
             return (
                 e.weight > 1
-                and violation.path.source(g) == e.range
+                and path_source(g, violation.path) == e.range
                 and len(cycle.edges) > 0
                 and records[0].source == base
                 and records[-1].range == base
@@ -417,7 +453,7 @@ def reference_default_special_edges(g: WeightedGraph) -> SpecialEdgeChoice:
     """For each non-sink vertex the first emitted edge of maximal weight, by public lookups."""
     pairs = []
     for v in g.vertices:
-        out = g.out_edges(v)
+        out = out_edges(g, v)
         if not out:
             continue
         wv = vertex_weight(g, v)
@@ -430,7 +466,7 @@ def reference_validate_choice(g: WeightedGraph, choice: SpecialEdgeChoice) -> No
     """Check a special-edge choice vertex by vertex, each clause by its own lookups."""
     mapping = choice.mapping
     for v in g.vertices:
-        if g.is_sink(v):
+        if is_sink(g, v):
             if v in mapping:
                 raise AlgebraError(f"special edge fixed for sink {v!r}")
             continue
@@ -450,7 +486,7 @@ def reference_sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
     """The stage-2 preconditions, vertex by vertex, then range by range; the range -> edge map."""
     gv: dict[str, str] = {}
     for v in g.vertices:
-        emitted = [e for e in g.out_edges(v) if e.weight > 1]
+        emitted = [e for e in out_edges(g, v) if e.weight > 1]
         if len(emitted) > 1:
             raise PreconditionViolatedError(
                 f"vertex {v!r} emits two distinct weighted edges "
@@ -465,7 +501,7 @@ def reference_sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
         if received:
             gv[v] = received[0].id
     for e in weighted_edges(g):
-        if not g.is_sink(e.range):
+        if not is_sink(g, e.range):
             raise PreconditionViolatedError(
                 f"range {e.range!r} of weighted edge {e.id!r} is not a sink"
             )
@@ -565,6 +601,21 @@ def reference_family_maps(trace, field=RATIONALS) -> tuple[FamilyMap, FamilyMap]
             FamilyMap("backward", tgt, src, tuple(backward)))
 
 
+def family_map_from(direction: str, domain: Algebra, target: Algebra,
+                    images: dict[Generator, AlgebraElement]) -> FamilyMap:
+    """The :class:`FamilyMap` with the given image of each generator of ``domain``.
+
+    Raises as :func:`_lowered` does.
+    """
+    return FamilyMap(direction, domain, target, tuple(_lowered(images, domain, target)))
+
+
+def images_by_generator(fmap: FamilyMap) -> dict[Generator, AlgebraElement]:
+    """A new dict of the images of ``fmap`` by generator: editing it leaves the map as it is."""
+    return {gen: AlgebraElement(fmap.target, image)
+            for gen, image in zip(fmap.domain._generators(), fmap.images)}
+
+
 # -- classical unweighted normal form -----------------------------------------
 
 
@@ -583,7 +634,7 @@ def classical_unweighted_count(g: WeightedGraph, choice, max_len: int) -> int:
     for length in range(1, max_len + 1):
         layer = []
         for seq, src, rng in by_len[length - 1]:
-            for e in g.out_edges(rng):
+            for e in out_edges(g, rng):
                 layer.append((seq + (e.id,), src, e.range))
         by_len.append(layer)
 
@@ -605,6 +656,21 @@ def classical_unweighted_count(g: WeightedGraph, choice, max_len: int) -> int:
                         continue
                     count += 1
     return count
+
+
+# -- letters and words by generator --------------------------------------------
+
+
+def generator_endpoints(algebra: Algebra, gen: Generator) -> tuple[str, str]:
+    """The source and range vertices of the letter ``gen`` of ``algebra``."""
+    i = algebra._intern_letter(gen)
+    vertices = algebra.graph.vertices
+    return vertices[algebra._src_id[i]], vertices[algebra._rng_id[i]]
+
+
+def word_degree(algebra: Algebra, word) -> tuple[int, ...]:
+    """The degree of a word of generators of ``algebra``."""
+    return algebra._ids_degree(algebra._intern_word(word))
 
 
 # -- length-2 factors -----------------------------------------------------------
@@ -1057,7 +1123,7 @@ def truncated_quotient_dimension(g: WeightedGraph, max_len: int) -> int:
     # (source vertex, range vertex, [pair words], instance degree, vertex term)
     instances = []
     for v in g.vertices:
-        out = g.out_edges(v)
+        out = out_edges(g, v)
         if not out:
             continue
         wv = vertex_weight(g, v)
@@ -1168,7 +1234,7 @@ def reference_relation_instances(g: WeightedGraph):
             yield f"(ii) star-range {e.id}.{i}", [(1, [r, b]), (-1, [b])]
             yield f"(ii) star-source {e.id}.{i}", [(1, [b, s]), (-1, [b])]
     for v in g.vertices:
-        out = g.out_edges(v)
+        out = out_edges(g, v)
         if not out:
             continue
         for e in out:
@@ -1193,16 +1259,24 @@ def relation_failures(g: WeightedGraph, mapping: dict[Generator, AlgebraElement]
 
     Returns the number of instances and the labels of those whose value in
     ``target`` is not zero, in ``relation_instances`` order.  The map is
-    lowered once (``_lower``), and the package's ``_relation_failures``
-    evaluates the instances of ``Algebra(g)``.  A key that is no letter of
-    ``g`` or a letter with no image raises :class:`UnknownGeneratorError`,
-    an image outside ``target`` :class:`MixedContextError`.
+    lowered once (:func:`_lowered`, which raises on a bad key or image),
+    and the package's ``_relation_failures`` evaluates the instances of
+    ``Algebra(g)``.
     """
     domain = Algebra(g)
+    return _relation_failures(domain, _lowered(mapping, domain, target), target)
+
+
+def _lowered(mapping: dict[Generator, AlgebraElement], domain: Algebra, target: Algebra) -> list:
+    """``mapping`` as a table over the letter ids of ``domain`` (``_lower``).
+
+    A key that is no letter of ``domain`` or a letter with no image raises
+    :class:`UnknownGeneratorError`, an image outside ``target``
+    :class:`MixedContextError`.
+    """
     for gen in mapping:
         domain._intern_letter(gen)
-    images = _lower(mapping, domain._generators(), target)
-    return _relation_failures(domain, images, target)
+    return _lower(mapping, domain._generators(), target)
 
 
 # -- family verification ------------------------------------------------------
@@ -1216,7 +1290,7 @@ def dense_family_verification(g: WeightedGraph, g_tilde: WeightedGraph, fwd, bwd
     round trip, with plain element ``*``, ``+`` and ``scaled``; neither
     ``evaluate_relation`` nor ``apply_generator_map`` is used.
     """
-    fwd_images, bwd_images = fwd.assignments, bwd.assignments
+    fwd_images, bwd_images = images_by_generator(fwd), images_by_generator(bwd)
     tgt = next(iter(fwd_images.values())).algebra
     src = next(iter(bwd_images.values())).algebra
 

@@ -316,6 +316,8 @@ def test_parser_accepts(text, same_as):
     ("a.1 w", "unknown vertex 'w'"),
     (_INDEX, f"unknown generator {_INDEX!r}"),
     ("v % a.1", "unexpected character '%' at position 2"),
+    # a name closing more superscript groups than it opens
+    ("(v)^(1))^(2)", "unexpected character '^' at position 8"),
     ("2", "scalar prefix must be followed by '*'"),
     ("v 2", "trailing input near '2'"),
     ("1 * 2", "unexpected token '2'"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wlpa import FieldError, field_from_name
+from wlpa import RATIONALS, FieldError, PrimeField, Rationals, field_from_name
 from wlpa.fields import PRIMALITY_BOUND, ModInt, _is_prime
 
 
@@ -33,6 +33,27 @@ def test_modulus_at_the_primality_bound_rejected():
     # the bound passes all 13 bases, so it is refused before the test
     with pytest.raises(FieldError, match="too large"):
         field_from_name(f"mod:{PRIMALITY_BOUND}")
+
+
+def test_unknown_field_name_rejected():
+    with pytest.raises(FieldError, match="^bad field spec 'real'$"):
+        field_from_name("real")
+
+
+def test_residue_division_by_zero_rejected():
+    with pytest.raises(FieldError, match="^division by zero$"):
+        field_from_name("mod:7").parse("3/7")
+
+
+def test_fields_and_residues_are_values():
+    assert {field_from_name("rational"), Rationals()} == {RATIONALS}
+    assert {field_from_name("mod:7"), PrimeField(7)} == {PrimeField(7)} != {PrimeField(5)}
+    assert (repr(RATIONALS), repr(PrimeField(7))) == ("Rationals()", "PrimeField(7)")
+    assert {ModInt(10, 7), ModInt(3, 7)} == {ModInt(3, 7)}
+    assert ModInt(3, 7) != ModInt(3, 5) and repr(ModInt(10, 7)) == "ModInt(3, 7)"
+    assert not ModInt(7, 7) and ModInt(8, 7)
+    with pytest.raises(FieldError, match="^mixed scalar types$"):
+        ModInt(1, 7) * ModInt(1, 5)
 
 
 @pytest.mark.parametrize("field", ["rational", "mod:7"])

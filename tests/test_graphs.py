@@ -19,7 +19,6 @@ from wlpa import (
     cycles_through,
     cyclic_components,
     graph_to_records,
-    in_line,
     parse_graph,
     parse_weighted_graph,
     reaches,
@@ -35,6 +34,10 @@ from graphgen import multigraphs, random_weighted_graph, small_graphs
 from oracles import (
     brute_force_cycles,
     in_edges,
+    in_line,
+    out_edges,
+    path_range,
+    path_source,
     reference_graph_tables,
     reference_read_graph_text,
     transitive_closure,
@@ -140,6 +143,21 @@ def test_parse_rejects_bad_tokens():
         parse_weighted_graph("vertex v\nedge a v v x")
     with pytest.raises(GraphSyntaxError):
         parse_weighted_graph("vertex a$b")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertex v\nedge a v", "line 2, column 1: expected: edge <id> <source> <range> [<weight>]"),
+    ("vertex v\nedge a v w$ 1", "line 2, column 10: bad id 'w$'"),
+])
+def test_parse_reports_an_edge_line_fault_at_its_column(text, message):
+    with pytest.raises(GraphSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_weighted_graph(text)
+
+
+def test_equal_graphs_hash_alike():
+    text = "vertex u\nvertex v\nedge a u v 2"
+    assert {parse_weighted_graph(text), parse_weighted_graph(text)} == {parse_weighted_graph(text)}
+    assert hash(parse_weighted_graph(text)) == hash(parse_weighted_graph(text + "\n"))
 
 
 def test_roundtrip_random_graphs():
@@ -452,7 +470,7 @@ def test_tree_is_monotone_fixed_point():
         assert set(roots) <= set(grown)
         # closure: emitted edges stay inside
         for v in grown:
-            for e in g.out_edges(v):
+            for e in out_edges(g, v):
                 assert e.range in set(grown)
         # monotone
         assert set(tree(g, roots[:1])) <= set(grown)
@@ -494,7 +512,7 @@ def test_cycles_match_brute_force():
             assert len(found) == len(set(c.edges for c in found))
             assert {c.edges for c in found} == brute_force_cycles(g, v)
             for c in found:
-                assert c.source(g) == v and c.range(g) == v and len(c) > 0
+                assert path_source(g, c) == v and path_range(g, c) == v and len(c) > 0
 
 
 def test_cycles_through_deep_ring_needs_no_recursion():
@@ -564,7 +582,7 @@ def test_shortest_cycle_matches_brute_force():
                 if not lengths:
                     assert cycle is None
                     continue
-                assert cycle.source(g) == v and cycle.range(g) == v
+                assert path_source(g, cycle) == v and path_range(g, cycle) == v
                 assert len(cycle) == min(lengths) and avoid not in cycle.edges
                 assert cycle.edges in brute_force_cycles(g, v)
 
@@ -582,6 +600,17 @@ def test_shortest_cycle_prefers_a_self_loop():
 def test_path_endpoints():
     g = fixture_graph("g6.wg")
     p = GraphPath.of(["f", "h", "k"])
-    assert p.source(g) == "v" and p.range(g) == "z" and len(p) == 3
+    assert path_source(g, p) == "v" and path_range(g, p) == "z" and len(p) == 3
     base = GraphPath.at("v")
-    assert base.source(g) == "v" and len(base) == 0
+    assert path_source(g, base) == "v" and len(base) == 0
+
+
+def test_path_is_a_base_vertex_or_edges():
+    for fields in ({}, {"vertex": "v", "edges": ("a",)}):
+        with pytest.raises(GraphError, match="^path is either a base vertex or a nonempty edge list$"):
+            GraphPath(**fields)
+
+
+def test_unweighted_graph_rejects_a_weighted_record():
+    with pytest.raises(BadWeightError, match="^edge 'a': weight must be 1$"):
+        Graph(["v"], [EdgeRecord("a", "v", "v", 2)])

@@ -35,6 +35,7 @@ from graphgen import (
 )
 from oracles import (
     brute_force_lpa4_sites,
+    path_range,
     reference_check_lpa,
     reference_witness,
     violation_holds,
@@ -267,7 +268,7 @@ def test_lpa4_one_site_per_cyclic_component():
     for g in graphs:
         report = check_lpa(g)
         lpa4 = [v for v in report.violations if v.kind == "LPA4"]
-        got = [(v.weighted_edge, v.path.range(g), len(v.cycle)) for v in lpa4]
+        got = [(v.weighted_edge, path_range(g, v.path), len(v.cycle)) for v in lpa4]
         assert got == brute_force_lpa4_sites(g), g
         assert all(violation_holds(g, v) for v in report.violations)
         sites += len(lpa4)

@@ -282,9 +282,10 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             ReservedIdError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         # Last resort: inputs known to run this deep or this large are
-        # rejected earlier with their own messages.
+        # rejected earlier with their own messages.  A table too long to
+        # index overflows before anything is allocated.
         detail = f": {exc}" if str(exc) else ""
         print(f"error: resource limit reached ({type(exc).__name__}{detail})", file=stderr)
         return EXIT_INPUT

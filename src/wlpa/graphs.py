@@ -6,7 +6,8 @@ reachability, trees, the cyclic strongly connected components, shortest
 cycles and enumeration of all cycles through a vertex.  Reachability,
 trees and shortest paths all read one breadth-first search,
 :func:`breadth_first`; :func:`shortest_cycle` runs its own, kept inside
-one component.  No walk here recurses.
+one component.  No walk here recurses.  The (LPA) decision, its report,
+the witness and stage 1 read one such search of the zone.
 
 All types are immutable after construction and safe to share; every
 operation here is a pure function.  Vertices and edges keep the order of
@@ -369,7 +370,10 @@ def breadth_first(g: WeightedGraph, roots: Iterable[str]) -> dict[str, Optional[
     Maps each reached vertex, in discovery order, to the edge that first
     reached it, and each root to None.  Out-edges are explored in graph
     order, so :func:`path_to` reads back a shortest path, the first one
-    found.
+    found.  From the ranges of the weighted edges it searches the zone of
+    (LPA) once per command (:func:`~wlpa.lpa._decide_lpa`), for
+    ``check_lpa``, ``witness_nodpath`` and ``make_ranges_sinks``;
+    ``to_unweighted`` searches it again, by :func:`tree`, for its trace.
     """
     parents: dict[str, Optional[EdgeRecord]] = {}
     for v in roots:
@@ -423,9 +427,9 @@ def cyclic_components(g: WeightedGraph, within: Iterable[str],
     pass of Tarjan's algorithm, so deep graphs need no recursion.  Each
     component lists its vertices in graph order, and the components are
     ordered by their first vertex.  :func:`~wlpa.lpa.check_lpa` and
-    :func:`~wlpa.lpa.witness_nodpath` call it once on the zone of a failing
-    graph, then once on each weighted edge's own component that they reach,
-    with that edge as ``avoid``.
+    :func:`~wlpa.lpa.witness_nodpath` call it once on the zone search that
+    decided a graph fails (LPA), then once on each weighted edge's own
+    component that they reach, with that edge as ``avoid``.
     """
     inside = dict.fromkeys(within)
     for v in inside:

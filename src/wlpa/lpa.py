@@ -12,25 +12,28 @@ the condition fails, :func:`witness_nodpath` produces a nod-word whose
 first letter is ``e.2`` and whose last letter is ``e.2*`` for a weighted
 edge ``e``; no such nod-word exists when the condition holds.
 
-:func:`check_lpa` decides first, in one pass linear in the zone
-Z = T(r(E1w)) (:func:`_satisfies_lpa`).  Under LPA1 and LPA2 every vertex
-of Z emits at most one edge, so Z is a functional graph: T(r(e)) is the
-forward orbit of r(e), which ends in a sink or in one cycle.  Then (LPA)
-holds iff the orbits of the weighted edges that enter Z from outside are
-pairwise disjoint and end in sinks.  Only a graph that fails (LPA) goes on
-to the reporter, which names every violation.  Its zone pass searches each
-range tree once and runs one strongly-connected-components pass over the
-zone; then four condition passes read it.  Past that, each weighted edge
-costs its search, its own component and its share of the report, and only
-pairs of range trees that reach a common terminal component are compared.
+:func:`_decide_lpa` searches the zone Z = T(r(E1w)) once, breadth first
+from the ranges of the weighted edges; the decision, the report, the
+witness and stage 1 of the compilation all read that search.  The
+verdict comes first, in one pass linear in Z (:func:`_satisfies_lpa`).
+Under LPA1 and LPA2 every vertex of Z emits at most one edge, so Z is a
+functional graph: T(r(e)) is the forward orbit of r(e), which ends in a
+sink or in one cycle.  Then (LPA) holds iff the orbits of the weighted
+edges that enter Z from outside are pairwise disjoint and end in sinks.
+Only a graph that fails (LPA) goes on to the reporter, which names every
+violation.  It runs one strongly-connected-components pass over the
+search, and its zone pass searches each range tree once; then four
+condition passes read them.  Past that, each weighted edge costs its
+search, its own component and its share of the report, and only pairs of
+range trees that reach a common terminal component are compared.
 
-:func:`witness_nodpath` reads no report.  It decides with the linear pass,
-then looks for the first LPA4 site: one search from all weighted ranges
-and one strongly-connected-components pass over the zone, and the per-edge
-searches only when the zone carries a cycle.  Failing that, it searches
-nod-words of the required shape breadth first, letter by letter, with the
-successor routine that also builds the algebra's nod-word automaton
-(:func:`~wlpa.algebra._successors`); it builds no algebra.
+:func:`witness_nodpath` reads no report.  It finds the first LPA4 site in
+the decision's search: one strongly-connected-components pass over the
+zone, and the per-edge searches only when the zone carries a cycle.
+Failing that, it searches nod-words of the required shape breadth first,
+letter by letter, with the successor routine that also builds the
+algebra's nod-word automaton (:func:`~wlpa.algebra._successors`); it
+builds no algebra.
 """
 
 from __future__ import annotations
@@ -153,10 +156,12 @@ class LpaReport:
 def check_lpa(g: WeightedGraph) -> LpaReport:
     """Evaluate the four conditions and report every violation found.
 
-    A graph that :func:`_satisfies_lpa` decides to satisfy (LPA) is
+    A graph that :func:`_decide_lpa` decides to satisfy (LPA) is
     reported satisfied at once, in time linear in the graph.  Otherwise
-    the reporter runs: the zone pass (:func:`_zone`), then the four
-    condition passes, each in graph scan order:
+    the reporter runs on the decision's search: one
+    strongly-connected-components pass over it and the zone pass
+    (:func:`_zone`), then the four condition passes, each in graph scan
+    order:
 
     * LPA1 (:func:`_lpa1_sites`): one scan of the out-lists.
     * LPA2 (:func:`_lpa2_sites`): a branching zone vertex is reported with
@@ -178,9 +183,10 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
     replay against the raw graph primitives (the tests' oracle
     ``violation_holds`` does so).
     """
-    if _satisfies_lpa(g):
+    search, satisfied = _decide_lpa(g)
+    if satisfied:
         return LpaReport(satisfied=True)
-    zone = _zone(g)
+    zone = _zone(g, cyclic_components(g, search))
     violations = (*_lpa1_sites(g), *_lpa2_sites(g, zone), *_lpa3_sites(g, zone),
                   *_lpa4_sites(g, zone))
     return LpaReport(satisfied=not violations, violations=violations)
@@ -196,11 +202,9 @@ class _Zone(NamedTuple):
     component_of: dict[str, tuple[str, ...]]  # each vertex on a cycle to its component
 
 
-def _zone(g: WeightedGraph,
-          components: Optional[list[tuple[str, ...]]] = None) -> _Zone:
-    """The zone pass: one breadth-first search per weighted edge, then one
-    strongly-connected-components pass over the zone, unless its cyclic
-    ``components`` are given.
+def _zone(g: WeightedGraph, components: list[tuple[str, ...]]) -> _Zone:
+    """The zone pass over the zone's cyclic ``components``: one
+    breadth-first search per weighted edge and one owner sweep.
 
     The zone is closed under reachability, so its components are the
     graph's own, and each T(r(e)) is a union of them.  A zone vertex's
@@ -212,8 +216,6 @@ def _zone(g: WeightedGraph,
     owner: dict[str, int] = {}
     for i in reversed(range(len(searches))):
         owner.update(dict.fromkeys(searches[i], i))
-    if components is None:
-        components = cyclic_components(g, owner)
     component_of = {v: c for c in components for v in c}
     return _Zone(heavy, searches, owner, components, component_of)
 
@@ -304,27 +306,22 @@ def _lpa4_sites(g: WeightedGraph, zone: _Zone) -> Iterator[LpaViolation]:
             )
 
 
-def _first_lpa4_site(g: WeightedGraph) -> Optional[LpaViolation]:
-    """The first LPA4 violation :func:`check_lpa` reports for ``g``, or None.
+def _decide_lpa(g: WeightedGraph) -> tuple[dict[str, Optional[EdgeRecord]], bool]:
+    """The zone search and the (LPA) verdict read off it, as ``(search, satisfied)``.
 
-    One breadth-first search from all weighted ranges gives the zone, and
-    one strongly-connected-components pass over it.  Each T(r(e)) - e lies
-    inside the zone, so a zone with no cyclic component has no LPA4 site;
-    only otherwise do the per-edge searches run, reusing those components.
+    The search is one :func:`breadth_first` from the ranges of the weighted
+    edges, so its vertices are the zone Z = T(r(E1w)).
     """
-    zone = breadth_first(g, [e.range for e in weighted_edges(g)])
-    components = cyclic_components(g, zone)
-    if not components:
-        return None
-    return next(_lpa4_sites(g, _zone(g, components)), None)
+    search = breadth_first(g, [e.range for e in weighted_edges(g)])
+    return search, _satisfies_lpa(g, search)
 
 
-def _satisfies_lpa(g: WeightedGraph) -> bool:
-    """Decide (LPA) in one pass over the zone Z = T(r(E1w)) as a functional graph.
+def _satisfies_lpa(g: WeightedGraph, zone: dict[str, Optional[EdgeRecord]]) -> bool:
+    """Decide (LPA) in one pass over the ``zone`` Z = T(r(E1w)) as a functional graph.
 
     LPA1: the weighted edges have distinct sources.  LPA2: every vertex of
-    Z emits at most one edge, so ``succ`` maps it to its one successor, or
-    to None at a sink, and T(r(e)) is the orbit of r(e).  Then (LPA) holds
+    Z emits at most one edge, so its successor is the range of that edge,
+    or it is a sink, and T(r(e)) is the orbit of r(e).  Then (LPA) holds
     iff the orbits of the entries, the weighted edges whose source lies
     outside Z, are pairwise disjoint and each ends in a sink.
 
@@ -342,25 +339,18 @@ def _satisfies_lpa(g: WeightedGraph) -> bool:
     if len({e.source for e in heavy}) < len(heavy):
         return False  # LPA1
     out = g._out
-    succ: dict[str, Optional[str]] = {}
-    todo = [e.range for e in heavy]
-    for v in todo:  # the loop also visits what it appends
-        if v not in succ:
-            emitted = out[v]
-            if len(emitted) > 1:
-                return False  # LPA2
-            succ[v] = emitted[0].range if emitted else None
-            todo += [e.range for e in emitted]
+    if any(len(out[v]) > 1 for v in zone):
+        return False  # LPA2
     seen: set[str] = set()
     for e in heavy:
-        if e.source in succ:
+        if e.source in zone:
             continue
         v: Optional[str] = e.range
         while v is not None:
             if v in seen:
                 return False  # this orbit closes a cycle or meets another entry's
             seen.add(v)
-            v = succ[v]
+            v = out[v][0].range if out[v] else None
     return True
 
 
@@ -459,25 +449,27 @@ def _shape_word(g: WeightedGraph, id_of, successors) -> Optional[Word]:
 def witness_nodpath(g: WeightedGraph, choice: Optional[SpecialEdgeChoice] = None) -> Word:
     """A nod-word e.2 ... e.2* certifying that Condition (LPA) fails.
 
-    It decides with :func:`_satisfies_lpa` and builds no report and no
-    algebra.  The first LPA4 violation :func:`check_lpa` would report
-    (:func:`_first_lpa4_site`) is turned into a word directly from its
-    witness path and cycle; that costs one search and one
-    strongly-connected-components pass over the zone, and the per-edge
-    searches only if the zone carries a cycle.  Without an LPA4 site, the
+    It decides with :func:`_decide_lpa` and builds no report and no
+    algebra.  The first LPA4 violation :func:`check_lpa` would report is
+    turned into a word directly from its witness path and cycle.  It is
+    found in the decision's search: one strongly-connected-components pass
+    over the zone, and the zone pass only if the zone carries a cycle,
+    since each T(r(e)) - e lies inside it.  Without an LPA4 site, the
     breadth-first search of :func:`_shape_word` runs over nod-words of the
     required shape.  The returned word is re-checked, pair by pair, with
     the successors of :func:`_letter_successors` before being handed out.
     A given ``choice`` is checked by :func:`validate_choice`, also on a
     graph that satisfies (LPA), before :class:`LpaSatisfiedError`.
     """
-    if _satisfies_lpa(g):
+    search, satisfied = _decide_lpa(g)
+    if satisfied:
         if choice is not None:
             validate_choice(g, choice)
         raise LpaSatisfiedError("graph satisfies Condition (LPA); no witness exists")
 
     id_of, successors = _letter_successors(g, choice)
-    site = _first_lpa4_site(g)
+    components = cyclic_components(g, search)
+    site = next(_lpa4_sites(g, _zone(g, components)), None) if components else None
     if site is not None:
         word = _keylemma_word_from_cycle(g, site)
     else:

@@ -41,7 +41,7 @@ from .algebra import (
 )
 from .fields import RATIONALS
 from .graphs import EdgeRecord, Graph, WeightedGraph, tree, weighted_edges
-from .lpa import LpaReport, check_lpa
+from .lpa import LpaReport, _decide_lpa, check_lpa
 
 
 class LpaViolatedError(ValueError):
@@ -105,15 +105,16 @@ def make_ranges_sinks(g: WeightedGraph) -> WeightedGraph:
     """Stage 1: reverse all edges emitted inside Z into weight-1 strands.
 
     Every edge e with source in Z is replaced by edges e^(1) .. e^(w(e))
-    from r(e) to s(e) of weight 1; other edges are copied unchanged.  The
-    stage-1 postconditions are re-verified at runtime; their failure would
+    from r(e) to s(e) of weight 1; other edges are copied unchanged.  Z is
+    the search that decided (LPA) (:func:`~wlpa.lpa._decide_lpa`), and only
+    a failing graph gets its :func:`check_lpa` report.  The stage-1
+    postconditions are re-verified at runtime; their failure would
     indicate a bug, not bad input.
     """
-    report = check_lpa(g)
-    if not report.satisfied:
-        raise LpaViolatedError(report)
+    zone, satisfied = _decide_lpa(g)
+    if not satisfied:
+        raise LpaViolatedError(check_lpa(g))
     _reject_reserved_ids(g)
-    zone = set(tree(g, [e.range for e in weighted_edges(g)]))
     out_edges: list[EdgeRecord] = []
     for e in g.edges:
         if e.source in zone:
@@ -222,7 +223,8 @@ def to_unweighted(g: WeightedGraph) -> tuple[Graph, TransformTrace]:
     """Full compilation of an LPA-satisfying weighted graph.
 
     Returns the unweighted graph together with the trace (stage graphs, Z
-    and the g^v map of the stage-1 output).
+    and the g^v map of the stage-1 output).  Z is searched again for the
+    trace, since :func:`make_ranges_sinks` returns only its graph.
     """
     stage1 = make_ranges_sinks(g)  # decides (LPA) and rejects reserved ids
     stage2 = unweight_sunk(stage1)

@@ -7,6 +7,7 @@ sides is meaningful.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from itertools import product
@@ -716,6 +717,69 @@ class AllLetters:
             return i == 1 and j == 1
         return (kind_a, kind_b) == ("edge", "star") and name_a == name_b \
             and name_a in self.special_edges
+
+
+def gk_dimension(g: WeightedGraph, choice: SpecialEdgeChoice) -> float:
+    """The Gelfand-Kirillov dimension of the algebra of ``g`` under ``choice``.
+
+    The nod-words are a basis, and a rewrite never makes a word longer, so
+    the dimension is the growth degree of the number of nod-words of
+    length <= n.  Those are the walks of the automaton whose states are
+    the letters and whose transitions are the pairs that
+    :meth:`AllLetters.reducible` leaves standing.  They grow exponentially,
+    and the dimension is infinite, iff some strongly connected component
+    has more internal transitions than letters, that is two distinct
+    cycles.  Otherwise each cyclic component is one cycle, and the count
+    grows like n^d, for d the largest number of cyclic components on one
+    path of the condensation.  The components come from one pass of
+    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972), written here apart
+    from the package's, and they come out sinks first, so each one's d is
+    known from those it leads to.
+    """
+    letters = AllLetters(g, choice.mapping)
+    n = len(letters.letters)
+    succ = [[b for b in range(n) if not letters.reducible(a, b)] for a in range(n)]
+    index: list[Optional[int]] = [None] * n
+    low = [0] * n
+    component: list[Optional[int]] = [None] * n
+    depth: list[int] = []  # per component, the most cyclic components on a path from it
+    stack: list[int] = []
+    visited = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            a, after = work[-1]
+            for b in after:
+                if index[b] is None:
+                    index[b] = low[b] = visited
+                    visited += 1
+                    stack.append(b)
+                    work.append((b, iter(succ[b])))
+                    break
+                if component[b] is None:  # b is on the stack
+                    low[a] = min(low[a], index[b])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[a])
+                if low[a] == index[a]:
+                    members = stack[stack.index(a):]
+                    del stack[len(stack) - len(members):]
+                    for b in members:
+                        component[b] = len(depth)
+                    targets = [component[c] for b in members for c in succ[b]]
+                    inner = targets.count(len(depth))
+                    if inner > len(members):
+                        return math.inf
+                    below = [depth[t] for t in targets if t != len(depth)]
+                    depth.append(max(below, default=0) + (inner > 0))
+    return max(depth, default=0)
 
 
 # -- reference rewriting -------------------------------------------------------

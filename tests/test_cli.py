@@ -383,6 +383,34 @@ def test_cli_transform_verify_edge_graphs(text, vertices, count):
             "roundtrip_source": count, "roundtrip_target": count}}}, "")
 
 
+@pytest.mark.parametrize("name, codes", [("g6.wg", (0, 3, 0)), ("fan3.wg", (3, 0, 3))])
+def test_cli_searches_the_zone_once_per_question(monkeypatch, name, codes):
+    # searches rooted at all the weighted ranges, tree's included, since it
+    # searches through graphs.breadth_first: the one that decides (LPA), and
+    # in transform the trace's Z, or on fan3 (LPA3 only, an acyclic zone) the
+    # decision of the report; the per-edge searches of a report are not counted
+    from wlpa import graphs
+
+    ranges = [e.range for e in parse_weighted_graph(Path(fx(name)).read_text()).edges
+              if e.weight > 1]
+    original = graphs.breadth_first
+    searches = 0
+
+    def counted(g, roots):
+        nonlocal searches
+        roots = list(roots)
+        searches += roots == ranges
+        return original(g, roots)
+
+    monkeypatch.setattr(graphs, "breadth_first", counted)
+    monkeypatch.setattr(lpa_module, "breadth_first", counted)
+    for argv, code, expected in zip((["check-lpa"], ["witness"], ["transform", "--verify"]),
+                                    codes, (1, 1, 2)):
+        searches = 0
+        assert invoke(*argv, "--input", fx(name))[0] == code
+        assert searches == expected, argv
+
+
 def test_cli_check_lpa_long_satisfying_ring():
     text = serialize_weighted_graph(weighted_ring(1200, {5: 2, 400: 3, 801: 2}))
     code, out, err = invoke("check-lpa", "--input", "-", stdin_text=text)
@@ -450,6 +478,16 @@ def test_cli_last_resort_guard(monkeypatch, error):
     detail = f": {error}" if str(error) else ""
     assert (code, out) == (1, "")
     assert err == f"error: resource limit reached ({type(error).__name__}{detail})\n"
+
+
+@pytest.mark.parametrize("command", ["growth", "zero-dim"])
+def test_cli_table_longer_than_an_index_reaches_the_guard(command):
+    # a lone vertex has no nod-word of length 1, so the table is padded to
+    # 2**63 + 1 rows, a length no list can have: it fails before allocating
+    code, out, err = invoke(command, "--input", "-", str(2**63), stdin_text="vertex v\n")
+    assert (code, out) == (1, "")
+    assert err == ("error: resource limit reached (OverflowError: "
+                   "cannot fit 'int' into an index-sized integer)\n")
 
 
 def test_cli_fixed_inputs_do_not_reach_the_guard():

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 from random import Random
 from unittest import mock
@@ -15,6 +16,7 @@ from wlpa import (
     SpecialEdgeChoice,
     WeightedGraph,
     check_lpa,
+    default_special_edges,
     parse_weighted_graph,
     search_shape_word,
     weighted_edges,
@@ -35,6 +37,7 @@ from graphgen import (
 )
 from oracles import (
     brute_force_lpa4_sites,
+    gk_dimension,
     path_range,
     reference_check_lpa,
     reference_witness,
@@ -122,7 +125,8 @@ def test_check_lpa_searches_once_per_weighted_edge(monkeypatch):
 
     report = check_lpa(g)
     assert [v.kind for v in report.violations] == ["LPA3"] * (k * (k - 1) // 2)
-    assert calls == {"breadth_first": k, "tree": 0, "reaches": 0, "in_line": 0}
+    # the zone search that decides, then one search per weighted edge
+    assert calls == {"breadth_first": k + 1, "tree": 0, "reaches": 0, "in_line": 0}
 
 
 def test_check_lpa_enumerates_no_cycles_on_a_satisfying_ring(monkeypatch):
@@ -148,7 +152,7 @@ def test_check_lpa_enumerates_no_cycles_on_a_satisfying_ring(monkeypatch):
 
 
 def _reporter_verdict(g):
-    with mock.patch.object(lpa, "_satisfies_lpa", lambda g: False):
+    with mock.patch.object(lpa, "_satisfies_lpa", lambda g, zone: False):
         return check_lpa(g).satisfied
 
 
@@ -178,7 +182,7 @@ def _functional_zones(draw):
     "vertex a\nvertex b\nvertex c\nvertex u\n"
     "edge f u a 2\nedge e b c 2\nedge g a b 1"))
 def test_linear_decision_matches_the_reporter(g):
-    assert lpa._satisfies_lpa(g) == _reporter_verdict(g)
+    assert lpa._decide_lpa(g)[1] == _reporter_verdict(g)
 
 
 def test_linear_decision_matches_the_reporter_on_graph_families():
@@ -188,9 +192,20 @@ def test_linear_decision_matches_the_reporter_on_graph_families():
     graphs += [random_lpa_failing_graph(rng) for _ in range(200)]
     graphs += [weighted_ring(n, {i: 2 + i % 2 for i in range(0, n, 3)}) for n in (1, 2, 7)]
     graphs += [chord_ladder(n) for n in (4, 9)]
-    verdicts = [lpa._satisfies_lpa(g) for g in graphs]
+    verdicts = [lpa._decide_lpa(g)[1] for g in graphs]
     assert verdicts == [_reporter_verdict(g) for g in graphs]
     assert 200 < sum(verdicts) < len(graphs) - 200
+
+
+def test_finite_gk_dimension_implies_lpa():
+    # the paper's second theorem: an algebra of finite Gelfand-Kirillov
+    # dimension is an unweighted Leavitt path algebra, so (LPA) holds; the
+    # dimension is read off the nod-word automaton, apart from the package
+    graphs = list(small_graphs(max_vertices=3, max_edges=3, max_weight=2))
+    finite = [g for g in graphs if gk_dimension(g, default_special_edges(g)) < math.inf]
+    assert (len(finite), len(graphs)) == (84, 336)
+    for g in finite:
+        assert lpa._decide_lpa(g)[1] and check_lpa(g).satisfied, g
 
 
 def _with_fixture_examples(test):
@@ -219,7 +234,8 @@ def test_check_lpa_matches_the_reference_reporter_on_graph_families():
 
 def test_check_lpa_runs_one_zone_scc_pass(monkeypatch):
     # one pass over the zone, then one re-split per weighted edge e whose
-    # source lies in T(r(e)): none on the fan, h3 and h4 on lpa_fan.wg
+    # source lies in T(r(e)): none on the fan, h3 and h4 on lpa_fan.wg;
+    # the zone search that decides, then one search per weighted edge
     from wlpa import graphs
 
     calls = {"cyclic_components": 0, "breadth_first": 0}
@@ -237,7 +253,7 @@ def test_check_lpa_runs_one_zone_scc_pass(monkeypatch):
     for g, passes in ((weighted_fan(6), 1), (fixture_graph("lpa_fan.wg"), 3)):
         calls.update(cyclic_components=0, breadth_first=0)
         check_lpa(g)
-        assert calls == {"cyclic_components": passes, "breadth_first": 6}
+        assert calls == {"cyclic_components": passes, "breadth_first": 7}
 
 
 def test_check_lpa_decides_a_large_satisfying_ring_in_one_pass(monkeypatch):
@@ -257,7 +273,8 @@ def test_check_lpa_decides_a_large_satisfying_ring_in_one_pass(monkeypatch):
 
             monkeypatch.setattr(module, name, counted)
     assert check_lpa(g) == lpa.LpaReport(True)
-    assert calls == {"cyclic_components": 0, "shortest_cycle": 0, "breadth_first": 0}
+    # the zone search alone decides
+    assert calls == {"cyclic_components": 0, "shortest_cycle": 0, "breadth_first": 1}
 
 
 def test_lpa4_one_site_per_cyclic_component():

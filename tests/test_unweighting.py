@@ -295,7 +295,7 @@ def test_family_maps_read_their_graphs_from_the_trace():
 def test_transform_verify_decides_lpa_once(monkeypatch):
     from wlpa import cli, unweighting
 
-    calls = {"check_lpa": 0, "make_ranges_sinks": 0}
+    calls = {"_decide_lpa": 0, "check_lpa": 0, "make_ranges_sinks": 0}
 
     def counted(name):
         original = getattr(unweighting, name)
@@ -306,6 +306,7 @@ def test_transform_verify_decides_lpa_once(monkeypatch):
 
         monkeypatch.setattr(unweighting, name, wrapper)
 
+    counted("_decide_lpa")
     counted("check_lpa")
     counted("make_ranges_sinks")
     code = cli.run(
@@ -313,7 +314,8 @@ def test_transform_verify_decides_lpa_once(monkeypatch):
         stdout=io.StringIO(), stderr=io.StringIO(),
     )
     assert code == 0
-    assert calls == {"check_lpa": 1, "make_ranges_sinks": 1}
+    # a satisfying graph is decided once and builds no report
+    assert calls == {"_decide_lpa": 1, "check_lpa": 0, "make_ranges_sinks": 1}
 
 
 def test_verify_families_fixture_pairs():

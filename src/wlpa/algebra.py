@@ -38,10 +38,9 @@ at v, not one per pair of letters.  It is the one description of relations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .fields import RATIONALS, ModInt, PrimeField, Rationals
 from .graphs import WeightedGraph, _edge_weights
@@ -77,9 +76,11 @@ NOT_HOMOGENEOUS = _Sentinel("NOT_HOMOGENEOUS")
 ZERO_ELEMENT = _Sentinel("ZERO_ELEMENT")
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A single letter: a vertex, an edge strand or a starred edge strand."""
+class Generator(NamedTuple):
+    """A single letter: a vertex, an edge strand or a starred edge strand.
+
+    It is its own ``(kind, name, index)`` key, so it equals that plain tuple.
+    """
 
     kind: str  # "vertex" | "edge" | "star"
     name: str
@@ -110,8 +111,7 @@ class Generator:
 Word = tuple[Generator, ...]
 
 
-@dataclass(frozen=True)
-class SpecialEdgeChoice:
+class SpecialEdgeChoice(NamedTuple):
     """A fixed special edge per non-sink vertex, of maximal weight there."""
 
     pairs: tuple[tuple[str, str], ...]
@@ -259,8 +259,9 @@ class Algebra:
     per whole word missed, through :meth:`normalize` (so every
     ``parse_element`` term); products, the relation checks,
     :func:`identity_map` and ``family_maps`` leave them as they are.  A
-    letter is an id: ``_id_of`` maps its ``(kind, name, index)`` key, the
-    fields of its :class:`Generator`, to it, and Generators are made only
+    letter is an id: ``_id_of`` maps its ``(kind, name, index)`` key to it,
+    and a :class:`Generator`, a tuple of those fields, is its own key, so a
+    word is interned with one lookup per letter.  Generators are made only
     for output, from the table :meth:`_generators` fills.
     """
 
@@ -364,14 +365,11 @@ class Algebra:
 
     # -- word plumbing ---------------------------------------------------
 
-    def _intern_letter(self, gen: Generator) -> int:
-        try:
-            return self._id_of[gen.kind, gen.name, gen.index]
-        except KeyError:
-            raise UnknownGeneratorError(f"unknown generator {gen.token()!r}") from None
-
     def _intern_word(self, word: Iterable[Generator]) -> tuple[int, ...]:
-        ids = tuple(self._intern_letter(g) for g in word)
+        try:
+            ids = tuple(map(self._id_of.__getitem__, word))
+        except KeyError as exc:  # its key is the first unknown generator
+            raise UnknownGeneratorError(f"unknown generator {exc.args[0].token()!r}") from None
         if not ids:
             raise AlgebraError("words must be nonempty")
         return ids
@@ -649,13 +647,16 @@ class Algebra:
         ``budget`` caps the number of words explored, which is
         ``growth(max_len)`` whatever the filters keep: the running total of
         :meth:`nodword_counts` raises :class:`BudgetExceededError` once it
-        passes the budget, before any word is built.  An unknown ``source``
+        passes the budget, before any word is built; a negative budget raises
+        :class:`AlgebraError` before anything is counted.  An unknown ``source``
         or ``range_`` vertex raises :class:`UnknownVertexError`.  The words
         are grown from a frontier of their own, since the count store holds
         only numbers; with no filter, no word is tested.
         """
         if max_len < 0:
             raise AlgebraError("max_len must be >= 0")
+        if budget is not None and budget < 0:
+            raise AlgebraError("budget must be >= 0")
         for v in (source, range_):
             if v is not None:
                 self.graph._require_vertex(v)

@@ -30,7 +30,6 @@ in order, builds nothing and raises the first fault it meets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 import re
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -198,16 +197,25 @@ class Graph(WeightedGraph):
                 raise BadWeightError(f"edge {e.id!r}: weight must be 1")
 
 
-@dataclass(frozen=True)
-class GraphPath:
-    """A path: either a single base vertex (length 0) or an edge sequence."""
-
+class _PathFields(NamedTuple):
     vertex: Optional[str] = None
     edges: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if (self.vertex is None) == (not self.edges):
+
+class GraphPath(_PathFields):
+    """A path: either a single base vertex (length 0) or an edge sequence."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertex: Optional[str] = None, edges: tuple[str, ...] = ()):
+        if (vertex is None) == (not edges):
             raise GraphError("path is either a base vertex or a nonempty edge list")
+        return super().__new__(cls, vertex, edges)
+
+    @classmethod
+    def _make(cls, fields) -> "GraphPath":
+        # the tuple's own _make measures it with len, which counts edges here
+        return cls(*fields)
 
     @classmethod
     def at(cls, vertex: str) -> "GraphPath":

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 from .algebra import (
@@ -72,8 +71,7 @@ class WitnessSearchError(RuntimeError):
     """The witness search failed; this indicates an internal bug."""
 
 
-@dataclass(frozen=True)
-class LpaViolation:
+class LpaViolation(NamedTuple):
     """One violated condition together with replayable witness data.
 
     Field usage by kind:
@@ -136,10 +134,9 @@ class LpaViolation:
         )
 
 
-@dataclass(frozen=True)
-class LpaReport:
+class LpaReport(NamedTuple):
     satisfied: bool
-    violations: tuple[LpaViolation, ...] = field(default=())
+    violations: tuple[LpaViolation, ...] = ()
 
     def to_records(self) -> dict:
         return {

@@ -27,8 +27,8 @@ letter to a forward image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .algebra import (
     Algebra,
@@ -80,8 +80,7 @@ def _reject_reserved_ids(g: WeightedGraph) -> None:
             raise ReservedIdError(f"input edge id {e.id!r} uses the reserved '^(' marker")
 
 
-@dataclass(frozen=True)
-class TransformTrace:
+class TransformTrace(NamedTuple):
     """Intermediate data of the two-stage compilation of ``source``."""
 
     source: WeightedGraph
@@ -233,8 +232,7 @@ def to_unweighted(g: WeightedGraph) -> tuple[Graph, TransformTrace]:
     return stage2, TransformTrace(g, stage1, stage2, zone, gv_pairs)
 
 
-@dataclass(frozen=True)
-class FamilyMap:
+class FamilyMap(NamedTuple):
     """A generator-by-generator map, as a table over the letter ids of ``domain``.
 
     ``images[t]`` is the support in ``target`` of the image of letter t.
@@ -321,8 +319,7 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
             FamilyMap("backward", tgt, src, tuple(backward)))
 
 
-@dataclass(frozen=True)
-class FamilyVerification:
+class FamilyVerification(NamedTuple):
     ok: bool
     counts: dict
     failures: tuple[str, ...]

@@ -664,7 +664,7 @@ def classical_unweighted_count(g: WeightedGraph, choice, max_len: int) -> int:
 
 def generator_endpoints(algebra: Algebra, gen: Generator) -> tuple[str, str]:
     """The source and range vertices of the letter ``gen`` of ``algebra``."""
-    i = algebra._intern_letter(gen)
+    i, = algebra._intern_word((gen,))
     vertices = algebra.graph.vertices
     return vertices[algebra._src_id[i]], vertices[algebra._rng_id[i]]
 
@@ -1339,7 +1339,7 @@ def _lowered(mapping: dict[Generator, AlgebraElement], domain: Algebra, target: 
     :class:`MixedContextError`.
     """
     for gen in mapping:
-        domain._intern_letter(gen)
+        domain._intern_word((gen,))
     return _lower(mapping, domain._generators(), target)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import sys
@@ -231,6 +230,17 @@ def test_cli_basis_default_budget_is_checked_before_any_word_is_built(monkeypatc
         1, "", "error: enumeration exceeded the budget of 100000 words\n")
 
 
+def test_cli_negative_budget_is_rejected_before_anything_is_counted(monkeypatch):
+    # the option reader lets the sign through; the enumeration rejects it
+    def no_counts(self, *args, **kwargs):
+        raise AssertionError("nod-words were counted")
+
+    monkeypatch.setattr(Algebra, "nodword_counts", no_counts)
+    for max_len in ("0", "2"):
+        assert invoke("basis", max_len, "--budget", "-1", "--input", fx("e2loops.wg")) == (
+            1, "", "error: budget must be >= 0\n")
+
+
 def test_cli_huge_length_on_finitely_many_nod_words():
     # the default budget is charged only for lengths that hold a nod-word
     assert invoke("basis", "1000000000", "--input", "-", stdin_text="vertex v\n") == (
@@ -337,7 +347,7 @@ def test_cli_transform_verify_failure_exits_1(monkeypatch):
     def doubled_family_maps(trace, field):
         fwd, bwd = family_maps(trace, field=field)
         images = ({w: 2 * c for w, c in fwd.images[0].items()},) + fwd.images[1:]
-        return dataclasses.replace(fwd, images=images), bwd
+        return fwd._replace(images=images), bwd
 
     monkeypatch.setattr(cli_module, "family_maps", doubled_family_maps)
     argv = ("transform", "--verify", "--input", fx("fork.wg"))

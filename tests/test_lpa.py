@@ -29,6 +29,7 @@ from graphgen import (
     multigraphs,
     random_lpa_failing_graph,
     random_lpa_satisfying_graph,
+    random_unweighted_graph,
     random_weighted_graph,
     relabeled,
     small_graphs,
@@ -36,6 +37,7 @@ from graphgen import (
     weighted_ring,
 )
 from oracles import (
+    brute_force_cycles,
     brute_force_lpa4_sites,
     gk_dimension,
     path_range,
@@ -212,6 +214,28 @@ def _with_fixture_examples(test):
     for path in sorted(FIXTURES.glob("*.wg")):
         test = example(parse_weighted_graph(path.read_text()))(test)
     return test
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(multigraphs())
+@_with_fixture_examples
+def test_finite_gk_dimension_implies_lpa_on_multigraphs(g):
+    # the same theorem on parallel edges, self-loops and weights up to 3;
+    # about one drawn graph in six has finite dimension
+    if gk_dimension(g, default_special_edges(g)) < math.inf:
+        assert lpa._decide_lpa(g)[1] and check_lpa(g).satisfied
+
+
+def test_unweighted_gk_dimension_is_finite_iff_no_two_cycles_share_a_vertex():
+    # Alahmadi, Alsulami, Jain and Zelmanov (J. Algebra Appl. 11, 2012):
+    # graph-side, two distinct cycles share a vertex iff some vertex is the
+    # base of two, counted by filtering edge sequences
+    rng = Random(3401)
+    graphs = [random_unweighted_graph(rng, max_vertices=5, max_edges=6) for _ in range(300)]
+    finite = [gk_dimension(g, default_special_edges(g)) < math.inf for g in graphs]
+    shared = [any(len(brute_force_cycles(g, v)) > 1 for v in g.vertices) for g in graphs]
+    assert finite == [not s for s in shared]
+    assert sum(finite) == 189
 
 
 @settings(max_examples=500, deadline=None, database=None)

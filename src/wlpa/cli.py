@@ -15,30 +15,8 @@ import sys
 from itertools import accumulate
 from typing import Callable, Optional
 
-from .algebra import (
-    Algebra,
-    AlgebraError,
-    SpecialEdgeChoice,
-    default_special_edges,
-)
-from .exprs import ExpressionError, parse_element
-from .fields import FieldError, field_from_name, parse_natural
-from .graphs import (
-    GraphError,
-    WeightedGraph,
-    graph_to_records,
-    parse_weighted_graph,
-    serialize_graph,
-    serialize_weighted_graph,
-)
-from .lpa import LpaSatisfiedError, check_lpa, witness_nodpath
-from .unweighting import (
-    LpaViolatedError,
-    ReservedIdError,
-    family_maps,
-    to_unweighted,
-    verify_families,
-)
+# the package's names load on first use, so a command loads only the submodules it runs
+import wlpa
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,8 +42,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _natural(text: str) -> int:
     """A length or budget: :func:`parse_natural`, after a ``-`` that the command rejects."""
+    natural = wlpa.graphs.parse_natural
     try:
-        return -parse_natural(text[1:]) if text.startswith("-") else parse_natural(text)
+        return -natural(text[1:]) if text.startswith("-") else natural(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number in ASCII digits: {text!r}") from None
 
@@ -108,7 +87,7 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _read_graph(path: str, stdin) -> WeightedGraph:
+def _read_graph(path: str, stdin) -> wlpa.WeightedGraph:
     try:
         if path == "-":
             text = stdin.read()
@@ -117,10 +96,10 @@ def _read_graph(path: str, stdin) -> WeightedGraph:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    return parse_weighted_graph(text)
+    return wlpa.parse_weighted_graph(text)
 
 
-def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdgeChoice]:
+def _parse_special(g: wlpa.WeightedGraph, spec: Optional[str]) -> Optional[wlpa.SpecialEdgeChoice]:
     """The default special edges with the stripped ``vertex=edge`` overrides laid over them.
 
     A second entry for a vertex, even a repeat of the same pair, is rejected.
@@ -140,11 +119,11 @@ def _parse_special(g: WeightedGraph, spec: Optional[str]) -> Optional[SpecialEdg
         if vertex in overrides:
             raise _UsageError(f"--special names vertex {vertex!r} twice")
         overrides[vertex] = edge
-    pairs = [(v, overrides.pop(v, e)) for v, e in default_special_edges(g).pairs]
+    pairs = [(v, overrides.pop(v, e)) for v, e in wlpa.default_special_edges(g).pairs]
     if overrides:
         names = ", ".join(sorted(overrides))
         raise _UsageError(f"--special names sinks or unknown vertices: {names}")
-    return SpecialEdgeChoice(tuple(pairs))
+    return wlpa.SpecialEdgeChoice(tuple(pairs))
 
 
 def _emit(args, stdout, payload: Callable[[], dict], text: Callable[[], str]) -> None:
@@ -167,39 +146,40 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        field = field_from_name(args.field)
+        field = wlpa.field_from_name(args.field)
         graph = _read_graph(args.input, stdin)
 
         if args.command == "validate":
             _emit(args, stdout,
-                  lambda: {"command": "validate", "ok": True, "graph": graph_to_records(graph)},
+                  lambda: {"command": "validate", "ok": True,
+                           "graph": wlpa.graph_to_records(graph)},
                   lambda: f"ok: {len(graph.vertices)} vertices, {len(graph.edges)} edges")
             return EXIT_OK
 
         if args.command == "check-lpa":
-            report = check_lpa(graph)
+            report = wlpa.check_lpa(graph)
             _emit(args, stdout, lambda: {"command": "check-lpa", **report.to_records()},
                   report.describe)
             return EXIT_OK if report.satisfied else EXIT_NEGATIVE
 
         if args.command == "transform":
             try:
-                _, trace = to_unweighted(graph)
-            except LpaViolatedError as exc:
+                _, trace = wlpa.to_unweighted(graph)
+            except wlpa.LpaViolatedError as exc:
                 _emit(args, stdout, lambda: {"command": "transform", **exc.report.to_records()},
                       exc.report.describe)
                 return EXIT_NEGATIVE
             verification = None
             if args.verify:
-                fwd, bwd = family_maps(trace, field=field)
-                verification = verify_families(fwd, bwd)
+                fwd, bwd = wlpa.family_maps(trace, field=field)
+                verification = wlpa.verify_families(fwd, bwd)
 
             def payload():
                 return {
                     "command": "transform",
                     "satisfied": True,
-                    "stage1": graph_to_records(trace.stage1_graph),
-                    "stage2": graph_to_records(trace.stage2_graph),
+                    "stage1": wlpa.graph_to_records(trace.stage1_graph),
+                    "stage2": wlpa.graph_to_records(trace.stage2_graph),
                     "trace": trace.to_records(),
                     "verify": verification.to_records() if verification is not None else None,
                 }
@@ -208,9 +188,9 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
                 lines = ["# stage 1"]
                 lines.append("# Z: " + " ".join(trace.Z))
                 lines.append("# gv: " + " ".join(f"{v}={e}" for v, e in trace.gv_map))
-                lines.append(serialize_weighted_graph(trace.stage1_graph).rstrip("\n"))
+                lines.append(wlpa.serialize_weighted_graph(trace.stage1_graph).rstrip("\n"))
                 lines.append("# stage 2")
-                lines.append(serialize_graph(trace.stage2_graph).rstrip("\n"))
+                lines.append(wlpa.serialize_graph(trace.stage2_graph).rstrip("\n"))
                 if verification is not None:
                     lines.append("# verify: " + ("ok" if verification.ok else "FAILED"))
                     for key, value in sorted(verification.counts.items()):
@@ -227,8 +207,8 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 
         if args.command == "witness":
             try:
-                word = witness_nodpath(graph, choice)
-            except LpaSatisfiedError:
+                word = wlpa.witness_nodpath(graph, choice)
+            except wlpa.LpaSatisfiedError:
                 _emit(args, stdout,
                       lambda: {"command": "witness", "satisfied": True, "word": None},
                       lambda: "satisfied: no witness exists")
@@ -239,10 +219,10 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
                   lambda: " ".join(tokens))
             return EXIT_OK
 
-        algebra = Algebra(graph, choice, field)
+        algebra = wlpa.Algebra(graph, choice, field)
 
         if args.command == "eval":
-            element = parse_element(algebra, args.expression)
+            element = wlpa.parse_element(algebra, args.expression)
             _emit(args, stdout,
                   lambda: {"command": "eval", "field": field.name,
                            "terms": element.to_records()},
@@ -278,16 +258,18 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     except _HelpRequested as exc:
         stdout.write(str(exc))
         return EXIT_OK
-    except (_UsageError, GraphError, AlgebraError, ExpressionError, FieldError,
-            ReservedIdError) as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_INPUT
     except (RecursionError, MemoryError, OverflowError) as exc:
         # Last resort: inputs known to run this deep or this large are
         # rejected earlier with their own messages.  A table too long to
         # index overflows before anything is allocated.
         detail = f": {exc}" if str(exc) else ""
         print(f"error: resource limit reached ({type(exc).__name__}{detail})", file=stderr)
+        return EXIT_INPUT
+    # evaluated only once an exception reaches here, so naming the error
+    # classes loads their submodules on this path alone
+    except (_UsageError, wlpa.GraphError, wlpa.AlgebraError, wlpa.ExpressionError,
+            wlpa.FieldError, wlpa.ReservedIdError) as exc:
+        print(f"error: {exc}", file=stderr)
         return EXIT_INPUT
 
 

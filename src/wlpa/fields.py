@@ -14,16 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .graphs import parse_natural
+
 
 class FieldError(ValueError):
     pass
-
-
-def parse_natural(text: str) -> int:
-    """A number read from outside: ASCII digits within ``int()``'s limit, else ValueError."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a number in ASCII digits: {text!r}")
-    return int(text)
 
 
 def _parse_ratio(text: str, decimal: bool = False) -> tuple[int, int]:

@@ -34,8 +34,6 @@ from operator import attrgetter
 import re
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .fields import parse_natural
-
 _ID = r"[A-Za-z0-9_^()]+"
 _ID_RE = re.compile(_ID + r"\Z")
 _IDS_RE = re.compile(rf"{_ID}(?:\n{_ID})*")
@@ -48,6 +46,13 @@ _LINE_RE = re.compile(
 )
 _edge_ids = attrgetter("id")
 _edge_weights = attrgetter("weight")
+
+
+def parse_natural(text: str) -> int:
+    """A number read from outside: ASCII digits within ``int()``'s limit, else ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    return int(text)
 
 
 class GraphError(ValueError):

@@ -42,8 +42,8 @@ from wlpa import (
 )
 from wlpa.algebra import _compose, _involute, _lower, _relation_failures
 from wlpa.exprs import MAX_NESTING, ExpressionError
-from wlpa.fields import FieldError, parse_natural
-from wlpa.graphs import breadth_first, path_to
+from wlpa.fields import FieldError
+from wlpa.graphs import breadth_first, parse_natural, path_to
 from wlpa.lpa import _keylemma_word_from_cycle
 
 

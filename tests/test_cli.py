@@ -14,7 +14,8 @@ from wlpa import (
     parse_weighted_graph,
     serialize_weighted_graph,
 )
-from wlpa import algebra as algebra_module, cli as cli_module, lpa as lpa_module
+import wlpa
+from wlpa import algebra as algebra_module, lpa as lpa_module
 from wlpa.cli import main, run
 from wlpa.exprs import ExpressionError, parse_element
 from wlpa.unweighting import family_maps
@@ -349,7 +350,8 @@ def test_cli_transform_verify_failure_exits_1(monkeypatch):
         images = ({w: 2 * c for w, c in fwd.images[0].items()},) + fwd.images[1:]
         return fwd._replace(images=images), bwd
 
-    monkeypatch.setattr(cli_module, "family_maps", doubled_family_maps)
+    # the command reads the package's name, so the package is where to replace it
+    monkeypatch.setattr(wlpa, "family_maps", doubled_family_maps)
     argv = ("transform", "--verify", "--input", fx("fork.wg"))
     code, out, err = invoke(*argv)
     assert (code, err) == (1, "family verification failed\n")
@@ -452,7 +454,7 @@ def test_cli_negative_table_length_rejected(command):
 
 
 def test_cli_counts_read_as_ascii_digits():
-    # lengths and budgets are read by fields.parse_natural, as every number from the input
+    # lengths and budgets are read by graphs.parse_natural, as every number from the input
     for text in ("1_0", "+3", "\u0663", " 2", "2 ", "--1", "-", ""):
         error = f"error: argument {{}}: not a number in ASCII digits: {text!r}\n"
         for command in ("growth", "zero-dim", "basis"):
@@ -483,7 +485,7 @@ def test_cli_last_resort_guard(monkeypatch, error):
     def exhausted(graph):
         raise error
 
-    monkeypatch.setattr("wlpa.cli.check_lpa", exhausted)
+    monkeypatch.setattr(wlpa, "check_lpa", exhausted)
     code, out, err = invoke("check-lpa", "--input", fx("g6.wg"))
     detail = f": {error}" if str(error) else ""
     assert (code, out) == (1, "")

@@ -19,6 +19,7 @@ from wlpa import (
     default_special_edges,
     parse_weighted_graph,
     search_shape_word,
+    to_unweighted,
     weighted_edges,
     witness_nodpath,
 )
@@ -236,6 +237,26 @@ def test_unweighted_gk_dimension_is_finite_iff_no_two_cycles_share_a_vertex():
     shared = [any(len(brute_force_cycles(g, v)) > 1 for v in g.vertices) for g in graphs]
     assert finite == [not s for s in shared]
     assert sum(finite) == 189
+
+
+def test_compilation_keeps_the_gk_dimension_and_acyclic_means_the_counts_reach_zero():
+    # an isomorphism keeps the Gelfand-Kirillov dimension, so (E, w) and its
+    # unweighted graph read the same d off their own automata; and d = 0 iff
+    # the automaton is acyclic, iff no nod-word has m + 1 letters, for m the
+    # number of non-vertex letters (the walk stops at the first empty length)
+    rng = Random(3501)
+    graphs = [random_lpa_satisfying_graph(rng) for _ in range(300)]
+    dims = []
+    for g in graphs:
+        d = gk_dimension(g, default_special_edges(g))
+        unweighted = to_unweighted(g)[0]
+        assert gk_dimension(unweighted, default_special_edges(unweighted)) == d, g
+        for h in (g, unweighted):
+            m = 2 * sum(e.weight for e in h.edges)
+            assert (d == 0) == (len(list(Algebra(h).nodword_counts(m + 1))) <= m + 1), h
+        dims.append(d)
+    assert {d: dims.count(d) for d in dims} == {
+        0: 84, 1: 25, 2: 42, 3: 7, 4: 7, 5: 1, math.inf: 134}
 
 
 @settings(max_examples=500, deadline=None, database=None)

@@ -1,5 +1,6 @@
 import ast
 import copy
+import io
 import pickle
 import subprocess
 import sys
@@ -15,11 +16,14 @@ from wlpa import (
     LpaReport,
     LpaViolation,
     SpecialEdgeChoice,
+    check_lpa,
     family_maps,
     parse_weighted_graph,
+    serialize_weighted_graph,
     to_unweighted,
     verify_families,
 )
+from wlpa.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -48,32 +52,139 @@ def test_public_names_are_pinned():
     assert sorted(wlpa.__all__) == PUBLIC_NAMES
 
 
+SRC = Path(wlpa.__file__).resolve().parent.parent
+SUBMODULES = ["algebra", "exprs", "fields", "graphs", "lpa", "unweighting"]
+
+
+def _fresh(child):
+    """Run ``child`` in a fresh interpreter that imports ``wlpa`` from this tree; its stdout."""
+    # no site hooks: only what the package imports shows; -I ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the source tree clean
+    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n" + child
+    return subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script], check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_star_import_binds_no_submodule():
     namespace = {}
     exec("from wlpa import *", namespace)
     # exactly the public names: no submodule (algebra, exprs, fields, ...) is bound
     assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC_NAMES
+    # the same as the first use of the package, which loads every submodule
+    out = _fresh(
+        "import wlpa\n"
+        "namespace = {}\n"
+        "exec('from wlpa import *', namespace)\n"
+        "print(sorted(name for name in namespace if name != '__builtins__'))\n"
+    )
+    assert ast.literal_eval(out) == PUBLIC_NAMES
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, no site hooks: only what the package imports shows;
-    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the source tree clean
-    src = Path(wlpa.__file__).resolve().parent.parent
-    child = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "before = set(sys.modules)\n"
+    # each step loads the submodules it needs and no more
+    out = _fresh(
+        "steps = [set(sys.modules)]\n"
         "import wlpa\n"
-        "package = set(sys.modules)\n"
+        "steps.append(set(sys.modules))\n"
+        "wlpa.parse_weighted_graph('vertex v\\nedge e v v 2\\n')\n"
+        "steps.append(set(sys.modules))\n"
         "import wlpa.cli\n"
-        "print((sorted(before), sorted(package - before), sorted(set(sys.modules) - package)))\n"
+        "steps.append(set(sys.modules))\n"
+        "print([sorted(b - a) for a, b in zip(steps, steps[1:])])\n"
     )
-    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", child], check=True,
-                         capture_output=True, text=True).stdout
-    before, package, cli = map(set, ast.literal_eval(out))
-    assert {"wlpa.lpa", "wlpa.unweighting", "fractions"} <= package and "wlpa.cli" in cli
-    for added in (before, package, cli):
+    package, parse, cli = map(set, ast.literal_eval(out))
+    assert package == {"wlpa"}
+    assert {m for m in parse if m.startswith("wlpa.")} == {"wlpa.graphs"}
+    assert {m for m in cli if m.startswith("wlpa.")} == {"wlpa.cli"}
+    assert "fractions" not in package | parse
+    for added in (package, parse, cli):
         assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv, stdin, code, homes", [
+    (["validate"], "vertex v\n", 0, {"graphs", "fields"}),
+    (["check-lpa"], "vertex v\n", 0, {"graphs", "fields", "lpa", "algebra"}),
+    (["witness"], "vertex v\n", 3, {"graphs", "fields", "lpa", "algebra"}),
+    (["transform", "--verify"], "vertex v\n", 0,
+     {"graphs", "fields", "lpa", "algebra", "unweighting"}),
+    (["growth", "3"], "vertex v\n", 0, {"graphs", "fields", "algebra"}),
+    (["eval", "v"], "vertex v\n", 0, {"graphs", "fields", "algebra", "exprs"}),
+    # an input error is matched against every error class, so it loads their submodules
+    (["validate"], "vertex v\nvertex v\n", 1, set(SUBMODULES)),
+    (["check-lpa", "--field", "mod:4"], "vertex v\n", 1, set(SUBMODULES)),
+])
+def test_each_command_loads_only_the_submodules_it_runs(argv, stdin, code, homes):
+    # a fresh process, as the installed ``wlpa`` command is: what it loads is its own
+    out = _fresh(
+        "import io\n"
+        "from wlpa import cli\n"
+        "stdout, stderr = io.StringIO(), io.StringIO()\n"
+        f"code = cli.run({argv + ['--input', '-']!r}, io.StringIO({stdin!r}), stdout, stderr)\n"
+        "print(repr((code, stdout.getvalue(), stderr.getvalue())))\n"
+        "print(sorted(m[5:] for m in sys.modules if m.startswith('wlpa.') and m != 'wlpa.cli'))\n"
+    )
+    result, loaded = map(ast.literal_eval, out.splitlines())
+    # and it prints what the same command prints here, with every submodule loaded
+    stdout, stderr = io.StringIO(), io.StringIO()
+    here = run(argv + ["--input", "-"], io.StringIO(stdin), stdout, stderr)
+    assert result == (here, stdout.getvalue(), stderr.getvalue()) and here == code
+    assert set(loaded) == homes
+
+
+def test_each_public_name_is_the_object_its_home_submodule_defines():
+    out = _fresh(
+        "import wlpa\n"
+        "print([name for name in wlpa.__all__ if getattr(wlpa, name) is not\n"
+        "       vars(sys.modules['wlpa.' + wlpa._HOMES[name]])[name]])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wlpa.')))\n"
+    )
+    mismatched, loaded = map(ast.literal_eval, out.splitlines())
+    assert mismatched == []
+    assert loaded == [f"wlpa.{home}" for home in SUBMODULES]
+    # the home is where the name is defined, not a module that imports it
+    for name, home in wlpa._HOMES.items():
+        body = ast.parse((SRC / "wlpa" / f"{home}.py").read_text(encoding="utf-8")).body
+        assert name in {node.name for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))} | {
+            target.id for node in body if isinstance(node, ast.Assign) for target in node.targets}, name
+
+
+@pytest.mark.parametrize("home", SUBMODULES)
+def test_each_submodule_resolves_after_a_bare_import(home):
+    # the submodule is the first name the package is asked for
+    out = _fresh(
+        "import wlpa\n"
+        f"print(wlpa.{home} is sys.modules['wlpa.{home}'])\n"
+        f"from wlpa import {home}\n"
+        f"print({home} is sys.modules['wlpa.{home}'])\n"
+    )
+    assert out.split() == ["True", "True"]
+
+
+def test_dir_lists_the_public_names_the_submodules_and_the_module_attributes():
+    names = dir(wlpa)
+    assert names == sorted(names)
+    assert set(PUBLIC_NAMES) | set(SUBMODULES) | {"__doc__", "__file__", "__path__"} <= set(names)
+    with pytest.raises(AttributeError, match=r"^module 'wlpa' has no attribute 'no_such_name'$"):
+        wlpa.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from wlpa import no_such_name", {})
+
+
+def test_a_graph_and_a_report_pickled_here_load_in_a_fresh_interpreter():
+    g = parse_weighted_graph((FIXTURES / "e2loops.wg").read_text())
+    report = check_lpa(g)
+    assert not report.satisfied
+    data = pickle.dumps((g, report))
+    out = _fresh(
+        "import pickle\n"
+        f"g, report = pickle.loads({data!r})\n"
+        "import wlpa\n"
+        "print(repr(wlpa.serialize_weighted_graph(g)))\n"
+        "print(repr(report))\n"
+    )
+    text, report_repr = out.splitlines()
+    assert ast.literal_eval(text) == serialize_weighted_graph(g)
+    assert report_repr == repr(report)
 
 
 def test_each_tuple_of_fields_is_immutable_and_replaces_to_its_own_type():

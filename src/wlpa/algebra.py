@@ -135,7 +135,8 @@ def validate_choice(g: WeightedGraph, choice: SpecialEdgeChoice) -> None:
     """Raise :class:`AlgebraError` unless ``choice`` fixes a special edge exactly at the non-sinks.
 
     One pass over the out-lists ``g._out``, in vertex order; keys of
-    ``choice`` that are no vertex are ignored.  At each vertex the checks
+    ``choice`` that are no vertex are ignored, as by :func:`_letters`, its
+    one reader past this check, once, per vertex.  At each vertex the checks
     run in this order: a sink has no special edge; a non-sink has one; it
     is an edge of ``g`` (else :class:`UnknownEdgeError`), emitted by the
     vertex and of the vertex's maximal weight.
@@ -168,29 +169,34 @@ def _add_term(acc: dict, word: tuple[int, ...], coeff) -> None:
         del acc[word]
 
 
-def _letters(graph: WeightedGraph):
+def _letters(graph: WeightedGraph, choice: SpecialEdgeChoice):
     """The letters of ``graph`` in canonical order: their tables by letter id, and their layout.
 
     Canonical order: vertices in graph order, then per edge in graph order
     its strands ``e_i = b + i - 1`` and stars ``e_i^* = b + w + i - 1``
     (1 <= i <= w) from its base b.  Only this pass decides where a letter
     sits; every other table reads ids off what it returns: ``(id_of, src,
-    rng, star_of, degree, out, bases)``, the id of each letter's ``(kind,
-    name, index)`` key (index 0 for a vertex) in id order; per letter its
-    source and range vertex ids, its involute and its degree ``(i - 1,
-    +-1)`` (None for a vertex); per vertex id its out-list of ``(edge id,
-    weight, base, range id)``; and per edge its base, both in graph order.
+    rng, star_of, degree, out, bases, specials)``, the id of each letter's
+    ``(kind, name, index)`` key (index 0 for a vertex) in id order; per
+    letter its source and range vertex ids, its involute and its degree
+    ``(i - 1, +-1)`` (None for a vertex); per vertex id its out-list of
+    ``(edge id, weight, base, range id)``; per edge its base, both in
+    graph order; and per vertex id the ``(w, b)`` of its special edge, or
+    ``(0, 0)``: the one reading of the checked ``choice``, so a key that is
+    no vertex is ignored.
     """
     id_of = {("vertex", v, 0): i for i, v in enumerate(graph.vertices)}
     nv = len(id_of)
     src, rng, star_of, degree = list(range(nv)), list(range(nv)), list(range(nv)), [None] * nv
     out: list[list[tuple[str, int, int, int]]] = [[] for _ in range(nv)]
-    bases = []
+    bases, special, specials = [], choice.mapping, [(0, 0)] * nv
     index = graph._vertex_index  # vertex k is letter k
     for e in graph.edges:
         w, s, r, b = e.weight, index[e.source], index[e.range], len(src)
         out[s].append((e.id, w, b, r))
         bases.append(b)
+        if special.get(e.source) == e.id:
+            specials[s] = (w, b)
         # e_i runs s -> r and its star, w ids later, r -> s
         for kind, start, end, shift, sign in (("edge", s, r, w, 1), ("star", r, s, -w, -1)):
             for i in range(1, w + 1):
@@ -199,14 +205,14 @@ def _letters(graph: WeightedGraph):
                 rng.append(end)
                 star_of.append(t + shift)
                 degree.append((i - 1, sign))
-    return id_of, tuple(src), tuple(rng), tuple(star_of), tuple(degree), out, tuple(bases)
+    return id_of, tuple(src), tuple(rng), tuple(star_of), tuple(degree), out, tuple(bases), specials
 
 
-def _successors(src, rng, degree, out, choice: SpecialEdgeChoice):
+def _successors(src, rng, degree, specials):
     """The nod-word successors of a letter, as a function of its id.
 
-    ``src``, ``rng``, ``degree`` and ``out`` are the tables of
-    :func:`_letters`, and ``choice`` is a checked special-edge choice.  A
+    ``src``, ``rng``, ``degree`` and ``specials`` are the tables of
+    :func:`_letters`, the one reading of the choice, per vertex.  A
     non-vertex letter a may be followed by the non-vertex letters b with
     s(b) = r(a), in id order, except for the leading pairs of the rules of
     :meth:`Algebra._build_pair_table`: after ``e_1^*``, every ``f_1`` that
@@ -215,22 +221,17 @@ def _successors(src, rng, degree, out, choice: SpecialEdgeChoice):
     which letter may follow which, for the automaton :attr:`Algebra._succ`
     and for the witness search of :func:`~wlpa.lpa.witness_nodpath`.
     """
-    starting: list[list[int]] = [[] for _ in out]
-    for b in range(len(out), len(src)):
+    starting: list[list[int]] = [[] for _ in specials]
+    for b in range(len(specials), len(src)):
         starting[src[b]].append(b)
-    special = set(choice.mapping.values())  # an edge is special only at its source
-    # each strand s_i of a special edge of weight w at base b to its stars s_j^*
-    special_stars = {a: range(b + w, b + 2 * w)
-                     for emitted in out for eid, w, b, _ in emitted if eid in special
-                     for a in range(b, b + w)}
 
     def successors(a: int) -> tuple[int, ...]:
         after = starting[rng[a]]
         if degree[a] == (0, -1):  # e_1^* is followed by no f_1
             return tuple(b for b in after if degree[b] != (0, 1))
-        stars = special_stars.get(a)
-        if stars is not None:
-            return tuple(b for b in after if b not in stars)
+        w, base = specials[src[a]]  # the special edge s at s(a), (0, 0) at none
+        if base <= a < base + w:  # a is some s_i, so no s_j^* follows
+            return tuple(b for b in after if not base + w <= b < base + 2 * w)
         return tuple(after)
 
     return successors
@@ -241,14 +242,15 @@ class Algebra:
 
     ``__init__`` builds the special-edge choice (the default one unless
     given, checked by :func:`validate_choice` either way), the letter
-    tables (one pass of :func:`_letters`) and, off its out-lists, the
+    tables (one pass of :func:`_letters`, the one reading of the choice,
+    per vertex, so a key that is no vertex is ignored) and, off them, the
     vertex-local rules of the non-vertex pairs (vertex letters are absorbed
     by endpoint tests): each rule is the relation it orients, ``(others,
     rhs)``, only :meth:`_product` rewrites with it, the relation checks read
     it as one (iii) or (iv) instance, and every other reader asks
     :meth:`_is_normal`.  These tables never change.  The nod-word automaton,
     :attr:`_succ`, reads no rule: :func:`_successors` gives it from the
-    letter tables and the choice.  It is built on the first walk: only
+    letter tables.  It is built on the first walk: only
     :meth:`nodword_counts` (behind :meth:`growth`,
     :meth:`zero_component_count`, the CLI tables and the basis budget) and
     :meth:`enumerate_nodwords` walk it.  The count store keeps the counts
@@ -273,7 +275,7 @@ class Algebra:
         self.field = field
 
         (self._id_of, self._src_id, self._rng_id, self._star_of, self._letter_degree,
-         self._out_letters, self._edge_base) = _letters(graph)
+         self._out_letters, self._edge_base, self._specials) = _letters(graph, self.choice)
         self._generator_table: Optional[tuple[Generator, ...]] = None  # filled on first use
         self._nv = len(graph.vertices)
         self._nonvertex_ids = tuple(range(self._nv, len(self._id_of)))
@@ -307,14 +309,13 @@ class Algebra:
         vertex v, so there are at most in(v) * out(v) keys per v, where
         in(v) and out(v) count the non-vertex letters ending and starting
         at v.  The ids are read off the out-lists of :func:`_letters`, and
-        the special edge is found in its vertex's own out-list.  No other
+        the special edge's ``(w, b)`` off ``_specials``, per vertex.  No other
         code enumerates the (iii) and (iv) instances, and their order is the
         insertion order: vertex by vertex, (iii) with e outer and f inner,
         then (iv) with i outer and j inner.
         """
-        special = self.choice.mapping
         rules: dict[tuple[int, int], tuple[list, Optional[int]]] = {}
-        for vid, (v, out) in enumerate(zip(self.graph.vertices, self._out_letters)):
+        for vid, (out, (ws, bs)) in enumerate(zip(self._out_letters, self._specials)):
             # an edge of weight w at base b: e_i = b + i - 1, e_i^* = b + w + i - 1
             for _, we, be, r in out:
                 for _, wf, bf, _ in out:
@@ -323,9 +324,7 @@ class Algebra:
                     for i in range(1, min(we, wf)):
                         others.append((be + we + i, bf + i))
                     rules[be + we, bf] = (others, r if be == bf else None)
-            sid = special.get(v)  # None at a sink, whose out-list is empty
-            ws, bs = next(((w, b) for eid, w, b, _ in out if eid == sid), (0, 0))
-            for i in range(ws):
+            for i in range(ws):  # ws = 0 at a sink
                 for j in range(ws):
                     # e^v_(i+1) (e^v_(j+1))^* = d_ij v - the pairs of other edges of weight > i, j
                     k = max(i, j)
@@ -350,7 +349,7 @@ class Algebra:
         succ = self._succ_table
         if succ is None:
             successors = _successors(self._src_id, self._rng_id, self._letter_degree,
-                                     self._out_letters, self.choice)
+                                     self._specials)
             succ = self._succ_table = {a: successors(a) for a in self._nonvertex_ids}
         return succ
 

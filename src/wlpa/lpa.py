@@ -403,8 +403,8 @@ def _letter_successors(g: WeightedGraph, choice: Optional[SpecialEdgeChoice]):
         choice = default_special_edges(g)
     else:
         validate_choice(g, choice)
-    id_of, src, rng, _, degree, out, _ = _letters(g)
-    return id_of, _successors(src, rng, degree, out, choice)
+    id_of, src, rng, _, degree, _, _, specials = _letters(g, choice)
+    return id_of, _successors(src, rng, degree, specials)
 
 
 def _shape_word(g: WeightedGraph, id_of, successors) -> Optional[Word]:

@@ -16,13 +16,13 @@ algebras (:func:`family_maps`), kept as tables over letter ids
 relations and the round trips on those tables, reading relations (iii)
 and (iv) off each domain algebra's rule table.  The trace of a compilation
 carries all three graphs, so the maps are built from the trace alone: they
-read stage 1 off the stage-1 graph, not off Z, and reuse the (LPA)
-decision; the check reads the graphs from the maps' algebras.  One case
-table (:func:`_stage2_cases`) of cases and positions builds both the
-stage-2 graph and the maps: :func:`unweight_sunk` alone names the pieces,
-and the maps read every letter by position.  Each stage-2 vertex or edge
-fixes its own backward image, reduced where it is composed, and adds one
-letter to a forward image.
+read stage 1 and g^v off the stage-1 graph (a trace's Z and g^v map are
+output only) and reuse the (LPA) decision; the check reads the graphs from
+the maps' algebras.  One case table (:func:`_stage2_cases`) of cases and
+positions builds both the stage-2 graph and the maps: :func:`unweight_sunk`
+alone names the pieces, and the maps read every letter by position.  Each
+stage-2 vertex or edge fixes its own backward image, reduced where it is
+composed, and adds one letter to a forward image.
 """
 
 from __future__ import annotations
@@ -254,19 +254,20 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
     an edge's strands sit at its base.  Stage 1 is read off the stage-1
     graph h, walking g's edges in step with h's: h kept e, or e's w
     reversed strands stand in its place, the i-th swapping e_i and e_i^*.
-    Then one pass over the stage-2 case table that built g~ gives each
-    piece the position in h of its vertex or edge.  No name is made or
-    looked up, and Z is not read.  A forward image is a sum of single
-    target letters with coefficient 1, so it needs no reduction.  A
-    backward image is a word of at most three source letters: one letter
-    (cases M, A, C and D) is a nod-word and its own support, and a longer
-    word (cases N and B) is one :func:`~wlpa.algebra._compose` over the
-    letters' one-word supports, reduced into the field where it is made.
-    Nothing is normalized, so the memos of both algebras stay empty.  A
-    star image is the involute of its edge's, taken on the support.  The
-    trace is read as :func:`to_unweighted` returned it, without deciding
-    (LPA) or running stage 1 again; :func:`verify_families` checks the
-    maps whatever trace they were built from.
+    Then one pass over the stage-2 case table that built g~, with g^v read
+    off h as in :func:`unweight_sunk`, gives each piece the position in h of
+    its vertex or edge.  No name is made or looked up, and the trace's Z and
+    g^v map are output only.  A forward image is a sum of single target
+    letters with coefficient 1, so it needs no reduction.  A backward image
+    is a word of at most three source letters: one letter (cases M, A, C and
+    D) is a nod-word and its own support, and a longer word (cases N and B)
+    is one :func:`~wlpa.algebra._compose` over the letters' one-word
+    supports, reduced into the field where it is made.  Nothing is
+    normalized, so the memos of both algebras stay empty.  A star image is
+    the involute of its edge's, taken on the support.  The trace is read as
+    :func:`to_unweighted` returned it, without deciding (LPA) or running
+    stage 1 again; :func:`verify_families` checks the maps whatever trace
+    they were built from.
     """
     g, h = trace.source, trace.stage1_graph
     src, tgt = Algebra(g, field=field), Algebra(trace.stage2_graph, field=field)
@@ -295,7 +296,7 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
 
     forward: list[dict] = [{} for _ in src._src_id]
     backward: list[dict] = [{} for _ in tgt._src_id]
-    vertex_cases, edge_cases = _stage2_cases(h, trace.gv)
+    vertex_cases, edge_cases = _stage2_cases(h, _sunk_preconditions(h))
     for t, (case, s, i) in enumerate(vertex_cases):
         forward[s][t,] = 1
         if case == "M":

@@ -698,7 +698,8 @@ class AllLetters:
                 self._add(("edge", e.id, i), e.source, e.range)
             for i in range(1, e.weight + 1):
                 self._add(("star", e.id, i), e.range, e.source)
-        self.special_edges = set(special.values())
+        # the special edge of each vertex; a key that is no vertex is ignored
+        self.special_edges = {special[v] for v in g.vertices if v in special}
 
     def _add(self, letter, src, rng):
         self.letters.append(letter)

@@ -26,7 +26,9 @@ from wlpa import (
     identity_map,
     parse_weighted_graph,
     relation_instances,
+    search_shape_word,
     validate_choice,
+    witness_nodpath,
 )
 from wlpa import algebra as algebra_module
 from wlpa.exprs import parse_element
@@ -842,14 +844,46 @@ def _valid_choices(g):
 
 def test_automaton_matches_the_rule_table_under_every_choice():
     # the successor routine, which reads no rule, yields exactly the letters
-    # that make a pair with no rule, under each special edge of each vertex
-    built = 0
+    # that make a pair with no rule, under each special edge of each vertex;
+    # a key that is no vertex, naming an edge special at no vertex, changes
+    # neither the automaton nor the rules
+    built = extra = 0
     for g in small_graphs(3, 3, 2):
         for choice in _valid_choices(g):
             algebra = Algebra(g, choice)
             assert algebra._succ == _reference_automaton(algebra), (g, choice)
             built += 1
-    assert built > len(list(small_graphs(3, 3, 2)))  # some vertex had two choices
+            chosen = set(choice.mapping.values())
+            for e in g.edges:
+                if e.id not in chosen:
+                    with_key = Algebra(g, SpecialEdgeChoice(choice.pairs + (("zz", e.id),)))
+                    assert with_key._succ == _reference_automaton(with_key), (g, choice, e)
+                    assert (with_key._succ, with_key._rules) == (algebra._succ, algebra._rules)
+                    extra += 1
+                    break
+    assert (built, extra) == (509, 421)  # 509 > 336 graphs: some vertex had two choices
+
+
+def test_a_choice_key_that_is_no_vertex_is_ignored_by_every_reader():
+    # e2 is special at no vertex; the key zz names it, and validate_choice
+    # ignores zz, so every count and the witness are those without it
+    g = parse_weighted_graph("vertex v1\nvertex v2\nedge e1 v1 v1 2\nedge e2 v1 v2 1\n")
+    for pairs in ((("v1", "e1"), ("zz", "e2")), (("v1", "e1"),)):
+        choice = SpecialEdgeChoice(pairs)
+        algebra = Algebra(g, choice)
+        assert [algebra.growth(n) for n in range(6)] == [2, 8, 26, 80, 234, 664]
+        assert [algebra.zero_component_count(n) for n in range(6)] == [2, 2, 4, 4, 18, 18]
+        words = algebra.enumerate_nodwords(2)
+        assert len(words) == 26 and (E("e2", 1), S("e2", 1)) in words
+        # the dense oracle reads the choice per vertex too
+        oracle = AllLetters(g, choice.mapping)
+        letters = [Generator(*letter) for letter in oracle.letters]
+        assert {w for w in words if len(w) == 2} == {
+            (letters[a], letters[b]) for a in range(len(letters)) for b in range(len(letters))
+            if not oracle.reducible(a, b)}
+        witness = (E("e1", 2), E("e2", 1), S("e2", 1), S("e1", 2))
+        assert search_shape_word(g, choice) == witness
+        assert witness_nodpath(g, choice) == witness
 
 
 def test_products_and_relation_checks_build_no_automaton():

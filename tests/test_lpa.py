@@ -16,6 +16,7 @@ from wlpa import (
     SpecialEdgeChoice,
     WeightedGraph,
     check_lpa,
+    cyclic_components,
     default_special_edges,
     parse_weighted_graph,
     search_shape_word,
@@ -204,11 +205,22 @@ def test_finite_gk_dimension_implies_lpa():
     # the paper's second theorem: an algebra of finite Gelfand-Kirillov
     # dimension is an unweighted Leavitt path algebra, so (LPA) holds; the
     # dimension is read off the nod-word automaton, apart from the package
-    graphs = list(small_graphs(max_vertices=3, max_edges=3, max_weight=2))
+    graphs = list(small_graphs(max_vertices=3, max_edges=4, max_weight=2))
     finite = [g for g in graphs if gk_dimension(g, default_special_edges(g)) < math.inf]
-    assert (len(finite), len(graphs)) == (84, 336)
+    assert (len(finite), len(graphs)) == (157, 1541)
     for g in finite:
         assert lpa._decide_lpa(g)[1] and check_lpa(g).satisfied, g
+
+
+def test_decision_report_and_shape_search_agree_on_every_small_graph():
+    # the linear decision, the reporter and the search for a nod-word
+    # e.2 ... e.2* give one verdict on every graph of the class
+    verdicts = []
+    for g in small_graphs(max_vertices=3, max_edges=4, max_weight=2):
+        satisfied = lpa._decide_lpa(g)[1]
+        assert check_lpa(g).satisfied == satisfied == (search_shape_word(g) is None), g
+        verdicts.append(satisfied)
+    assert (sum(verdicts), len(verdicts)) == (389, 1541)
 
 
 def _with_fixture_examples(test):
@@ -243,7 +255,10 @@ def test_compilation_keeps_the_gk_dimension_and_acyclic_means_the_counts_reach_z
     # an isomorphism keeps the Gelfand-Kirillov dimension, so (E, w) and its
     # unweighted graph read the same d off their own automata; and d = 0 iff
     # the automaton is acyclic, iff no nod-word has m + 1 letters, for m the
-    # number of non-vertex letters (the walk stops at the first empty length)
+    # number of non-vertex letters (the walk stops at the first empty length);
+    # on the compiled graph h, d is finite iff no cyclic component has more
+    # internal edges than vertices (two cycles share a vertex), and d = 0
+    # iff h has no cyclic component
     rng = Random(3501)
     graphs = [random_lpa_satisfying_graph(rng) for _ in range(300)]
     dims = []
@@ -251,6 +266,10 @@ def test_compilation_keeps_the_gk_dimension_and_acyclic_means_the_counts_reach_z
         d = gk_dimension(g, default_special_edges(g))
         unweighted = to_unweighted(g)[0]
         assert gk_dimension(unweighted, default_special_edges(unweighted)) == d, g
+        inside = [set(c) for c in cyclic_components(unweighted, unweighted.vertices)]
+        internal = [sum(e.source in c and e.range in c for e in unweighted.edges) for c in inside]
+        assert (d < math.inf) == all(n <= len(c) for n, c in zip(internal, inside)), g
+        assert (d == 0) == (not inside), g
         for h in (g, unweighted):
             m = 2 * sum(e.weight for e in h.edges)
             assert (d == 0) == (len(list(Algebra(h).nodword_counts(m + 1))) <= m + 1), h

@@ -778,14 +778,18 @@ def test_family_maps_builds_no_edge_record(monkeypatch):
 @given(_lpa_graphs())
 @example(fixture_graph("g6.wg"))
 def test_family_maps_read_stage_1_off_the_stage_1_graph(g):
-    # neither Z nor a strand name is read: stage 1 is read off h, letters by position
+    # neither Z, the g^v map nor a strand name is read: stage 1 and g^v are
+    # read off h, letters by position, so a wrong or empty Z or g^v map is ignored
     _, trace = to_unweighted(g)
     expected = family_maps(trace)
     with pytest.MonkeyPatch.context() as patch:
         def no_name(*args):
             raise AssertionError("family_maps made a strand name")
         patch.setattr(unweighting_module, "strand_name", no_name)
-        for maps in (family_maps(trace._replace(Z=())), family_maps(trace)):
+        traces = [trace._replace(Z=()), trace._replace(gv_map=(("t", "f"),)),
+                  trace._replace(gv_map=(("x", "f"), ("t", "a"))), trace._replace(gv_map=()),
+                  trace]
+        for maps in map(family_maps, traces):
             for m, ref in zip(maps, expected):
                 assert [list(image.items()) for image in m.images] == \
                     [list(image.items()) for image in ref.images]

@@ -353,10 +353,6 @@ class Algebra:
             succ = self._succ_table = {a: successors(a) for a in self._nonvertex_ids}
         return succ
 
-    @_succ.setter
-    def _succ(self, succ: dict[int, tuple[int, ...]]) -> None:
-        self._succ_table = succ
-
     def _is_normal(self, a: int, b: int) -> bool:
         """True iff the pair (a, b) is a nod-word: composable, no vertex letter and no rule."""
         return (self._rng_id[a] == self._src_id[b] and a >= self._nv and b >= self._nv

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import accumulate
 from typing import Callable, Optional
@@ -274,7 +275,16 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:  # a full device, or a reader that closed the pipe
+        # what stays buffered goes to devnull, so the interpreter's last flush
+        # is quiet (Python's signal docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -385,8 +385,8 @@ def breadth_first(g: WeightedGraph, roots: Iterable[str]) -> dict[str, Optional[
     order, so :func:`path_to` reads back a shortest path, the first one
     found.  From the ranges of the weighted edges it searches the zone of
     (LPA) once per command (:func:`~wlpa.lpa._decide_lpa`), for
-    ``check_lpa``, ``witness_nodpath`` and ``make_ranges_sinks``;
-    ``to_unweighted`` searches it again, by :func:`tree`, for its trace.
+    ``check_lpa``, ``witness_nodpath`` and ``make_ranges_sinks``; a
+    compilation trace's ``Z`` searches it again, by :func:`tree`.
     """
     parents: dict[str, Optional[EdgeRecord]] = {}
     for v in roots:

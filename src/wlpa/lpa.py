@@ -135,8 +135,11 @@ class LpaViolation(NamedTuple):
 
 
 class LpaReport(NamedTuple):
-    satisfied: bool
     violations: tuple[LpaViolation, ...] = ()
+
+    @property
+    def satisfied(self) -> bool:
+        return not self.violations
 
     def to_records(self) -> dict:
         return {
@@ -182,11 +185,10 @@ def check_lpa(g: WeightedGraph) -> LpaReport:
     """
     search, satisfied = _decide_lpa(g)
     if satisfied:
-        return LpaReport(satisfied=True)
+        return LpaReport()
     zone = _zone(g, cyclic_components(g, search))
-    violations = (*_lpa1_sites(g), *_lpa2_sites(g, zone), *_lpa3_sites(g, zone),
-                  *_lpa4_sites(g, zone))
-    return LpaReport(satisfied=not violations, violations=violations)
+    return LpaReport((*_lpa1_sites(g), *_lpa2_sites(g, zone), *_lpa3_sites(g, zone),
+                      *_lpa4_sites(g, zone)))
 
 
 class _Zone(NamedTuple):

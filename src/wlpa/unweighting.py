@@ -14,11 +14,11 @@ Both stages come with explicit generator correspondences between the two
 algebras (:func:`family_maps`), kept as tables over letter ids
 (:class:`FamilyMap`); :func:`verify_families` checks the defining
 relations and the round trips on those tables, reading relations (iii)
-and (iv) off each domain algebra's rule table.  The trace of a compilation
-carries all three graphs, so the maps are built from the trace alone: they
-read stage 1 and g^v off the stage-1 graph (a trace's Z and g^v map are
-output only) and reuse the (LPA) decision; the check reads the graphs from
-the maps' algebras.  One case table (:func:`_stage2_cases`) of cases and
+and (iv) off each domain algebra's rule table.  A compilation's trace
+is its three graphs, and its Z and g^v map are read off them, so the maps
+are built from the trace alone: they read stage 1 and g^v off the stage-1
+graph and reuse the (LPA) decision; the check reads the graphs from the
+maps' algebras.  One case table (:func:`_stage2_cases`) of cases and
 positions builds both the stage-2 graph and the maps: :func:`unweight_sunk`
 alone names the pieces, and the maps read every letter by position.  Each
 stage-2 vertex or edge fixes its own backward image, reduced where it is
@@ -81,23 +81,24 @@ def _reject_reserved_ids(g: WeightedGraph) -> None:
 
 
 class TransformTrace(NamedTuple):
-    """Intermediate data of the two-stage compilation of ``source``."""
+    """The three graphs of the two-stage compilation of ``source``."""
 
     source: WeightedGraph
     stage1_graph: WeightedGraph
     stage2_graph: Graph
-    Z: tuple[str, ...]
-    gv_map: tuple[tuple[str, str], ...]  # (range vertex, its weighted edge)
 
     @property
-    def gv(self) -> dict[str, str]:
-        return dict(self.gv_map)
+    def Z(self) -> tuple[str, ...]:
+        """Z = T(r(E1w)) of the source, in graph order, searched on each read."""
+        return tree(self.source, [e.range for e in weighted_edges(self.source)])
+
+    @property
+    def gv_map(self) -> tuple[tuple[str, str], ...]:
+        """(range vertex, its weighted edge) for each weighted edge of stage 1, in graph order."""
+        return tuple((e.range, e.id) for e in weighted_edges(self.stage1_graph))
 
     def to_records(self) -> dict:
-        return {
-            "Z": list(self.Z),
-            "gv": {v: e for v, e in self.gv_map},
-        }
+        return {"Z": list(self.Z), "gv": dict(self.gv_map)}
 
 
 def make_ranges_sinks(g: WeightedGraph) -> WeightedGraph:
@@ -163,7 +164,7 @@ def _sunk_preconditions(g: WeightedGraph) -> dict[str, str]:
     return {v: eid for v, (eid,) in receives.items()}
 
 
-def _stage2_cases(g: WeightedGraph, gv: dict[str, str]):
+def _stage2_cases(g: WeightedGraph):
     """The stage-2 cases of each vertex and edge of ``g``, in graph order.
 
     Returns ``(vertices, edges)``: ``vertices`` holds ``(case, k, i)`` for
@@ -173,6 +174,7 @@ def _stage2_cases(g: WeightedGraph, gv: dict[str, str]):
     C (first strand of a weighted edge) or D (reversed higher strand
     ``i``).  Only :func:`unweight_sunk` names the pieces.
     """
+    gv = _sunk_preconditions(g)
     vertices: list[tuple[str, int, int]] = []
     for k, v in enumerate(g.vertices):
         if v in gv:
@@ -202,7 +204,7 @@ def unweight_sunk(g: WeightedGraph) -> Graph:
     produces its fan (B), first strand (C), reversed higher strands (D) or
     an unchanged copy (A), each piece named here and nowhere else.
     """
-    vertex_cases, edge_cases = _stage2_cases(g, _sunk_preconditions(g))
+    vertex_cases, edge_cases = _stage2_cases(g)
     names = g.vertices
     vertices = [names[k] if case == "M" else strand_name(names[k], i)
                 for case, k, i in vertex_cases]
@@ -221,15 +223,11 @@ def unweight_sunk(g: WeightedGraph) -> Graph:
 def to_unweighted(g: WeightedGraph) -> tuple[Graph, TransformTrace]:
     """Full compilation of an LPA-satisfying weighted graph.
 
-    Returns the unweighted graph together with the trace (stage graphs, Z
-    and the g^v map of the stage-1 output).  Z is searched again for the
-    trace, since :func:`make_ranges_sinks` returns only its graph.
+    Returns the unweighted graph and the trace of the three graphs.
     """
     stage1 = make_ranges_sinks(g)  # decides (LPA) and rejects reserved ids
     stage2 = unweight_sunk(stage1)
-    gv_pairs = tuple((e.range, e.id) for e in weighted_edges(stage1))
-    zone = tree(g, [e.range for e in weighted_edges(g)])
-    return stage2, TransformTrace(g, stage1, stage2, zone, gv_pairs)
+    return stage2, TransformTrace(g, stage1, stage2)
 
 
 class FamilyMap(NamedTuple):
@@ -256,18 +254,17 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
     reversed strands stand in its place, the i-th swapping e_i and e_i^*.
     Then one pass over the stage-2 case table that built g~, with g^v read
     off h as in :func:`unweight_sunk`, gives each piece the position in h of
-    its vertex or edge.  No name is made or looked up, and the trace's Z and
-    g^v map are output only.  A forward image is a sum of single target
-    letters with coefficient 1, so it needs no reduction.  A backward image
-    is a word of at most three source letters: one letter (cases M, A, C and
-    D) is a nod-word and its own support, and a longer word (cases N and B)
-    is one :func:`~wlpa.algebra._compose` over the letters' one-word
-    supports, reduced into the field where it is made.  Nothing is
-    normalized, so the memos of both algebras stay empty.  A star image is
-    the involute of its edge's, taken on the support.  The trace is read as
-    :func:`to_unweighted` returned it, without deciding (LPA) or running
-    stage 1 again; :func:`verify_families` checks the maps whatever trace
-    they were built from.
+    its vertex or edge.  No name is made or looked up.  A forward image is a
+    sum of single target letters with coefficient 1, so it needs no
+    reduction.  A backward image is a word of at most three source letters:
+    one letter (cases M, A, C and D) is a nod-word and its own support, and
+    a longer word (cases N and B) is one :func:`~wlpa.algebra._compose` over
+    the letters' one-word supports, reduced into the field where it is made.
+    Nothing is normalized, so the memos of both algebras stay empty.  A star
+    image is the involute of its edge's, taken on the support.  The trace is
+    read as :func:`to_unweighted` returned it, without deciding (LPA) or
+    running stage 1 again; :func:`verify_families` checks the maps whatever
+    trace they were built from.
     """
     g, h = trace.source, trace.stage1_graph
     src, tgt = Algebra(g, field=field), Algebra(trace.stage2_graph, field=field)
@@ -296,7 +293,7 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
 
     forward: list[dict] = [{} for _ in src._src_id]
     backward: list[dict] = [{} for _ in tgt._src_id]
-    vertex_cases, edge_cases = _stage2_cases(h, _sunk_preconditions(h))
+    vertex_cases, edge_cases = _stage2_cases(h)
     for t, (case, s, i) in enumerate(vertex_cases):
         forward[s][t,] = 1
         if case == "M":
@@ -321,9 +318,12 @@ def family_maps(trace: TransformTrace, field=RATIONALS) -> tuple[FamilyMap, Fami
 
 
 class FamilyVerification(NamedTuple):
-    ok: bool
     counts: dict
     failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def to_records(self) -> dict:
         return {
@@ -392,6 +392,4 @@ def verify_families(fwd: FamilyMap, bwd: FamilyMap) -> FamilyVerification:
                 token = there.domain._generators()[t].token()
                 failures.append(_label(("roundtrip {} {}", side, token)))
 
-    return FamilyVerification(
-        ok=not failures, counts=counts, failures=tuple(failures)
-    )
+    return FamilyVerification(counts, tuple(failures))

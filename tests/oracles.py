@@ -230,7 +230,7 @@ def reference_check_lpa(g: WeightedGraph) -> LpaReport:
                 )
             )
 
-    return LpaReport(satisfied=not violations, violations=tuple(violations))
+    return LpaReport(tuple(violations))
 
 
 def reference_witness(g: WeightedGraph,
@@ -560,7 +560,7 @@ def reference_family_maps(trace, field=RATIONALS) -> tuple[FamilyMap, FamilyMap]
     own.
     """
     g, h, g_tilde = trace.source, trace.stage1_graph, trace.stage2_graph
-    gv = trace.gv
+    gv = dict(trace.gv_map)
     src, tgt = Algebra(g, field=field), Algebra(g_tilde, field=field)
     src_id, tgt_id = src._id_of, tgt._id_of
     zone = set(trace.Z)

@@ -778,7 +778,7 @@ class _CountingSucc(dict):
 
 
 def _count_succ_reads(algebra):
-    algebra._succ = _CountingSucc(algebra._succ)
+    algebra._succ_table = _CountingSucc(algebra._succ)
     return algebra._succ
 
 

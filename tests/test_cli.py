@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -626,6 +628,41 @@ def test_cli_main_prints_help_and_exits_zero(monkeypatch, capsys):
     assert out.startswith("usage: wlpa eval [-h]") and err == ""
 
 
+def _main_in_child(argv, stdout):
+    """Exit code and stderr of ``main`` on ``argv``, in a fresh interpreter writing to ``stdout``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(wlpa.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-B", "-c", "from wlpa.cli import main; main()",
+                           *argv], stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True)
+    return proc.returncode, proc.stderr
+
+
+def _assert_one_write_error(code, err):
+    assert code == 1, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write output: "), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["transform", "--verify", "--input", fx("g6.wg")]])
+def test_cli_main_reports_a_closed_pipe_in_one_line(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    try:
+        code, err = _main_in_child(argv, write_end)
+    finally:
+        os.close(write_end)
+    _assert_one_write_error(code, err)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+def test_cli_main_reports_a_full_device_in_one_line():
+    with open("/dev/full", "w") as full:
+        _assert_one_write_error(*_main_in_child(["check-lpa", "--input", fx("g6.wg")], full))
+        # an input that cannot be read is reported as before, with nothing to write
+        code, err = _main_in_child(["check-lpa", "--input", fx("no_such.wg")], full)
+    assert code == 1 and err.startswith("error: cannot read ") and len(err.splitlines()) == 1
+
+
 # -- golden files: machine format, text format for .txt --------------------
 
 _L23_EXPRESSION = "e2.1 e1.1 e1.1* e2.1* - e1.1* e1.1 e1.2* + 3 * e3.1* e3.1 e1.2 e1.1*"
@@ -689,6 +726,11 @@ _NESTED_EXPRESSION = "2 * (h^(1))^(12) + ((e^(3))^(10))^(2).2* ((e^(3))^(10))^(2
         ("witness_lpa1_loop_e2.json",
          ["witness", "--input", fx("lpa1_loop.wg"), "--special", "v1=e2", "--format",
           "machine"], 0),
+        # two g^v pairs, listed against the order of their ranges, and a zone
+        # holding vertices that are no range
+        ("transform_twoorbits.txt", ["transform", "--verify", "--input", fx("twoorbits.wg")], 0),
+        ("transform_twoorbits.json",
+         ["transform", "--verify", "--input", fx("twoorbits.wg"), "--format", "machine"], 0),
     ],
 )
 def test_cli_machine_golden(golden, argv, expected_code):

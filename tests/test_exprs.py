@@ -110,7 +110,7 @@ def test_parse_element_matches_element_arithmetic():
                 text = _render(expr)
                 assert parse_element(alg, text) == _evaluate(alg, expr), (field, text)
                 checked += 1
-    assert checked == 2 * (13 * 12 + 336 * 2 + 20 * 12)
+    assert checked == 2 * (14 * 12 + 336 * 2 + 20 * 12)
 
 
 # -- scanning -----------------------------------------------------------------

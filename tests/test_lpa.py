@@ -336,7 +336,7 @@ def test_check_lpa_decides_a_large_satisfying_ring_in_one_pass(monkeypatch):
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-    assert check_lpa(g) == lpa.LpaReport(True)
+    assert check_lpa(g) == lpa.LpaReport()
     # the zone search alone decides
     assert calls == {"cyclic_components": 0, "shortest_cycle": 0, "breadth_first": 1}
 

@@ -10,12 +10,14 @@ import pytest
 
 import wlpa
 from wlpa import (
+    FamilyVerification,
     Generator,
     GraphError,
     GraphPath,
     LpaReport,
     LpaViolation,
     SpecialEdgeChoice,
+    TransformTrace,
     check_lpa,
     family_maps,
     parse_weighted_graph,
@@ -191,15 +193,15 @@ def test_each_tuple_of_fields_is_immutable_and_replaces_to_its_own_type():
     _, trace = to_unweighted(parse_weighted_graph((FIXTURES / "fork.wg").read_text()))
     fwd, bwd = family_maps(trace)
     path = GraphPath.of(["a", "b"])
+    violation = LpaViolation("LPA4", weighted_edge="e", path=GraphPath.at("v"), cycle=path)
     # one instance of each class, a field to replace and its new value
     instances = [
         (Generator.edge("e", 2), "index", 1),
         (SpecialEdgeChoice((("v", "e"),)), "pairs", ()),
         (path, "edges", ("c",)),
-        (LpaViolation("LPA4", weighted_edge="e", path=GraphPath.at("v"), cycle=path),
-         "weighted_edge", "f"),
-        (LpaReport(True), "satisfied", False),
-        (trace, "Z", ()),
+        (violation, "weighted_edge", "f"),
+        (LpaReport(), "violations", (violation,)),
+        (trace, "source", parse_weighted_graph("vertex v\n")),
         (fwd, "direction", "backward"),
         (verify_families(fwd, bwd), "failures", ("a failure",)),
     ]
@@ -216,10 +218,33 @@ def test_each_tuple_of_fields_is_immutable_and_replaces_to_its_own_type():
         assert type(changed) is type(obj) and getattr(changed, name) == value
         assert changed != obj and changed._replace(**{name: getattr(obj, name)}) == obj
         assert obj == tuple(obj) and obj._asdict() == dict(zip(obj._fields, obj))
-    assert repr(LpaReport(True)) == "LpaReport(satisfied=True, violations=())"
+    assert repr(LpaReport()) == "LpaReport(violations=())"
     assert repr(LpaViolation("LPA1", "v", ("a", "b"))) == (
         "LpaViolation(kind='LPA1', vertex='v', edges=('a', 'b'), weighted_edge=None, "
         "path=None, cycle=None)")
+
+
+def test_a_trace_a_report_and_a_verification_store_no_derived_field():
+    # Z and the g^v map are read off the trace's graphs, ok off the failures
+    # and satisfied off the violations, so none of them can disagree
+    g = parse_weighted_graph((FIXTURES / "fork.wg").read_text())
+    _, trace = to_unweighted(g)
+    verification = verify_families(*family_maps(trace))
+    assert TransformTrace._fields == ("source", "stage1_graph", "stage2_graph")
+    assert FamilyVerification._fields == ("counts", "failures")
+    assert LpaReport._fields == ("violations",)
+    for obj, name in ((trace, "Z"), (trace, "gv_map"), (verification, "ok"),
+                      (LpaReport(), "satisfied")):
+        with pytest.raises(ValueError, match="unexpected field"):
+            obj._replace(**{name: ()})
+        with pytest.raises(AttributeError):
+            setattr(obj, name, ())
+    assert not hasattr(trace, "gv")
+    assert verification.ok is True and verification._replace(failures=("x",)).ok is False
+    assert LpaReport((LpaViolation("LPA1", "v", ("a", "b")),)).satisfied is False
+    # a satisfied report holds one field, an empty tuple of violations
+    report = check_lpa(g)
+    assert (tuple(report), report.satisfied) == (((),), True)
 
 
 def test_graph_path_checks_its_fields_however_it_is_built():

@@ -34,7 +34,9 @@ from wlpa import (
     verify_families,
     weighted_edges,
 )
-from wlpa import algebra as algebra_module, cli, unweighting as unweighting_module
+from wlpa import (
+    algebra as algebra_module, cli, lpa as lpa_module, unweighting as unweighting_module,
+)
 
 from graphgen import _last_maximal_choice, multigraphs, random_lpa_satisfying_graph, weighted_ring
 from oracles import (
@@ -232,7 +234,7 @@ def test_pipeline_six_vertex_golden():
     out, trace = to_unweighted(g)
     assert serialize_graph(out) == fixture_text("g6_stage2.wg")
     assert trace.Z == ("t", "u", "x", "y", "z")
-    assert trace.gv == {"x": "f"}
+    assert dict(trace.gv_map) == {"x": "f"}
     assert serialize_weighted_graph(trace.stage1_graph) == fixture_text("g6_stage1.wg")
 
 
@@ -520,6 +522,12 @@ def test_zone_matches_tree_of_ranges():
         g = random_lpa_satisfying_graph(rng)
         _, trace = to_unweighted(g)
         assert trace.Z == tree(g, [e.range for e in weighted_edges(g)])
+        # read independently: the vertices of the search that decided (LPA), and
+        # the range -> edge map of the reference's stage-2 preconditions
+        search = lpa_module._decide_lpa(g)[0]
+        assert trace.Z == tuple(v for v in g.vertices if v in search)
+        gv = reference_sunk_preconditions(trace.stage1_graph)
+        assert (dict(trace.gv_map), len(trace.gv_map)) == (gv, len(gv))
 
 
 # -- verification against the dense oracle -----------------------------------
@@ -725,7 +733,7 @@ def test_family_maps_and_verify_families_build_no_automaton(monkeypatch, case):
 def test_family_maps_composes_only_the_backward_words_of_two_letters_or_more(monkeypatch):
     # a one-letter backward word (cases M, A, C, D) is its own support
     _, trace = to_unweighted(fixture_graph("g6.wg"))
-    vertex_cases, edge_cases = unweighting_module._stage2_cases(trace.stage1_graph, trace.gv)
+    vertex_cases, edge_cases = unweighting_module._stage2_cases(trace.stage1_graph)
     cases = [case for case, _, _ in vertex_cases + edge_cases]
     assert {"M", "N", "A", "B", "C", "D"} <= set(cases)
     calls = []
@@ -778,18 +786,16 @@ def test_family_maps_builds_no_edge_record(monkeypatch):
 @given(_lpa_graphs())
 @example(fixture_graph("g6.wg"))
 def test_family_maps_read_stage_1_off_the_stage_1_graph(g):
-    # neither Z, the g^v map nor a strand name is read: stage 1 and g^v are
-    # read off h, letters by position, so a wrong or empty Z or g^v map is ignored
+    # neither the trace's Z, its g^v map nor a strand name is read: stage 1
+    # and g^v are read off h, letters by position
     _, trace = to_unweighted(g)
     expected = family_maps(trace)
     with pytest.MonkeyPatch.context() as patch:
-        def no_name(*args):
-            raise AssertionError("family_maps made a strand name")
-        patch.setattr(unweighting_module, "strand_name", no_name)
-        traces = [trace._replace(Z=()), trace._replace(gv_map=(("t", "f"),)),
-                  trace._replace(gv_map=(("x", "f"), ("t", "a"))), trace._replace(gv_map=()),
-                  trace]
-        for maps in map(family_maps, traces):
-            for m, ref in zip(maps, expected):
-                assert [list(image.items()) for image in m.images] == \
-                    [list(image.items()) for image in ref.images]
+        def unread(*args):
+            raise AssertionError("family_maps read Z or the g^v map, or made a strand name")
+        for name in ("strand_name", "tree", "weighted_edges"):
+            patch.setattr(unweighting_module, name, unread)
+        maps = family_maps(trace)
+    for m, ref in zip(maps, expected):
+        assert [list(image.items()) for image in m.images] == \
+            [list(image.items()) for image in ref.images]

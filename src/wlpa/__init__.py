@@ -17,7 +17,7 @@ _HOMES = {name: home for home, names in (
         evaluate_relation identity_map relation_instances validate_choice"""),
     ("exprs", "ExpressionError parse_element"),
     ("fields", "RATIONALS FieldError PrimeField Rationals field_from_name"),
-    ("graphs", """BadWeightError DanglingEndpointError DuplicateIdError EdgeRecord Graph
+    ("graphs", """BadWeightError DanglingEndpointError DuplicateIdError EdgeRecord
         GraphError GraphPath GraphSyntaxError UnknownEdgeError UnknownVertexError
         WeightedGraph cycles_through cyclic_components graph_to_records parse_graph
         parse_weighted_graph reaches serialize_graph serialize_weighted_graph

@@ -38,6 +38,7 @@ at v, not one per pair of letters.  It is the one description of relations
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Iterable, NamedTuple, Optional
@@ -137,12 +138,16 @@ def validate_choice(g: WeightedGraph, choice: SpecialEdgeChoice) -> None:
     One pass over the out-lists ``g._out``, in vertex order; keys of
     ``choice`` that are no vertex are ignored, as by :func:`_letters`, its
     one reader past this check, once, per vertex.  At each vertex the checks
-    run in this order: a sink has no special edge; a non-sink has one; it
-    is an edge of ``g`` (else :class:`UnknownEdgeError`), emitted by the
-    vertex and of the vertex's maximal weight.
+    run in this order: no two pairs name it, even equal ones; a sink has no
+    special edge; a non-sink has one; it is an edge of ``g`` (else
+    :class:`UnknownEdgeError`), emitted by the vertex and of the vertex's
+    maximal weight.
     """
     mapping = choice.mapping
+    twice = {v for v, n in Counter(v for v, _ in choice.pairs).items() if n > 1}
     for v, out in g._out.items():
+        if v in twice:
+            raise AlgebraError(f"special edge fixed twice for {v!r}")
         if not out:
             if v in mapping:
                 raise AlgebraError(f"special edge fixed for sink {v!r}")

@@ -12,6 +12,7 @@ the witness and stage 1 read one such search of the zone.
 All types are immutable after construction and safe to share; every
 operation here is a pure function.  Vertices and edges keep the order of
 the input file, and every result listing them is emitted in that order.
+An unweighted graph is a :class:`WeightedGraph` whose weights are all 1.
 
 A graph text is read with one ``findall`` of ``_LINE_RE``, one tuple
 ``(vertex, edge, source, range, weight, stray)`` per line.  The scan takes
@@ -183,23 +184,13 @@ class WeightedGraph:
         )
 
     def __hash__(self):
-        return hash((type(self).__name__, self.vertices, self.edges))
+        return hash((self.vertices, self.edges))
 
     def __repr__(self):
         return (
             f"{type(self).__name__}({len(self.vertices)} vertices, "
             f"{len(self.edges)} edges)"
         )
-
-
-class Graph(WeightedGraph):
-    """An unweighted directed graph: every edge weight is fixed at 1."""
-
-    def __init__(self, vertices: Iterable[str], edges: Iterable[EdgeRecord]):
-        super().__init__(vertices, edges)
-        for e in self.edges:
-            if e.weight != 1:
-                raise BadWeightError(f"edge {e.id!r}: weight must be 1")
 
 
 class _PathFields(NamedTuple):
@@ -320,10 +311,10 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
     return WeightedGraph(vertices, edges)
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse an unweighted graph; any explicit weight must be 1."""
+def parse_graph(text: str) -> WeightedGraph:
+    """Parse an unweighted graph; the reader rejects a weight other than 1 at its line."""
     vertices, edges = _scan_lines(text, True) or _parse_lines(text, True)
-    return Graph(vertices, edges)
+    return WeightedGraph(vertices, edges)
 
 
 def serialize_weighted_graph(g: WeightedGraph) -> str:
@@ -332,7 +323,11 @@ def serialize_weighted_graph(g: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_graph(g: Graph) -> str:
+def serialize_graph(g: WeightedGraph) -> str:
+    """Write an unweighted graph, with no weight column; a weight other than 1 raises first."""
+    for e in g.edges:
+        if e.weight != 1:
+            raise BadWeightError(f"edge {e.id!r}: weight must be 1")
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"edge {e.id} {e.source} {e.range}" for e in g.edges]
     return "\n".join(lines) + "\n"

@@ -40,7 +40,7 @@ from .algebra import (
     _remainder_survives,
 )
 from .fields import RATIONALS
-from .graphs import EdgeRecord, Graph, WeightedGraph, tree, weighted_edges
+from .graphs import EdgeRecord, WeightedGraph, tree, weighted_edges
 from .lpa import LpaReport, _decide_lpa, check_lpa
 
 
@@ -85,7 +85,7 @@ class TransformTrace(NamedTuple):
 
     source: WeightedGraph
     stage1_graph: WeightedGraph
-    stage2_graph: Graph
+    stage2_graph: WeightedGraph
 
     @property
     def Z(self) -> tuple[str, ...]:
@@ -195,7 +195,7 @@ def _stage2_cases(g: WeightedGraph):
     return vertices, edges
 
 
-def unweight_sunk(g: WeightedGraph) -> Graph:
+def unweight_sunk(g: WeightedGraph) -> WeightedGraph:
     """Stage 2: split weighted-edge ranges into strand copies and rewire.
 
     Requires that the ranges of the weighted edges are sinks and that no
@@ -217,10 +217,10 @@ def unweight_sunk(g: WeightedGraph) -> Graph:
             edges.append(EdgeRecord(strand_name(e.id, i), strand_name(e.range, i), e.source))
         else:  # B and C run from the source into the i-th copy of the range
             edges.append(EdgeRecord(strand_name(e.id, i), e.source, strand_name(e.range, i)))
-    return Graph(vertices, edges)
+    return WeightedGraph(vertices, edges)
 
 
-def to_unweighted(g: WeightedGraph) -> tuple[Graph, TransformTrace]:
+def to_unweighted(g: WeightedGraph) -> tuple[WeightedGraph, TransformTrace]:
     """Full compilation of an LPA-satisfying weighted graph.
 
     Returns the unweighted graph and the trace of the three graphs.

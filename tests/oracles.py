@@ -24,7 +24,6 @@ from wlpa import (
     EdgeRecord,
     FamilyMap,
     Generator,
-    Graph,
     GraphError,
     GraphPath,
     GraphSyntaxError,
@@ -467,6 +466,8 @@ def reference_validate_choice(g: WeightedGraph, choice: SpecialEdgeChoice) -> No
     """Check a special-edge choice vertex by vertex, each clause by its own lookups."""
     mapping = choice.mapping
     for v in g.vertices:
+        if [key for key, _ in choice.pairs].count(v) > 1:
+            raise AlgebraError(f"special edge fixed twice for {v!r}")
         if is_sink(g, v):
             if v in mapping:
                 raise AlgebraError(f"special edge fixed for sink {v!r}")
@@ -545,10 +546,10 @@ def _reference_stage2_pieces(g: WeightedGraph, gv: dict[str, str]):
     return vertices, edges
 
 
-def reference_unweight_sunk(g: WeightedGraph) -> Graph:
+def reference_unweight_sunk(g: WeightedGraph) -> WeightedGraph:
     """Stage 2 from the named pieces of :func:`_reference_stage2_pieces`."""
     vertices, edges = _reference_stage2_pieces(g, reference_sunk_preconditions(g))
-    return Graph([name for name, *_ in vertices], [record for record, *_ in edges])
+    return WeightedGraph([name for name, *_ in vertices], [record for record, *_ in edges])
 
 
 def reference_family_maps(trace, field=RATIONALS) -> tuple[FamilyMap, FamilyMap]:

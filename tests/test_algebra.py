@@ -122,7 +122,8 @@ def _graphs_and_choices(draw):
     Each vertex is left out, or given its default edge, any edge of the
     graph or an unknown one; so sinks are named, non-sinks missed, and
     edges chosen that the vertex does not emit or that are not of its
-    maximal weight.  Keys that are no vertex may be added.
+    maximal weight.  Keys that are no vertex may be added, and now and then
+    a key that names a vertex, which may name it twice.
     """
     g = draw(multigraphs())
     default = default_special_edges(g).mapping
@@ -133,8 +134,10 @@ def _graphs_and_choices(draw):
         eid = draw(st.sampled_from(options))
         if eid is not None:
             pairs.append((v, eid))
-    pairs += draw(st.lists(st.tuples(st.sampled_from(["x", "v9"]), st.sampled_from(ids)),
-                           max_size=2))
+    keys = ["x", "v9"]
+    if draw(st.integers(0, 3)) == 0:
+        keys.append(draw(st.sampled_from(g.vertices)))
+    pairs += draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(ids)), max_size=2))
     return g, SpecialEdgeChoice(tuple(draw(st.permutations(pairs))))
 
 
@@ -160,6 +163,9 @@ _TIE = parse_weighted_graph(
     ((("v", "a"), ("w", "d")), "special edge 'a' has weight 1, not the maximal weight 3 at 'v'"),
     # the first vertex in graph order is reported, whatever the pair order
     ((("w", "a"), ("v", "a")), "special edge 'a' has weight 1, not the maximal weight 3 at 'v'"),
+    # a vertex named twice is reported before its other clauses, even by equal pairs
+    ((("v", "zz"), ("v", "b"), ("w", "d")), "special edge fixed twice for 'v'"),
+    ((("v", "b"), ("v", "b"), ("w", "d")), "special edge fixed twice for 'v'"),
 ])
 def test_validate_choice_reports_each_fault(pairs, message):
     choice = SpecialEdgeChoice(pairs)

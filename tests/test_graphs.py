@@ -12,7 +12,6 @@ from wlpa import (
     EdgeRecord,
     GraphError,
     GraphPath,
-    Graph,
     GraphSyntaxError,
     UnknownVertexError,
     WeightedGraph,
@@ -71,7 +70,7 @@ def test_weighted_graph_records_round_trip(g):
 @settings(max_examples=200, deadline=None)
 @given(multigraphs() | st.sampled_from(_SMALL_GRAPHS))
 def test_unweighted_graph_text_round_trip(g):
-    u = Graph(g.vertices, [e._replace(weight=1) for e in g.edges])
+    u = WeightedGraph(g.vertices, [e._replace(weight=1) for e in g.edges])
     assert parse_graph(serialize_graph(u)) == u
 
 
@@ -612,5 +611,8 @@ def test_path_is_a_base_vertex_or_edges():
 
 
 def test_unweighted_graph_rejects_a_weighted_record():
+    # the unweighted text has no weight column, so the writer checks each weight first
     with pytest.raises(BadWeightError, match="^edge 'a': weight must be 1$"):
-        Graph(["v"], [EdgeRecord("a", "v", "v", 2)])
+        serialize_graph(WeightedGraph(["v"], [EdgeRecord("a", "v", "v", 2)]))
+    with pytest.raises(BadWeightError, match="^edge 'b': weight must be 1$"):
+        serialize_graph(parse_weighted_graph("vertex v\nedge a v v\nedge b v v 2\n"))

@@ -34,7 +34,7 @@ PUBLIC_NAMES = [
     "Algebra", "AlgebraElement", "AlgebraError", "BadWeightError",
     "BudgetExceededError", "DanglingEndpointError", "DuplicateIdError", "EdgeRecord",
     "ExpressionError", "FamilyMap", "FamilyVerification", "FieldError", "Generator",
-    "Graph", "GraphError", "GraphPath", "GraphSyntaxError", "LpaReport",
+    "GraphError", "GraphPath", "GraphSyntaxError", "LpaReport",
     "LpaSatisfiedError", "LpaViolatedError", "LpaViolation", "MixedContextError",
     "NOT_HOMOGENEOUS", "PreconditionViolatedError", "PrimeField", "RATIONALS",
     "Rationals", "ReservedIdError", "SpecialEdgeChoice", "TransformTrace",

@@ -22,7 +22,9 @@ from wlpa import (
     check_lpa,
     family_maps,
     field_from_name,
+    graph_to_records,
     make_ranges_sinks,
+    parse_graph,
     parse_weighted_graph,
     relation_instances,
     serialize_graph,
@@ -33,6 +35,7 @@ from wlpa import (
     unweight_sunk,
     verify_families,
     weighted_edges,
+    weighted_graph_from_records,
 )
 from wlpa import (
     algebra as algebra_module, cli, lpa as lpa_module, unweighting as unweighting_module,
@@ -755,6 +758,29 @@ def _lpa_graphs(draw):
     return random_lpa_satisfying_graph(Random(draw(st.integers(0, 2**32))))
 
 
+def _assert_reads_back(u):
+    """The stage-2 graph ``u`` is the graph each writer's text or records read back to."""
+    assert parse_weighted_graph(serialize_weighted_graph(u)) == u
+    assert parse_weighted_graph(serialize_graph(u)) == u
+    assert parse_graph(serialize_graph(u)) == u
+    assert weighted_graph_from_records(graph_to_records(u)) == u
+
+
+# the fixtures that satisfy (LPA) and use no reserved '^(' id
+@pytest.mark.parametrize("name", ["fork", "g6", "loop1", "twoorbits", "twoparallel"])
+def test_a_compiled_graph_equals_the_graph_its_output_reads_back_to(name):
+    stage2, trace = to_unweighted(fixture_graph(f"{name}.wg"))
+    _assert_reads_back(stage2)
+    out = io.StringIO()
+    code = cli.run(["transform", "--input", str(FIXTURES / f"{name}.wg")],
+                   stdout=out, stderr=io.StringIO())
+    assert code == 0
+    # the reader skips '#' lines, so each half of the text is one graph
+    first, second = out.getvalue().split("# stage 2\n")
+    assert parse_weighted_graph(first) == trace.stage1_graph
+    assert parse_weighted_graph(second) == trace.stage2_graph == stage2
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(_lpa_graphs())
 @example(fixture_graph("g6.wg"))
@@ -762,6 +788,7 @@ def _lpa_graphs(draw):
 def test_stage2_and_family_maps_match_the_reference(g):
     stage2, trace = to_unweighted(g)
     assert stage2 == reference_unweight_sunk(trace.stage1_graph)
+    _assert_reads_back(stage2)
     for field in (RATIONALS, PrimeField(7)):
         maps, expected = family_maps(trace, field), reference_family_maps(trace, field)
         for m, ref in zip(maps, expected):
